@@ -3,6 +3,7 @@
 from ddpnkit.distributions import (
     DEFAULT_TRUNCATION,
     SupportTruncation,
+    PredictiveBatch,
     PredictiveDistribution,
     double_poisson,
     poisson,
@@ -16,6 +17,7 @@ from ddpnkit.distributions import (
     dist_mode,
     dist_quantile,
     dist_sample,
+    predictive_summary,
 )
 from ddpnkit.losses import (
     AttenuationParts,
@@ -48,6 +50,7 @@ from ddpnkit.ensemble import (
     load_ensemble,
     mixture_moments,
     mixture_predict,
+    predictive_batch,
     variance_scores,
 )
 from ddpnkit.metrics import EvalRecord, OODScores, crps, evaluate, mae, median_precision, ood_curve_metrics

@@ -8,7 +8,9 @@ over config values. Unknown config keys are rejected.
 Outputs land under the --out directory in data/, ckpt/ and reports/
 subfolders. Files are written atomically after all computation succeeds,
 so a failing run leaves no partial outputs. Exit codes: 0 success, 2 usage
-or domain errors, 3 numeric divergence or overflow, 4 I/O problems.
+or domain errors, 3 numeric divergence or overflow (including a PMF support
+that has not converged within its cap), 4 I/O problems and malformed
+checkpoint, manifest or dataset files.
 """
 
 from __future__ import annotations
@@ -303,8 +305,8 @@ def cmd_eval(opts: dict) -> int:
     test_x, test_y = ds.xs[split.test], ds.ys[split.test]
     if test_y.size == 0:
         raise DomainError(f"no test rows found under prefix {opts['data']}")
-    dists_list = ensemble.member_distributions(weights, spec, test_x)
-    record = metrics.evaluate(dists_list, test_y)
+    model = ensemble.Ensemble(((weights, spec),))
+    record = metrics.evaluate(ensemble.predictive_batch(model, test_x), test_y)
     reports_dir = _outdir(opts["out"], "reports")
     path = os.path.join(reports_dir, f"{opts['tag']}_metrics.json")
     _write_json(path, record.summary())
@@ -319,16 +321,14 @@ def cmd_ensemble_eval(opts: dict) -> int:
     if test_y.size == 0:
         raise DomainError(f"no test rows found under prefix {opts['data']}")
     mode = opts["moments_mode"]
-    dists_list = [ensemble.mixture_predict(ens, row) for row in test_x]
     variances = ensemble.variance_scores(ens, test_x, mode)
-    record = metrics.evaluate(dists_list, test_y, variances=variances)
-    table = ensemble.predict_table(ens, test_x, mode)
+    record = metrics.evaluate(ensemble.predictive_batch(ens, test_x), test_y,
+                              variances=variances, levels=ensemble.INTERVAL)
+    table = ensemble.predict_table(ens, test_x, mode, quantiles=record.quantiles)
+    columns = np.column_stack([test_x[:, 0]] + [table[name] for name in (
+        "mean", "aleatoric", "epistemic", "q025", "q975")])
     lines = ["x,mean,aleatoric,epistemic,q025,q975"]
-    for i in range(test_x.shape[0]):
-        lines.append(",".join(repr(float(v)) for v in (
-            test_x[i, 0], table["mean"][i], table["aleatoric"][i],
-            table["epistemic"][i], table["q025"][i], table["q975"][i],
-        )))
+    lines.extend(",".join(map(repr, row)) for row in columns.tolist())
     reports_dir = _outdir(opts["out"], "reports")
     _write_json(os.path.join(reports_dir, f"{opts['tag']}_metrics.json"), record.summary())
     _write_text(os.path.join(reports_dir, f"{opts['tag']}_decomposition.csv"),
@@ -440,7 +440,8 @@ def main(argv=None) -> int:
     except (NumericDivergence, NumericOverflow) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (network.CheckpointFormatError, ensemble.ManifestFormatError, OSError) as exc:
+    except (network.CheckpointFormatError, ensemble.ManifestFormatError,
+            datagen.DatasetFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     except (DomainError, ShapeError) as exc:

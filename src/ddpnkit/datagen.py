@@ -215,18 +215,27 @@ def write_dataset_csv(path, xs: np.ndarray, ys: np.ndarray) -> None:
             writer.writerow([repr(float(x)), int(y)])
 
 
+class DatasetFormatError(DomainError):
+    """A dataset CSV does not follow the x,y layout."""
+
+
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read an x,y CSV; raises DatasetFormatError for a bad header or row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["x", "y"]:
-            raise DomainError(f"{path}: expected header x,y, got {header}")
+            raise DatasetFormatError(f"{path}: expected header x,y, got {header}")
         xs, ys = [], []
         for row in reader:
             if len(row) != 2:
-                raise DomainError(f"{path}: malformed row {row}")
-            xs.append(float(row[0]))
-            ys.append(int(row[1]))
+                raise DatasetFormatError(f"{path}: malformed row {row}")
+            try:
+                xs.append(float(row[0]))
+                ys.append(int(row[1]))
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: cannot parse row {row} as a float "
+                                         "input and an integer label") from exc
     return np.array(xs)[:, None], np.array(ys, dtype=np.int64)
 
 

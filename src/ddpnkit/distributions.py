@@ -12,20 +12,28 @@ gamma = 1 recovers the ordinary Poisson exactly.
 
 Poisson, negative binomial and Gaussian families are provided as baselines,
 plus a uniform Mixture for ensemble predictions. All probability work on the
-Double Poisson happens in log space over a truncated integer support; the
+discrete families happens in log space over a truncated integer support; the
 conventions 0^0 = 1 and y*log(y) = 0 at y = 0 apply throughout.
+
+Scoring runs on a PredictiveBatch: n rows, each a uniform mixture of M
+members of one family, with parameters shaped (M, n). predictive_summary
+builds the member log weights on a shared support in row blocks of at most
+BLOCK_CELLS cells, normalizes each member once, averages over members, and
+reads modes, quantiles and CRPS off one CDF matrix per block. The
+single-distribution functions (pmf_vector, dist_mode, dist_quantile, ...) are
+one-row views of the same engine, and every row is summed exactly as it
+would be alone, so a row's results do not depend on the rows batched with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln, logsumexp, ndtr, ndtri, xlogy
+from scipy.special import gammaln, ndtr, ndtri, xlogy
 
-from ddpnkit.errors import DomainError, NumericOverflow
+from ddpnkit.errors import DomainError, NumericOverflow, ShapeError
 
 DOUBLE_POISSON = "double_poisson"
 POISSON = "poisson"
@@ -38,13 +46,20 @@ _SCALAR_KINDS = frozenset({DOUBLE_POISSON, POISSON, NEG_BINOMIAL, GAUSSIAN})
 EFRON_APPROX = "efron_approx"
 EXACT_SERIES = "exact_series"
 
+# largest (members x rows x support) block of log weights built at once
+BLOCK_CELLS = 1 << 17
+# the upper CRPS sum stops at its first term below this
+CRPS_TAIL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SupportTruncation:
     """Truncation policy for infinite-support summations.
 
-    Summation stops once a term past the distribution bulk falls below
-    tail_mass_tol times the accumulated sum, or at hard_cap terms.
+    The support of each distribution starts 10 standard deviations past its
+    mean and doubles until its edge term falls below tail_mass_tol times the
+    accumulated sum. A support still unconverged at hard_cap terms raises
+    NumericOverflow instead of being cut short.
     """
 
     tail_mass_tol: float = 1e-10
@@ -117,6 +132,14 @@ class GaussianParams:
             raise DomainError(f"sigma2 must be finite and positive, got {self.sigma2}")
 
 
+_RECORDS = {
+    DOUBLE_POISSON: DoublePoissonParams,
+    POISSON: PoissonParams,
+    NEG_BINOMIAL: NegBinomialParams,
+    GAUSSIAN: GaussianParams,
+}
+
+
 @dataclass(frozen=True)
 class PredictiveDistribution:
     """Tagged union over the supported families.
@@ -133,12 +156,7 @@ class PredictiveDistribution:
 
     def __post_init__(self):
         if self.kind in _SCALAR_KINDS:
-            expected = {
-                DOUBLE_POISSON: DoublePoissonParams,
-                POISSON: PoissonParams,
-                NEG_BINOMIAL: NegBinomialParams,
-                GAUSSIAN: GaussianParams,
-            }[self.kind]
+            expected = _RECORDS[self.kind]
             if not isinstance(self.params, expected):
                 raise DomainError(
                     f"kind {self.kind!r} requires {expected.__name__} params, "
@@ -183,6 +201,141 @@ def mixture(components) -> PredictiveDistribution:
     return PredictiveDistribution(MIXTURE, components=tuple(components))
 
 
+# --- batches of mixtures --------------------------------------------------------
+
+
+def _valid(kind: str, params: tuple) -> np.ndarray:
+    """Elementwise parameter domain of kind, the batch form of its record checks."""
+    ok = np.logical_and.reduce([np.isfinite(p) for p in params])
+    if kind == GAUSSIAN:
+        return ok & (params[1] > 0.0)
+    if kind == NEG_BINOMIAL:
+        return ok & (params[0] > 0.0) & (params[1] > 0.0) & (params[1] < 1.0)
+    return ok & np.logical_and.reduce([p > 0.0 for p in params])
+
+
+@dataclass(frozen=True)
+class PredictiveBatch:
+    """n predictive distributions, each a uniform mixture of M members of one kind.
+
+    ``params`` holds one (M, n) array per field of the kind's parameter
+    record, in field order: (mu, gamma), (lam,), (r, p) or (mu, sigma2).
+    M = 1 is one plain distribution per row. 1-D arrays are read as M = 1.
+    """
+
+    kind: str
+    params: tuple
+
+    def __post_init__(self):
+        if self.kind not in _SCALAR_KINDS:
+            raise DomainError(f"unknown batch kind {self.kind!r}")
+        record = _RECORDS[self.kind]
+        params = tuple(np.atleast_2d(np.asarray(p, dtype=float)) for p in self.params)
+        if len(params) != len(fields(record)):
+            raise ShapeError(f"kind {self.kind!r} takes {len(fields(record))} parameter arrays")
+        if params[0].ndim != 2 or any(p.shape != params[0].shape for p in params):
+            raise ShapeError("parameter arrays must share one (members, rows) shape")
+        if params[0].shape[0] == 0:
+            raise ShapeError("a batch needs at least one member")
+        bad = np.flatnonzero(~_valid(self.kind, params))
+        if bad.size:
+            record(*(float(p.flat[bad[0]]) for p in params))  # raises its DomainError
+        object.__setattr__(self, "params", params)
+
+    @property
+    def shape(self) -> tuple:
+        """(members, rows)."""
+        return self.params[0].shape
+
+    def __len__(self) -> int:
+        return self.shape[1]
+
+    def components(self, i: int) -> tuple:
+        """The member distributions of row i."""
+        record = _RECORDS[self.kind]
+        members = zip(*(p[:, i].tolist() for p in self.params))
+        return tuple(PredictiveDistribution(self.kind, record(*values)) for values in members)
+
+    def member_moments(self, mode: str = EFRON_APPROX,
+                       trunc: SupportTruncation = DEFAULT_TRUNCATION) -> tuple:
+        """Member means and variances, both (M, n).
+
+        mode "exact_series" adds the Double Poisson correction series to the
+        Efron approximations (mu, mu/gamma); other kinds have closed forms.
+        """
+        if mode not in (EFRON_APPROX, EXACT_SERIES):
+            raise DomainError(f"unknown moments mode {mode!r}")
+        if self.kind == DOUBLE_POISSON:
+            mu, gamma = self.params
+            mean, var = mu, mu / gamma
+            if mode == EXACT_SERIES:
+                mean, var = mean.copy(), var.copy()
+                for rows, log_w, log_c, _ in _member_blocks(self, trunc):
+                    w = np.exp(log_w - log_c[..., None])
+                    mc, vc = dp_moment_corrections(w.reshape(-1, w.shape[-1]),
+                                                   mu[:, rows].reshape(-1, 1),
+                                                   gamma[:, rows].ravel())
+                    mean[:, rows] += mc.reshape(w.shape[:2])
+                    var[:, rows] += vc.reshape(w.shape[:2])
+            return mean, var
+        if self.kind == POISSON:
+            return self.params[0], self.params[0]
+        if self.kind == NEG_BINOMIAL:
+            r, p = self.params
+            mean = r * (1.0 - p) / p
+            return mean, mean / p
+        return self.params
+
+    def moments(self, mode: str = EFRON_APPROX,
+                trunc: SupportTruncation = DEFAULT_TRUNCATION) -> tuple:
+        """Mixture mean and variance per row, both (n,)."""
+        means, variances = self.member_moments(mode, trunc)
+        if self.shape[0] == 1:
+            return means[0], variances[0]
+        return mixture_moments(means, variances)
+
+
+def mixture_moments(means, variances) -> tuple:
+    """Mean and variance of a uniform mixture with the given member moments.
+
+    Members run along the first axis; 1-D inputs give floats, (M, n) inputs
+    one value per column.
+    """
+    means = np.asarray(means, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    if means.shape != variances.shape or means.shape[0] == 0:
+        raise ShapeError("means and variances must be equal-length and nonempty")
+    mean = np.mean(means, axis=0)
+    var = np.mean(variances + means**2, axis=0) - mean**2
+    if means.ndim == 1:
+        return float(mean), float(var)
+    return mean, var
+
+
+def stack(predictions) -> list:
+    """Group distributions into batches that share a kind and a member count.
+
+    Returns (row indices, PredictiveBatch) pairs that together cover every
+    position of ``predictions`` once. A PredictiveBatch is one group as is.
+    """
+    if isinstance(predictions, PredictiveBatch):
+        return [(np.arange(len(predictions)), predictions)]
+    groups = {}
+    for i, dist in enumerate(predictions):
+        members = dist.components if dist.kind == MIXTURE else (dist,)
+        rows, values = groups.setdefault((members[0].kind, len(members)), ([], []))
+        rows.append(i)
+        values.append([astuple(c.params) for c in members])
+    # values: (rows, members, fields) -> one (members, rows) array per field
+    return [(np.array(rows), PredictiveBatch(kind, tuple(np.array(values).transpose(2, 1, 0))))
+            for (kind, _), (rows, values) in groups.items()]
+
+
+def as_batch(dist: PredictiveDistribution) -> PredictiveBatch:
+    """One-row batch of a single (possibly mixture) distribution."""
+    return stack([dist])[0][1]
+
+
 # --- Double Poisson series machinery -----------------------------------------
 
 _log_fact_table = np.zeros(1)
@@ -202,32 +355,131 @@ def dp_log_h(ys: np.ndarray) -> np.ndarray:
     return -ys + xlogy(ys, ys) - gammaln(ys + 1.0)
 
 
-def dp_log_weight(mu: float, gamma: float, ys: np.ndarray) -> np.ndarray:
+def dp_log_weight(mu, gamma, ys: np.ndarray) -> np.ndarray:
     """log of s(mu, gamma, y) = h(y) exp(r(mu, gamma, y)).
 
     r(mu, gamma, y) = gamma * (y - mu + y*log(mu) - y*log(y)); the
-    gamma^(1/2) prefactor of the normalizing series is not included.
+    gamma^(1/2) prefactor of the normalizing series is not included. mu and
+    gamma broadcast against ys.
     """
     ys = np.asarray(ys, dtype=float)
-    r = gamma * (ys - mu + ys * math.log(mu) - xlogy(ys, ys))
+    r = gamma * (ys - mu + ys * np.log(mu) - xlogy(ys, ys))
     return dp_log_h(ys) + r
 
 
-def _dp_log_terms(mu: float, gamma: float, trunc: SupportTruncation) -> np.ndarray:
-    """Log weights log s(mu, gamma, y) over the truncated support 0..N-1.
+def _log_weights(kind: str, params, ys: np.ndarray) -> np.ndarray:
+    """Log weights at ys, broadcast against the parameter arrays.
 
-    The support is grown until the edge term drops below tail_mass_tol times
-    the accumulated sum, subject to hard_cap.
+    The Poisson and negative binomial weights are their log PMFs; the Double
+    Poisson weights are log s(mu, gamma, y), whose sum is c(mu, gamma)
+    without the gamma^(1/2) prefactor.
     """
-    sd = math.sqrt(mu / gamma + 1.0)
-    n = int(min(trunc.hard_cap, max(32, math.ceil(mu + 10.0 * sd + 16.0))))
+    if kind == DOUBLE_POISSON:
+        return dp_log_weight(*params, ys)
+    if kind == POISSON:
+        (lam,) = params
+        return xlogy(ys, lam) - lam - gammaln(ys + 1.0)
+    r, p = params
+    return gammaln(ys + r) - gammaln(r) - gammaln(ys + 1.0) + r * np.log(p) + ys * np.log1p(-p)
+
+
+def _segment_sums(values: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """sum(values[i, start[i]:stop[i]]) for every row i.
+
+    Rows are summed in groups of equal length, so each row is added up
+    exactly as np.sum adds a vector of that length and its value does not
+    depend on the rows beside it.
+    """
+    out = np.zeros(values.shape[0])
+    width = stop - start
+    for k in np.unique(width[width > 0]):
+        rows = np.flatnonzero(width == k)
+        out[rows] = np.sum(values[rows[:, None], start[rows, None] + np.arange(k)], axis=1)
+    return out
+
+
+def _log_sums(log_w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """log(sum(exp(log_w[i, :lengths[i]]))) per row; entries past a row's length are -inf.
+
+    The largest terms are taken out of the sum and added back through
+    log1p, which keeps the result accurate when one term dominates.
+    """
+    top = np.max(log_w, axis=1, keepdims=True)
+    at_top = log_w == top
+    e = np.exp(log_w - top)
+    e[at_top] = 0.0
+    count = np.sum(at_top, axis=1)
+    rest = _segment_sums(e, np.zeros_like(lengths), lengths) / count
+    return np.log1p(rest) + np.log(count) + top[:, 0]
+
+
+def _member_blocks(batch: PredictiveBatch, trunc: SupportTruncation):
+    """Yield (rows, log_w, log_c, lengths) per row block of a discrete batch.
+
+    log_w is the (M, r, N) array of member log weights on the shared support
+    0..N-1 of the block's r rows, -inf past each member's own support length
+    lengths[m, i]; log_c (M, r) holds their log sums. A block holds at most
+    BLOCK_CELLS cells unless a single row needs more.
+
+    Each member support starts at ceil(mean + 10*sqrt(var + 1) + 16), at
+    least 32, and doubles until its edge term is below tail_mass_tol times
+    its sum. A support unconverged at hard_cap raises NumericOverflow.
+    """
+    members, n = batch.shape
+    mean, var = batch.member_moments()
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = np.ceil(mean + 10.0 * np.sqrt(var + 1.0) + 16.0)
+    lengths = np.minimum(trunc.hard_cap, np.maximum(32.0, start)).astype(np.int64)
     log_tol = math.log(trunc.tail_mass_tol)
-    while True:
-        ys = np.arange(n)
-        log_s = dp_log_weight(mu, gamma, ys)
-        if n >= trunc.hard_cap or log_s[-1] < log_tol + logsumexp(log_s):
-            return log_s
-        n = int(min(trunc.hard_cap, 2 * n))
+    lo = 0
+    while lo < n:
+        widest = np.maximum.accumulate(
+            lengths[:, lo:lo + BLOCK_CELLS // (32 * members) + 1].max(axis=0))
+        cells = members * np.arange(1, widest.size + 1) * widest
+        hi = lo + max(1, int(np.searchsorted(cells, BLOCK_CELLS, side="right")))
+        L = lengths[:, lo:hi]
+        ys = np.arange(L.max(), dtype=float)
+        log_w = _log_weights(batch.kind, [p[:, lo:hi, None] for p in batch.params], ys)
+        log_w[ys >= L[..., None]] = -np.inf
+        log_c = _log_sums(log_w.reshape(-1, ys.size), L.ravel()).reshape(L.shape)
+        edge = np.take_along_axis(log_w, L[..., None] - 1, axis=2)[..., 0]
+        unconverged = ~(edge < log_tol + log_c)
+        if unconverged.any():
+            capped = np.argwhere(unconverged & (L >= trunc.hard_cap))
+            if capped.size:
+                m, i = capped[0]
+                values = ", ".join(f"{f.name}={float(p[m, lo + i])!r}" for f, p in
+                                   zip(fields(_RECORDS[batch.kind]), batch.params))
+                raise NumericOverflow(
+                    f"PMF support of {batch.kind}({values}) has not converged "
+                    f"within hard_cap={trunc.hard_cap} terms")
+            lengths[:, lo:hi] = np.where(unconverged, np.minimum(2 * L, trunc.hard_cap), L)
+            continue  # re-block these rows on their longer supports
+        yield slice(lo, hi), log_w, log_c, L
+        lo = hi
+
+
+def _pmf_blocks(batch: PredictiveBatch, trunc: SupportTruncation):
+    """Yield (rows, pmf, lengths) per row block of a discrete batch.
+
+    pmf is the (r, N) mixture PMF of the block's rows, each member
+    normalized over its own support, and zero past the row's support length
+    lengths[i], the longest of its members.
+    """
+    for rows, log_w, log_c, lengths in _member_blocks(batch, trunc):
+        p = np.exp(log_w - log_c[..., None])
+        pmf = p[0]
+        for member in p[1:]:
+            pmf += member
+        if len(p) > 1:
+            pmf /= len(p)
+        if not np.all(np.isfinite(pmf)):
+            raise NumericOverflow(f"non-finite PMF values for kind {batch.kind}")
+        yield rows, pmf, lengths.max(axis=0)
+
+
+def _dp_batch(mu: float, gamma: float) -> PredictiveBatch:
+    return PredictiveBatch(DOUBLE_POISSON, ([[mu]], [[gamma]]))
 
 
 def dp_normalizer(mu: float, gamma: float, trunc: SupportTruncation = DEFAULT_TRUNCATION) -> float:
@@ -238,20 +490,19 @@ def dp_normalizer(mu: float, gamma: float, trunc: SupportTruncation = DEFAULT_TR
     moderate parameter ranges, which is what justifies dropping it from
     training losses.
     """
-    DoublePoissonParams(mu, gamma)
-    log_c = 0.5 * math.log(gamma) + logsumexp(_dp_log_terms(mu, gamma, trunc))
-    c = math.exp(log_c)
+    _, _, log_c, _ = next(_member_blocks(_dp_batch(mu, gamma), trunc))
+    c = math.exp(0.5 * math.log(gamma) + float(log_c[0, 0]))
     if not math.isfinite(c):
         raise NumericOverflow(f"normalizer overflowed for mu={mu}, gamma={gamma}")
     return c
 
 
-def dp_moment_corrections(w: np.ndarray, mu: float, gamma) -> tuple:
+def dp_moment_corrections(w: np.ndarray, mu, gamma) -> tuple:
     """Mean and variance corrections of DP(mu, gamma) from its weight series.
 
     w holds the weights s(mu, gamma, y) for y = 0..N-1 at any common scale,
-    one series per row of a 2-D array (gamma then has one entry per row).
-    Returns, elementwise,
+    one series per row of a 2-D array (gamma then has one entry per row, and
+    mu is a scalar or a column). Returns, elementwise,
 
         E[Z] - mu       = sum(s*(y-mu)) / sum(s)
         Var[Z] - mu/gamma = (d*sqrt(gamma)*sum(s) - gamma*sum(s*(y-mu))^2)
@@ -279,12 +530,134 @@ def dp_series_moments(
     Adds the corrections of dp_moment_corrections, summed over the truncated
     support, to the Efron approximations mu and mu/gamma.
     """
-    log_s = _dp_log_terms(mu, gamma, trunc)
-    mean_corr, var_corr = dp_moment_corrections(np.exp(log_s - np.max(log_s)), mu, gamma)
-    return mu + float(mean_corr), mu / gamma + float(var_corr)
+    mean, var = _dp_batch(mu, gamma).member_moments(EXACT_SERIES, trunc)
+    return float(mean[0, 0]), float(var[0, 0])
 
 
-# --- generic operations -------------------------------------------------------
+# --- the batched predictive engine --------------------------------------------
+
+
+@dataclass(frozen=True)
+class PredictiveSummary:
+    """Point, interval and score read off a batch, one entry per row.
+
+    modes: most probable values, (n,). quantiles: one row per requested
+    level, (levels, n). crps: CRPS against the labels, (n,), or None when no
+    labels were given.
+    """
+
+    modes: np.ndarray
+    quantiles: np.ndarray
+    crps: object = None
+
+
+def crps_from_cdf(cdf: np.ndarray, lengths: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """CRPS of each row of a discrete CDF matrix against nonnegative integer labels.
+
+    Row i is a CDF over the support 0..lengths[i]-1 (later entries are
+    ignored) and is 1 past it:
+
+        CRPS(F, y) = sum_{z<y} F(z)^2 + sum_{z>=y} (F(z) - 1)^2,
+
+    with the upper sum stopped at its first term below CRPS_TAIL_TOL.
+    """
+    low = np.minimum(ys, lengths)
+    total = _segment_sums(cdf**2, np.zeros_like(low), low) + np.maximum(0, ys - lengths)
+    tail = (cdf - 1.0) ** 2
+    small = (tail < CRPS_TAIL_TOL) & (np.arange(cdf.shape[1]) >= low[:, None])
+    stop = np.where(small.any(axis=1), np.argmax(small, axis=1), cdf.shape[1])
+    return total + _segment_sums(tail, low, np.minimum(stop, lengths))
+
+
+def _count_labels(ys: np.ndarray) -> np.ndarray:
+    labels = np.rint(ys)
+    off = np.flatnonzero(np.abs(ys - labels) > 1e-9)
+    if off.size:
+        raise DomainError(f"discrete CRPS needs an integer label, got {ys[off[0]]}")
+    if np.any(labels < 0):
+        raise DomainError(f"count label must be nonnegative, got {int(labels.min())}")
+    return labels.astype(np.int64)
+
+
+def _gauss_abs_moment(delta: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """E|N(delta, var)|."""
+    s = np.sqrt(var)
+    u = delta / s
+    return s * (u * (2.0 * ndtr(u) - 1.0) + 2.0 * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+
+
+def gaussian_crps(mu: np.ndarray, sigma2: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """CRPS of uniform Gaussian mixtures with (M, n) parameters against n labels.
+
+    Uses the kernel identity CRPS = E|X - y| - E|X - X'|/2, whose second
+    term is sigma/sqrt(pi) for a single Gaussian.
+    """
+    if mu.shape[0] == 1:
+        return _gauss_abs_moment(ys - mu[0], sigma2[0]) - np.sqrt(sigma2[0] / math.pi)
+    to_label = np.mean(_gauss_abs_moment(ys - mu, sigma2), axis=0)
+    cross = np.mean(_gauss_abs_moment(mu[:, None] - mu[None], sigma2[:, None] + sigma2[None]),
+                    axis=(0, 1))
+    return to_label - 0.5 * cross
+
+
+def _gaussian_quantile(mu: np.ndarray, sigma2: np.ndarray, q: float) -> np.ndarray:
+    sd = np.sqrt(sigma2)
+    if mu.shape[0] == 1:
+        return mu[0] + sd[0] * ndtri(q)
+    # mixture: bisect the averaged CDF, all rows at once
+    lo = np.min(mu - 10.0 * sd, axis=0)
+    hi = np.max(mu + 10.0 * sd, axis=0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = np.mean(ndtr((mid - mu) / sd), axis=0) < q
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def predictive_summary(
+    batch: PredictiveBatch,
+    ys=None,
+    levels=(),
+    trunc: SupportTruncation = DEFAULT_TRUNCATION,
+) -> PredictiveSummary:
+    """Modes, quantiles at ``levels`` and, given labels ``ys``, CRPS of every row.
+
+    Discrete rows: the mode is the most probable value (ties break toward
+    the smallest), the q-quantile the smallest z with CDF(z) >= q, and CRPS
+    follows crps_from_cdf. Gaussian rows report their mean as the mode,
+    unrounded, and use closed forms (bisection for mixture quantiles).
+    """
+    levels = tuple(float(q) for q in levels)
+    for q in levels:
+        if not (0.0 < q < 1.0):
+            raise DomainError(f"quantile level must lie in (0, 1), got {q}")
+    n = len(batch)
+    if ys is not None:
+        ys = np.asarray(ys, dtype=float)
+        if ys.shape != (n,):
+            raise ShapeError(f"{ys.size} labels for {n} predictive rows")
+    quantiles = np.empty((len(levels), n))
+    if batch.kind == GAUSSIAN:
+        mu, sigma2 = batch.params
+        for j, q in enumerate(levels):
+            quantiles[j] = _gaussian_quantile(mu, sigma2, q)
+        crps = None if ys is None else gaussian_crps(mu, sigma2, ys)
+        return PredictiveSummary(np.mean(mu, axis=0), quantiles, crps)
+    labels = None if ys is None else _count_labels(ys)
+    modes = np.empty(n)
+    crps = None if ys is None else np.empty(n)
+    for rows, pmf, lengths in _pmf_blocks(batch, trunc):
+        modes[rows] = np.argmax(pmf, axis=1)
+        cdf = np.cumsum(pmf, axis=1)
+        for j, q in enumerate(levels):
+            quantiles[j, rows] = np.minimum(np.sum(cdf < q - 1e-12, axis=1), lengths)
+        if crps is not None:
+            crps[rows] = crps_from_cdf(cdf, lengths, labels[rows])
+    return PredictiveSummary(modes, quantiles, crps)
+
+
+# --- single-distribution views ---------------------------------------------------
 
 
 def pmf_vector(
@@ -292,40 +665,13 @@ def pmf_vector(
 ) -> np.ndarray:
     """Normalized PMF over the truncated support 0..N-1 for discrete kinds.
 
-    The vector sums to 1 exactly, so downstream CDF sums terminate cleanly.
-    Raises DomainError for Gaussian-based distributions.
+    Raises DomainError for Gaussian-based distributions and NumericOverflow
+    when the support has not converged within trunc.hard_cap terms.
     """
     if not dist.is_discrete:
         raise DomainError("pmf_vector requires a discrete distribution")
-    if dist.kind == DOUBLE_POISSON:
-        log_s = _dp_log_terms(dist.params.mu, dist.params.gamma, trunc)
-        p = np.exp(log_s - logsumexp(log_s))
-    elif dist.kind in (POISSON, NEG_BINOMIAL):
-        frozen = _scipy_discrete(dist)
-        n = int(min(trunc.hard_cap, frozen.ppf(1.0 - trunc.tail_mass_tol) + 2))
-        p = frozen.pmf(np.arange(n))
-        total = p.sum()
-        if total <= 0.0 or not np.isfinite(total):
-            raise NumericOverflow(f"degenerate PMF for {dist.kind} params {dist.params}")
-        p = p / total
-    else:  # mixture of a discrete kind
-        parts = [pmf_vector(c, trunc) for c in dist.components]
-        n = max(part.size for part in parts)
-        p = np.zeros(n)
-        for part in parts:
-            p[: part.size] += part
-        p /= len(parts)
-    if not np.all(np.isfinite(p)):
-        raise NumericOverflow(f"non-finite PMF values for kind {dist.kind}")
-    return p
-
-
-def _scipy_discrete(dist: PredictiveDistribution):
-    if dist.kind == POISSON:
-        return stats.poisson(dist.params.lam)
-    if dist.kind == NEG_BINOMIAL:
-        return stats.nbinom(dist.params.r, dist.params.p)
-    raise DomainError(f"no scipy counterpart for kind {dist.kind!r}")
+    _, pmf, lengths = next(_pmf_blocks(as_batch(dist), trunc))
+    return pmf[0, :lengths[0]]
 
 
 def dist_pmf(
@@ -347,16 +693,17 @@ def dist_pmf(
     if y < 0 or y != int(y):
         return 0.0
     y = int(y)
-    if dist.kind == DOUBLE_POISSON:
-        mu, gamma = dist.params.mu, dist.params.gamma
-        log_term = 0.5 * math.log(gamma) + float(dp_log_weight(mu, gamma, np.array([y]))[0])
-        if normalized:
-            log_term -= math.log(dp_normalizer(mu, gamma, trunc))
-        val = math.exp(log_term)
-        if not math.isfinite(val):
-            raise NumericOverflow(f"PMF overflowed at y={y} for mu={mu}, gamma={gamma}")
-        return val
-    return float(_scipy_discrete(dist).pmf(y))
+    log_term = float(_log_weights(dist.kind, astuple(dist.params), np.array([float(y)]))[0])
+    if dist.kind != DOUBLE_POISSON:
+        return math.exp(log_term)
+    mu, gamma = dist.params.mu, dist.params.gamma
+    log_term += 0.5 * math.log(gamma)
+    if normalized:
+        log_term -= math.log(dp_normalizer(mu, gamma, trunc))
+    val = math.exp(log_term)
+    if not math.isfinite(val):
+        raise NumericOverflow(f"PMF overflowed at y={y} for mu={mu}, gamma={gamma}")
+    return val
 
 
 def dist_cdf(
@@ -371,10 +718,8 @@ def dist_cdf(
     if y < 0:
         return 0.0
     k = int(math.floor(y))
-    if dist.kind == DOUBLE_POISSON:
-        p = pmf_vector(dist, trunc)
-        return float(np.sum(p[: k + 1])) if k < p.size else 1.0
-    return float(_scipy_discrete(dist).cdf(k))
+    p = pmf_vector(dist, trunc)
+    return float(np.sum(p[: k + 1])) if k < p.size else 1.0
 
 
 def dist_moments(
@@ -388,26 +733,8 @@ def dist_moments(
     uses (mu, mu/gamma); "exact_series" evaluates the correction series.
     Other kinds have closed forms and ignore the distinction.
     """
-    if mode not in (EFRON_APPROX, EXACT_SERIES):
-        raise DomainError(f"unknown moments mode {mode!r}")
-    if dist.kind == DOUBLE_POISSON:
-        if mode == EXACT_SERIES:
-            return dp_series_moments(dist.params.mu, dist.params.gamma, trunc)
-        return dist.params.mu, dist.params.mu / dist.params.gamma
-    if dist.kind == POISSON:
-        return dist.params.lam, dist.params.lam
-    if dist.kind == NEG_BINOMIAL:
-        r, p = dist.params.r, dist.params.p
-        m = r * (1.0 - p) / p
-        return m, m / p
-    if dist.kind == GAUSSIAN:
-        return dist.params.mu, dist.params.sigma2
-    member = [dist_moments(c, mode, trunc) for c in dist.components]
-    means = np.array([m for m, _ in member])
-    variances = np.array([v for _, v in member])
-    mean = float(np.mean(means))
-    var = float(np.mean(variances + means**2) - mean**2)
-    return mean, var
+    mean, var = as_batch(dist).moments(mode, trunc)
+    return float(mean[0]), float(var[0])
 
 
 def dist_mode(
@@ -418,36 +745,14 @@ def dist_mode(
     Gaussian mode is the mean, left unrounded even on count labels. A
     mixture of Gaussians also reports its mean as the point prediction.
     """
-    if not dist.is_discrete:
-        return dist_moments(dist)[0]
-    p = pmf_vector(dist, trunc)
-    return float(np.argmax(p))
+    return float(predictive_summary(as_batch(dist), trunc=trunc).modes[0])
 
 
 def dist_quantile(
     dist: PredictiveDistribution, q: float, trunc: SupportTruncation = DEFAULT_TRUNCATION
 ) -> float:
     """Smallest support value z with CDF(z) >= q (equal-tailed interval use)."""
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"quantile level must lie in (0, 1), got {q}")
-    if dist.kind == GAUSSIAN:
-        mu, s2 = dist.params.mu, dist.params.sigma2
-        return float(mu + math.sqrt(s2) * ndtri(q))
-    if dist.is_discrete:
-        cdf = np.cumsum(pmf_vector(dist, trunc))
-        return float(np.searchsorted(cdf, q - 1e-12))
-    # mixture of Gaussians: bisect the averaged CDF
-    mus = np.array([c.params.mu for c in dist.components])
-    sds = np.array([math.sqrt(c.params.sigma2) for c in dist.components])
-    lo = float(np.min(mus - 10.0 * sds))
-    hi = float(np.max(mus + 10.0 * sds))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(np.mean(ndtr((mid - mus) / sds))) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(predictive_summary(as_batch(dist), levels=(q,), trunc=trunc).quantiles[0, 0])
 
 
 def dist_sample(

@@ -22,7 +22,7 @@ import numpy as np
 from ddpnkit import distributions as dists
 from ddpnkit.errors import DomainError, ShapeError
 from ddpnkit.losses import LossSpec
-from ddpnkit.network import MLPWeights, forward_batch, load_checkpoint
+from ddpnkit.network import forward_batch, load_checkpoint
 
 MANIFEST_HEADER = "ddpnkit-ensemble v1"
 
@@ -55,17 +55,7 @@ class UncertaintyDecomposition:
     epistemic: object
 
 
-def mixture_moments(means, variances) -> tuple[float, float]:
-    """Mean and variance of a uniform mixture with the given member moments."""
-    means = np.asarray(means, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if means.shape != variances.shape or means.shape[0] == 0:
-        raise ShapeError("means and variances must be equal-length and nonempty")
-    mean = np.mean(means, axis=0)
-    var = np.mean(variances + means**2, axis=0) - mean**2
-    if means.ndim == 1:
-        return float(mean), float(var)
-    return mean, var
+mixture_moments = dists.mixture_moments
 
 
 def decompose_variance(means, variances) -> UncertaintyDecomposition:
@@ -87,26 +77,33 @@ def decompose_variance(means, variances) -> UncertaintyDecomposition:
     return UncertaintyDecomposition(total, aleatoric, epistemic)
 
 
-def _member_distribution(spec: LossSpec, heads: np.ndarray) -> dists.PredictiveDistribution:
-    log_mu = float(heads[0])
-    if spec.family == "poisson":
-        return dists.poisson(np.exp(log_mu))
-    second = float(heads[1])
-    if spec.family == "double_poisson":
-        return dists.double_poisson(np.exp(log_mu), np.exp(second))
-    if spec.family == "neg_binomial":
-        m = np.exp(log_mu)
-        alpha = np.exp(second)
-        return dists.neg_binomial(1.0 / alpha, 1.0 / (1.0 + alpha * m))
-    return dists.gaussian(np.exp(log_mu), np.exp(second))
+def _member_heads(ens: Ensemble, X: np.ndarray) -> np.ndarray:
+    """Head outputs of every member, (M, n, heads); overflow is left as inf."""
+    with np.errstate(over="ignore"):
+        return np.stack([forward_batch(w, X) for w, _ in ens.members])
 
 
-def member_distributions(
-    weights: MLPWeights, spec: LossSpec, X: np.ndarray
-) -> list:
-    """Per-row predictive distributions of a single model."""
-    heads = forward_batch(weights, X)
-    return [_member_distribution(spec, row) for row in heads]
+def predictive_batch(ens: Ensemble, X: np.ndarray) -> dists.PredictiveBatch:
+    """The ensemble's predictive distributions at the rows of X.
+
+    Row i is the uniform mixture of the M member distributions at X[i];
+    parameters are (M, n). Heads are (log mean, log second parameter): the
+    inverse dispersion gamma for the Double Poisson, the dispersion alpha of
+    the negative binomial (r = 1/alpha, p = 1/(1 + alpha*mean)), and the
+    variance for the Gaussian. Raises DomainError for rows whose heads
+    overflow.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    heads = _member_heads(ens, X)
+    with np.errstate(over="ignore"):
+        mean = np.exp(heads[..., 0])
+        if ens.family == "poisson":
+            return dists.PredictiveBatch(dists.POISSON, (mean,))
+        second = np.exp(heads[..., 1])
+    if ens.family == "neg_binomial":
+        return dists.PredictiveBatch(dists.NEG_BINOMIAL,
+                                     (1.0 / second, 1.0 / (1.0 + second * mean)))
+    return dists.PredictiveBatch(ens.family, (mean, second))
 
 
 def mixture_predict(ens: Ensemble, x: np.ndarray) -> dists.PredictiveDistribution:
@@ -114,10 +111,7 @@ def mixture_predict(ens: Ensemble, x: np.ndarray) -> dists.PredictiveDistributio
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != 1:
         raise ShapeError("mixture_predict takes a single input row")
-    components = [
-        _member_distribution(spec, forward_batch(w, x)[0]) for w, spec in ens.members
-    ]
-    return dists.mixture(components)
+    return dists.mixture(predictive_batch(ens, x).components(0))
 
 
 def member_moments(
@@ -130,32 +124,20 @@ def member_moments(
     training data); "exact_series" evaluates the Double Poisson series.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    means, variances = [], []
-    for w, spec in ens.members:
-        with np.errstate(over="ignore"):
-            heads = forward_batch(w, X)
-            if spec.family == "double_poisson" and mode == dists.EXACT_SERIES:
-                pairs = [
-                    dists.dp_series_moments(float(np.exp(h[0])), float(np.exp(h[1])))
-                    for h in heads
-                ]
-                m = np.array([p[0] for p in pairs])
-                v = np.array([p[1] for p in pairs])
-            elif spec.family == "double_poisson":
-                m = np.exp(heads[:, 0])
-                v = m / np.exp(heads[:, 1])
-            elif spec.family == "poisson":
-                m = np.exp(heads[:, 0])
-                v = m.copy()
-            elif spec.family == "neg_binomial":
-                m = np.exp(heads[:, 0])
-                v = m * (1.0 + np.exp(heads[:, 1]) * m)
-            else:
-                m = np.exp(heads[:, 0])
-                v = np.exp(heads[:, 1])
-        means.append(m)
-        variances.append(v)
-    return np.stack(means), np.stack(variances)
+    if ens.family == "double_poisson" and mode == dists.EXACT_SERIES:
+        return predictive_batch(ens, X).member_moments(mode)
+    heads = _member_heads(ens, X)
+    with np.errstate(over="ignore"):
+        m = np.exp(heads[..., 0])
+        if ens.family == "double_poisson":
+            v = m / np.exp(heads[..., 1])
+        elif ens.family == "poisson":
+            v = m.copy()
+        elif ens.family == "neg_binomial":
+            v = m * (1.0 + np.exp(heads[..., 1]) * m)
+        else:
+            v = np.exp(heads[..., 1])
+    return m, v
 
 
 def variance_scores(ens: Ensemble, X: np.ndarray, mode: str = dists.EFRON_APPROX) -> np.ndarray:
@@ -164,31 +146,35 @@ def variance_scores(ens: Ensemble, X: np.ndarray, mode: str = dists.EFRON_APPROX
     return np.asarray(decompose_variance(means, variances).total)
 
 
+INTERVAL = (0.025, 0.975)
+
+
 def predict_table(
     ens: Ensemble,
     X: np.ndarray,
     mode: str = dists.EFRON_APPROX,
     trunc: dists.SupportTruncation = dists.DEFAULT_TRUNCATION,
+    quantiles=None,
 ):
     """Per-row decomposition and equal-tailed 95 percent mixture interval.
 
     Returns a dict of arrays: mean, aleatoric, epistemic, q025, q975.
+    quantiles, shaped (2, n), supplies interval ends already read at the
+    INTERVAL levels (as metrics.evaluate does with levels=INTERVAL); by
+    default they are computed here.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     means, variances = member_moments(ens, X, mode)
     dec = decompose_variance(means, variances)
-    q025 = np.zeros(X.shape[0])
-    q975 = np.zeros(X.shape[0])
-    for i in range(X.shape[0]):
-        mix = mixture_predict(ens, X[i])
-        q025[i] = dists.dist_quantile(mix, 0.025, trunc)
-        q975[i] = dists.dist_quantile(mix, 0.975, trunc)
+    if quantiles is None:
+        quantiles = dists.predictive_summary(predictive_batch(ens, X), levels=INTERVAL,
+                                             trunc=trunc).quantiles
     return {
         "mean": np.mean(means, axis=0),
         "aleatoric": np.asarray(dec.aleatoric),
         "epistemic": np.asarray(dec.epistemic),
-        "q025": q025,
-        "q975": q975,
+        "q025": quantiles[0],
+        "q975": quantiles[1],
     }
 
 
@@ -221,7 +207,11 @@ def load_manifest(path) -> tuple[list, LossSpec]:
         i += 1
     if "family" not in meta:
         raise ManifestFormatError(f"{path}: missing family tag")
-    spec = LossSpec(meta["family"], float(meta.get("beta", 0.0)))
+    try:
+        beta = float(meta.get("beta", 0.0))
+    except ValueError as exc:
+        raise ManifestFormatError(f"{path}: beta {meta['beta']!r} is not a number") from exc
+    spec = LossSpec(meta["family"], beta)
     paths = [line for line in lines[i:] if line.strip()]
     if not paths:
         raise ManifestFormatError(f"{path}: no member checkpoints listed")

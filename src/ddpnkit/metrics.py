@@ -12,6 +12,10 @@ families use the closed form, and Gaussian mixtures the kernel identity
 CRPS = E|X - y| - E|X - X'|/2. Median precision summarizes how tightly a
 model concentrates, the median of 1/variance over the evaluation set.
 
+Modes, CRPS and interval quantiles all come from the batched engine in
+distributions.predictive_summary; the functions here that take a single
+distribution are one-row views of it.
+
 OOD detection quality is scored on AUROC (rank statistic with tie
 correction), AUPR with the OOD points as positives, and FPR80, the false
 positive rate where the true positive rate first reaches 0.80.
@@ -19,17 +23,31 @@ positive rate where the true positive rate first reaches 0.80.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import rankdata
 
 from ddpnkit import distributions as dists
 from ddpnkit.errors import DomainError, ShapeError
 
-_CRPS_TAIL_TOL = 1e-12
+
+def _summarize(predictions, ys, levels, trunc):
+    """predictive_summary of a batch or a list of distributions, in input order.
+
+    Returns the summary and the groups of dists.stack.
+    """
+    groups = dists.stack(predictions)
+    n = sum(rows.size for rows, _ in groups)
+    modes = np.empty(n)
+    quantiles = np.empty((len(levels), n))
+    crps_values = None if ys is None else np.empty(n)
+    for rows, batch in groups:
+        part = dists.predictive_summary(batch, None if ys is None else ys[rows], levels, trunc)
+        modes[rows] = part.modes
+        quantiles[:, rows] = part.quantiles
+        if crps_values is not None:
+            crps_values[rows] = part.crps
+    return dists.PredictiveSummary(modes, quantiles, crps_values), groups
 
 
 def mae(predictions, ys) -> float:
@@ -38,7 +56,7 @@ def mae(predictions, ys) -> float:
         raise ShapeError(f"{len(predictions)} predictions for {len(ys)} labels")
     if len(ys) == 0:
         raise ShapeError("mae needs at least one example")
-    modes = np.array([dists.dist_mode(d) for d in predictions])
+    modes = _summarize(predictions, None, (), dists.DEFAULT_TRUNCATION)[0].modes
     return float(np.mean(np.abs(np.asarray(ys, dtype=float) - modes)))
 
 
@@ -48,29 +66,13 @@ def crps_from_pmf(pmf: np.ndarray, y: int) -> float:
     if y < 0:
         raise DomainError(f"count label must be nonnegative, got {y}")
     cdf = np.cumsum(np.asarray(pmf, dtype=float))
-    n = cdf.size
-    low = min(y, n)
-    total = float(np.sum(cdf[:low] ** 2)) + max(0, y - n)  # CDF is 1 past the support
-    tail = (cdf[low:] - 1.0) ** 2
-    small = np.nonzero(tail < _CRPS_TAIL_TOL)[0]
-    stop = int(small[0]) if small.size else tail.size
-    return total + float(np.sum(tail[:stop]))
-
-
-def _gauss_abs_moment(delta: float, var: float) -> float:
-    # E|N(delta, var)|
-    s = math.sqrt(var)
-    u = delta / s
-    return s * (u * (2.0 * float(ndtr(u)) - 1.0)
-                + 2.0 * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    return float(dists.crps_from_cdf(cdf[None], np.array([cdf.size]), np.array([y]))[0])
 
 
 def crps_gaussian(mu: float, sigma2: float, y: float) -> float:
     """Closed-form CRPS of a single Gaussian."""
-    s = math.sqrt(sigma2)
-    u = (y - mu) / s
-    phi = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    return s * (u * (2.0 * float(ndtr(u)) - 1.0) + 2.0 * phi - 1.0 / math.sqrt(math.pi))
+    return float(dists.gaussian_crps(np.array([[mu]], dtype=float),
+                                     np.array([[sigma2]], dtype=float), float(y))[0])
 
 
 def crps(
@@ -79,23 +81,7 @@ def crps(
     trunc: dists.SupportTruncation = dists.DEFAULT_TRUNCATION,
 ) -> float:
     """CRPS of one predictive distribution against one label."""
-    if dist.kind == dists.GAUSSIAN:
-        return crps_gaussian(dist.params.mu, dist.params.sigma2, float(y))
-    if dist.is_discrete:
-        yi = int(round(float(y)))
-        if abs(float(y) - yi) > 1e-9:
-            raise DomainError(f"discrete CRPS needs an integer label, got {y}")
-        return crps_from_pmf(dists.pmf_vector(dist, trunc), yi)
-    # mixture of Gaussians through the kernel identity
-    mus = np.array([c.params.mu for c in dist.components])
-    vars_ = np.array([c.params.sigma2 for c in dist.components])
-    m = mus.size
-    to_label = np.mean([_gauss_abs_moment(float(y) - mus[i], vars_[i]) for i in range(m)])
-    cross = np.mean([
-        _gauss_abs_moment(mus[i] - mus[j], vars_[i] + vars_[j])
-        for i in range(m) for j in range(m)
-    ])
-    return float(to_label - 0.5 * cross)
+    return float(dists.predictive_summary(dists.as_batch(dist), [y], trunc=trunc).crps[0])
 
 
 def median_precision(variances) -> float:
@@ -141,11 +127,22 @@ def _detection_counts(scores: OODScores):
     return tp, fp
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of values, tied values sharing the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def ood_curve_metrics(scores: OODScores) -> tuple[float, float, float]:
     """(AUROC, AUPR, FPR80) of ranking by raw score, higher means more OOD."""
     n_ood = scores.ood_scores.size
     n_id = scores.id_scores.size
-    ranks = rankdata(np.concatenate([scores.ood_scores, scores.id_scores]))
+    ranks = _average_ranks(np.concatenate([scores.ood_scores, scores.id_scores]))
     auroc = (float(np.sum(ranks[:n_ood])) - n_ood * (n_ood + 1) / 2.0) / (n_ood * n_id)
 
     tp, fp = _detection_counts(scores)
@@ -160,7 +157,10 @@ def ood_curve_metrics(scores: OODScores) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """Per-example metric pieces plus their aggregates."""
+    """Per-example metric pieces plus their aggregates.
+
+    quantiles holds one row per level requested from evaluate, (levels, n).
+    """
 
     modes: np.ndarray
     crps_values: np.ndarray
@@ -168,6 +168,7 @@ class EvalRecord:
     mae: float
     crps_mean: float
     median_precision: float
+    quantiles: np.ndarray = None
 
     def summary(self) -> dict:
         return {
@@ -182,30 +183,36 @@ def evaluate(
     ys,
     variances=None,
     trunc: dists.SupportTruncation = dists.DEFAULT_TRUNCATION,
+    levels=(),
 ) -> EvalRecord:
-    """Score a list of predictive distributions against labels.
+    """Score predictive distributions against labels.
 
-    variances defaults to each distribution's own (Efron approximate)
-    variance; ensembles pass their mixture variance explicitly.
+    predictions is a PredictiveBatch or a sequence of distributions. All
+    pieces come from one pass of the batched engine, which also reads the
+    quantiles at ``levels`` (e.g. interval ends) into the record. variances
+    defaults to each distribution's own (Efron approximate) variance;
+    ensembles pass their mixture variance explicitly.
     """
     ys = np.asarray(ys, dtype=float)
     if len(predictions) != ys.size:
         raise ShapeError(f"{len(predictions)} predictions for {ys.size} labels")
     if ys.size == 0:
         raise ShapeError("evaluate needs at least one example")
-    modes = np.array([dists.dist_mode(d, trunc) for d in predictions])
-    crps_values = np.array([crps(d, y, trunc) for d, y in zip(predictions, ys)])
+    summary, groups = _summarize(predictions, ys, tuple(levels), trunc)
     if variances is None:
-        variances = np.array([dists.dist_moments(d)[1] for d in predictions])
+        variances = np.empty(ys.size)
+        for rows, batch in groups:
+            variances[rows] = batch.moments()[1]
     else:
         variances = np.asarray(variances, dtype=float)
         if variances.size != ys.size:
             raise ShapeError("variances must match the number of examples")
     return EvalRecord(
-        modes=modes,
-        crps_values=crps_values,
+        modes=summary.modes,
+        crps_values=summary.crps,
         variances=variances,
-        mae=float(np.mean(np.abs(ys - modes))),
-        crps_mean=float(np.mean(crps_values)),
+        mae=float(np.mean(np.abs(ys - summary.modes))),
+        crps_mean=float(np.mean(summary.crps)),
         median_precision=median_precision(variances),
+        quantiles=summary.quantiles,
     )

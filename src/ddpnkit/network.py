@@ -430,26 +430,28 @@ def load_checkpoint(path):
     tensors = {}
     while i < len(lines):
         parts = lines[i].split()
-        if parts[0] != "tensor" or len(parts) < 4:
+        if len(parts) < 4 or parts[0] != "tensor" or parts[2] not in ("1", "2"):
             raise CheckpointFormatError(f"{path}: bad tensor line {lines[i]!r}")
-        name, rank = parts[1], int(parts[2])
-        if rank == 1:
-            n = int(parts[3])
-            row = np.array([float(v) for v in lines[i + 1].split()])
-            if row.size != n:
-                raise CheckpointFormatError(f"{path}: tensor {name} expected {n} values")
-            tensors[name] = row
-            i += 2
-        elif rank == 2:
-            r, c = int(parts[3]), int(parts[4])
-            block = [np.array([float(v) for v in lines[i + 1 + j].split()]) for j in range(r)]
-            arr = np.stack(block) if r else np.zeros((0, c))
-            if arr.shape != (r, c):
-                raise CheckpointFormatError(f"{path}: tensor {name} expected shape {(r, c)}")
-            tensors[name] = arr
-            i += 1 + r
-        else:
-            raise CheckpointFormatError(f"{path}: unsupported tensor rank {rank}")
+        name = parts[1]
+        try:
+            shape = tuple(int(v) for v in parts[3:])
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{path}: bad tensor line {lines[i]!r}") from exc
+        if len(shape) != int(parts[2]):
+            raise CheckpointFormatError(f"{path}: bad tensor line {lines[i]!r}")
+        n_rows = 1 if len(shape) == 1 else shape[0]
+        block = lines[i + 1:i + 1 + n_rows]
+        if len(block) != n_rows:
+            raise CheckpointFormatError(f"{path}: tensor {name} is cut short")
+        try:
+            rows = [[float(v) for v in line.split()] for line in block]
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{path}: tensor {name} holds a value that is not "
+                                        "a number") from exc
+        if any(len(row) != shape[-1] for row in rows):
+            raise CheckpointFormatError(f"{path}: tensor {name} expected shape {shape}")
+        tensors[name] = np.array(rows).reshape(shape)
+        i += 1 + n_rows
     hidden = []
     j = 0
     while f"hidden{j}.W" in tensors:

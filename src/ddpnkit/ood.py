@@ -87,21 +87,37 @@ def fit_threshold(scores, alpha: float) -> float:
 
 
 def sweep_operating_points(holdout_scores, id_scores, ood_scores, alphas):
-    """Classify score > tau_alpha as OOD for every alpha in the grid."""
+    """Classify score > tau_alpha as OOD for every alpha in the grid.
+
+    All thresholds come from one quantile call (the same values fit_threshold
+    returns one at a time), and the flagged counts from binary searches in
+    the sorted scores.
+    """
+    holdout_scores = np.asarray(holdout_scores, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    if holdout_scores.size == 0:
+        raise ShapeError("fit_threshold needs at least one score")
+    bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
+    if bad.size:
+        raise DomainError(f"alpha must lie in [0, 1], got {bad[0]}")
+    taus = np.quantile(holdout_scores, 1.0 - alphas, method="linear")
     id_scores = np.asarray(id_scores, dtype=float)
     ood_scores = np.asarray(ood_scores, dtype=float)
+
+    def flagged(scores):
+        # NaN is never above a threshold, so it is left out of the search
+        ordered = np.sort(scores[~np.isnan(scores)])
+        return ordered.size - np.searchsorted(ordered, taus, side="right")
+
+    fp, tp = flagged(id_scores), flagged(ood_scores)
     points = []
-    for alpha in alphas:
-        tau = fit_threshold(holdout_scores, alpha)
-        fp = float(np.sum(id_scores > tau))
-        tp = float(np.sum(ood_scores > tau))
-        flagged = fp + tp
+    for alpha, tau, f, t in zip(alphas.tolist(), taus.tolist(), fp.tolist(), tp.tolist()):
         points.append(OperatingPoint(
-            alpha=float(alpha),
+            alpha=alpha,
             tau=tau,
-            fpr=fp / id_scores.size,
-            tpr=tp / ood_scores.size,
-            precision=tp / flagged if flagged > 0 else 1.0,
+            fpr=f / id_scores.size,
+            tpr=t / ood_scores.size,
+            precision=t / (f + t) if f + t > 0 else 1.0,
         ))
     return points
 

@@ -290,7 +290,7 @@ def _single_model_crps(ds, split, spec: LossSpec, seed: int) -> float:
     cfg = network.TrainConfig(loss=spec, epochs=60, batch_size=64, lr=1e-3,
                               weight_decay=1e-5, seed=seed, hidden_widths=(64, 64))
     weights, _ = network.train(ds, split, cfg)
-    preds = ensemble.member_distributions(weights, spec, ds.xs[split.test])
+    preds = ensemble.predictive_batch(ensemble.Ensemble(((weights, spec),)), ds.xs[split.test])
     return metrics.evaluate(preds, ds.ys[split.test]).crps_mean
 
 
@@ -346,7 +346,7 @@ def test_criterion_06_ensemble_crps_and_aleatoric_ordering(capsys, sine_ensemble
     crps_by_family = {}
     for family in _SINE_FAMILIES:
         ens = built[family]
-        preds = [ensemble.mixture_predict(ens, row) for row in xs_test]
+        preds = ensemble.predictive_batch(ens, xs_test)
         variances = ensemble.variance_scores(ens, xs_test)
         crps_by_family[family] = metrics.evaluate(preds, ys_test,
                                                   variances=variances).crps_mean

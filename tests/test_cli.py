@@ -6,11 +6,14 @@ not model quality.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ddpnkit import cli, ensemble
+import ddpnkit
+from ddpnkit import cli, ensemble, network
 
 
 def run(argv):
@@ -114,6 +117,20 @@ class TestEval:
         assert run(["eval", "--ckpt", bad, "--data", workspace["prefix"],
                     "--out", tmp_path]) == 4
 
+    def test_support_cap_hit_is_numeric_error(self, workspace, tmp_path, capsys):
+        """A model predicting DP(2e4, 1) everywhere needs more PMF support than
+        the 10000-term cap; the run fails with exit 3 instead of truncating."""
+        w = network.init_mlp(network.MLPConfig(input_dim=1, hidden_widths=(), head_count=2))
+        w.head_w[:] = 0.0
+        w.head_b[:] = (np.log(2e4), 0.0)
+        ckpt = tmp_path / "wide.ckpt"
+        network.save_checkpoint(w, {"family": "double_poisson", "beta": "0.0",
+                                    "input_dim": "1"}, ckpt)
+        assert run(["eval", "--ckpt", ckpt, "--data", workspace["prefix"],
+                    "--out", tmp_path]) == 3
+        assert "hard_cap" in capsys.readouterr().err
+        assert not (tmp_path / "reports" / "eval_metrics.json").exists()
+
 
 class TestEnsembleEval:
     def test_metrics_and_decomposition(self, workspace, tmp_path):
@@ -160,6 +177,14 @@ class TestOod:
                     "--n-repeats", 2, "--alpha-points", 11,
                     "--out", tmp_path]) == 0
         assert (tmp_path / "reports" / "ood_ood.json").exists()
+
+    def test_non_integer_ood_label_is_format_error(self, workspace, tmp_path, capsys):
+        ood_csv = tmp_path / "ood.csv"
+        ood_csv.write_text("x,y\n12.0,0\n13.0,2.5\n")
+        assert run(["ood", "--manifest", workspace["manifest"],
+                    "--data", workspace["prefix"], "--ood-data", ood_csv,
+                    "--out", tmp_path]) == 4
+        assert "i/o error" in capsys.readouterr().err
 
 
 class TestMomentsGrid:
@@ -245,3 +270,15 @@ class TestOptionMerging:
         with pytest.raises(SystemExit) as err:
             run(["simulate", "--process", "misspec-nb", "--frobnicate", 1])
         assert err.value.code == 2
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        """scipy.stats costs most of a child's start-up and memory; the CLI
+        must not import it."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ddpnkit.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import ddpnkit.cli, sys; assert 'scipy.stats' not in sys.modules"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=False)
+        assert done.returncode == 0, done.stderr

@@ -198,6 +198,13 @@ class TestCsv:
         with pytest.raises(DomainError):
             datagen.read_dataset_csv(bad)
 
+    def test_unparseable_cell(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        for body in ("1.0,2.5\n", "one,2\n"):
+            bad.write_text("x,y\n" + body)
+            with pytest.raises(datagen.DatasetFormatError):
+                datagen.read_dataset_csv(bad)
+
     def test_split_files_round_trip(self, tmp_path):
         ds, split = datagen.gen_beta_study(80, seed=1)
         prefix = tmp_path / "beta"

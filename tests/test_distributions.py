@@ -4,13 +4,16 @@ Frozen reference values were computed with a 60-digit mpmath evaluation of
 the defining series (4000 terms), independent of the library code.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
 from ddpnkit import distributions as dists
-from ddpnkit.errors import DomainError
+from ddpnkit import metrics
+from ddpnkit.errors import DomainError, NumericOverflow
 
 # (mu, gamma) -> c(mu, gamma) from the high-precision oracle
 NORMALIZER_ORACLE = {
@@ -182,6 +185,9 @@ class TestMode:
             d = dists.double_poisson(float(rng.uniform(0.5, 20)), float(rng.uniform(0.2, 4)))
             p = dists.pmf_vector(d)
             assert dists.dist_mode(d) == float(np.argmax(p))
+        # the mass of DP(2e4, 1) reaches past the 10000-term cap
+        with pytest.raises(NumericOverflow, match=r"mu=20000\.0, gamma=1\.0"):
+            dists.dist_mode(dists.double_poisson(2e4, 1.0))
 
     def test_gaussian_mode_is_unrounded_mean(self):
         assert dists.dist_mode(dists.gaussian(3.7, 2.0)) == 3.7
@@ -196,6 +202,8 @@ class TestQuantile:
             assert dists.dist_cdf(d, z) >= q
             if z > 0:
                 assert dists.dist_cdf(d, z - 1) < q
+        with pytest.raises(NumericOverflow, match=r"mu=20000\.0, gamma=1\.0"):
+            dists.dist_quantile(dists.double_poisson(2e4, 1.0), 0.975)
 
     def test_gaussian_quantile(self):
         z = dists.dist_quantile(dists.gaussian(1.0, 4.0), 0.975)
@@ -205,6 +213,116 @@ class TestQuantile:
         mix = dists.mixture([dists.gaussian(0.0, 1.0), dists.gaussian(4.0, 1.0)])
         z = dists.dist_quantile(mix, 0.5)
         assert_allclose(dists.dist_cdf(mix, z), 0.5, atol=1e-9)
+
+
+def _xlogx(y):
+    return np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0)), 0.0)
+
+
+def oracle_pmf(kind, a, b, n):
+    """Normalized PMF of one member on 0..n-1, from the defining formulas."""
+    y = np.arange(n, dtype=float)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n)])
+    if kind == dists.DOUBLE_POISSON:
+        log_w = (-y + _xlogx(y) - log_fact) + b * (y - a + y * math.log(a) - _xlogx(y))
+    elif kind == dists.POISSON:
+        log_w = y * math.log(a) - a - log_fact
+    else:
+        log_w = (np.array([math.lgamma(k + a) for k in y]) - math.lgamma(a) - log_fact
+                 + a * math.log(b) + y * math.log1p(-b))
+    w = np.exp(log_w - log_w.max())
+    p = w / w.sum()
+    assert p[-1] < 1e-15, "oracle support too short"
+    return p
+
+
+def oracle_summary(kind, params, ys):
+    """Modes, (q025, q975) and CRPS per row of a mixture batch, from long
+    untruncated PMFs and direct sums. The upper CRPS sum stops at its first
+    term below 1e-12, as the metric is defined."""
+    members, n = params[0].shape
+    second = params[1] if len(params) > 1 else np.zeros_like(params[0])
+    modes, quantiles, crps = np.zeros(n), np.zeros((2, n)), np.zeros(n)
+    for i in range(n):
+        mean, var = dists.PredictiveBatch(kind, [p[:, i:i + 1] for p in params]).member_moments()
+        size = int(np.max(mean + 30.0 * np.sqrt(var + 1.0) + 64.0))
+        mix = np.mean([oracle_pmf(kind, params[0][m, i], second[m, i], size)
+                       for m in range(members)], axis=0)
+        cdf = np.cumsum(mix)
+        modes[i] = np.argmax(mix)
+        for j, q in enumerate((0.025, 0.975)):
+            quantiles[j, i] = np.argmax(cdf >= q - 1e-12)
+        below, above = cdf[:int(ys[i])], (cdf[int(ys[i]):] - 1.0) ** 2
+        small = np.flatnonzero(above < 1e-12)
+        crps[i] = np.sum(below**2) + np.sum(above[:small[0] if small.size else above.size])
+    return modes, quantiles, crps
+
+
+def random_params(kind, members, n, rng):
+    if kind == dists.DOUBLE_POISSON:
+        return (rng.uniform(0.5, 30.0, (members, n)), rng.uniform(0.3, 4.0, (members, n)))
+    if kind == dists.POISSON:
+        return (rng.uniform(0.5, 30.0, (members, n)),)
+    return (rng.uniform(3.0, 30.0, (members, n)), rng.uniform(0.4, 0.8, (members, n)))
+
+
+# support truncation far below the CRPS tolerance, so that the oracle
+# comparison checks the engine's block, mask and mixture arithmetic
+TIGHT = dists.SupportTruncation(tail_mass_tol=1e-15)
+
+
+class TestBatchEngine:
+    """predictive_summary against oracle_summary: modes and quantiles equal,
+    CRPS within rtol 1e-12 on a support cut at 1e-15 of its sum. At the
+    default cut (1e-10) the dropped tail of a negative binomial moves CRPS by
+    up to a few 1e-11 relative, so that run is held to rtol 1e-9."""
+
+    def check(self, kind, params, rng):
+        batch = dists.PredictiveBatch(kind, params)
+        ys = rng.integers(0, 40, len(batch)).astype(float)
+        got = dists.predictive_summary(batch, ys, levels=(0.025, 0.975), trunc=TIGHT)
+        modes, quantiles, crps = oracle_summary(kind, batch.params, ys)
+        assert np.array_equal(got.modes, modes)
+        assert np.array_equal(got.quantiles, quantiles)
+        assert_allclose(got.crps, crps, rtol=1e-12)
+        default = dists.predictive_summary(batch, ys, levels=(0.025, 0.975))
+        assert np.array_equal(default.modes, modes)
+        assert np.array_equal(default.quantiles, quantiles)
+        assert_allclose(default.crps, crps, rtol=1e-9)
+        return batch, ys, default
+
+    @pytest.mark.parametrize("kind", [dists.DOUBLE_POISSON, dists.POISSON, dists.NEG_BINOMIAL])
+    @pytest.mark.parametrize("members", [1, 5])
+    def test_matches_oracle(self, kind, members):
+        rng = np.random.default_rng(members)
+        self.check(kind, random_params(kind, members, 40, rng), rng)
+
+    def test_narrow_rows_beside_wide_rows(self):
+        """mu = 0.5 and mu = 500 share one block; each row keeps its own support."""
+        rng = np.random.default_rng(4)
+        mu = np.tile([[0.5, 500.0], [0.6, 480.0]], 10)
+        batch, _, _ = self.check(dists.DOUBLE_POISSON, (mu, rng.uniform(0.5, 2.0, mu.shape)), rng)
+        blocks = list(dists._pmf_blocks(batch, dists.DEFAULT_TRUNCATION))
+        assert len(blocks) == 1
+        assert blocks[0][2][0] < 64 < blocks[0][2][1]
+
+    def test_more_rows_than_one_block(self):
+        rng = np.random.default_rng(5)
+        batch, ys, got = self.check(dists.DOUBLE_POISSON,
+                                    random_params(dists.DOUBLE_POISSON, 5, 1200, rng), rng)
+        assert len(list(dists._pmf_blocks(batch, dists.DEFAULT_TRUNCATION))) > 1
+        # each row scores exactly as it does alone
+        for i in (0, 599, 1199):
+            alone = dists.mixture(batch.components(i))
+            assert dists.dist_mode(alone) == got.modes[i]
+            assert dists.dist_quantile(alone, 0.975) == got.quantiles[1, i]
+            assert metrics.crps(alone, ys[i]) == got.crps[i]
+
+    def test_rejects_bad_rows(self):
+        with pytest.raises(DomainError, match="gamma"):
+            dists.PredictiveBatch(dists.DOUBLE_POISSON, ([[1.0, 2.0]], [[1.0, np.inf]]))
+        with pytest.raises(DomainError):
+            dists.predictive_summary(dists.PredictiveBatch(dists.POISSON, ([2.0],)), [1.5])
 
 
 class TestSample:

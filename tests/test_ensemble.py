@@ -97,13 +97,20 @@ class TestDecomposition:
         assert np.all(np.asarray(dec.total) >= np.asarray(dec.aleatoric))
 
 
+def member_distribution(w, spec, x):
+    """The predictive distribution of a one-member ensemble at one input row."""
+    batch = ensemble.predictive_batch(ensemble.Ensemble(((w, spec),)), x)
+    assert batch.shape == (1, 1)
+    return batch.components(0)[0]
+
+
 class TestMemberDistributions:
     def test_neg_binomial_head_conversion(self):
         """Heads are (log mean, log dispersion); the distribution they induce
         must keep mean m and variance m(1 + alpha*m)."""
         m, alpha = 6.0, 0.5
         w, spec = const_member(np.log(m), np.log(alpha), family="neg_binomial")
-        d = ensemble.member_distributions(w, spec, np.array([[0.7]]))[0]
+        d = member_distribution(w, spec, np.array([[0.7]]))
         assert d.kind == dists.NEG_BINOMIAL
         mean, var = dists.dist_moments(d)
         assert_allclose(mean, m, rtol=1e-12)
@@ -111,16 +118,16 @@ class TestMemberDistributions:
 
     def test_double_poisson_and_poisson_heads(self):
         w, spec = const_member(np.log(3.0), np.log(0.5))
-        d = ensemble.member_distributions(w, spec, np.array([[0.0]]))[0]
+        d = member_distribution(w, spec, np.array([[0.0]]))
         assert d.kind == dists.DOUBLE_POISSON
         assert_allclose(dists.dist_moments(d), (3.0, 6.0), rtol=1e-12)
         w, spec = const_member(np.log(4.0), family="poisson")
-        d = ensemble.member_distributions(w, spec, np.array([[0.0]]))[0]
+        d = member_distribution(w, spec, np.array([[0.0]]))
         assert d.kind == dists.POISSON
 
     def test_gaussian_heads(self):
         w, spec = const_member(np.log(2.0), np.log(9.0), family="gaussian")
-        d = ensemble.member_distributions(w, spec, np.array([[0.0]]))[0]
+        d = member_distribution(w, spec, np.array([[0.0]]))
         assert_allclose(dists.dist_moments(d), (2.0, 9.0), rtol=1e-12)
 
 
@@ -207,6 +214,12 @@ class TestManifest:
     def test_missing_header(self, tmp_path):
         bad = tmp_path / "bad.manifest"
         bad.write_text("member0.ckpt\n")
+        with pytest.raises(ensemble.ManifestFormatError):
+            ensemble.load_manifest(bad)
+
+    def test_unparseable_beta(self, tmp_path):
+        bad = tmp_path / "beta.manifest"
+        bad.write_text(f"{ensemble.MANIFEST_HEADER}\nfamily=poisson\nbeta=half\nm0.ckpt\n")
         with pytest.raises(ensemble.ManifestFormatError):
             ensemble.load_manifest(bad)
 

@@ -315,7 +315,21 @@ class TestCheckpoint:
         clipped = "\n".join(text.splitlines()[:-4]) + "\n"
         path = tmp_path / "clip.ckpt"
         path.write_text(clipped)
-        with pytest.raises((network.CheckpointFormatError, IndexError)):
+        with pytest.raises(network.CheckpointFormatError):
+            network.load_checkpoint(path)
+        # cut after 400 bytes, inside a tensor block
+        path.write_bytes(text.encode()[:400])
+        with pytest.raises(network.CheckpointFormatError):
+            network.load_checkpoint(path)
+
+    def test_corrupted_float_rejected(self, tmp_path):
+        weights, _, _ = toy_problem()
+        lines = network.render_checkpoint(weights, {"family": "poisson"}).splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("tensor head.W")) + 1
+        lines[row] = "0.5x " + lines[row]
+        path = tmp_path / "corrupt.ckpt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(network.CheckpointFormatError, match="not a number"):
             network.load_checkpoint(path)
 
     def test_train_meta_echo(self):

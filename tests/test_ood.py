@@ -51,6 +51,22 @@ class TestFitThreshold:
 
 
 class TestSweep:
+    def test_matches_scalar_thresholds_and_counts(self):
+        """One vector quantile call per repeat gives fit_threshold's taus bit
+        for bit, and the binary-search counts equal the direct comparisons."""
+        rng = np.random.default_rng(8)
+        alphas = np.linspace(0.0, 1.0, 1001)
+        for _ in range(50):
+            holdout = rng.gamma(2.0, 3.0, int(rng.integers(1, 120)))
+            id_scores = np.round(rng.gamma(2.0, 3.0, 80), 1)
+            ood_scores = np.concatenate([rng.gamma(3.0, 3.0, 60), holdout[:5]])
+            points = ood.sweep_operating_points(holdout, id_scores, ood_scores, alphas)
+            for alpha, p in zip(alphas, points):
+                tau = ood.fit_threshold(holdout, alpha)
+                assert p.tau == tau
+                assert p.fpr == float(np.sum(id_scores > tau)) / id_scores.size
+                assert p.tpr == float(np.sum(ood_scores > tau)) / ood_scores.size
+
     def test_hand_counted_operating_point(self):
         holdout = np.arange(1.0, 11.0)  # quantile(0.8) = 8.2
         points = ood.sweep_operating_points(holdout, [5.0, 9.0], [8.5, 20.0], [0.2])
