@@ -121,8 +121,11 @@ def member_moments(
 
     mode "efron_approx" reads moments straight off the head outputs and
     tolerates extreme values (variances may overflow to inf far from the
-    training data); "exact_series" evaluates the Double Poisson series.
+    training data); "exact_series" evaluates the Double Poisson series. Any
+    other mode is a DomainError.
     """
+    if mode not in (dists.EFRON_APPROX, dists.EXACT_SERIES):
+        raise DomainError(f"unknown moments mode {mode!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if ens.family == "double_poisson" and mode == dists.EXACT_SERIES:
         return predictive_batch(ens, X).member_moments(mode)

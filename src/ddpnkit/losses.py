@@ -46,8 +46,7 @@ class LossSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not (0.0 <= self.beta <= 1.0):
-            raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
+        _check_beta(self.beta)
         if self.family in ("poisson", "neg_binomial"):
             object.__setattr__(self, "beta", 0.0)
 
@@ -71,12 +70,21 @@ class AttenuationParts:
     phi: float
 
 
+def _check_labels(y):
+    if np.any(y < 0.0) or not np.all(np.isfinite(y)):
+        raise DomainError("labels must be finite and nonnegative")
+
+
+def _check_beta(beta):
+    if not (0.0 <= beta <= 1.0):
+        raise DomainError(f"beta must lie in [0, 1], got {beta}")
+
+
 def _check_dp_args(y, mu, gamma):
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(y < 0.0) or not np.all(np.isfinite(y)):
-        raise DomainError("labels must be finite and nonnegative")
+    _check_labels(y)
     if np.any(mu <= 0.0) or not np.all(np.isfinite(mu)):
         raise DomainError("mu must be finite and positive")
     if np.any(gamma <= 0.0) or not np.all(np.isfinite(gamma)):
@@ -91,9 +99,22 @@ def _fit_residual(y, mu):
 
 def ddpn_nll(y, mu, gamma):
     """Per-example Double Poisson NLL; broadcasts over array inputs."""
-    y, mu, gamma = _check_dp_args(y, mu, gamma)
-    out = -0.5 * np.log(gamma) + gamma * _fit_residual(y, mu)
+    out = _dp_loss_and_grads(*_check_dp_args(y, mu, gamma), 0.0)[0]
     return float(out) if out.ndim == 0 else out
+
+
+def _dp_loss_and_grads(y, mu, gamma, beta: float):
+    """Unchecked beta-scaled NLL, its scale gamma^(-beta) and dL/dmu, dL/dgamma.
+
+    The one place the Double Poisson loss formulas are written; callers
+    validate y, mu, gamma and beta first.
+    """
+    scale = gamma ** (-beta)
+    resid = _fit_residual(y, mu)
+    value = scale * (-0.5 * np.log(gamma) + gamma * resid)
+    dmu = gamma ** (1.0 - beta) * (1.0 - y / mu)
+    dgamma = -0.5 * scale / gamma + scale * resid
+    return value, scale, dmu, dgamma
 
 
 def ddpn_beta_nll(y, mu, gamma, beta: float):
@@ -102,11 +123,8 @@ def ddpn_beta_nll(y, mu, gamma, beta: float):
     The scale factor carries no gradient; callers multiply their gradients
     by it rather than differentiating through it.
     """
-    if not (0.0 <= beta <= 1.0):
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    y, mu, gamma = _check_dp_args(y, mu, gamma)
-    scale = gamma ** (-beta)
-    value = scale * (-0.5 * np.log(gamma) + gamma * _fit_residual(y, mu))
+    _check_beta(beta)
+    value, scale, _, _ = _dp_loss_and_grads(*_check_dp_args(y, mu, gamma), beta)
     if value.ndim == 0:
         return float(value), float(scale)
     return value, scale
@@ -121,12 +139,8 @@ def ddpn_grads(y, mu, gamma, beta: float = 0.0):
 
     beta = 0 gives the plain NLL gradients.
     """
-    if not (0.0 <= beta <= 1.0):
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    y, mu, gamma = _check_dp_args(y, mu, gamma)
-    scale = gamma ** (-beta)
-    dmu = gamma ** (1.0 - beta) * (1.0 - y / mu)
-    dgamma = -0.5 * scale / gamma + scale * _fit_residual(y, mu)
+    _check_beta(beta)
+    _, _, dmu, dgamma = _dp_loss_and_grads(*_check_dp_args(y, mu, gamma), beta)
     if dmu.ndim == 0:
         return float(dmu), float(dgamma)
     return dmu, dgamma

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ddpnkit.errors import DomainError, NumericDivergence, ShapeError
-from ddpnkit.losses import LossSpec, baseline_nll, ddpn_beta_nll, ddpn_grads
+from ddpnkit.losses import LossSpec, _check_labels, _dp_loss_and_grads, baseline_nll
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -213,9 +213,12 @@ def _head_loss_and_grads(spec: LossSpec, ys: np.ndarray, heads: np.ndarray):
         for arr in (mu, gamma):
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
                 raise NumericDivergence("head outputs overflowed out of the positive range")
-        values, _ = ddpn_beta_nll(ys, mu, gamma, spec.beta)
-        dmu, dgamma = ddpn_grads(ys, mu, gamma, spec.beta)
-        return values, np.stack([dmu * mu, dgamma * gamma], axis=1)
+        _check_labels(ys)
+        values, _, dmu, dgamma = _dp_loss_and_grads(ys, mu, gamma, spec.beta)
+        dheads = np.empty((heads.shape[0], 2))
+        np.multiply(dmu, mu, out=dheads[:, 0])
+        np.multiply(dgamma, gamma, out=dheads[:, 1])
+        return values, dheads
     head = HeadOutput(a1, heads[:, 1] if spec.head_count == 2 else None)
     values, (g1, g2) = baseline_nll(spec, ys, head)
     if g2 is None:
@@ -239,13 +242,19 @@ def batch_loss(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpe
     return float(np.mean(values))
 
 
-def backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec):
+def backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec,
+             out: MLPGradients | None = None):
     """Mean-over-batch gradients for every trainable array.
 
-    Returns (grads, mean_loss). Raises NumericDivergence if the batch loss
-    is not finite.
+    Returns (grads, mean_loss). The gradients are written into out, whose
+    arrays must match the shapes of the weights' (train passes views of its
+    flat gradient vector); without out they go into a fresh MLPGradients.
+    Raises NumericDivergence if the batch loss is not finite.
     """
     ys = np.asarray(ys, dtype=float)
+    if out is None:
+        size = sum(arr.size for arr in _trainable(weights))
+        out = MLPGradients(*_flat_views(np.empty(size), weights))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         acts, heads = _forward_cached(weights, X)
         if ys.size != heads.shape[0]:
@@ -254,18 +263,19 @@ def backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec)
         mean_loss = float(np.mean(values))
         if not math.isfinite(mean_loss):
             raise NumericDivergence("non-finite batch loss")
-        n = float(ys.size)
-        dheads = dheads / n
-        grad_head_w = dheads.T @ acts[-1]
-        grad_head_b = dheads.sum(axis=0)
-        delta = dheads @ weights.head_w
-        grads_hidden = []
+        dheads /= float(ys.size)
+        np.matmul(dheads.T, acts[-1], out=out.head_w)
+        dheads.sum(axis=0, out=out.head_b)
+        delta = dheads
+        next_w = weights.head_w
         for i in range(len(weights.hidden) - 1, -1, -1):
-            delta = delta * (acts[i + 1] > 0.0)
-            grads_hidden.append([delta.T @ acts[i], delta.sum(axis=0)])
-            delta = delta @ weights.hidden[i][0]
-        grads_hidden.reverse()
-    return MLPGradients(grads_hidden, grad_head_w, grad_head_b), mean_loss
+            delta = delta @ next_w
+            delta *= acts[i + 1] > 0.0
+            grad_w, grad_b = out.hidden[i]
+            np.matmul(delta.T, acts[i], out=grad_w)
+            delta.sum(axis=0, out=grad_b)
+            next_w = weights.hidden[i][0]
+    return out, mean_loss
 
 
 def _trainable(obj) -> list:
@@ -274,6 +284,43 @@ def _trainable(obj) -> list:
         arrays.extend([W, b])
     arrays.extend([obj.head_w, obj.head_b])
     return arrays
+
+
+def _flat_views(flat: np.ndarray, like) -> tuple:
+    """(hidden, head_w, head_b) shaped as like's arrays, as views of flat."""
+    views, start = [], 0
+    for arr in _trainable(like):
+        views.append(flat[start:start + arr.size].reshape(arr.shape))
+        start += arr.size
+    hidden = [views[i:i + 2] for i in range(0, len(views) - 2, 2)]
+    return hidden, views[-2], views[-1]
+
+
+def _adamw_update(p, g, m, v, tmp, step_vec, lr, weight_decay, bias1, bias2):
+    """One AdamW step in place on flat vectors, through two scratch vectors.
+
+    Every element goes through the operations of
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p -= lr * ((m/bias1) / (sqrt(v/bias2) + eps) + weight_decay*p)
+    in this order, so the result is the same to the bit as that arithmetic
+    on each weight array separately.
+    """
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    m += tmp
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(v, bias2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    np.divide(m, bias1, out=step_vec)
+    step_vec /= tmp
+    np.multiply(p, weight_decay, out=tmp)
+    step_vec += tmp
+    step_vec *= lr
+    p -= step_vec
 
 
 def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
@@ -310,9 +357,15 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     val_x, val_y = xs[split.val], ys[split.val]
     val_spec = LossSpec(config.loss.family, 0.0) if config.select_unscaled else config.loss
 
-    params = _trainable(weights)
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    # parameters, gradients and both Adam moments each live in one contiguous
+    # vector, so the update is a few whole-vector ufunc calls into two scratch
+    # vectors; the weights and gradients handed to backward are views of them
+    params = np.concatenate([arr.ravel() for arr in _trainable(weights)])
+    weights.hidden, weights.head_w, weights.head_b = _flat_views(params, weights)
+    grad = np.zeros_like(params)
+    grads = MLPGradients(*_flat_views(grad, weights))
+    m_state, v_state = np.zeros_like(params), np.zeros_like(params)
+    tmp, step_vec = np.empty_like(params), np.empty_like(params)
     step = 0
     shuffle_rng = np.random.default_rng(config.seed + 1)
 
@@ -330,7 +383,8 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
         for start in range(0, order.size, config.batch_size):
             rows = order[start : start + config.batch_size]
             try:
-                grads, loss_value = backward(weights, train_x[rows], train_y[rows], config.loss)
+                _, loss_value = backward(weights, train_x[rows], train_y[rows], config.loss,
+                                         out=grads)
             except NumericDivergence:
                 report.wall_time = time.perf_counter() - t0
                 report.final_weights = weights
@@ -342,13 +396,8 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
             step += 1
             bias1 = 1.0 - ADAM_BETA1**step
             bias2 = 1.0 - ADAM_BETA2**step
-            for p, g, m, v in zip(params, _trainable(grads), m_state, v_state):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g * g
-                p -= lr * ((m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-                           + config.weight_decay * p)
+            _adamw_update(params, grad, m_state, v_state, tmp, step_vec,
+                          lr, config.weight_decay, bias1, bias2)
         report.train_loss.append(epoch_loss / split.train.size)
         val_loss = batch_loss(weights, val_x, val_y, val_spec)
         report.val_loss.append(val_loss)

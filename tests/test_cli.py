@@ -152,6 +152,12 @@ class TestEnsembleEval:
         assert run(["ensemble-eval", "--manifest", bad,
                     "--data", workspace["prefix"], "--out", tmp_path]) == 4
 
+    def test_unknown_moments_mode_exits_2(self, workspace, tmp_path):
+        assert run(["ensemble-eval", "--manifest", workspace["manifest"],
+                    "--data", workspace["prefix"], "--moments-mode", "nonsense",
+                    "--out", tmp_path]) == 2
+        assert not (tmp_path / "reports").exists()
+
 
 class TestOod:
     def test_report_and_determinism(self, workspace, tmp_path):

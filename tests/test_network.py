@@ -8,11 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ddpnkit import network
 from ddpnkit.errors import DomainError, NumericDivergence, ShapeError
-from ddpnkit.losses import LossSpec
+from ddpnkit.losses import LossSpec, baseline_nll, ddpn_grads
 
 
 def toy_problem(head_count=2, seed=0, n=7, d=2):
@@ -267,6 +269,140 @@ class TestTrain:
         _, r_plain = network.train(ds, split, plain)
         assert r_scaled.train_loss == r_plain.train_loss  # same optimization path
         assert r_scaled.val_loss != r_plain.val_loss      # different selection metric
+
+
+def _reference_backward(weights, X, ys, spec):
+    """Per-array backpropagation through the checked public losses."""
+    acts, heads = network._forward_cached(weights, X)
+    if spec.family == "double_poisson":
+        mu, gamma = np.exp(heads[:, 0]), np.exp(heads[:, 1])
+        dmu, dgamma = ddpn_grads(ys, mu, gamma, spec.beta)
+        dheads = np.stack([dmu * mu, dgamma * gamma], axis=1)
+    else:
+        second = heads[:, 1] if spec.head_count == 2 else None
+        _, (g1, g2) = baseline_nll(spec, ys, network.HeadOutput(heads[:, 0], second))
+        dheads = g1[:, None] if g2 is None else np.stack([g1, g2], axis=1)
+    dheads = dheads / float(ys.size)
+    grad_head_w = dheads.T @ acts[-1]
+    grad_head_b = dheads.sum(axis=0)
+    delta = dheads @ weights.head_w
+    grads_hidden = []
+    for i in range(len(weights.hidden) - 1, -1, -1):
+        delta = delta * (acts[i + 1] > 0.0)
+        grads_hidden.append([delta.T @ acts[i], delta.sum(axis=0)])
+        delta = delta @ weights.hidden[i][0]
+    grads_hidden.reverse()
+    return network.MLPGradients(grads_hidden, grad_head_w, grad_head_b)
+
+
+def _reference_train(ds, split, config):
+    """network.train with one AdamW update per weight array, the reference
+    its flat-vector update must match bit for bit; returns the best and the
+    final weights."""
+    xs, ys = ds.xs, np.asarray(ds.ys, dtype=float)
+    model_cfg = network.MLPConfig(input_dim=xs.shape[1], hidden_widths=config.hidden_widths,
+                                  head_count=config.loss.head_count, seed=config.seed)
+    weights = network.init_mlp(model_cfg, gamma_bias_init=config.gamma_bias_init)
+    train_x, train_y = xs[split.train], ys[split.train]
+    std = train_x.std(axis=0)
+    std[std < 1e-12] = 1.0
+    weights.x_mean = train_x.mean(axis=0)
+    weights.x_std = std
+    params = flat_params(weights)
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    step = 0
+    shuffle_rng = np.random.default_rng(config.seed + 1)
+    best_val, best_weights = math.inf, weights.copy()
+    for epoch in range(config.epochs):
+        lr = network.cosine_lr(epoch, config.epochs, config.lr)
+        order = shuffle_rng.permutation(split.train.size)
+        for start in range(0, order.size, config.batch_size):
+            rows = order[start : start + config.batch_size]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                grads = _reference_backward(weights, train_x[rows], train_y[rows], config.loss)
+            step += 1
+            bias1 = 1.0 - network.ADAM_BETA1**step
+            bias2 = 1.0 - network.ADAM_BETA2**step
+            for p, g, m, v in zip(params, flat_params(grads), m_state, v_state):
+                m *= network.ADAM_BETA1
+                m += (1.0 - network.ADAM_BETA1) * g
+                v *= network.ADAM_BETA2
+                v += (1.0 - network.ADAM_BETA2) * g * g
+                p -= lr * ((m / bias1) / (np.sqrt(v / bias2) + network.ADAM_EPS)
+                           + config.weight_decay * p)
+        val_loss = network.batch_loss(weights, xs[split.val], ys[split.val], config.loss)
+        if math.isfinite(val_loss) and val_loss < best_val:
+            best_val, best_weights = val_loss, weights.copy()
+    return best_weights, weights
+
+
+FAMILY_BETAS = [("double_poisson", 0.0), ("double_poisson", 0.5), ("double_poisson", 1.0),
+            ("poisson", 0.0), ("neg_binomial", 0.0), ("gaussian", 0.3)]
+
+
+class TestFlatOptimizer:
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(FAMILY_BETAS),
+           widths=st.lists(st.integers(1, 9), min_size=0, max_size=3),
+           batch_size=st.integers(1, 50), seed=st.integers(0, 2**16))
+    @example(family=FAMILY_BETAS[0], widths=[6, 4], batch_size=16, seed=0)
+    @example(family=FAMILY_BETAS[1], widths=[5], batch_size=16, seed=1)
+    @example(family=FAMILY_BETAS[3], widths=[5], batch_size=16, seed=2)
+    @example(family=FAMILY_BETAS[4], widths=[5], batch_size=16, seed=3)
+    @example(family=FAMILY_BETAS[5], widths=[5], batch_size=16, seed=4)
+    @example(family=FAMILY_BETAS[0], widths=[], batch_size=16, seed=5)
+    @example(family=FAMILY_BETAS[1], widths=[7, 3], batch_size=10, seed=6)
+    def test_matches_per_array_adamw_bit_for_bit(self, family, widths, batch_size, seed):
+        """Best and final weights equal those of the per-array update to the
+        bit, for any depth, width, family and batch size (48 training rows,
+        so most batch sizes leave a short last batch)."""
+        ds, split = tiny_dataset(seed=seed)
+        config = network.TrainConfig(loss=LossSpec(*family), epochs=3, batch_size=batch_size,
+                                     hidden_widths=tuple(widths), lr=1e-2, seed=seed)
+        ref_best, ref_final = _reference_train(ds, split, config)
+        best, report = network.train(ds, split, config)
+        assert report.best_weights is best
+        for ours, ref in ((best, ref_best), (report.final_weights, ref_final)):
+            assert all(np.array_equal(a, b) for a, b in zip(flat_params(ours), flat_params(ref)))
+            assert network.render_checkpoint(ours, {}) == network.render_checkpoint(ref, {})
+
+    def test_best_and_final_weights_share_no_memory(self):
+        ds, split = tiny_dataset()
+        config = network.TrainConfig(loss=LossSpec("double_poisson"), epochs=2,
+                                     hidden_widths=(6, 4), seed=0)
+        _, report = network.train(ds, split, config)
+        best, final = report.best_weights, report.final_weights
+        for a, b in zip(flat_params(best), flat_params(final)):
+            assert not np.shares_memory(a, b)
+        assert not np.shares_memory(best.x_mean, final.x_mean)
+
+    def test_backward_into_views_matches_fresh_arrays(self):
+        weights, X, ys = toy_problem()
+        spec = LossSpec("double_poisson", 0.5)
+        fresh, loss0 = network.backward(weights, X, ys, spec)
+        flat = np.full(sum(a.size for a in flat_params(weights)), np.nan)
+        out = network.MLPGradients(*network._flat_views(flat, weights))
+        into, loss1 = network.backward(weights, X, ys, spec, out=out)
+        assert into is out and loss1 == loss0
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in flat_params(fresh)]))
+        reference = _reference_backward(weights, X, ys, spec)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(flat_params(fresh), flat_params(reference)))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_double_poisson_labels_still_checked(self, bad):
+        weights, X, ys = toy_problem()
+        ys[3] = bad
+        with pytest.raises(DomainError, match="labels"):
+            network.backward(weights, X, ys, LossSpec("double_poisson"))
+        ds, split = tiny_dataset()
+        ds.ys = ds.ys.astype(float)
+        ds.ys[split.train[5]] = bad
+        config = network.TrainConfig(loss=LossSpec("double_poisson"), epochs=1,
+                                     hidden_widths=(4,), seed=0)
+        with pytest.raises(DomainError, match="labels"):
+            network.train(ds, split, config)
 
 
 class TestCheckpoint:
