@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -260,11 +259,18 @@ def _train_one(payload):
 
 
 def cmd_train(opts: dict) -> int:
+    for name in ("members", "jobs"):
+        if opts[name] < 1:
+            raise UsageError(f"--{name} must be at least 1, got {opts[name]}")
     ds, split = datagen.read_split_csvs(opts["data"])
     payloads = [
         (m, ds, split, _member_config(opts, m)) for m in range(opts["members"])
     ]
     if opts["jobs"] > 1 and opts["members"] > 1:
+        # multiprocessing costs every other command start-up time, so it
+        # loads only here
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
             results = sorted(pool.map(_train_one, payloads), key=lambda r: r[0])
     else:
@@ -299,8 +305,7 @@ def cmd_train(opts: dict) -> int:
 
 
 def cmd_eval(opts: dict) -> int:
-    weights, meta = network.load_checkpoint(opts["ckpt"])
-    spec = LossSpec(meta["family"], float(meta.get("beta", 0.0)))
+    weights, spec = ensemble.load_member(opts["ckpt"])
     ds, split = datagen.read_split_csvs(opts["data"])
     test_x, test_y = ds.xs[split.test], ds.ys[split.test]
     if test_y.size == 0:
@@ -361,11 +366,21 @@ def cmd_ood(opts: dict) -> int:
     return 0
 
 
+def _log_axis(opts: dict, name: str) -> np.ndarray:
+    """The --NAME-points values from --NAME-min to --NAME-max, evenly spaced in log."""
+    for end in ("min", "max"):
+        value = opts[f"{name}_{end}"]
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"--{name}-{end} must be finite and positive, got {value}")
+    if opts[f"{name}_points"] < 1:
+        raise DomainError(f"--{name}-points must be at least 1, got {opts[f'{name}_points']}")
+    return np.logspace(math.log10(opts[f"{name}_min"]), math.log10(opts[f"{name}_max"]),
+                       opts[f"{name}_points"])
+
+
 def cmd_moments_grid(opts: dict) -> int:
-    mu_axis = np.logspace(math.log10(opts["mu_min"]), math.log10(opts["mu_max"]),
-                          opts["mu_points"])
-    var_axis = np.logspace(math.log10(opts["var_min"]), math.log10(opts["var_max"]),
-                           opts["var_points"])
+    mu_axis = _log_axis(opts, "mu")
+    var_axis = _log_axis(opts, "var")
     grid = moments.moments_grid(mu_axis, var_axis, opts["n_terms"])
     reports_dir = _outdir(opts["out"], "reports")
     path = os.path.join(reports_dir, f"{opts['tag']}_grid.csv")

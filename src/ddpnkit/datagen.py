@@ -27,9 +27,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from ddpnkit.distributions import DEFAULT_TRUNCATION, _log_factorial, dist_sample, double_poisson
+from ddpnkit.distributions import (
+    DEFAULT_TRUNCATION, _log_factorial, _xlogy, dist_sample, double_poisson)
 from ddpnkit.errors import DomainError, ShapeError
 from ddpnkit.network import SplitIndices
 
@@ -87,7 +87,7 @@ def sine_conflation_pmf(lam: float) -> np.ndarray:
     if lam < 0.0:
         raise DomainError(f"rate must be nonnegative, got {lam}")
     ys = np.arange(CONFLATION_SUPPORT + 1)
-    log_p = CONFLATION_POWER * (xlogy(ys, lam) - lam - _log_factorial(ys.size))
+    log_p = CONFLATION_POWER * (_xlogy(ys, lam) - lam - _log_factorial(ys))
     log_p -= np.max(log_p)
     p = np.exp(log_p)
     return p / p.sum()
@@ -104,8 +104,8 @@ def sine_conflation_true_moments(x: float) -> tuple[float, float]:
 
 def _sample_conflation(rng: np.random.Generator, lams: np.ndarray) -> np.ndarray:
     ys = np.arange(CONFLATION_SUPPORT + 1)
-    log_p = CONFLATION_POWER * (xlogy(ys[None, :], lams[:, None])
-                                - lams[:, None] - _log_factorial(ys.size)[None, :])
+    log_p = CONFLATION_POWER * (_xlogy(ys[None, :], lams[:, None])
+                                - lams[:, None] - _log_factorial(ys)[None, :])
     log_p -= log_p.max(axis=1, keepdims=True)
     p = np.exp(log_p)
     cdf = np.cumsum(p, axis=1)
@@ -220,22 +220,33 @@ class DatasetFormatError(DomainError):
 
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an x,y CSV; raises DatasetFormatError for a bad header or row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y"]:
-            raise DatasetFormatError(f"{path}: expected header x,y, got {header}")
-        xs, ys = [], []
-        for row in reader:
-            if len(row) != 2:
-                raise DatasetFormatError(f"{path}: malformed row {row}")
-            try:
-                xs.append(float(row[0]))
-                ys.append(int(row[1]))
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: cannot parse row {row} as a float "
-                                         "input and an integer label") from exc
+    """Read an x,y CSV of finite inputs and nonnegative integer labels.
+
+    Raises DatasetFormatError for a bad header or row, or a file that is not
+    CSV text.
+    """
+    xs, ys = [], []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["x", "y"]:
+                raise DatasetFormatError(f"{path}: expected header x,y, got {header}")
+            for row in reader:
+                if len(row) != 2:
+                    raise DatasetFormatError(f"{path}: malformed row {row}")
+                try:
+                    x, y = float(row[0]), int(row[1])
+                except ValueError as exc:
+                    raise DatasetFormatError(f"{path}: cannot parse row {row} as a float "
+                                             "input and an integer label") from exc
+                if not (math.isfinite(x) and 0 <= y < 2**63):
+                    raise DatasetFormatError(f"{path}: row {row} needs a finite input and a "
+                                             "nonnegative 64-bit label")
+                xs.append(x)
+                ys.append(y)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"{path}: not CSV text ({exc})") from exc
     return np.array(xs)[:, None], np.array(ys, dtype=np.int64)
 
 

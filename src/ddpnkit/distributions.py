@@ -13,7 +13,10 @@ gamma = 1 recovers the ordinary Poisson exactly.
 Poisson, negative binomial and Gaussian families are provided as baselines,
 plus a uniform Mixture for ensemble predictions. All probability work on the
 discrete families happens in log space over a truncated integer support; the
-conventions 0^0 = 1 and y*log(y) = 0 at y = 0 apply throughout.
+conventions 0^0 = 1 and y*log(y) = 0 at y = 0 apply throughout. The Double
+Poisson and Poisson paths need only numpy: log(y!) comes from one cached
+table. scipy.special is imported on first use by the negative binomial
+(gammaln) and Gaussian (ndtr, ndtri) paths alone.
 
 Scoring runs on a PredictiveBatch: n rows, each a uniform mixture of M
 members of one family, with parameters shaped (M, n). predictive_summary
@@ -31,7 +34,6 @@ import math
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, xlogy
 
 from ddpnkit.errors import DomainError, NumericOverflow, ShapeError
 
@@ -338,33 +340,70 @@ def as_batch(dist: PredictiveDistribution) -> PredictiveBatch:
 
 # --- Double Poisson series machinery -----------------------------------------
 
-_log_fact_table = np.zeros(1)
+# log(k!) for k = 0..size-1, grown on demand by _log_factorial
+_log_fact_table = np.zeros(0)
+# counts from here on are computed per call rather than tabled
+_LOG_FACT_TABLE_MAX = 1 << 20
 
 
-def _log_factorial(n: int) -> np.ndarray:
-    """Table of log(y!) for y = 0..n-1, cached across calls."""
+def _log_factorial_entry(k: int) -> float:
+    # Exact factorials up to 170!, the largest below the float limit, keep the
+    # small entries correctly rounded (log(2!) == log(2)), so float ties such
+    # as Poisson(2)'s equal mass at 1 and 2 survive; lgamma serves past it.
+    return math.log(math.factorial(k)) if k <= 170 else math.lgamma(k + 1.0)
+
+
+def _log_factorial(ys: np.ndarray) -> np.ndarray:
+    """log(y!) at nonnegative integer-valued ys, read from one cached table."""
     global _log_fact_table
-    if n > _log_fact_table.size:
-        _log_fact_table = gammaln(np.arange(max(n, 2 * _log_fact_table.size)) + 1.0)
-    return _log_fact_table[:n]
+    top = ys.max(initial=-1.0)
+    if top >= _LOG_FACT_TABLE_MAX:
+        return np.array([_log_factorial_entry(int(y)) for y in ys.ravel().tolist()]
+                        ).reshape(ys.shape)
+    if top >= _log_fact_table.size:
+        size = min(max(int(top) + 1, 2 * _log_fact_table.size, 256), _LOG_FACT_TABLE_MAX)
+        new = [_log_factorial_entry(k) for k in range(_log_fact_table.size, size)]
+        _log_fact_table = np.concatenate([_log_fact_table, new])
+    return _log_fact_table[ys.astype(np.intp)]
 
 
-def dp_log_h(ys: np.ndarray) -> np.ndarray:
-    """log of h(y) = exp(-y) y^y / y!, with h(0) = 1."""
+def _xlogy(x, y) -> np.ndarray:
+    """x*log(y) elementwise, with 0*log(y) = 0 for every y (so 0*log(0) = 0)."""
+    with np.errstate(divide="ignore"):  # log(0) = -inf where x != 0
+        return x * np.log(np.where(x == 0.0, 1.0, y))
+
+
+def _check_counts(ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
-    return -ys + xlogy(ys, ys) - gammaln(ys + 1.0)
+    bad = ~(np.isfinite(ys) & (ys >= 0.0) & (ys == np.floor(ys)))
+    if bad.any():
+        raise DomainError(f"counts must be nonnegative integers, got {ys[bad][0]}")
+    return ys
 
 
-def dp_log_weight(mu, gamma, ys: np.ndarray) -> np.ndarray:
+def _dp_log_h(ys: np.ndarray) -> np.ndarray:
+    return -ys + _xlogy(ys, ys) - _log_factorial(ys)
+
+
+def dp_log_h(ys) -> np.ndarray:
+    """log of h(y) = exp(-y) y^y / y!, with h(0) = 1.
+
+    Raises DomainError unless every y is a nonnegative integer.
+    """
+    return _dp_log_h(_check_counts(ys))
+
+
+def dp_log_weight(mu, gamma, ys) -> np.ndarray:
     """log of s(mu, gamma, y) = h(y) exp(r(mu, gamma, y)).
 
     r(mu, gamma, y) = gamma * (y - mu + y*log(mu) - y*log(y)); the
     gamma^(1/2) prefactor of the normalizing series is not included. mu and
-    gamma broadcast against ys.
+    gamma broadcast against ys. Raises DomainError unless every y is a
+    nonnegative integer.
     """
-    ys = np.asarray(ys, dtype=float)
-    r = gamma * (ys - mu + ys * np.log(mu) - xlogy(ys, ys))
-    return dp_log_h(ys) + r
+    ys = _check_counts(ys)
+    r = gamma * (ys - mu + ys * np.log(mu) - _xlogy(ys, ys))
+    return _dp_log_h(ys) + r
 
 
 def _log_weights(kind: str, params, ys: np.ndarray) -> np.ndarray:
@@ -377,10 +416,12 @@ def _log_weights(kind: str, params, ys: np.ndarray) -> np.ndarray:
     if kind == DOUBLE_POISSON:
         return dp_log_weight(*params, ys)
     if kind == POISSON:
-        (lam,) = params
-        return xlogy(ys, lam) - lam - gammaln(ys + 1.0)
+        (lam,) = params  # lam > 0, so y*log(lam) needs no 0*log(0) guard
+        return ys * np.log(lam) - lam - _log_factorial(ys)
+    from scipy.special import gammaln
+
     r, p = params
-    return gammaln(ys + r) - gammaln(r) - gammaln(ys + 1.0) + r * np.log(p) + ys * np.log1p(-p)
+    return gammaln(ys + r) - gammaln(r) - _log_factorial(ys) + r * np.log(p) + ys * np.log1p(-p)
 
 
 def _segment_sums(values: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -581,6 +622,8 @@ def _count_labels(ys: np.ndarray) -> np.ndarray:
 
 def _gauss_abs_moment(delta: np.ndarray, var: np.ndarray) -> np.ndarray:
     """E|N(delta, var)|."""
+    from scipy.special import ndtr
+
     s = np.sqrt(var)
     u = delta / s
     return s * (u * (2.0 * ndtr(u) - 1.0) + 2.0 * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
@@ -601,6 +644,8 @@ def gaussian_crps(mu: np.ndarray, sigma2: np.ndarray, ys: np.ndarray) -> np.ndar
 
 
 def _gaussian_quantile(mu: np.ndarray, sigma2: np.ndarray, q: float) -> np.ndarray:
+    from scipy.special import ndtr, ndtri
+
     sd = np.sqrt(sigma2)
     if mu.shape[0] == 1:
         return mu[0] + sd[0] * ndtri(q)
@@ -711,6 +756,8 @@ def dist_cdf(
 ) -> float:
     """CDF at real y. Nondecreasing, right-continuous, reaches 1 at the cap."""
     if dist.kind == GAUSSIAN:
+        from scipy.special import ndtr
+
         mu, s2 = dist.params.mu, dist.params.sigma2
         return float(ndtr((y - mu) / math.sqrt(s2)))
     if dist.kind == MIXTURE:

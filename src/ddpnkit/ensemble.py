@@ -22,7 +22,7 @@ import numpy as np
 from ddpnkit import distributions as dists
 from ddpnkit.errors import DomainError, ShapeError
 from ddpnkit.losses import LossSpec
-from ddpnkit.network import forward_batch, load_checkpoint
+from ddpnkit.network import CheckpointFormatError, forward_batch, load_checkpoint
 
 MANIFEST_HEADER = "ddpnkit-ensemble v1"
 
@@ -198,8 +198,11 @@ def save_manifest(paths, spec: LossSpec, path) -> None:
 
 def load_manifest(path) -> tuple[list, LossSpec]:
     """Read a manifest; returns (checkpoint paths, loss spec)."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path) as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ManifestFormatError(f"{path}: not a text file ({exc})") from exc
     if not lines or lines[0] != MANIFEST_HEADER:
         raise ManifestFormatError(f"{path}: missing header {MANIFEST_HEADER!r}")
     meta = {}
@@ -211,14 +214,34 @@ def load_manifest(path) -> tuple[list, LossSpec]:
     if "family" not in meta:
         raise ManifestFormatError(f"{path}: missing family tag")
     try:
-        beta = float(meta.get("beta", 0.0))
-    except ValueError as exc:
-        raise ManifestFormatError(f"{path}: beta {meta['beta']!r} is not a number") from exc
-    spec = LossSpec(meta["family"], beta)
+        spec = LossSpec(meta["family"], float(meta.get("beta", 0.0)))
+    except (ValueError, DomainError) as exc:
+        raise ManifestFormatError(f"{path}: bad family or beta: {exc}") from exc
     paths = [line for line in lines[i:] if line.strip()]
     if not paths:
         raise ManifestFormatError(f"{path}: no member checkpoints listed")
+    if any("\0" in p for p in paths):
+        raise ManifestFormatError(f"{path}: a member path holds a NUL character")
     return paths, spec
+
+
+def load_member(path, fallback: LossSpec | None = None) -> tuple:
+    """(weights, loss spec) of one checkpoint.
+
+    The spec comes from the checkpoint's family and beta tags, or from
+    fallback where a tag is missing. Raises CheckpointFormatError when the
+    tags name no valid spec or the head count does not match the family.
+    """
+    weights, meta = load_checkpoint(path)
+    try:
+        spec = LossSpec(meta.get("family", getattr(fallback, "family", None)),
+                        float(meta.get("beta", getattr(fallback, "beta", 0.0))))
+    except (ValueError, DomainError) as exc:
+        raise CheckpointFormatError(f"{path}: bad family or beta: {exc}") from exc
+    if weights.head_count != spec.head_count:
+        raise CheckpointFormatError(f"{path}: {weights.head_count} heads for family "
+                                    f"{spec.family}")
+    return weights, spec
 
 
 def load_ensemble(manifest_path) -> Ensemble:
@@ -228,9 +251,7 @@ def load_ensemble(manifest_path) -> Ensemble:
     members = []
     for p in paths:
         full = p if os.path.isabs(p) else os.path.join(base, p)
-        weights, meta = load_checkpoint(full)
-        member_spec = LossSpec(meta.get("family", spec.family),
-                               float(meta.get("beta", spec.beta)))
+        weights, member_spec = load_member(full, spec)
         if member_spec.family != spec.family:
             raise ManifestFormatError(
                 f"{full}: family {member_spec.family} does not match manifest {spec.family}"

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln, xlogy
 
+from ddpnkit.distributions import _xlogy
 from ddpnkit.errors import DomainError
 
 FAMILIES = ("double_poisson", "poisson", "neg_binomial", "gaussian")
@@ -93,8 +93,9 @@ def _check_dp_args(y, mu, gamma):
 
 
 def _fit_residual(y, mu):
-    # (mu - y) - y*(log mu - log y), grouped to match attenuation_decompose
-    return (mu - y) - (xlogy(y, mu) - xlogy(y, y))
+    # (mu - y) - y*(log mu - log y), grouped to match attenuation_decompose;
+    # mu > 0, so y*log(mu) needs no 0*log(0) guard
+    return (mu - y) - (y * np.log(mu) - _xlogy(y, y))
 
 
 def ddpn_nll(y, mu, gamma):
@@ -184,6 +185,8 @@ def baseline_nll(spec: LossSpec, y, head):
     second = np.asarray(head.log_gamma_or_disp, dtype=float)
 
     if spec.family == "neg_binomial":
+        from scipy.special import digamma, gammaln
+
         m = np.exp(log_mu)
         r = np.exp(-second)  # r = 1/dispersion
         log_rm = np.log(r + m)

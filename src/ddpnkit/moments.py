@@ -27,14 +27,12 @@ returning a truncated value.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from ddpnkit.distributions import dp_log_h, dp_moment_corrections
+from ddpnkit.distributions import _xlogy, dp_log_h, dp_moment_corrections
 from ddpnkit.errors import DomainError, NumericOverflow
 
 DEFAULT_N_TERMS = 100
@@ -42,13 +40,6 @@ MAX_TERMS = 1 << 16
 TAIL_TOL = 1e-14
 # largest (cells x terms) block summed at once, to bound memory
 _BLOCK = 1 << 17
-
-
-@functools.cache
-def _series_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """y, log h(y) and y*log(y) for y = 0..MAX_TERMS-1."""
-    ys = np.arange(MAX_TERMS, dtype=float)
-    return ys, dp_log_h(ys), xlogy(ys, ys)
 
 
 def _tail_converged(w: np.ndarray, mu0: float, gamma: np.ndarray) -> np.ndarray:
@@ -73,12 +64,12 @@ def _deviation_row(mu0: float, var_values: np.ndarray, n_terms: int):
     gamma = mu0 / var_values
     eps1 = np.empty_like(gamma)
     eps2 = np.empty_like(gamma)
-    ys_all, log_h_all, ylogy_all = _series_tables()
     todo = np.arange(gamma.size)
     n = n_terms
     while True:
-        ys, log_h = ys_all[:n], log_h_all[:n]
-        base = ys * (1.0 + math.log(mu0)) - mu0 - ylogy_all[:n]
+        ys = np.arange(n, dtype=float)
+        log_h = dp_log_h(ys)
+        base = ys * (1.0 + math.log(mu0)) - mu0 - _xlogy(ys, ys)
         left = []
         step = max(1, _BLOCK // n)
         for lo in range(0, todo.size, step):

@@ -462,10 +462,17 @@ class CheckpointFormatError(DomainError):
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint.
 
-    Returns (MLPWeights, meta dict with string values).
+    Returns (MLPWeights, meta dict with string values). Raises
+    CheckpointFormatError for a file that is not such a checkpoint: a bad
+    header, line or number, a cut-off or missing tensor, or tensor shapes
+    that do not chain from the input standardizer through the hidden layers
+    to the head.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not a text file ({exc})") from exc
     if not lines or lines[0] != CKPT_HEADER:
         raise CheckpointFormatError(f"{path}: missing header {CKPT_HEADER!r}")
     meta = {}
@@ -501,14 +508,22 @@ def load_checkpoint(path):
             raise CheckpointFormatError(f"{path}: tensor {name} expected shape {shape}")
         tensors[name] = np.array(rows).reshape(shape)
         i += 1 + n_rows
-    hidden = []
-    j = 0
-    while f"hidden{j}.W" in tensors:
-        hidden.append([tensors[f"hidden{j}.W"], tensors[f"hidden{j}.b"]])
-        j += 1
-    for required in ("x_mean", "x_std", "head.W", "head.b"):
+    for required in ("x_mean", "x_std"):
         if required not in tensors:
             raise CheckpointFormatError(f"{path}: missing tensor {required}")
+    width = tensors["x_mean"].shape
+    if len(width) != 1 or tensors["x_std"].shape != width:
+        raise CheckpointFormatError(f"{path}: x_mean and x_std must be equal-length vectors")
+    n_hidden = 0
+    while f"hidden{n_hidden}.W" in tensors or f"hidden{n_hidden}.b" in tensors:
+        n_hidden += 1
+    for layer in [f"hidden{j}" for j in range(n_hidden)] + ["head"]:
+        W, b = tensors.get(f"{layer}.W"), tensors.get(f"{layer}.b")
+        if W is None or b is None or W.shape[1:] != width or b.shape != W.shape[:1]:
+            raise CheckpointFormatError(f"{path}: tensors {layer}.W and {layer}.b are "
+                                        f"missing or do not fit width {width[0]}")
+        width = W.shape[:1]
+    hidden = [[tensors[f"hidden{j}.W"], tensors[f"hidden{j}.b"]] for j in range(n_hidden)]
     weights = MLPWeights(
         hidden=hidden,
         head_w=tensors["head.W"],

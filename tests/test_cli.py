@@ -96,6 +96,14 @@ class TestTrain:
     def test_missing_data_prefix(self, tmp_path):
         assert run(["train", "--data", tmp_path / "ghost", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("flag", ["--members", "--jobs"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_members_and_jobs_must_be_positive(self, workspace, tmp_path, capsys, flag, value):
+        assert run(["train", "--data", workspace["prefix"], "--epochs", 1, "--hidden", "4",
+                    flag, value, "--out", tmp_path]) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
 
 class TestEval:
     def test_metrics_json(self, workspace, tmp_path, capsys):
@@ -115,6 +123,18 @@ class TestEval:
         bad = tmp_path / "bad.ckpt"
         bad.write_text("scrambled\n")
         assert run(["eval", "--ckpt", bad, "--data", workspace["prefix"],
+                    "--out", tmp_path]) == 4
+
+    @pytest.mark.parametrize("meta", [{"family": "bogus"}, {"beta": "0.0"},
+                                      {"family": "double_poisson", "beta": "2.0"},
+                                      {"family": "poisson"}])
+    def test_bad_family_tag_is_io_error(self, workspace, tmp_path, meta):
+        """A family or beta tag that names no loss, or a family whose head
+        count differs from the checkpoint's (two heads here), exits 4."""
+        w = network.init_mlp(network.MLPConfig(input_dim=1, hidden_widths=(), head_count=2))
+        ckpt = tmp_path / "tagged.ckpt"
+        network.save_checkpoint(w, meta, ckpt)
+        assert run(["eval", "--ckpt", ckpt, "--data", workspace["prefix"],
                     "--out", tmp_path]) == 4
 
     def test_support_cap_hit_is_numeric_error(self, workspace, tmp_path, capsys):
@@ -218,6 +238,18 @@ class TestMomentsGrid:
         assert diag.shape == (5, 4)
         assert np.all(diag[:, 2:] <= 1e-9)
 
+    @pytest.mark.parametrize("flag", ["--mu-min", "--mu-max", "--var-min", "--var-max"])
+    @pytest.mark.parametrize("value", [0, -1, "nan", "inf"])
+    def test_axis_ends_must_be_positive(self, tmp_path, capsys, flag, value):
+        assert run(["moments-grid", flag, value, "--mu-points", 2, "--var-points", 2,
+                    "--out", tmp_path]) == 2
+        assert f"{flag} must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("flag", ["--mu-points", "--var-points"])
+    def test_axis_points_must_be_positive(self, tmp_path, flag):
+        assert run(["moments-grid", flag, -1, "--out", tmp_path]) == 2
+
 
 class TestAttenuationDemo:
     def test_trace_csv(self, tmp_path):
@@ -288,3 +320,52 @@ class TestImport:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=False)
         assert done.returncode == 0, done.stderr
+
+    def test_double_poisson_pipeline_runs_without_scipy(self, tmp_path):
+        """scipy.special and multiprocessing cost every CLI child start-up
+        time. Importing the CLI loads neither, and a whole Double Poisson
+        (and Poisson) pipeline runs without scipy; the negative binomial and
+        Gaussian paths load it on first use. A fresh interpreter, so no other
+        test has imported scipy first."""
+        script = PIPELINE_SCRIPT.format(root=str(tmp_path))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ddpnkit.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=False)
+        assert done.returncode == 0, done.stderr
+
+
+PIPELINE_SCRIPT = """
+import sys
+from ddpnkit import cli
+
+def loaded(*names):
+    return [m for m in sys.modules if m.split(".")[0] in names]
+
+def run(*argv):
+    code = cli.main([str(a) for a in argv])
+    assert code == 0, (argv, code)
+
+assert not loaded("scipy", "multiprocessing"), loaded("scipy", "multiprocessing")
+root = {root!r}
+prefix = root + "/data/sine_conflation_seed0"
+ckpt = root + "/ckpt/"
+run("simulate", "--process", "sine-conflation", "--n-train", 40, "--n-val", 10,
+    "--n-test", 20, "--out", root)
+run("train", "--data", prefix, "--epochs", 2, "--hidden", "4", "--members", 2,
+    "--jobs", 1, "--tag", "dp", "--out", root)
+run("eval", "--ckpt", ckpt + "dp_member0.ckpt", "--data", prefix, "--out", root)
+run("ensemble-eval", "--manifest", ckpt + "dp.manifest", "--data", prefix, "--out", root)
+run("ood", "--manifest", ckpt + "dp.manifest", "--data", prefix, "--ood-n", 20,
+    "--n-repeats", 2, "--alpha-points", 11, "--out", root)
+run("moments-grid", "--mu-points", 4, "--var-points", 4, "--out", root)
+run("train", "--data", prefix, "--family", "poisson", "--epochs", 2, "--hidden", "4",
+    "--tag", "poisson", "--out", root)
+run("eval", "--ckpt", ckpt + "poisson_member0.ckpt", "--data", prefix, "--out", root)
+assert not loaded("scipy", "multiprocessing"), loaded("scipy", "multiprocessing")
+for family in ("neg_binomial", "gaussian"):
+    run("train", "--data", prefix, "--family", family, "--epochs", 2, "--hidden", "4",
+        "--tag", family, "--out", root)
+    run("eval", "--ckpt", ckpt + family + "_member0.ckpt", "--data", prefix, "--out", root)
+assert "scipy.special" in sys.modules
+"""

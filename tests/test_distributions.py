@@ -375,3 +375,44 @@ class TestValidation:
             dists.SupportTruncation(tail_mass_tol=0.0)
         with pytest.raises(DomainError):
             dists.SupportTruncation(hard_cap=0)
+
+
+class TestNumpyKernels:
+    """The scipy-free log(y!) table and x*log(y) helper against scipy.special."""
+
+    def test_log_factorial_matches_gammaln(self):
+        from scipy.special import gammaln
+
+        ys = np.arange(65536, dtype=float)
+        assert_allclose(dists._log_factorial(ys), gammaln(ys + 1.0), rtol=2e-15, atol=0.0)
+        # counts past the table are computed one by one
+        big = np.array([3.0, 2.0**20, 1e7, 1e12])
+        assert_allclose(dists._log_factorial(big), gammaln(big + 1.0), rtol=2e-15, atol=0.0)
+
+    def test_xlogy_matches_scipy(self):
+        from scipy.special import xlogy
+
+        rng = np.random.default_rng(0)
+        x = np.concatenate([[0.0, 0.0, 0.0, 3.0], rng.integers(0, 60, 200),
+                            rng.uniform(0.0, 50.0, 200)])
+        y = np.concatenate([[0.0, 2.5, 0.5, 0.0], rng.uniform(0.0, 50.0, 400)])
+        got = dists._xlogy(x, y)
+        assert np.array_equal(got[:4], [0.0, 0.0, 0.0, -np.inf])
+        assert_allclose(got, xlogy(x, y), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0, np.nan, np.inf])
+    def test_log_weights_take_counts_only(self, bad):
+        ys = np.array([0.0, 1.0, bad])
+        with pytest.raises(DomainError, match="nonnegative integers"):
+            dists.dp_log_weight(2.0, 1.0, ys)
+        with pytest.raises(DomainError, match="nonnegative integers"):
+            dists.dp_log_h(ys)
+
+    def test_log_h_past_the_table(self):
+        from scipy.special import gammaln, xlogy
+
+        # log h(y) is a difference of terms near y*log(y), so both sides carry
+        # absolute rounding of a few ulp of 3e7 at y = 2^21
+        ys = np.array([5.0, 2.0**21])
+        assert_allclose(dists.dp_log_h(ys), -ys + xlogy(ys, ys) - gammaln(ys + 1.0),
+                        rtol=0.0, atol=2e-8)

@@ -468,6 +468,22 @@ class TestCheckpoint:
         with pytest.raises(network.CheckpointFormatError, match="not a number"):
             network.load_checkpoint(path)
 
+    def test_tensors_must_chain(self, tmp_path):
+        """A renamed, reshaped or undecodable tensor is a format error, not a
+        KeyError or a failed matmul later."""
+        weights, _, _ = toy_problem()
+        text = network.render_checkpoint(weights, {"family": "double_poisson"})
+        path = tmp_path / "bad.ckpt"
+        for broken in (text.replace("tensor hidden1.b", "tensor hidden1.c"),
+                       text.replace("tensor hidden1.W", "tensor hidden3.W"),
+                       text.replace("tensor head.b", "tensor head.c")):
+            path.write_text(broken)
+            with pytest.raises(network.CheckpointFormatError, match="do not fit"):
+                network.load_checkpoint(path)
+        path.write_bytes(b"\xff" + text.encode())
+        with pytest.raises(network.CheckpointFormatError, match="not a text file"):
+            network.load_checkpoint(path)
+
     def test_train_meta_echo(self):
         config = network.TrainConfig(loss=LossSpec("double_poisson", 0.5), epochs=7,
                                      hidden_widths=(8, 4), seed=3)
