@@ -274,11 +274,14 @@ class PredictiveBatch:
                 mean, var = mean.copy(), var.copy()
                 for rows, log_w, log_c, _ in _member_blocks(self, trunc):
                     w = np.exp(log_w - log_c[..., None])
-                    mc, vc = dp_moment_corrections(w.reshape(-1, w.shape[-1]),
-                                                   mu[:, rows].reshape(-1, 1),
-                                                   gamma[:, rows].ravel())
-                    mean[:, rows] += mc.reshape(w.shape[:2])
-                    var[:, rows] += vc.reshape(w.shape[:2])
+                    ys = np.arange(w.shape[-1], dtype=float)
+                    d = ys - mu[:, rows, None]
+                    wd = w * d
+                    mc, vc = dp_moment_corrections(np.sum(w, axis=-1), np.sum(wd, axis=-1),
+                                                   np.sum(wd * d, axis=-1), w @ ys,
+                                                   gamma[:, rows])
+                    mean[:, rows] += mc
+                    var[:, rows] += vc
             return mean, var
         if self.kind == POISSON:
             return self.params[0], self.params[0]
@@ -519,10 +522,6 @@ def _pmf_blocks(batch: PredictiveBatch, trunc: SupportTruncation):
         yield rows, pmf, lengths.max(axis=0)
 
 
-def _dp_batch(mu: float, gamma: float) -> PredictiveBatch:
-    return PredictiveBatch(DOUBLE_POISSON, ([[mu]], [[gamma]]))
-
-
 def dp_normalizer(mu: float, gamma: float, trunc: SupportTruncation = DEFAULT_TRUNCATION) -> float:
     """Normalizing constant c(mu, gamma) of the Double Poisson.
 
@@ -531,48 +530,30 @@ def dp_normalizer(mu: float, gamma: float, trunc: SupportTruncation = DEFAULT_TR
     moderate parameter ranges, which is what justifies dropping it from
     training losses.
     """
-    _, _, log_c, _ = next(_member_blocks(_dp_batch(mu, gamma), trunc))
+    batch = PredictiveBatch(DOUBLE_POISSON, ([[mu]], [[gamma]]))
+    _, _, log_c, _ = next(_member_blocks(batch, trunc))
     c = math.exp(0.5 * math.log(gamma) + float(log_c[0, 0]))
     if not math.isfinite(c):
         raise NumericOverflow(f"normalizer overflowed for mu={mu}, gamma={gamma}")
     return c
 
 
-def dp_moment_corrections(w: np.ndarray, mu, gamma) -> tuple:
+def dp_moment_corrections(s0, s1, s2, sy, gamma) -> tuple:
     """Mean and variance corrections of DP(mu, gamma) from its weight series.
 
-    w holds the weights s(mu, gamma, y) for y = 0..N-1 at any common scale,
-    one series per row of a 2-D array (gamma then has one entry per row, and
-    mu is a scalar or a column). Returns, elementwise,
+    The arguments are sums over y of the weights s(mu, gamma, y), at any
+    common scale: s0 = sum(s), s1 = sum(s*(y-mu)), s2 = sum(s*(y-mu)^2) and
+    sy = sum(s*y). Returns, elementwise,
 
-        E[Z] - mu       = sum(s*(y-mu)) / sum(s)
-        Var[Z] - mu/gamma = (d*sqrt(gamma)*sum(s) - gamma*sum(s*(y-mu))^2)
-                            / (gamma*sum(s)^2)
+        E[Z] - mu       = s1 / s0
+        Var[Z] - mu/gamma = (d*sqrt(gamma)*s0 - gamma*s1^2) / (gamma*s0^2)
 
-    with d(mu, gamma) = gamma^(-1/2) * (sum(s*(gamma*(y-mu)^2 - y))
-    + sum(s*(y-mu))). These are the correction terms that the Efron moment
-    approximations drop; both are ratios of weighted sums, so the scale of w
-    cancels.
+    with d(mu, gamma) = gamma^(-1/2) * (gamma*s2 - sy + s1). These are the
+    correction terms that the Efron moment approximations drop; both are
+    ratios of the sums, so their scale cancels.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    ys = np.arange(w.shape[-1])
-    s0 = np.sum(w, axis=-1)
-    s1 = np.sum(w * (ys - mu), axis=-1)
-    # d * sqrt(gamma)
-    d_scaled = np.sum(w * (gamma[..., None] * (ys - mu) ** 2 - ys), axis=-1) + s1
+    d_scaled = gamma * s2 - sy + s1  # d * sqrt(gamma)
     return s1 / s0, (d_scaled * s0 - gamma * s1 * s1) / (gamma * s0 * s0)
-
-
-def dp_series_moments(
-    mu: float, gamma: float, trunc: SupportTruncation = DEFAULT_TRUNCATION
-) -> tuple[float, float]:
-    """Exact mean and variance of DP(mu, gamma) from the normalizing series.
-
-    Adds the corrections of dp_moment_corrections, summed over the truncated
-    support, to the Efron approximations mu and mu/gamma.
-    """
-    mean, var = _dp_batch(mu, gamma).member_moments(EXACT_SERIES, trunc)
-    return float(mean[0, 0]), float(var[0, 0])
 
 
 # --- the batched predictive engine --------------------------------------------

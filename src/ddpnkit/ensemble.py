@@ -62,15 +62,21 @@ def decompose_variance(means, variances) -> UncertaintyDecomposition:
     """Split the mixture variance into aleatoric and epistemic parts.
 
     aleatoric is the average member variance, epistemic the population
-    variance of the member means; they sum to the mixture variance.
+    variance of the member means; they sum to the mixture variance. The
+    spread is taken about the average mean, so it is never negative; where
+    that average is not finite (the means overflowed), the spread cannot be
+    resolved and is inf.
     """
     means = np.asarray(means, dtype=float)
     variances = np.asarray(variances, dtype=float)
     if means.shape != variances.shape or means.shape[0] == 0:
         raise ShapeError("means and variances must be equal-length and nonempty")
     aleatoric = np.mean(variances, axis=0)
-    epistemic = np.mean(means**2, axis=0) - np.mean(means, axis=0) ** 2
-    epistemic = np.maximum(epistemic, 0.0)  # guard the tiny negative round-off
+    center = np.mean(means, axis=0)
+    finite = np.isfinite(center)
+    with np.errstate(over="ignore"):
+        epistemic = np.mean((means - np.where(finite, center, 0.0)) ** 2, axis=0)
+    epistemic = np.where(finite, epistemic, np.inf)
     total = aleatoric + epistemic
     if means.ndim == 1:
         return UncertaintyDecomposition(float(total), float(aleatoric), float(epistemic))
@@ -119,10 +125,10 @@ def member_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Member means and variances, both shaped (M, n).
 
-    mode "efron_approx" reads moments straight off the head outputs and
-    tolerates extreme values (variances may overflow to inf far from the
-    training data); "exact_series" evaluates the Double Poisson series. Any
-    other mode is a DomainError.
+    mode "efron_approx" reads moments straight off the head outputs, in log
+    space where it takes two heads, and tolerates extreme values (variances
+    may overflow to inf far from the training data); "exact_series"
+    evaluates the Double Poisson series. Any other mode is a DomainError.
     """
     if mode not in (dists.EFRON_APPROX, dists.EXACT_SERIES):
         raise DomainError(f"unknown moments mode {mode!r}")
@@ -130,23 +136,29 @@ def member_moments(
     if ens.family == "double_poisson" and mode == dists.EXACT_SERIES:
         return predictive_batch(ens, X).member_moments(mode)
     heads = _member_heads(ens, X)
-    with np.errstate(over="ignore"):
-        m = np.exp(heads[..., 0])
+    log_m = heads[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf heads give nan
+        m = np.exp(log_m)
         if ens.family == "double_poisson":
-            v = m / np.exp(heads[..., 1])
+            v = np.exp(log_m - heads[..., 1])
         elif ens.family == "poisson":
             v = m.copy()
         elif ens.family == "neg_binomial":
-            v = m * (1.0 + np.exp(heads[..., 1]) * m)
+            v = m + np.exp(heads[..., 1] + 2.0 * log_m)
         else:
             v = np.exp(heads[..., 1])
     return m, v
 
 
 def variance_scores(ens: Ensemble, X: np.ndarray, mode: str = dists.EFRON_APPROX) -> np.ndarray:
-    """Total mixture variance per input row, the OOD detection score."""
+    """Total mixture variance per input row, the OOD detection score.
+
+    A row whose variance overflows, or is left undefined by overflowed head
+    outputs, scores +inf: it ranks as the most out-of-distribution.
+    """
     means, variances = member_moments(ens, X, mode)
-    return np.asarray(decompose_variance(means, variances).total)
+    total = np.asarray(decompose_variance(means, variances).total)
+    return np.where(np.isnan(total), np.inf, total)
 
 
 INTERVAL = (0.025, 0.975)

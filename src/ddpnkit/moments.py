@@ -11,9 +11,12 @@ expressed through the weight series s(mu, gamma, y) = h(y) exp(r(mu, gamma, y))
 (see distributions.dp_moment_corrections). Both vanish on the Poisson
 diagonal var0 = mu0 and grow toward small mu0.
 
-The infinite sums are evaluated in log space over a support 0..N-1 that
-starts at n_terms and doubles until a bound on the neglected tail is
-negligible. Past y = mu the ratio of successive weights is at most
+The infinite sums are evaluated in log space and grown block by block: a
+cell first sums the support 0..n_terms-1, and while the bound below says
+its neglected tail still matters it adds the next block n..2n-1 to running
+sums, so no term is summed twice. One matmul of a block's weights with the
+columns 1, y-mu0, (y-mu0)^2 and y updates all four sums. Past y = mu the
+ratio of successive weights is at most
 
     rho = (mu0/N)^gamma0 * exp(max(0, gamma0 - 1) / (2(N-1))),
 
@@ -26,7 +29,6 @@ returning a truncated value.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -42,56 +44,82 @@ TAIL_TOL = 1e-14
 _BLOCK = 1 << 17
 
 
-def _tail_converged(w: np.ndarray, mu0: float, gamma: np.ndarray) -> np.ndarray:
-    """Per row of w, whether the neglected tail past the support is negligible."""
-    n = w.shape[1]
+def _tail_converged(w_last: np.ndarray, s0: np.ndarray, mu0: float, gamma: np.ndarray,
+                    n: int) -> np.ndarray:
+    """Per cell, whether the tail past the support 0..n-1 is negligible.
+
+    w_last is the weight at y = n-1 and s0 the sum over the support, both at
+    the cell's common scale.
+    """
     log_rho = gamma * math.log(mu0 / n) + np.maximum(gamma - 1.0, 0.0) / (2.0 * (n - 1))
     a = n - 1.0
     with np.errstate(all="ignore"):  # rho >= 1 where n <= mu0: rejected below
         rho = np.exp(log_rho)
         q = -np.expm1(log_rho)  # 1 - rho
         bound = rho * (a * a / q + 2.0 * a / q**2 + (1.0 + rho) / q**3)
-        return (log_rho < 0.0) & (w[:, -1] * bound <= TAIL_TOL * np.minimum(1.0, gamma)
-                                  * np.sum(w, axis=1))
+        return (log_rho < 0.0) & (w_last * bound <= TAIL_TOL * np.minimum(1.0, gamma) * s0)
 
 
-def _deviation_row(mu0: float, var_values: np.ndarray, n_terms: int):
-    """eps1 and eps2 at mu0 for every var0 in var_values, summed to convergence.
+def _series_sums(mu_values: np.ndarray, var_values: np.ndarray, n_terms: int):
+    """Sums (s0, s1, s2, sy) of every cell's weight series, and its support length.
 
-    All cells start on the support 0..n_terms-1; the unconverged ones are
-    summed again at double length, up to MAX_TERMS.
+    Cell (i, j), at mu0 = mu_values[i] and var0 = var_values[j], sums the
+    weights s(y) = s(mu0, mu0/var0, y) over the support 0..N-1 with
+    N = n_terms * 2^k (capped at MAX_TERMS), the shortest that passes
+    _tail_converged:
+
+        s0 = sum(s), s1 = sum(s*(y-mu)), s2 = sum(s*(y-mu)^2), sy = sum(s*y).
+
+    Each pass sums only the new terms n..2n-1 of the unconverged cells into
+    their running sums. The sums are kept at scale exp(-shift), shift being
+    the largest log weight seen so far; a block holding larger weights
+    raises it and rescales the sums.
     """
-    gamma = mu0 / var_values
-    eps1 = np.empty_like(gamma)
-    eps2 = np.empty_like(gamma)
-    todo = np.arange(gamma.size)
-    n = n_terms
+    gamma = mu_values[:, None] / var_values
+    sums = np.zeros(gamma.shape + (4,))
+    shift = np.full(gamma.shape, -np.inf)
+    support = np.zeros(gamma.shape, dtype=np.int64)
+    todo = [np.arange(gamma.shape[1])] * gamma.shape[0]
+    lo, hi = 0, n_terms
     while True:
-        ys = np.arange(n, dtype=float)
+        ys = np.arange(lo, hi, dtype=float)
         log_h = dp_log_h(ys)
-        base = ys * (1.0 + math.log(mu0)) - mu0 - _xlogy(ys, ys)
-        left = []
-        step = max(1, _BLOCK // n)
-        for lo in range(0, todo.size, step):
-            cells = todo[lo:lo + step]
-            g = gamma[cells]
-            w = np.multiply.outer(g, base)
-            w += log_h
-            w -= np.max(w, axis=1, keepdims=True)
-            np.exp(w, out=w)
-            ok = _tail_converged(w, mu0, g)
-            mean_corr, var_corr = dp_moment_corrections(w[ok], mu0, g[ok])
-            eps1[cells[ok]] = np.abs(mean_corr)
-            eps2[cells[ok]] = np.abs(var_corr)
-            left.append(cells[~ok])
-        todo = np.concatenate(left)
-        if todo.size == 0:
-            return eps1, eps2
-        if n == MAX_TERMS:
+        ylogy = _xlogy(ys, ys)
+        ones = np.ones_like(ys)
+        step = max(1, _BLOCK // ys.size)
+        for i, mu0 in enumerate(mu_values.tolist()):
+            if todo[i].size == 0:
+                continue
+            base = ys * (1.0 + math.log(mu0)) - mu0 - ylogy
+            d = ys - mu0
+            F = np.column_stack((ones, d, d * d, ys))
+            left = []
+            for start in range(0, todo[i].size, step):
+                cells = todo[i][start:start + step]
+                g = gamma[i, cells]
+                w = np.multiply.outer(g, base)
+                w += log_h
+                old = shift[i, cells]
+                new = np.maximum(old, np.max(w, axis=1))
+                w -= new[:, None]
+                np.exp(w, out=w)
+                s = sums[i, cells] * np.exp(old - new)[:, None] + w @ F
+                sums[i, cells] = s
+                shift[i, cells] = new
+                ok = _tail_converged(w[:, -1], s[:, 0], mu0, g, hi)
+                support[i, cells[ok]] = hi
+                left.append(cells[~ok])
+            todo[i] = np.concatenate(left)
+        rows = [i for i, cells in enumerate(todo) if cells.size]
+        if not rows:
+            return np.moveaxis(sums, -1, 0), support
+        if hi == MAX_TERMS:
+            i, j = rows[0], todo[rows[0]][0]
             raise NumericOverflow(
-                f"moment series for mu0={mu0}, var0={float(var_values[todo[0]])} did not "
-                f"converge within {MAX_TERMS} terms")
-        n = min(2 * n, MAX_TERMS)
+                f"moment series for mu0={float(mu_values[i])}, "
+                f"var0={float(var_values[j])} did not converge within "
+                f"{MAX_TERMS} terms")
+        lo, hi = hi, min(2 * hi, MAX_TERMS)
 
 
 def mdf_epsilon(mu0: float, var0: float, n_terms: int = DEFAULT_N_TERMS) -> tuple[float, float]:
@@ -115,7 +143,8 @@ class MomentGrid:
     """Deviation surfaces over a (mu0, var0) grid.
 
     eps1 and eps2 are arrays of shape (len(mu_values), len(var_values)).
-    n_terms is the minimum support length the sums started from.
+    n_terms is the minimum support length the sums started from; support
+    holds, per cell, the length 0..N-1 they were summed over.
     """
 
     mu_values: np.ndarray
@@ -123,6 +152,7 @@ class MomentGrid:
     eps1: np.ndarray
     eps2: np.ndarray
     n_terms: int
+    support: np.ndarray
 
 
 def default_grid_axis(n_points: int = 25) -> np.ndarray:
@@ -144,19 +174,23 @@ def moments_grid(
             raise DomainError(f"{name} must be finite and positive, got {bad[0]}")
     if not 2 <= n_terms <= MAX_TERMS:
         raise DomainError(f"n_terms must lie in [2, {MAX_TERMS}], got {n_terms}")
-    eps1 = np.zeros((mu_values.size, var_values.size))
-    eps2 = np.zeros_like(eps1)
-    for i, mu0 in enumerate(mu_values):
-        eps1[i], eps2[i] = _deviation_row(float(mu0), var_values, n_terms)
-    return MomentGrid(mu_values, var_values, eps1, eps2, n_terms)
+    sums, support = _series_sums(mu_values, var_values, n_terms)
+    mean_corr, var_corr = dp_moment_corrections(*sums, mu_values[:, None] / var_values)
+    return MomentGrid(mu_values, var_values, np.abs(mean_corr), np.abs(var_corr), n_terms,
+                      support)
 
 
 def write_moment_grid_csv(grid: MomentGrid, path) -> None:
-    """Write rows mu0,var0,eps1,eps2 in row-major grid order, one per line."""
+    """Write rows mu0,var0,eps1,eps2 in row-major grid order, one per line.
+
+    The bytes are those of csv.writer with "\\n" line ends, which quotes no
+    float repr.
+    """
+    var_text = [repr(v) for v in grid.var_values.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mu0", "var0", "eps1", "eps2"])
-        for i, mu0 in enumerate(grid.mu_values):
-            for j, var0 in enumerate(grid.var_values):
-                writer.writerow([repr(float(mu0)), repr(float(var0)),
-                                 repr(float(grid.eps1[i, j])), repr(float(grid.eps2[i, j]))])
+        fh.write("mu0,var0,eps1,eps2\n")
+        for mu0, eps1, eps2 in zip(grid.mu_values.tolist(), grid.eps1.tolist(),
+                                   grid.eps2.tolist()):
+            mu_text = repr(mu0)
+            fh.write("".join(f"{mu_text},{v},{e1!r},{e2!r}\n"
+                             for v, e1, e2 in zip(var_text, eps1, eps2)))

@@ -464,9 +464,9 @@ def load_checkpoint(path):
 
     Returns (MLPWeights, meta dict with string values). Raises
     CheckpointFormatError for a file that is not such a checkpoint: a bad
-    header, line or number, a cut-off or missing tensor, or tensor shapes
-    that do not chain from the input standardizer through the hidden layers
-    to the head.
+    header, line or number, a value that is not finite, a cut-off or missing
+    tensor, an input scale that is not positive, or tensor shapes that do not
+    chain from the input standardizer through the hidden layers to the head.
     """
     try:
         with open(path) as fh:
@@ -507,6 +507,9 @@ def load_checkpoint(path):
         if any(len(row) != shape[-1] for row in rows):
             raise CheckpointFormatError(f"{path}: tensor {name} expected shape {shape}")
         tensors[name] = np.array(rows).reshape(shape)
+        if not np.all(np.isfinite(tensors[name])):
+            raise CheckpointFormatError(f"{path}: tensor {name} holds a value that is not "
+                                        "finite")
         i += 1 + n_rows
     for required in ("x_mean", "x_std"):
         if required not in tensors:
@@ -514,6 +517,8 @@ def load_checkpoint(path):
     width = tensors["x_mean"].shape
     if len(width) != 1 or tensors["x_std"].shape != width:
         raise CheckpointFormatError(f"{path}: x_mean and x_std must be equal-length vectors")
+    if not np.all(tensors["x_std"] > 0.0):
+        raise CheckpointFormatError(f"{path}: x_std must be positive")
     n_hidden = 0
     while f"hidden{n_hidden}.W" in tensors or f"hidden{n_hidden}.b" in tensors:
         n_hidden += 1

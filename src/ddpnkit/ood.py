@@ -100,7 +100,9 @@ def sweep_operating_points(holdout_scores, id_scores, ood_scores, alphas):
     bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
     if bad.size:
         raise DomainError(f"alpha must lie in [0, 1], got {bad[0]}")
-    taus = np.quantile(holdout_scores, 1.0 - alphas, method="linear")
+    with np.errstate(invalid="ignore"):  # interpolating toward +inf scores gives inf - inf
+        taus = np.quantile(holdout_scores, 1.0 - alphas, method="linear")
+    taus[np.isnan(taus)] = np.inf  # flags what nan did: nothing lies above it
     id_scores = np.asarray(id_scores, dtype=float)
     ood_scores = np.asarray(ood_scores, dtype=float)
 

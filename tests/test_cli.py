@@ -5,9 +5,11 @@ not model quality.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +205,22 @@ class TestOod:
                     "--n-repeats", 2, "--alpha-points", 11,
                     "--out", tmp_path]) == 0
         assert (tmp_path / "reports" / "ood_ood.json").exists()
+
+    def test_overflowed_row_ranks_most_out_of_distribution(self, workspace, tmp_path):
+        """An input far past the training range overflows its variance: it
+        scores +inf, not nan, and the run stays finite and warning-free."""
+        ens = ensemble.load_ensemble(workspace["manifest"])
+        assert ensemble.variance_scores(ens, [[1.85e17]])[0] == np.inf
+        ood_csv = tmp_path / "ood.csv"
+        ood_csv.write_text("x,y\n12.0,0\n13.0,1\n1.85e17,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["ood", "--manifest", workspace["manifest"],
+                        "--data", workspace["prefix"], "--ood-data", ood_csv,
+                        "--n-repeats", 2, "--out", tmp_path]) == 0
+        payload = json.loads((tmp_path / "reports" / "ood_ood.json").read_text())
+        assert all(math.isfinite(v) for key in ("auroc", "aupr", "fpr80")
+                   for v in payload[key].values())
 
     def test_non_integer_ood_label_is_format_error(self, workspace, tmp_path, capsys):
         ood_csv = tmp_path / "ood.csv"

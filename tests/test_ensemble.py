@@ -96,6 +96,12 @@ class TestDecomposition:
         assert np.all(np.asarray(dec.epistemic) >= 0.0)
         assert np.all(np.asarray(dec.total) >= np.asarray(dec.aleatoric))
 
+    def test_overflowed_means_give_inf_spread_not_nan(self):
+        dec = ensemble.decompose_variance([[np.inf, 1.0, 1e200], [0.0, 2.0, 3e200]],
+                                          np.ones((2, 3)))
+        assert_allclose(dec.epistemic, [np.inf, 0.25, np.inf])
+        assert_allclose(dec.total, [np.inf, 1.25, np.inf])
+
 
 def member_distribution(w, spec, x):
     """The predictive distribution of a one-member ensemble at one input row."""
@@ -165,6 +171,21 @@ class TestMemberMoments:
         assert_allclose(v_exact[0, 0], dists.dist_moments(d, mode=dists.EXACT_SERIES)[1],
                         rtol=1e-10)
         assert abs(v_efron[0, 0] - v_exact[0, 0]) > 1e-3
+
+    def test_double_poisson_variance_from_heads_in_log_space(self):
+        """exp(800) overflows both exp(log mu) and exp(log gamma); their ratio
+        mu/gamma = exp(10) does not."""
+        ens = ensemble.Ensemble((const_member(800.0, 790.0),))
+        means, variances = ensemble.member_moments(ens, np.zeros((1, 1)))
+        assert means[0, 0] == np.inf
+        assert_allclose(variances[0, 0], np.exp(10.0), rtol=1e-14)
+
+    def test_overflowed_rows_score_inf(self):
+        """A variance that overflows, or that inf - inf heads leave undefined,
+        ranks as the most out-of-distribution."""
+        for heads in ((800.0, -800.0), (np.inf, np.inf)):
+            ens = ensemble.Ensemble((const_member(*heads), const_member(0.0, 0.0)))
+            assert ensemble.variance_scores(ens, np.zeros((1, 1)))[0] == np.inf
 
     def test_variance_scores_are_total_variance(self):
         ens = dp_ensemble()

@@ -4,8 +4,13 @@ Frozen values come from a 60-digit mpmath evaluation of the weight series
 summed to convergence, written independently of the library code.
 """
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ddpnkit import distributions as dists
@@ -84,6 +89,51 @@ class TestEpsilon:
             moments.mdf_epsilon(0.01, 1e6)
 
 
+def from_scratch(mu0: float, var0: float, n: int) -> tuple[float, float]:
+    """eps1 and eps2 summed directly over the support 0..n-1."""
+    ys = np.arange(n)
+    logw = dists.dp_log_weight(mu0, mu0 / var0, ys.astype(float))
+    w = np.exp(logw - logw.max())
+    s0 = w.sum()
+    mean = float(np.sum(w * ys) / s0)
+    var = float(np.sum(w * (ys - mean) ** 2) / s0)
+    return abs(mean - mu0), abs(var - var0)
+
+
+class TestGrowingSupport:
+    @settings(max_examples=60, deadline=None)
+    @given(log_mu=st.floats(-2.0, 2.0), log_var=st.floats(-2.0, 2.0),
+           n_terms=st.integers(2, 400))
+    def test_matches_sum_over_final_support(self, log_mu, log_var, n_terms):
+        """Summing block by block gives the direct sum over the support the
+        cell ended on; that support is n_terms doubled until it converged."""
+        mu0, var0 = 10.0**log_mu, 10.0**log_var
+        grid = moments.moments_grid([mu0], [var0], n_terms)
+        n = int(grid.support[0, 0])
+        assert n == moments.MAX_TERMS or (n % n_terms == 0
+                                          and (n // n_terms) & (n // n_terms - 1) == 0)
+        want = from_scratch(mu0, var0, n)
+        # both sides cancel sums of size mu0 and var0 to get eps
+        atol = 1e-13 * (1.0 + mu0 + var0)
+        assert_allclose(grid.eps1[0, 0], want[0], rtol=1e-12, atol=atol)
+        assert_allclose(grid.eps2[0, 0], want[1], rtol=1e-12, atol=atol)
+
+    @pytest.mark.parametrize("mu0", [100.0, 1e4])
+    def test_mode_past_first_block(self, mu0):
+        """From a two-term start the weights near the mode are e^mu0 times
+        the first block's, so the running sums must be rescaled."""
+        short = moments.mdf_epsilon(mu0, mu0, n_terms=2)
+        # the log weights carry rounding of about 1e-16 * y*log(y), which
+        # near y = 1e4 leaves eps2 at about 2e-13 * var0 (1.8e-9) on any support
+        assert max(short) <= 1e-12 * max(1e3, mu0)
+        assert_allclose(short, moments.mdf_epsilon(mu0, mu0, n_terms=100), rtol=1e-7,
+                        atol=1e-10)
+
+    def test_unconverged_cell_is_named(self):
+        with pytest.raises(NumericOverflow, match=r"mu0=0\.01, var0=10000\.0 "):
+            moments.moments_grid([1.0, 0.01], [1.0, 1e4])
+
+
 class TestGrid:
     def test_shapes_and_content(self):
         mu_axis = np.array([1.0, 10.0])
@@ -112,3 +162,19 @@ class TestGrid:
         cells = lines[1].split(",")
         assert float(cells[0]) == 1.0
         assert float(cells[2]) == grid.eps1[0, 0]
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        values = np.array([[0.0, 1e-300, 5e-324], [1e300, 3.0, 2.5e-7]])
+        grid = moments.MomentGrid(np.array([1e-300, 7.0]), np.array([2.0, 1e300, 0.1]),
+                                  values, values[::-1] * 3.0, 100,
+                                  np.zeros((2, 3), dtype=np.int64))
+        path = tmp_path / "grid.csv"
+        moments.write_moment_grid_csv(grid, path)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["mu0", "var0", "eps1", "eps2"])
+        for i, mu0 in enumerate(grid.mu_values):
+            for j, var0 in enumerate(grid.var_values):
+                writer.writerow([repr(float(mu0)), repr(float(var0)),
+                                 repr(float(grid.eps1[i, j])), repr(float(grid.eps2[i, j]))])
+        assert path.read_bytes() == ref.getvalue().encode()

@@ -468,6 +468,28 @@ class TestCheckpoint:
         with pytest.raises(network.CheckpointFormatError, match="not a number"):
             network.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", ["-inf", "nan", "1e999"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        """A weight that is not finite would turn the forward pass into nan."""
+        weights, _, _ = toy_problem()
+        lines = network.render_checkpoint(weights, {"family": "poisson"}).splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("tensor head.W")) + 1
+        lines[row] = " ".join([value] + lines[row].split()[1:])
+        path = tmp_path / "corrupt.ckpt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(network.CheckpointFormatError, match="not finite"):
+            network.load_checkpoint(path)
+
+    def test_nonpositive_input_scale_rejected(self, tmp_path):
+        weights, _, _ = toy_problem()
+        lines = network.render_checkpoint(weights, {"family": "poisson"}).splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("tensor x_std")) + 1
+        lines[row] = " ".join(["0"] + lines[row].split()[1:])
+        path = tmp_path / "zero.ckpt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(network.CheckpointFormatError, match="x_std must be positive"):
+            network.load_checkpoint(path)
+
     def test_tensors_must_chain(self, tmp_path):
         """A renamed, reshaped or undecodable tensor is a format error, not a
         KeyError or a failed matmul later."""

@@ -83,6 +83,14 @@ class TestSweep:
         assert points[0].tpr == 0.0
         assert points[0].precision == 1.0  # nothing flagged at all
 
+    def test_infinite_holdout_scores_give_infinite_thresholds(self):
+        """Interpolating toward a +inf score reaches +inf (numpy's quantile
+        gives nan there), above which nothing is flagged."""
+        points = ood.sweep_operating_points([1.0, 2.0, np.inf, np.inf], [1.5, np.inf],
+                                            [np.inf, 3.0], [0.0, 0.4, 0.5, 1.0])
+        assert [p.tau for p in points] == [np.inf, np.inf, np.inf, 1.0]
+        assert [p.tpr for p in points] == [0.0, 0.0, 0.0, 1.0]
+
     def test_alpha_one_flags_everything_above_min(self):
         points = ood.sweep_operating_points([2.0, 4.0], [3.0, 1.0], [5.0], [1.0])
         assert points[0].tpr == 1.0
