@@ -4,7 +4,6 @@ from ddpnkit.distributions import (
     DEFAULT_TRUNCATION,
     SupportTruncation,
     PredictiveBatch,
-    PredictiveDistribution,
     double_poisson,
     poisson,
     neg_binomial,
@@ -49,12 +48,11 @@ from ddpnkit.ensemble import (
     decompose_variance,
     load_ensemble,
     mixture_moments,
-    mixture_predict,
     predictive_batch,
     variance_scores,
 )
 from ddpnkit.metrics import EvalRecord, OODScores, crps, evaluate, mae, median_precision, ood_curve_metrics
-from ddpnkit.ood import OODProtocolConfig, OODReport, fit_threshold, run_ood_eval
+from ddpnkit.ood import OODProtocolConfig, OODReport, run_ood_eval
 from ddpnkit.datagen import (
     SyntheticDataset,
     gen_beta_study,

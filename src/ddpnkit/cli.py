@@ -55,6 +55,13 @@ def _parse_widths(text: str) -> tuple:
         raise UsageError(f"cannot parse hidden widths {text!r}") from exc
 
 
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("expected a nonnegative integer")
+    return value
+
+
 def _parse_floats(text: str) -> tuple:
     try:
         return tuple(float(part) for part in text.split(","))
@@ -74,7 +81,7 @@ _TRAIN_OPTS = {
     "batch_size": (int, 32, "mini-batch size"),
     "lr": (float, 1e-3, "initial learning rate (cosine-decayed to 0)"),
     "weight_decay": (float, 1e-5, "decoupled weight decay"),
-    "seed": (int, 0, "base rng seed"),
+    "seed": (_parse_count, 0, "base rng seed"),
     "gamma_bias_init": (float, 0.0, "initial bias of the log-dispersion head"),
     "hidden": (_parse_widths, (128, 128, 128, 64), "comma-separated hidden widths"),
     "members": (int, 1, "number of ensemble members"),
@@ -86,12 +93,12 @@ _TRAIN_OPTS = {
 _COMMAND_OPTS = {
     "simulate": {
         "process": (str, REQUIRED, f"one of {', '.join(datagen.PROCESSES)}"),
-        "seed": (int, 0, "rng seed"),
-        "n": (int, 2000, "total rows for single-size processes"),
-        "n_train": (int, 800, "sine-conflation train rows"),
-        "n_val": (int, 100, "sine-conflation val rows"),
-        "n_test": (int, 100, "sine-conflation test rows"),
-        "isolated_repeat": (int, 1, "repeat count of the beta-study isolated points"),
+        "seed": (_parse_count, 0, "rng seed"),
+        "n": (_parse_count, 2000, "total rows for single-size processes"),
+        "n_train": (_parse_count, 800, "sine-conflation train rows"),
+        "n_val": (_parse_count, 100, "sine-conflation val rows"),
+        "n_test": (_parse_count, 100, "sine-conflation test rows"),
+        "isolated_repeat": (_parse_count, 1, "repeat count of the beta-study isolated points"),
     },
     "train": _TRAIN_OPTS,
     "eval": {
@@ -111,11 +118,11 @@ _COMMAND_OPTS = {
         "ood_data": (str, None, "optional CSV of OOD inputs; overrides the range"),
         "ood_low": (float, 4.0 * math.pi, "lower edge of the OOD input range"),
         "ood_high": (float, 6.0 * math.pi, "upper edge of the OOD input range"),
-        "ood_n": (int, 200, "number of OOD inputs drawn from the range"),
+        "ood_n": (_parse_count, 200, "number of OOD inputs drawn from the range"),
         "holdout": (float, 0.2, "ID fraction used to fit thresholds"),
         "n_repeats": (int, 10, "holdout resampling repeats"),
-        "alpha_points": (int, 101, "size of the alpha sweep grid"),
-        "seed": (int, 0, "rng seed for holdout resampling and OOD draws"),
+        "alpha_points": (_parse_count, 101, "size of the alpha sweep grid"),
+        "seed": (_parse_count, 0, "rng seed for holdout resampling and OOD draws"),
         "tag": (str, "ood", "name stem for output files"),
     },
     "moments-grid": {
@@ -129,7 +136,7 @@ _COMMAND_OPTS = {
         "tag": (str, "moments", "name stem for output files"),
     },
     "attenuation-demo": {
-        "seed": (int, 0, "rng seed for data and training"),
+        "seed": (_parse_count, 0, "rng seed for data and training"),
         "beta": (float, 1.0, "beta weighting of the loss"),
         "gamma_bias_init": (float, 0.0, "initial bias of the log-dispersion head"),
         "epochs": (int, 150, "training epochs"),
@@ -137,8 +144,8 @@ _COMMAND_OPTS = {
         "lr": (float, 1e-3, "initial learning rate"),
         "weight_decay": (float, 1e-5, "decoupled weight decay"),
         "hidden": (_parse_widths, (64, 64), "comma-separated hidden widths"),
-        "n": (int, 500, "beta-study rows before isolated points"),
-        "isolated_repeat": (int, 1, "repeat count of the isolated points"),
+        "n": (_parse_count, 500, "beta-study rows before isolated points"),
+        "isolated_repeat": (_parse_count, 1, "repeat count of the isolated points"),
         "probe_x": (_parse_floats, (1.0, 10.0), "comma-separated probe covariates"),
         "tag": (str, "attenuation", "name stem for output files"),
     },
@@ -192,7 +199,8 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
             try:
                 merged[name] = parse_fn(raw) if isinstance(raw, str) else raw
             except (ValueError, TypeError) as exc:
-                raise UsageError(f"bad value {raw!r} for --{name.replace('_', '-')}") from exc
+                flag = "--" + name.replace("_", "-")
+                raise UsageError(f"bad value {raw!r} for {flag}: {exc}") from exc
     out = args.out if args.out != "." or "out" not in from_config else from_config["out"]
     merged["out"] = out
     return merged
@@ -351,8 +359,12 @@ def cmd_ood(opts: dict) -> int:
     if opts["ood_data"] is not None:
         ood_x, _ = datagen.read_dataset_csv(opts["ood_data"])
     else:
+        low, high = opts["ood_low"], opts["ood_high"]
+        if not (math.isfinite(high - low) and low < high):
+            raise UsageError("--ood-low and --ood-high must bound a finite range with "
+                             f"low < high, got {low} and {high}")
         rng = np.random.default_rng(opts["seed"])
-        ood_x = rng.uniform(opts["ood_low"], opts["ood_high"], opts["ood_n"])[:, None]
+        ood_x = rng.uniform(low, high, opts["ood_n"])[:, None]
     config = ood.OODProtocolConfig(
         holdout_fraction=opts["holdout"],
         n_repeats=opts["n_repeats"],

@@ -10,28 +10,31 @@ approximately mu and mu/gamma, so mu acts as a mean and gamma as an inverse
 dispersion: gamma < 1 is over-dispersed, gamma > 1 under-dispersed, and
 gamma = 1 recovers the ordinary Poisson exactly.
 
-Poisson, negative binomial and Gaussian families are provided as baselines,
-plus a uniform Mixture for ensemble predictions. All probability work on the
-discrete families happens in log space over a truncated integer support; the
-conventions 0^0 = 1 and y*log(y) = 0 at y = 0 apply throughout. The Double
-Poisson and Poisson paths need only numpy: log(y!) comes from one cached
-table. scipy.special is imported on first use by the negative binomial
-(gammaln) and Gaussian (ndtr, ndtri) paths alone.
+Poisson, negative binomial and Gaussian families are provided as baselines.
+All probability work on the discrete families happens in log space over a
+truncated integer support; the conventions 0^0 = 1 and y*log(y) = 0 at
+y = 0 apply throughout. The Double Poisson and Poisson paths need only
+numpy: log(y!) comes from one cached table. scipy.special is imported on
+first use by the negative binomial (gammaln) and Gaussian (ndtr, ndtri)
+paths alone.
 
-Scoring runs on a PredictiveBatch: n rows, each a uniform mixture of M
-members of one family, with parameters shaped (M, n). predictive_summary
-builds the member log weights on a shared support in row blocks of at most
-BLOCK_CELLS cells, normalizes each member once, averages over members, and
-reads modes, quantiles and CRPS off one CDF matrix per block. The
-single-distribution functions (pmf_vector, dist_mode, dist_quantile, ...) are
-one-row views of the same engine, and every row is summed exactly as it
-would be alone, so a row's results do not depend on the rows batched with it.
+Every predictive distribution is a PredictiveBatch: n rows, each a uniform
+mixture of M members of one family, with parameters shaped (M, n). The
+constructors (double_poisson, poisson, ...) return one-member, one-row
+batches, and mixture stacks such batches along the member axis.
+predictive_summary builds the member log weights on a shared support in row
+blocks of at most BLOCK_CELLS cells, normalizes each member once, averages
+over members, and reads modes, quantiles and CRPS off one CDF matrix per
+block. The single-distribution functions (pmf_vector, dist_mode,
+dist_quantile, ...) take a one-row batch and are views of the same engine;
+every row is summed exactly as it would be alone, so a row's results do not
+depend on the rows batched with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +44,14 @@ DOUBLE_POISSON = "double_poisson"
 POISSON = "poisson"
 NEG_BINOMIAL = "neg_binomial"
 GAUSSIAN = "gaussian"
-MIXTURE = "mixture"
 
-_SCALAR_KINDS = frozenset({DOUBLE_POISSON, POISSON, NEG_BINOMIAL, GAUSSIAN})
+# parameter names of each kind, in the order of PredictiveBatch.params
+_FIELDS = {
+    DOUBLE_POISSON: ("mu", "gamma"),
+    POISSON: ("lam",),
+    NEG_BINOMIAL: ("r", "p"),
+    GAUSSIAN: ("mu", "sigma2"),
+}
 
 EFRON_APPROX = "efron_approx"
 EXACT_SERIES = "exact_series"
@@ -77,171 +85,52 @@ class SupportTruncation:
 DEFAULT_TRUNCATION = SupportTruncation()
 
 
-@dataclass(frozen=True)
-class DoublePoissonParams:
-    """Mean parameter mu > 0 and inverse-dispersion gamma > 0."""
+def _valid(kind: str, params: tuple) -> None:
+    """Raise DomainError at the first element outside kind's parameter domain.
 
-    mu: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise DomainError(f"mu must be finite and positive, got {self.mu}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise DomainError(f"gamma must be finite and positive, got {self.gamma}")
-
-
-@dataclass(frozen=True)
-class PoissonParams:
-    """Rate parameter lam > 0."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise DomainError(f"lam must be finite and positive, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class NegBinomialParams:
-    """Successes r > 0 and success probability p in (0, 1).
-
-    Mean is r*(1-p)/p and variance r*(1-p)/p^2, so the variance always
-    exceeds the mean (over-dispersion only).
+    Every parameter must be finite and positive, except the Gaussian mean,
+    which need only be finite, and the negative binomial p, which must lie
+    in (0, 1).
     """
-
-    r: float
-    p: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise DomainError(f"r must be finite and positive, got {self.r}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"p must lie in (0, 1), got {self.p}")
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Mean mu and variance sigma2 > 0."""
-
-    mu: float
-    sigma2: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise DomainError(f"mu must be finite, got {self.mu}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise DomainError(f"sigma2 must be finite and positive, got {self.sigma2}")
-
-
-_RECORDS = {
-    DOUBLE_POISSON: DoublePoissonParams,
-    POISSON: PoissonParams,
-    NEG_BINOMIAL: NegBinomialParams,
-    GAUSSIAN: GaussianParams,
-}
-
-
-@dataclass(frozen=True)
-class PredictiveDistribution:
-    """Tagged union over the supported families.
-
-    For scalar kinds ``params`` holds the matching parameter record and
-    ``components`` is empty. For kind "mixture", ``components`` holds the
-    member distributions (uniform weights) and ``params`` is None. Mixture
-    members must all share one non-mixture kind.
-    """
-
-    kind: str
-    params: object = None
-    components: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.kind in _SCALAR_KINDS:
-            expected = _RECORDS[self.kind]
-            if not isinstance(self.params, expected):
-                raise DomainError(
-                    f"kind {self.kind!r} requires {expected.__name__} params, "
-                    f"got {type(self.params).__name__}"
-                )
-            if self.components:
-                raise DomainError("components must be empty for non-mixture kinds")
-        elif self.kind == MIXTURE:
-            if self.params is not None:
-                raise DomainError("mixture takes components, not params")
-            if len(self.components) == 0:
-                raise DomainError("mixture requires at least one component")
-            kinds = {c.kind for c in self.components}
-            if len(kinds) != 1 or MIXTURE in kinds:
-                raise DomainError(f"mixture members must share one non-mixture kind, got {kinds}")
+    rules = []
+    for name, p in zip(_FIELDS[kind], params):
+        if name == "p":
+            rules.append(((p > 0.0) & (p < 1.0), "must lie in (0, 1)"))
+        elif kind == GAUSSIAN and name == "mu":
+            rules.append((np.isfinite(p), "must be finite"))
         else:
-            raise DomainError(f"unknown distribution kind {self.kind!r}")
-
-    @property
-    def is_discrete(self) -> bool:
-        base = self.components[0].kind if self.kind == MIXTURE else self.kind
-        return base != GAUSSIAN
-
-
-def double_poisson(mu: float, gamma: float) -> PredictiveDistribution:
-    return PredictiveDistribution(DOUBLE_POISSON, DoublePoissonParams(float(mu), float(gamma)))
-
-
-def poisson(lam: float) -> PredictiveDistribution:
-    return PredictiveDistribution(POISSON, PoissonParams(float(lam)))
-
-
-def neg_binomial(r: float, p: float) -> PredictiveDistribution:
-    return PredictiveDistribution(NEG_BINOMIAL, NegBinomialParams(float(r), float(p)))
-
-
-def gaussian(mu: float, sigma2: float) -> PredictiveDistribution:
-    return PredictiveDistribution(GAUSSIAN, GaussianParams(float(mu), float(sigma2)))
-
-
-def mixture(components) -> PredictiveDistribution:
-    return PredictiveDistribution(MIXTURE, components=tuple(components))
-
-
-# --- batches of mixtures --------------------------------------------------------
-
-
-def _valid(kind: str, params: tuple) -> np.ndarray:
-    """Elementwise parameter domain of kind, the batch form of its record checks."""
-    ok = np.logical_and.reduce([np.isfinite(p) for p in params])
-    if kind == GAUSSIAN:
-        return ok & (params[1] > 0.0)
-    if kind == NEG_BINOMIAL:
-        return ok & (params[0] > 0.0) & (params[1] > 0.0) & (params[1] < 1.0)
-    return ok & np.logical_and.reduce([p > 0.0 for p in params])
+            rules.append((np.isfinite(p) & (p > 0.0), "must be finite and positive"))
+    bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in rules]))
+    if bad.size:
+        for name, p, (ok, rule) in zip(_FIELDS[kind], params, rules):
+            if not ok.flat[bad[0]]:
+                raise DomainError(f"{name} {rule}, got {float(p.flat[bad[0]])}")
 
 
 @dataclass(frozen=True)
 class PredictiveBatch:
     """n predictive distributions, each a uniform mixture of M members of one kind.
 
-    ``params`` holds one (M, n) array per field of the kind's parameter
-    record, in field order: (mu, gamma), (lam,), (r, p) or (mu, sigma2).
-    M = 1 is one plain distribution per row. 1-D arrays are read as M = 1.
+    ``params`` holds one (M, n) array per parameter of the kind, in the
+    order of _FIELDS: (mu, gamma), (lam,), (r, p) or (mu, sigma2). M = 1 is
+    one plain distribution per row. 1-D arrays are read as M = 1.
     """
 
     kind: str
     params: tuple
 
     def __post_init__(self):
-        if self.kind not in _SCALAR_KINDS:
-            raise DomainError(f"unknown batch kind {self.kind!r}")
-        record = _RECORDS[self.kind]
+        if self.kind not in _FIELDS:
+            raise DomainError(f"unknown distribution kind {self.kind!r}")
         params = tuple(np.atleast_2d(np.asarray(p, dtype=float)) for p in self.params)
-        if len(params) != len(fields(record)):
-            raise ShapeError(f"kind {self.kind!r} takes {len(fields(record))} parameter arrays")
+        names = _FIELDS[self.kind]
+        if len(params) != len(names):
+            raise ShapeError(f"kind {self.kind!r} takes {len(names)} parameter arrays")
         if params[0].ndim != 2 or any(p.shape != params[0].shape for p in params):
             raise ShapeError("parameter arrays must share one (members, rows) shape")
         if params[0].shape[0] == 0:
             raise ShapeError("a batch needs at least one member")
-        bad = np.flatnonzero(~_valid(self.kind, params))
-        if bad.size:
-            record(*(float(p.flat[bad[0]]) for p in params))  # raises its DomainError
+        _valid(self.kind, params)
         object.__setattr__(self, "params", params)
 
     @property
@@ -251,12 +140,6 @@ class PredictiveBatch:
 
     def __len__(self) -> int:
         return self.shape[1]
-
-    def components(self, i: int) -> tuple:
-        """The member distributions of row i."""
-        record = _RECORDS[self.kind]
-        members = zip(*(p[:, i].tolist() for p in self.params))
-        return tuple(PredictiveDistribution(self.kind, record(*values)) for values in members)
 
     def member_moments(self, mode: str = EFRON_APPROX,
                        trunc: SupportTruncation = DEFAULT_TRUNCATION) -> tuple:
@@ -294,51 +177,72 @@ class PredictiveBatch:
     def moments(self, mode: str = EFRON_APPROX,
                 trunc: SupportTruncation = DEFAULT_TRUNCATION) -> tuple:
         """Mixture mean and variance per row, both (n,)."""
-        means, variances = self.member_moments(mode, trunc)
-        if self.shape[0] == 1:
-            return means[0], variances[0]
-        return mixture_moments(means, variances)
+        return mixture_moments(*self.member_moments(mode, trunc))
+
+
+def double_poisson(mu: float, gamma: float) -> PredictiveBatch:
+    return PredictiveBatch(DOUBLE_POISSON, ([[mu]], [[gamma]]))
+
+
+def poisson(lam: float) -> PredictiveBatch:
+    return PredictiveBatch(POISSON, ([[lam]],))
+
+
+def neg_binomial(r: float, p: float) -> PredictiveBatch:
+    return PredictiveBatch(NEG_BINOMIAL, ([[r]], [[p]]))
+
+
+def gaussian(mu: float, sigma2: float) -> PredictiveBatch:
+    return PredictiveBatch(GAUSSIAN, ([[mu]], [[sigma2]]))
+
+
+def mixture(members) -> PredictiveBatch:
+    """Uniform mixture of one-member, one-row batches of one kind, stacked along M."""
+    members = tuple(members)
+    if not members:
+        raise DomainError("mixture requires at least one component")
+    kinds = {m.kind for m in members}
+    if len(kinds) != 1:
+        raise DomainError(f"mixture members must share one kind, got {kinds}")
+    if any(m.shape != (1, 1) for m in members):
+        raise DomainError("mixture members must be one-member, one-row distributions")
+    return PredictiveBatch(members[0].kind,
+                           tuple(np.concatenate(p) for p in zip(*(m.params for m in members))))
+
+
+def mixture_variance_parts(means, variances) -> tuple:
+    """Mean, aleatoric and epistemic variance of uniform mixtures, per column.
+
+    Members run along the first axis. aleatoric is the average member
+    variance; epistemic the population variance of the member means, taken
+    about their average so that it never cancels or goes negative. Where
+    that average is not finite (the means overflowed), the spread cannot be
+    resolved and is inf.
+    """
+    means = np.asarray(means, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    if means.shape != variances.shape or means.shape[0] == 0:
+        raise ShapeError("means and variances must be equal-length and nonempty")
+    aleatoric = np.mean(variances, axis=0)
+    center = np.mean(means, axis=0)
+    finite = np.isfinite(center)
+    with np.errstate(over="ignore"):
+        epistemic = np.mean((means - np.where(finite, center, 0.0)) ** 2, axis=0)
+    return center, aleatoric, np.where(finite, epistemic, np.inf)
 
 
 def mixture_moments(means, variances) -> tuple:
     """Mean and variance of a uniform mixture with the given member moments.
 
     Members run along the first axis; 1-D inputs give floats, (M, n) inputs
-    one value per column.
+    one value per column. The variance is the aleatoric plus the epistemic
+    part of mixture_variance_parts.
     """
-    means = np.asarray(means, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if means.shape != variances.shape or means.shape[0] == 0:
-        raise ShapeError("means and variances must be equal-length and nonempty")
-    mean = np.mean(means, axis=0)
-    var = np.mean(variances + means**2, axis=0) - mean**2
-    if means.ndim == 1:
+    mean, aleatoric, epistemic = mixture_variance_parts(means, variances)
+    var = aleatoric + epistemic
+    if np.ndim(means) == 1:
         return float(mean), float(var)
     return mean, var
-
-
-def stack(predictions) -> list:
-    """Group distributions into batches that share a kind and a member count.
-
-    Returns (row indices, PredictiveBatch) pairs that together cover every
-    position of ``predictions`` once. A PredictiveBatch is one group as is.
-    """
-    if isinstance(predictions, PredictiveBatch):
-        return [(np.arange(len(predictions)), predictions)]
-    groups = {}
-    for i, dist in enumerate(predictions):
-        members = dist.components if dist.kind == MIXTURE else (dist,)
-        rows, values = groups.setdefault((members[0].kind, len(members)), ([], []))
-        rows.append(i)
-        values.append([astuple(c.params) for c in members])
-    # values: (rows, members, fields) -> one (members, rows) array per field
-    return [(np.array(rows), PredictiveBatch(kind, tuple(np.array(values).transpose(2, 1, 0))))
-            for (kind, _), (rows, values) in groups.items()]
-
-
-def as_batch(dist: PredictiveDistribution) -> PredictiveBatch:
-    """One-row batch of a single (possibly mixture) distribution."""
-    return stack([dist])[0][1]
 
 
 # --- Double Poisson series machinery -----------------------------------------
@@ -492,8 +396,8 @@ def _member_blocks(batch: PredictiveBatch, trunc: SupportTruncation):
             capped = np.argwhere(unconverged & (L >= trunc.hard_cap))
             if capped.size:
                 m, i = capped[0]
-                values = ", ".join(f"{f.name}={float(p[m, lo + i])!r}" for f, p in
-                                   zip(fields(_RECORDS[batch.kind]), batch.params))
+                values = ", ".join(f"{name}={float(p[m, lo + i])!r}" for name, p in
+                                   zip(_FIELDS[batch.kind], batch.params))
                 raise NumericOverflow(
                     f"PMF support of {batch.kind}({values}) has not converged "
                     f"within hard_cap={trunc.hard_cap} terms")
@@ -686,63 +590,67 @@ def predictive_summary(
 # --- single-distribution views ---------------------------------------------------
 
 
-def pmf_vector(
-    dist: PredictiveDistribution, trunc: SupportTruncation = DEFAULT_TRUNCATION
-) -> np.ndarray:
-    """Normalized PMF over the truncated support 0..N-1 for discrete kinds.
+def _one_row(dist: PredictiveBatch) -> PredictiveBatch:
+    if len(dist) != 1:
+        raise ShapeError(f"a single distribution is a one-row batch, got {len(dist)} rows")
+    return dist
 
-    Raises DomainError for Gaussian-based distributions and NumericOverflow
-    when the support has not converged within trunc.hard_cap terms.
+
+def pmf_vector(
+    dist: PredictiveBatch, trunc: SupportTruncation = DEFAULT_TRUNCATION
+) -> np.ndarray:
+    """Normalized PMF over the truncated support 0..N-1 of a one-row discrete batch.
+
+    Raises DomainError for Gaussian distributions and NumericOverflow when
+    the support has not converged within trunc.hard_cap terms.
     """
-    if not dist.is_discrete:
+    if _one_row(dist).kind == GAUSSIAN:
         raise DomainError("pmf_vector requires a discrete distribution")
-    _, pmf, lengths = next(_pmf_blocks(as_batch(dist), trunc))
+    _, pmf, lengths = next(_pmf_blocks(dist, trunc))
     return pmf[0, :lengths[0]]
 
 
 def dist_pmf(
-    dist: PredictiveDistribution,
+    dist: PredictiveBatch,
     y: int,
     trunc: SupportTruncation = DEFAULT_TRUNCATION,
     normalized: bool = True,
 ) -> float:
-    """PMF at integer y (density for Gaussian).
+    """PMF at integer y (density for Gaussian), averaged over the members.
 
     For the Double Poisson, normalized=False returns the c = 1 value that the
-    training loss implicitly uses; normalized=True divides by dp_normalizer.
+    training loss implicitly uses; normalized=True divides by the normalizer
+    c(mu, gamma) of each member.
     """
+    params = [p[:, 0] for p in _one_row(dist).params]
     if dist.kind == GAUSSIAN:
-        mu, s2 = dist.params.mu, dist.params.sigma2
-        return float(math.exp(-0.5 * (y - mu) ** 2 / s2) / math.sqrt(2.0 * math.pi * s2))
-    if dist.kind == MIXTURE:
-        return float(np.mean([dist_pmf(c, y, trunc, normalized) for c in dist.components]))
+        mu, s2 = params
+        return float(np.mean(np.exp(-0.5 * (y - mu) ** 2 / s2) / np.sqrt(2.0 * math.pi * s2)))
     if y < 0 or y != int(y):
         return 0.0
-    y = int(y)
-    log_term = float(_log_weights(dist.kind, astuple(dist.params), np.array([float(y)]))[0])
-    if dist.kind != DOUBLE_POISSON:
-        return math.exp(log_term)
-    mu, gamma = dist.params.mu, dist.params.gamma
-    log_term += 0.5 * math.log(gamma)
-    if normalized:
-        log_term -= math.log(dp_normalizer(mu, gamma, trunc))
-    val = math.exp(log_term)
-    if not math.isfinite(val):
-        raise NumericOverflow(f"PMF overflowed at y={y} for mu={mu}, gamma={gamma}")
-    return val
+    log_p = _log_weights(dist.kind, params, np.array([float(int(y))]))
+    if dist.kind == DOUBLE_POISSON:
+        if normalized:  # log c = log(gamma)/2 + log of the weight sum
+            log_p = log_p - next(_member_blocks(dist, trunc))[2][:, 0]
+        else:
+            log_p = log_p + 0.5 * np.log(params[1])
+    with np.errstate(over="ignore"):
+        values = np.exp(log_p)
+    if not np.all(np.isfinite(values)):
+        raise NumericOverflow(f"PMF overflowed at y={int(y)} for {dist.kind} members "
+                              f"{[p.tolist() for p in params]}")
+    return float(np.mean(values))
 
 
 def dist_cdf(
-    dist: PredictiveDistribution, y: float, trunc: SupportTruncation = DEFAULT_TRUNCATION
+    dist: PredictiveBatch, y: float, trunc: SupportTruncation = DEFAULT_TRUNCATION
 ) -> float:
     """CDF at real y. Nondecreasing, right-continuous, reaches 1 at the cap."""
-    if dist.kind == GAUSSIAN:
+    if _one_row(dist).kind == GAUSSIAN:
         from scipy.special import ndtr
 
-        mu, s2 = dist.params.mu, dist.params.sigma2
-        return float(ndtr((y - mu) / math.sqrt(s2)))
-    if dist.kind == MIXTURE:
-        return float(np.mean([dist_cdf(c, y, trunc) for c in dist.components]))
+        mu, s2 = (p[:, 0] for p in dist.params)
+        return float(np.mean(ndtr((y - mu) / np.sqrt(s2))))
     if y < 0:
         return 0.0
     k = int(math.floor(y))
@@ -751,7 +659,7 @@ def dist_cdf(
 
 
 def dist_moments(
-    dist: PredictiveDistribution,
+    dist: PredictiveBatch,
     mode: str = EFRON_APPROX,
     trunc: SupportTruncation = DEFAULT_TRUNCATION,
 ) -> tuple[float, float]:
@@ -761,49 +669,49 @@ def dist_moments(
     uses (mu, mu/gamma); "exact_series" evaluates the correction series.
     Other kinds have closed forms and ignore the distinction.
     """
-    mean, var = as_batch(dist).moments(mode, trunc)
+    mean, var = _one_row(dist).moments(mode, trunc)
     return float(mean[0]), float(var[0])
 
 
 def dist_mode(
-    dist: PredictiveDistribution, trunc: SupportTruncation = DEFAULT_TRUNCATION
+    dist: PredictiveBatch, trunc: SupportTruncation = DEFAULT_TRUNCATION
 ) -> float:
     """Most probable value; ties break toward the smallest.
 
     Gaussian mode is the mean, left unrounded even on count labels. A
     mixture of Gaussians also reports its mean as the point prediction.
     """
-    return float(predictive_summary(as_batch(dist), trunc=trunc).modes[0])
+    return float(predictive_summary(_one_row(dist), trunc=trunc).modes[0])
 
 
 def dist_quantile(
-    dist: PredictiveDistribution, q: float, trunc: SupportTruncation = DEFAULT_TRUNCATION
+    dist: PredictiveBatch, q: float, trunc: SupportTruncation = DEFAULT_TRUNCATION
 ) -> float:
     """Smallest support value z with CDF(z) >= q (equal-tailed interval use)."""
-    return float(predictive_summary(as_batch(dist), levels=(q,), trunc=trunc).quantiles[0, 0])
+    return float(predictive_summary(_one_row(dist), levels=(q,),
+                                    trunc=trunc).quantiles[0, 0])
 
 
 def dist_sample(
-    dist: PredictiveDistribution,
+    dist: PredictiveBatch,
     rng: np.random.Generator,
     n: int,
     trunc: SupportTruncation = DEFAULT_TRUNCATION,
 ) -> np.ndarray:
     """Draw n samples; deterministic for a given generator state.
 
-    Discrete kinds sample by inverse CDF over the normalized truncated PMF.
+    Discrete kinds sample by inverse CDF over the normalized truncated
+    mixture PMF. A Gaussian mixture of M > 1 members draws a member for each
+    sample, then the sample from it.
     """
     if n < 0:
         raise DomainError(f"sample count must be nonnegative, got {n}")
-    if dist.kind == GAUSSIAN:
-        mu, s2 = dist.params.mu, dist.params.sigma2
-        return mu + math.sqrt(s2) * rng.standard_normal(n)
-    if dist.is_discrete:
+    if _one_row(dist).kind != GAUSSIAN:
         cdf = np.cumsum(pmf_vector(dist, trunc))
         cdf[-1] = 1.0
         return np.searchsorted(cdf, rng.random(n), side="left").astype(np.int64)
-    # mixture of Gaussians: pick a member, then draw from it
-    idx = rng.integers(0, len(dist.components), size=n)
-    mus = np.array([c.params.mu for c in dist.components])
-    sds = np.array([math.sqrt(c.params.sigma2) for c in dist.components])
-    return mus[idx] + sds[idx] * rng.standard_normal(n)
+    mu, sd = dist.params[0][:, 0], np.sqrt(dist.params[1][:, 0])
+    if mu.size > 1:
+        idx = rng.integers(0, mu.size, size=n)
+        mu, sd = mu[idx], sd[idx]
+    return mu + sd * rng.standard_normal(n)

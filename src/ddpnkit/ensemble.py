@@ -4,10 +4,10 @@ An ensemble is a uniform mixture of M independently trained members. For a
 mixture the first two moments follow from the member moments alone:
 
     mean     = (1/M) * sum(mu_m)
-    variance = (1/M) * sum(sigma2_m + mu_m^2) - mean^2
+    variance = (1/M) * sum(sigma2_m) + (1/M) * sum((mu_m - mean)^2)
 
-and the variance splits exactly into an aleatoric part, the average member
-variance, plus an epistemic part, the spread of member means. Member
+that is, an aleatoric part, the average member variance, plus an epistemic
+part, the spread of member means about their average. Member
 variances come from the Efron approximation mu/gamma by default; the exact
 series evaluation is available behind a flag.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ddpnkit import distributions as dists
-from ddpnkit.errors import DomainError, ShapeError
+from ddpnkit.errors import DomainError
 from ddpnkit.losses import LossSpec
 from ddpnkit.network import CheckpointFormatError, forward_batch, load_checkpoint
 
@@ -62,23 +62,12 @@ def decompose_variance(means, variances) -> UncertaintyDecomposition:
     """Split the mixture variance into aleatoric and epistemic parts.
 
     aleatoric is the average member variance, epistemic the population
-    variance of the member means; they sum to the mixture variance. The
-    spread is taken about the average mean, so it is never negative; where
-    that average is not finite (the means overflowed), the spread cannot be
-    resolved and is inf.
+    variance of the member means (see dists.mixture_variance_parts); they
+    sum to the mixture variance.
     """
-    means = np.asarray(means, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if means.shape != variances.shape or means.shape[0] == 0:
-        raise ShapeError("means and variances must be equal-length and nonempty")
-    aleatoric = np.mean(variances, axis=0)
-    center = np.mean(means, axis=0)
-    finite = np.isfinite(center)
-    with np.errstate(over="ignore"):
-        epistemic = np.mean((means - np.where(finite, center, 0.0)) ** 2, axis=0)
-    epistemic = np.where(finite, epistemic, np.inf)
+    _, aleatoric, epistemic = dists.mixture_variance_parts(means, variances)
     total = aleatoric + epistemic
-    if means.ndim == 1:
+    if np.ndim(means) == 1:
         return UncertaintyDecomposition(float(total), float(aleatoric), float(epistemic))
     return UncertaintyDecomposition(total, aleatoric, epistemic)
 
@@ -110,14 +99,6 @@ def predictive_batch(ens: Ensemble, X: np.ndarray) -> dists.PredictiveBatch:
         return dists.PredictiveBatch(dists.NEG_BINOMIAL,
                                      (1.0 / second, 1.0 / (1.0 + second * mean)))
     return dists.PredictiveBatch(ens.family, (mean, second))
-
-
-def mixture_predict(ens: Ensemble, x: np.ndarray) -> dists.PredictiveDistribution:
-    """Uniform mixture of the member predictive distributions at input x."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] != 1:
-        raise ShapeError("mixture_predict takes a single input row")
-    return dists.mixture(predictive_batch(ens, x).components(0))
 
 
 def member_moments(

@@ -13,8 +13,8 @@ CRPS = E|X - y| - E|X - X'|/2. Median precision summarizes how tightly a
 model concentrates, the median of 1/variance over the evaluation set.
 
 Modes, CRPS and interval quantiles all come from the batched engine in
-distributions.predictive_summary; the functions here that take a single
-distribution are one-row views of it.
+distributions.predictive_summary: mae and evaluate score every row of a
+PredictiveBatch, and crps scores a one-row batch.
 
 OOD detection quality is scored on AUROC (rank statistic with tie
 correction), AUPR with the OOD points as positives, and FPR80, the false
@@ -31,32 +31,13 @@ from ddpnkit import distributions as dists
 from ddpnkit.errors import DomainError, ShapeError
 
 
-def _summarize(predictions, ys, levels, trunc):
-    """predictive_summary of a batch or a list of distributions, in input order.
-
-    Returns the summary and the groups of dists.stack.
-    """
-    groups = dists.stack(predictions)
-    n = sum(rows.size for rows, _ in groups)
-    modes = np.empty(n)
-    quantiles = np.empty((len(levels), n))
-    crps_values = None if ys is None else np.empty(n)
-    for rows, batch in groups:
-        part = dists.predictive_summary(batch, None if ys is None else ys[rows], levels, trunc)
-        modes[rows] = part.modes
-        quantiles[:, rows] = part.quantiles
-        if crps_values is not None:
-            crps_values[rows] = part.crps
-    return dists.PredictiveSummary(modes, quantiles, crps_values), groups
-
-
-def mae(predictions, ys) -> float:
+def mae(predictions: dists.PredictiveBatch, ys) -> float:
     """Mean absolute error between labels and distribution modes."""
     if len(predictions) != len(ys):
         raise ShapeError(f"{len(predictions)} predictions for {len(ys)} labels")
     if len(ys) == 0:
         raise ShapeError("mae needs at least one example")
-    modes = _summarize(predictions, None, (), dists.DEFAULT_TRUNCATION)[0].modes
+    modes = dists.predictive_summary(predictions).modes
     return float(np.mean(np.abs(np.asarray(ys, dtype=float) - modes)))
 
 
@@ -69,19 +50,13 @@ def crps_from_pmf(pmf: np.ndarray, y: int) -> float:
     return float(dists.crps_from_cdf(cdf[None], np.array([cdf.size]), np.array([y]))[0])
 
 
-def crps_gaussian(mu: float, sigma2: float, y: float) -> float:
-    """Closed-form CRPS of a single Gaussian."""
-    return float(dists.gaussian_crps(np.array([[mu]], dtype=float),
-                                     np.array([[sigma2]], dtype=float), float(y))[0])
-
-
 def crps(
-    dist: dists.PredictiveDistribution,
+    dist: dists.PredictiveBatch,
     y,
     trunc: dists.SupportTruncation = dists.DEFAULT_TRUNCATION,
 ) -> float:
-    """CRPS of one predictive distribution against one label."""
-    return float(dists.predictive_summary(dists.as_batch(dist), [y], trunc=trunc).crps[0])
+    """CRPS of a one-row batch against one label; ShapeError for other batches."""
+    return float(dists.predictive_summary(dist, [y], trunc=trunc).crps[0])
 
 
 def median_precision(variances) -> float:
@@ -179,7 +154,7 @@ class EvalRecord:
 
 
 def evaluate(
-    predictions,
+    predictions: dists.PredictiveBatch,
     ys,
     variances=None,
     trunc: dists.SupportTruncation = dists.DEFAULT_TRUNCATION,
@@ -187,22 +162,20 @@ def evaluate(
 ) -> EvalRecord:
     """Score predictive distributions against labels.
 
-    predictions is a PredictiveBatch or a sequence of distributions. All
-    pieces come from one pass of the batched engine, which also reads the
-    quantiles at ``levels`` (e.g. interval ends) into the record. variances
-    defaults to each distribution's own (Efron approximate) variance;
-    ensembles pass their mixture variance explicitly.
+    All pieces come from one pass of the batched engine over the rows of
+    ``predictions``, which also reads the quantiles at ``levels`` (e.g.
+    interval ends) into the record. variances defaults to each row's own
+    (Efron approximate) mixture variance; ensembles pass their mixture
+    variance explicitly.
     """
     ys = np.asarray(ys, dtype=float)
     if len(predictions) != ys.size:
         raise ShapeError(f"{len(predictions)} predictions for {ys.size} labels")
     if ys.size == 0:
         raise ShapeError("evaluate needs at least one example")
-    summary, groups = _summarize(predictions, ys, tuple(levels), trunc)
+    summary = dists.predictive_summary(predictions, ys, levels, trunc)
     if variances is None:
-        variances = np.empty(ys.size)
-        for rows, batch in groups:
-            variances[rows] = batch.moments()[1]
+        variances = predictions.moments()[1]
     else:
         variances = np.asarray(variances, dtype=float)
         if variances.size != ys.size:

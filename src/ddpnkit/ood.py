@@ -72,31 +72,19 @@ class OODReport:
         }
 
 
-def fit_threshold(scores, alpha: float) -> float:
-    """(1 - alpha) empirical quantile with linear interpolation.
-
-    alpha = 0 returns the maximum score (nothing flagged beyond the holdout
-    range), alpha = 1 the minimum.
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ShapeError("fit_threshold needs at least one score")
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    return float(np.quantile(scores, 1.0 - alpha, method="linear"))
-
-
 def sweep_operating_points(holdout_scores, id_scores, ood_scores, alphas):
     """Classify score > tau_alpha as OOD for every alpha in the grid.
 
-    All thresholds come from one quantile call (the same values fit_threshold
-    returns one at a time), and the flagged counts from binary searches in
-    the sorted scores.
+    tau_alpha is the (1 - alpha) empirical quantile of the holdout scores,
+    linearly interpolated: alpha = 0 gives the largest holdout score (nothing
+    flagged beyond the holdout range), alpha = 1 the smallest. All thresholds
+    come from one quantile call, and the flagged counts from binary searches
+    in the sorted scores.
     """
     holdout_scores = np.asarray(holdout_scores, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     if holdout_scores.size == 0:
-        raise ShapeError("fit_threshold needs at least one score")
+        raise ShapeError("sweep_operating_points needs at least one holdout score")
     bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
     if bad.size:
         raise DomainError(f"alpha must lie in [0, 1], got {bad[0]}")

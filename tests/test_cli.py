@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ddpnkit
 from ddpnkit import cli, ensemble, network
@@ -326,6 +328,88 @@ class TestOptionMerging:
         with pytest.raises(SystemExit) as err:
             run(["simulate", "--process", "misspec-nb", "--frobnicate", 1])
         assert err.value.code == 2
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--process", "misspec-poisson", "--seed", -1],
+        ["simulate", "--process", "misspec-poisson", "--n", -1],
+        ["simulate", "--process", "beta-study", "--n", -1],
+        ["train", "--seed", -1],
+        ["attenuation-demo", "--n", -1],
+        ["ood", "--seed", -1],
+        ["ood", "--ood-n", -3],
+        ["ood", "--ood-low", "nan"],
+        ["ood", "--ood-low", "inf"],
+        ["ood", "--ood-low", 10, "--ood-high", 1],
+        ["ood", "--ood-low=-1e308", "--ood-high=1e308"],
+    ])
+    def test_bad_values_are_usage_errors(self, workspace, tmp_path, capsys, argv):
+        data = {"train": ["--data", workspace["prefix"], "--epochs", 1, "--hidden", "4"],
+                "ood": ["--manifest", workspace["manifest"], "--data", workspace["prefix"]]}
+        argv = argv + data.get(argv[0], []) + ["--out", tmp_path]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "reports").exists()
+
+    @staticmethod
+    def draw_flags(data, valid):
+        """--flag=VALUE arguments: up to two flags take an edge value, the rest
+        a small valid one ("=" keeps "-inf" from being read as a flag)."""
+        edges = data.draw(st.sets(st.sampled_from(sorted(valid)), max_size=2), label="edges")
+        argv = []
+        for flag, values in valid.items():
+            value = data.draw(st.sampled_from(EDGE_VALUES) if flag in edges else values,
+                              label=flag)
+            argv.append(f"{flag}={value}")
+        return argv
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), process=st.sampled_from(
+        ("sine-conflation", "misspec-poisson", "misspec-nb", "beta-study")))
+    def test_simulate_flags(self, tmp_path_factory, data, process):
+        argv = ["simulate", "--process", process] + self.draw_flags(data, {
+            flag: st.integers(1, 12) for flag in ("--seed", "--n", "--n-train", "--n-val",
+                                                   "--n-test", "--isolated-repeat")})
+        assert run(argv + ["--out", tmp_path_factory.mktemp("sim")]) in (0, 2, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_moments_grid_flags(self, tmp_path_factory, data):
+        axis_end = st.sampled_from((0.5, 1.0, 4.0))
+        argv = ["moments-grid"] + self.draw_flags(data, {
+            "--mu-min": axis_end, "--mu-max": axis_end, "--var-min": axis_end,
+            "--var-max": axis_end, "--mu-points": st.integers(1, 3),
+            "--var-points": st.integers(1, 3), "--n-terms": st.integers(2, 40)})
+        out = tmp_path_factory.mktemp("grid")
+        code = run(argv + ["--out", out])
+        assert code in (0, 2, 3)
+        if code == 0:
+            lines = (out / "reports" / "moments_grid.csv").read_text().splitlines()[1:]
+            assert all(math.isfinite(float(v)) for line in lines for v in line.split(","))
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_ood_flags(self, workspace, tmp_path_factory, capsys, data):
+        argv = ["ood", "--manifest", workspace["manifest"], "--data", workspace["prefix"]]
+        argv += self.draw_flags(data, {
+            "--ood-low": st.sampled_from((-5.0, 0.5, 12.0)),
+            "--ood-high": st.sampled_from((1.0, 15.0, 40.0)),
+            "--ood-n": st.integers(1, 20), "--holdout": st.sampled_from((0.2, 0.5)),
+            "--n-repeats": st.integers(1, 3), "--alpha-points": st.integers(2, 11),
+            "--seed": st.integers(0, 5)})
+        capsys.readouterr()
+        code = run(argv + ["--out", tmp_path_factory.mktemp("ood")])
+        assert code in (0, 2, 3)
+        if code == 0:
+            payload = json.loads(capsys.readouterr().out)
+            assert all(math.isfinite(v) for key in ("auroc", "aupr", "fpr80")
+                       for v in payload[key].values())
+
+
+# numeric flag values at and past the edges of every domain
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308")
 
 
 class TestImport:

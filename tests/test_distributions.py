@@ -13,7 +13,7 @@ from scipy import stats
 
 from ddpnkit import distributions as dists
 from ddpnkit import metrics
-from ddpnkit.errors import DomainError, NumericOverflow
+from ddpnkit.errors import DomainError, NumericOverflow, ShapeError
 
 # (mu, gamma) -> c(mu, gamma) from the high-precision oracle
 NORMALIZER_ORACLE = {
@@ -313,7 +313,7 @@ class TestBatchEngine:
         assert len(list(dists._pmf_blocks(batch, dists.DEFAULT_TRUNCATION))) > 1
         # each row scores exactly as it does alone
         for i in (0, 599, 1199):
-            alone = dists.mixture(batch.components(i))
+            alone = dists.PredictiveBatch(batch.kind, [p[:, i:i + 1] for p in batch.params])
             assert dists.dist_mode(alone) == got.modes[i]
             assert dists.dist_quantile(alone, 0.975) == got.quantiles[1, i]
             assert metrics.crps(alone, ys[i]) == got.crps[i]
@@ -346,6 +346,57 @@ class TestSample:
         assert abs(draws.std() - 3.0) < 0.05
 
 
+class TestOneRowBatches:
+    def test_constructors_return_one_row_batches(self):
+        for dist, kind in ((dists.double_poisson(2.0, 0.5), dists.DOUBLE_POISSON),
+                           (dists.poisson(2.0), dists.POISSON),
+                           (dists.neg_binomial(2.0, 0.5), dists.NEG_BINOMIAL),
+                           (dists.gaussian(2.0, 0.5), dists.GAUSSIAN)):
+            assert isinstance(dist, dists.PredictiveBatch)
+            assert dist.kind == kind
+            assert dist.shape == (1, 1)
+
+    def test_mixture_stacks_members(self):
+        mix = dists.mixture([dists.double_poisson(2.0, 0.5), dists.double_poisson(4.0, 3.0)])
+        assert mix.shape == (2, 1)
+        assert_allclose(mix.params[0][:, 0], [2.0, 4.0])
+        assert_allclose(mix.params[1][:, 0], [0.5, 3.0])
+
+    @pytest.mark.parametrize("view", [
+        dists.pmf_vector, dists.dist_moments, dists.dist_mode,
+        lambda d: dists.dist_pmf(d, 1), lambda d: dists.dist_cdf(d, 1.0),
+        lambda d: dists.dist_quantile(d, 0.5),
+        lambda d: dists.dist_sample(d, np.random.default_rng(0), 3),
+        lambda d: metrics.crps(d, 1),
+    ])
+    def test_views_take_one_row(self, view):
+        two_rows = dists.PredictiveBatch(dists.POISSON, ([1.0, 2.0],))
+        with pytest.raises(ShapeError):
+            view(two_rows)
+
+
+class TestMixtureVariance:
+    """The mixture variance is summed about the mixture mean, so it survives
+    member means that dwarf the member variances."""
+
+    def test_close_large_means(self):
+        mean, var = dists.mixture_moments([1e8, 1e8 + 1.0], [1e-3, 1e-3])
+        assert mean == 1e8 + 0.5
+        assert_allclose(var, 1e-3 + 0.25, rtol=1e-13)
+
+    def test_equal_members_with_tiny_variance(self):
+        member = dists.double_poisson(3000.0, 3e9)
+        mean, var = dists.mixture([member, member]).moments()
+        assert mean[0] == 3000.0
+        assert_allclose(var[0], 3000.0 / 3e9, rtol=1e-15)
+
+    def test_evaluate_on_close_large_gaussian_means(self):
+        batch = dists.PredictiveBatch(dists.GAUSSIAN, ([[1e8], [1e8 + 1.0]], [[1e-3], [1e-3]]))
+        rec = metrics.evaluate(batch, [1e8])
+        assert_allclose(rec.variances, [0.251], rtol=1e-13)
+        assert_allclose(rec.median_precision, 1.0 / 0.251, rtol=1e-13)
+
+
 class TestValidation:
     def test_parameter_domains(self):
         with pytest.raises(DomainError):
@@ -362,9 +413,31 @@ class TestValidation:
             dists.mixture([dists.poisson(1.0), dists.gaussian(0.0, 1.0)])
 
     def test_mixture_of_mixtures_rejected(self):
-        inner = dists.mixture([dists.poisson(1.0)])
+        inner = dists.mixture([dists.poisson(1.0), dists.poisson(2.0)])
         with pytest.raises(DomainError):
             dists.mixture([inner])
+
+    def test_mixture_members_are_single_rows(self):
+        with pytest.raises(DomainError):
+            dists.mixture([dists.PredictiveBatch(dists.POISSON, ([1.0, 2.0],))])
+
+    def test_domain_messages_name_the_parameter(self):
+        cases = [
+            (lambda: dists.double_poisson(0.0, 1.0), "mu must be finite and positive, got 0.0"),
+            (lambda: dists.double_poisson(1.0, np.nan), "gamma must be finite and positive"),
+            (lambda: dists.poisson(-2.0), "lam must be finite and positive, got -2.0"),
+            (lambda: dists.neg_binomial(np.inf, 0.5), "r must be finite and positive"),
+            (lambda: dists.neg_binomial(1.0, 1.0), r"p must lie in \(0, 1\), got 1.0"),
+            (lambda: dists.gaussian(np.inf, 1.0), "mu must be finite, got inf"),
+            (lambda: dists.gaussian(0.0, 0.0), "sigma2 must be finite and positive"),
+            # the first bad element is reported, by its first bad parameter
+            (lambda: dists.PredictiveBatch(dists.DOUBLE_POISSON, ([1.0, -1.0, 2.0],
+                                                                  [1.0, -3.0, -4.0])),
+             "mu must be finite and positive, got -1.0"),
+        ]
+        for make, message in cases:
+            with pytest.raises(DomainError, match=message):
+                make()
 
     def test_gaussian_has_no_pmf_vector(self):
         with pytest.raises(DomainError):

@@ -65,6 +65,14 @@ class TestMixtureMoments:
         with pytest.raises(ShapeError):
             ensemble.mixture_moments([1.0], [1.0, 2.0])
 
+    def test_agrees_with_decomposition_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        means = rng.uniform(1.0, 1e8, (5, 60))
+        variances = rng.uniform(1e-6, 10.0, (5, 60))
+        mean, var = ensemble.mixture_moments(means, variances)
+        assert np.array_equal(var, ensemble.decompose_variance(means, variances).total)
+        assert np.array_equal(mean, means.mean(axis=0))
+
 
 class TestDecomposition:
     def test_additivity_and_parts(self):
@@ -107,7 +115,7 @@ def member_distribution(w, spec, x):
     """The predictive distribution of a one-member ensemble at one input row."""
     batch = ensemble.predictive_batch(ensemble.Ensemble(((w, spec),)), x)
     assert batch.shape == (1, 1)
-    return batch.components(0)[0]
+    return batch
 
 
 class TestMemberDistributions:
@@ -140,16 +148,18 @@ class TestMemberDistributions:
 class TestMixturePredict:
     def test_pmf_is_member_average(self):
         ens = dp_ensemble()
-        mix = ensemble.mixture_predict(ens, np.array([0.2]))
-        assert mix.kind == dists.MIXTURE
+        mix = ensemble.predictive_batch(ens, np.array([0.2]))
+        assert mix.shape == (2, 1)
         comp = [dists.double_poisson(2.0, 1.0), dists.double_poisson(4.0, 2.0)]
         for y in (0, 2, 6):
             expected = 0.5 * sum(dists.dist_pmf(c, y) for c in comp)
             assert_allclose(dists.dist_pmf(mix, y), expected, rtol=1e-12)
 
     def test_rejects_multiple_rows(self):
+        """The single-distribution views take one row of a batch only."""
+        batch = ensemble.predictive_batch(dp_ensemble(), np.zeros((2, 1)))
         with pytest.raises(ShapeError):
-            ensemble.mixture_predict(dp_ensemble(), np.zeros((2, 1)))
+            dists.dist_pmf(batch, 0)
 
 
 class TestMemberMoments:
@@ -203,7 +213,7 @@ class TestPredictTable:
         table = ensemble.predict_table(ens, X)
         assert set(table) == {"mean", "aleatoric", "epistemic", "q025", "q975"}
         assert_allclose(table["mean"], [3.0, 3.0], rtol=1e-12)
-        mix = ensemble.mixture_predict(ens, X[0])
+        mix = ensemble.predictive_batch(ens, X[:1])
         assert dists.dist_cdf(mix, table["q975"][0]) >= 0.975
         assert table["q025"][0] <= table["mean"][0] <= table["q975"][0]
 

@@ -84,21 +84,28 @@ class TestDiscreteCrps:
         assert tight < loose
 
 
+def gaussian_crps_closed_form(mu, s2, y):
+    """CRPS of N(mu, s2) at y: s * (u * (2 Phi(u) - 1) + 2 phi(u) - 1/sqrt(pi))."""
+    s = math.sqrt(s2)
+    u = (y - mu) / s
+    return s * (u * (2.0 * norm.cdf(u) - 1.0) + 2.0 * norm.pdf(u) - 1.0 / math.sqrt(math.pi))
+
+
 class TestGaussianCrps:
     def test_closed_form_matches_integral(self):
         for mu, s2, y in ((0.0, 1.0, 0.5), (3.0, 4.0, -1.0), (10.0, 0.25, 10.0)):
             s = math.sqrt(s2)
             ref = crps_integral_continuous(
                 lambda z: norm.cdf(z, mu, s), y, mu - 12 * s, mu + 12 * s)
-            assert_allclose(metrics.crps_gaussian(mu, s2, y), ref, rtol=1e-7, atol=1e-9)
+            assert_allclose(metrics.crps(dists.gaussian(mu, s2), y), ref, rtol=1e-7, atol=1e-9)
 
     def test_zero_width_limit_behaves_like_absolute_error(self):
-        assert_allclose(metrics.crps_gaussian(2.0, 1e-12, 5.0), 3.0, atol=1e-5)
+        assert_allclose(metrics.crps(dists.gaussian(2.0, 1e-12), 5.0), 3.0, atol=1e-5)
 
     def test_dispatch(self):
         d = dists.gaussian(1.0, 2.0)
         assert_allclose(metrics.crps(d, 0.3),
-                        metrics.crps_gaussian(1.0, 2.0, 0.3), rtol=1e-14)
+                        gaussian_crps_closed_form(1.0, 2.0, 0.3), rtol=1e-14)
 
 
 class TestGaussianMixtureCrps:
@@ -118,24 +125,25 @@ class TestGaussianMixtureCrps:
     def test_single_component_reduces_to_gaussian(self):
         mix = dists.mixture([dists.gaussian(1.5, 2.5)])
         assert_allclose(metrics.crps(mix, 0.0),
-                        metrics.crps_gaussian(1.5, 2.5, 0.0), rtol=1e-12)
+                        gaussian_crps_closed_form(1.5, 2.5, 0.0), rtol=1e-12)
 
 
 class TestMae:
     def test_mode_based_with_tie_break(self):
         # Poisson(2) has tied modes at 1 and 2 and must report 1
-        preds = [dists.poisson(2.0), dists.poisson(6.0)]
+        preds = dists.PredictiveBatch(dists.POISSON, ([2.0, 6.0],))
         got = metrics.mae(preds, [1.0, 8.0])
-        assert_allclose(got, (0.0 + abs(8.0 - float(np.argmax(dists.pmf_vector(preds[1]))))) / 2)
+        mode6 = float(np.argmax(dists.pmf_vector(dists.poisson(6.0))))
+        assert_allclose(got, (0.0 + abs(8.0 - mode6)) / 2)
 
     def test_gaussian_uses_unrounded_mean(self):
-        assert_allclose(metrics.mae([dists.gaussian(2.4, 1.0)], [2.0]), 0.4, rtol=1e-12)
+        assert_allclose(metrics.mae(dists.gaussian(2.4, 1.0), [2.0]), 0.4, rtol=1e-12)
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
-            metrics.mae([dists.poisson(1.0)], [1.0, 2.0])
+            metrics.mae(dists.poisson(1.0), [1.0, 2.0])
         with pytest.raises(ShapeError):
-            metrics.mae([], [])
+            metrics.mae(dists.PredictiveBatch(dists.POISSON, (np.ones((1, 0)),)), [])
 
 
 class TestMedianPrecision:
@@ -232,25 +240,34 @@ class TestDetectionCurves:
 
 class TestEvaluate:
     def test_aggregates_are_consistent(self):
-        preds = [dists.poisson(2.0), dists.double_poisson(5.0, 2.0), dists.poisson(7.0)]
-        ys = [1, 5, 6]
-        rec = metrics.evaluate(preds, ys)
-        assert_allclose(rec.mae, metrics.mae(preds, ys), rtol=1e-13)
-        assert_allclose(rec.crps_mean,
-                        np.mean([metrics.crps(d, y) for d, y in zip(preds, ys)]), rtol=1e-13)
-        own_vars = [dists.dist_moments(d)[1] for d in preds]
-        assert_allclose(rec.median_precision, metrics.median_precision(own_vars), rtol=1e-13)
-        assert set(rec.summary()) == {"mae", "crps_mean", "median_precision"}
+        """Each batch agrees with its rows scored one at a time."""
+        cases = [
+            (dists.PredictiveBatch(dists.POISSON, ([2.0, 7.0, 0.5],)), [1, 6, 0]),
+            (dists.PredictiveBatch(dists.DOUBLE_POISSON, ([5.0, 3.0], [2.0, 0.5])), [5, 1]),
+            (dists.PredictiveBatch(dists.GAUSSIAN, ([[1.0, 4.0], [3.0, 4.5]],
+                                                    [[1.0, 2.0], [0.5, 2.0]])), [2, 4]),
+        ]
+        for preds, ys in cases:
+            rows = [dists.PredictiveBatch(preds.kind, [p[:, i:i + 1] for p in preds.params])
+                    for i in range(len(preds))]
+            rec = metrics.evaluate(preds, ys)
+            assert_allclose(rec.mae, metrics.mae(preds, ys), rtol=1e-13)
+            assert_allclose(rec.crps_mean,
+                            np.mean([metrics.crps(d, y) for d, y in zip(rows, ys)]), rtol=1e-13)
+            own_vars = [dists.dist_moments(d)[1] for d in rows]
+            assert_allclose(rec.median_precision, metrics.median_precision(own_vars),
+                            rtol=1e-13)
+            assert set(rec.summary()) == {"mae", "crps_mean", "median_precision"}
 
     def test_explicit_variances_override(self):
-        preds = [dists.poisson(2.0), dists.poisson(4.0)]
+        preds = dists.PredictiveBatch(dists.POISSON, ([2.0, 4.0],))
         rec = metrics.evaluate(preds, [2, 4], variances=[1.0, 4.0])
         assert rec.median_precision == metrics.median_precision([1.0, 4.0])
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
-            metrics.evaluate([dists.poisson(1.0)], [1, 2])
+            metrics.evaluate(dists.poisson(1.0), [1, 2])
         with pytest.raises(ShapeError):
-            metrics.evaluate([], [])
+            metrics.evaluate(dists.PredictiveBatch(dists.POISSON, (np.ones((1, 0)),)), [])
         with pytest.raises(ShapeError):
-            metrics.evaluate([dists.poisson(1.0)], [1], variances=[1.0, 2.0])
+            metrics.evaluate(dists.poisson(1.0), [1], variances=[1.0, 2.0])

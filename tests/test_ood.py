@@ -29,25 +29,35 @@ def ramp_ensemble():
     ))
 
 
+def fit_threshold(scores, alpha):
+    """Scalar oracle of the sweep: the (1 - alpha) empirical quantile of the
+    holdout scores with linear interpolation."""
+    return float(np.quantile(np.asarray(scores, dtype=float), 1.0 - alpha, method="linear"))
+
+
+def sweep_taus(holdout, alphas):
+    return [p.tau for p in ood.sweep_operating_points(holdout, [0.0], [0.0], alphas)]
+
+
 class TestFitThreshold:
+    """The thresholds tau_alpha that sweep_operating_points fits on a holdout."""
+
     def test_quantile_endpoints_and_interpolation(self):
-        scores = [1.0, 2.0, 3.0, 4.0]
-        assert ood.fit_threshold(scores, 0.0) == 4.0
-        assert ood.fit_threshold(scores, 1.0) == 1.0
-        assert_allclose(ood.fit_threshold(scores, 0.5), 2.5, rtol=1e-14)
+        taus = sweep_taus([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.5])
+        assert taus[:2] == [4.0, 1.0]
+        assert_allclose(taus[2], 2.5, rtol=1e-14)
 
     def test_monotone_nonincreasing_in_alpha(self):
         rng = np.random.default_rng(0)
         scores = rng.gamma(2.0, 3.0, 200)
-        alphas = np.linspace(0.0, 1.0, 41)
-        taus = [ood.fit_threshold(scores, a) for a in alphas]
+        taus = sweep_taus(scores, np.linspace(0.0, 1.0, 41))
         assert all(a >= b for a, b in zip(taus, taus[1:]))
 
     def test_validation(self):
-        with pytest.raises(ShapeError):
-            ood.fit_threshold([], 0.5)
-        with pytest.raises(DomainError):
-            ood.fit_threshold([1.0], 1.5)
+        with pytest.raises(ShapeError, match="sweep_operating_points needs"):
+            ood.sweep_operating_points([], [1.0], [1.0], [0.5])
+        with pytest.raises(DomainError, match="alpha"):
+            ood.sweep_operating_points([1.0], [1.0], [1.0], [1.5])
 
 
 class TestSweep:
@@ -62,7 +72,7 @@ class TestSweep:
             ood_scores = np.concatenate([rng.gamma(3.0, 3.0, 60), holdout[:5]])
             points = ood.sweep_operating_points(holdout, id_scores, ood_scores, alphas)
             for alpha, p in zip(alphas, points):
-                tau = ood.fit_threshold(holdout, alpha)
+                tau = fit_threshold(holdout, alpha)
                 assert p.tau == tau
                 assert p.fpr == float(np.sum(id_scores > tau)) / id_scores.size
                 assert p.tpr == float(np.sum(ood_scores > tau)) / ood_scores.size
