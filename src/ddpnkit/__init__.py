@@ -39,7 +39,6 @@ from ddpnkit.network import (
     forward_batch,
     init_mlp,
     load_checkpoint,
-    save_checkpoint,
     train,
 )
 from ddpnkit.ensemble import (

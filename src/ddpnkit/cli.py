@@ -6,17 +6,22 @@ named after the subcommand, flat key=value entries); explicit flags win
 over config values. Unknown config keys are rejected.
 
 Outputs land under the --out directory in data/, ckpt/ and reports/
-subfolders. Files are written atomically after all computation succeeds,
-so a failing run leaves no partial outputs. Exit codes: 0 success, 2 usage
-or domain errors, 3 numeric divergence or overflow (including a PMF support
-that has not converged within its cap), 4 I/O problems and malformed
-checkpoint, manifest or dataset files.
+subfolders. A handler only computes: it returns its output files as
+{path: text} together with the text to print. After it returns, execute
+writes every file to path.tmp through the one writer, _write_text, then
+moves each onto its path with os.replace and prints last. A run that
+fails, in a handler or in a write, changes no output file.
+
+Exit codes: 0 success, 2 usage or domain errors, 3 numeric divergence or
+overflow (including a PMF support that has not converged within its cap),
+4 I/O problems and malformed checkpoint, manifest or dataset files.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -63,10 +68,10 @@ def _parse_count(text: str) -> int:
 
 
 def _parse_floats(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse float list {text!r}") from exc
+    values = tuple(float(part) for part in text.split(","))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("expected finite numbers")
+    return values
 
 
 # Option tables: name -> (parser, default, help). A default of REQUIRED marks
@@ -201,26 +206,29 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
             except (ValueError, TypeError) as exc:
                 flag = "--" + name.replace("_", "-")
                 raise UsageError(f"bad value {raw!r} for {flag}: {exc}") from exc
+    if not merged.get("tag", "").isprintable():
+        raise UsageError(f"--tag must be printable text, got {merged['tag']!r}")
     out = args.out if args.out != "." or "out" not in from_config else from_config["out"]
     merged["out"] = out
     return merged
 
 
 def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """The one file writer: text goes to path.tmp, in slices (one write would
+    encode a copy of the whole text); execute moves it onto path."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path + ".tmp", "w", newline="") as fh:
+        for start in range(0, len(text), 1 << 20):
+            fh.write(text[start:start + (1 << 20)])
 
 
-def _write_json(path: str, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+def _report_path(opts: dict, suffix: str) -> str:
+    """--out/reports/<tag>_<suffix>."""
+    return os.path.join(opts["out"], "reports", f"{opts['tag']}_{suffix}")
 
 
-def _outdir(root: str, kind: str) -> str:
-    path = os.path.join(root, kind)
-    os.makedirs(path, exist_ok=True)
-    return path
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _dataset_for(opts: dict):
@@ -235,14 +243,12 @@ def _dataset_for(opts: dict):
     return datagen.PROCESSES[process](opts["n"], seed)
 
 
-def cmd_simulate(opts: dict) -> int:
+def cmd_simulate(opts: dict) -> tuple[dict, str]:
     ds, split = _dataset_for(opts)
-    data_dir = _outdir(opts["out"], "data")
-    prefix = os.path.join(data_dir, f"{ds.process}_seed{opts['seed']}")
-    paths = datagen.write_split_csvs(ds, split, prefix)
-    for path in paths:
-        print(path)
-    return 0
+    prefix = os.path.join(opts["out"], "data", f"{ds.process}_seed{opts['seed']}")
+    files = {f"{prefix}_{name}.csv": datagen.render_dataset_csv(ds.xs[idx], ds.ys[idx])
+             for name, idx in (("train", split.train), ("val", split.val), ("test", split.test))}
+    return files, "\n".join(files)
 
 
 def _member_config(opts: dict, member: int) -> network.TrainConfig:
@@ -266,7 +272,7 @@ def _train_one(payload):
     return member, weights, report
 
 
-def cmd_train(opts: dict) -> int:
+def cmd_train(opts: dict) -> tuple[dict, str]:
     for name in ("members", "jobs"):
         if opts[name] < 1:
             raise UsageError(f"--{name} must be at least 1, got {opts[name]}")
@@ -284,14 +290,13 @@ def cmd_train(opts: dict) -> int:
     else:
         results = [_train_one(p) for p in payloads]
 
-    ckpt_dir = _outdir(opts["out"], "ckpt")
-    reports_dir = _outdir(opts["out"], "reports")
-    member_files = []
+    ckpt_dir = os.path.join(opts["out"], "ckpt")
+    files = {}
     report_payload = []
     for member, weights, report in results:
-        path = os.path.join(ckpt_dir, f"{opts['tag']}_member{member}.ckpt")
         meta = network.train_meta(report.config, ds.xs.shape[1])
-        member_files.append((path, network.render_checkpoint(weights, meta)))
+        path = os.path.join(ckpt_dir, f"{opts['tag']}_member{member}.ckpt")
+        files[path] = network.render_checkpoint(weights, meta)
         report_payload.append({
             "member": member,
             "seed": report.seed,
@@ -300,34 +305,26 @@ def cmd_train(opts: dict) -> int:
             "val_loss": report.val_loss,
             "wall_time": report.wall_time,
         })
-    for path, text in member_files:
-        _write_text(path, text)
+    names = [os.path.basename(p) for p in files]
     manifest_path = os.path.join(ckpt_dir, f"{opts['tag']}.manifest")
-    spec = LossSpec(opts["family"], opts["beta"])
-    names = [os.path.basename(p) for p, _ in member_files]
-    ensemble.save_manifest(names, spec, manifest_path)
-    _write_json(os.path.join(reports_dir, f"{opts['tag']}_train.json"),
-                {"family": opts["family"], "beta": opts["beta"], "members": report_payload})
-    print(manifest_path)
-    return 0
+    files[manifest_path] = ensemble.render_manifest(names, LossSpec(opts["family"], opts["beta"]))
+    files[_report_path(opts, "train.json")] = _json(
+        {"family": opts["family"], "beta": opts["beta"], "members": report_payload})
+    return files, manifest_path
 
 
-def cmd_eval(opts: dict) -> int:
+def cmd_eval(opts: dict) -> tuple[dict, str]:
     weights, spec = ensemble.load_member(opts["ckpt"])
     ds, split = datagen.read_split_csvs(opts["data"])
     test_x, test_y = ds.xs[split.test], ds.ys[split.test]
     if test_y.size == 0:
         raise DomainError(f"no test rows found under prefix {opts['data']}")
     model = ensemble.Ensemble(((weights, spec),))
-    record = metrics.evaluate(ensemble.predictive_batch(model, test_x), test_y)
-    reports_dir = _outdir(opts["out"], "reports")
-    path = os.path.join(reports_dir, f"{opts['tag']}_metrics.json")
-    _write_json(path, record.summary())
-    print(json.dumps(record.summary()))
-    return 0
+    summary = metrics.evaluate(ensemble.predictive_batch(model, test_x), test_y).summary()
+    return {_report_path(opts, "metrics.json"): _json(summary)}, json.dumps(summary)
 
 
-def cmd_ensemble_eval(opts: dict) -> int:
+def cmd_ensemble_eval(opts: dict) -> tuple[dict, str]:
     ens = ensemble.load_ensemble(opts["manifest"])
     ds, split = datagen.read_split_csvs(opts["data"])
     test_x, test_y = ds.xs[split.test], ds.ys[split.test]
@@ -338,19 +335,16 @@ def cmd_ensemble_eval(opts: dict) -> int:
     record = metrics.evaluate(ensemble.predictive_batch(ens, test_x), test_y,
                               variances=variances, levels=ensemble.INTERVAL)
     table = ensemble.predict_table(ens, test_x, mode, quantiles=record.quantiles)
-    columns = np.column_stack([test_x[:, 0]] + [table[name] for name in (
-        "mean", "aleatoric", "epistemic", "q025", "q975")])
-    lines = ["x,mean,aleatoric,epistemic,q025,q975"]
-    lines.extend(",".join(map(repr, row)) for row in columns.tolist())
-    reports_dir = _outdir(opts["out"], "reports")
-    _write_json(os.path.join(reports_dir, f"{opts['tag']}_metrics.json"), record.summary())
-    _write_text(os.path.join(reports_dir, f"{opts['tag']}_decomposition.csv"),
-                "\n".join(lines) + "\n")
-    print(json.dumps(record.summary()))
-    return 0
+    names = ("mean", "aleatoric", "epistemic", "q025", "q975")
+    columns = [test_x[:, 0]] + [table[name] for name in names]
+    csv_text = datagen.render_csv(",".join(("x",) + names), [
+        map(repr, np.asarray(column, dtype=float).tolist()) for column in columns])
+    summary = record.summary()
+    return {_report_path(opts, "metrics.json"): _json(summary),
+            _report_path(opts, "decomposition.csv"): csv_text}, json.dumps(summary)
 
 
-def cmd_ood(opts: dict) -> int:
+def cmd_ood(opts: dict) -> tuple[dict, str]:
     ens = ensemble.load_ensemble(opts["manifest"])
     ds, split = datagen.read_split_csvs(opts["data"])
     id_x = ds.xs[split.test]
@@ -371,11 +365,8 @@ def cmd_ood(opts: dict) -> int:
         alphas=tuple(np.linspace(0.0, 1.0, opts["alpha_points"])),
         seed=opts["seed"],
     )
-    report = ood.run_ood_eval(ens, id_x, ood_x, config)
-    reports_dir = _outdir(opts["out"], "reports")
-    _write_json(os.path.join(reports_dir, f"{opts['tag']}_ood.json"), report.to_json_dict())
-    print(json.dumps(report.to_json_dict()))
-    return 0
+    payload = ood.run_ood_eval(ens, id_x, ood_x, config).to_json_dict()
+    return {_report_path(opts, "ood.json"): _json(payload)}, json.dumps(payload)
 
 
 def _log_axis(opts: dict, name: str) -> np.ndarray:
@@ -390,54 +381,31 @@ def _log_axis(opts: dict, name: str) -> np.ndarray:
                        opts[f"{name}_points"])
 
 
-def cmd_moments_grid(opts: dict) -> int:
-    mu_axis = _log_axis(opts, "mu")
-    var_axis = _log_axis(opts, "var")
-    grid = moments.moments_grid(mu_axis, var_axis, opts["n_terms"])
-    reports_dir = _outdir(opts["out"], "reports")
-    path = os.path.join(reports_dir, f"{opts['tag']}_grid.csv")
-    moments.write_moment_grid_csv(grid, path + ".tmp")
-    os.replace(path + ".tmp", path)
-    print(path)
-    return 0
+def cmd_moments_grid(opts: dict) -> tuple[dict, str]:
+    grid = moments.moments_grid(_log_axis(opts, "mu"), _log_axis(opts, "var"), opts["n_terms"])
+    path = _report_path(opts, "grid.csv")
+    return {path: moments.render_grid_csv(grid)}, path
 
 
-def cmd_attenuation_demo(opts: dict) -> int:
+def cmd_attenuation_demo(opts: dict) -> tuple[dict, str]:
     ds, split = datagen.gen_beta_study(opts["n"], opts["seed"], opts["isolated_repeat"])
-    config = network.TrainConfig(
-        loss=LossSpec("double_poisson", opts["beta"]),
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        lr=opts["lr"],
-        weight_decay=opts["weight_decay"],
-        seed=opts["seed"],
-        gamma_bias_init=opts["gamma_bias_init"],
-        hidden_widths=opts["hidden"],
-    )
+    config = _member_config({**opts, "family": "double_poisson", "select_unscaled": False}, 0)
     probes = np.array(opts["probe_x"], dtype=float)[:, None]
-    rows = []
+    epochs, rows = [], []
 
     def record(epoch, weights):
-        heads = network.forward_batch(weights, probes)
-        rows.append((epoch, np.exp(heads[:, 0]).copy(), np.exp(heads[:, 1]).copy()))
+        # (mu, gamma) per probe, in probe order; an overflow reads as inf and
+        # weights that diverged in this epoch (train then fails) as nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows.append(np.exp(network.forward_batch(weights, probes)).ravel())
+        epochs.append(str(epoch))
 
     network.train(ds, split, config, epoch_hook=record)
-    header = ["epoch"]
-    for x in probes[:, 0]:
-        header.append(f"mu_at_{x:g}")
-        header.append(f"gamma_at_{x:g}")
-    lines = [",".join(header)]
-    for epoch, mus, gammas in rows:
-        cells = [str(epoch)]
-        for m, g in zip(mus, gammas):
-            cells.append(repr(float(m)))
-            cells.append(repr(float(g)))
-        lines.append(",".join(cells))
-    reports_dir = _outdir(opts["out"], "reports")
-    path = os.path.join(reports_dir, f"{opts['tag']}_trace.csv")
-    _write_text(path, "\n".join(lines) + "\n")
-    print(path)
-    return 0
+    header = ",".join(["epoch"] + [f"{name}_at_{x:g}" for x in opts["probe_x"]
+                                   for name in ("mu", "gamma")])
+    path = _report_path(opts, "trace.csv")
+    return {path: datagen.render_csv(header, [epochs] + [
+        map(repr, column.tolist()) for column in np.array(rows).T])}, path
 
 
 _HANDLERS = {
@@ -452,10 +420,23 @@ _HANDLERS = {
 
 
 def execute(argv=None) -> int:
+    """Run one subcommand and commit its outputs (see the module docstring)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     opts = _merge_options(args.command, args)
-    return _HANDLERS[args.command](opts)
+    files, printed = _HANDLERS[args.command](opts)
+    try:
+        for path, text in files.items():
+            _write_text(path, text)
+    except BaseException:
+        for path in files:
+            with contextlib.suppress(OSError):
+                os.remove(path + ".tmp")
+        raise
+    for path in files:
+        os.replace(path + ".tmp", path)
+    print(printed)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -181,12 +181,11 @@ class ManifestFormatError(DomainError):
     """The ensemble manifest does not follow the expected layout."""
 
 
-def save_manifest(paths, spec: LossSpec, path) -> None:
-    """Write the member checkpoint list with its family tag."""
+def render_manifest(paths, spec: LossSpec) -> str:
+    """Manifest text: header, family and beta tags, one member path per line."""
     lines = [MANIFEST_HEADER, f"family={spec.family}", f"beta={spec.beta!r}"]
     lines.extend(str(p) for p in paths)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def load_manifest(path) -> tuple[list, LossSpec]:
@@ -198,10 +197,14 @@ def load_manifest(path) -> tuple[list, LossSpec]:
         raise ManifestFormatError(f"{path}: not a text file ({exc})") from exc
     if not lines or lines[0] != MANIFEST_HEADER:
         raise ManifestFormatError(f"{path}: missing header {MANIFEST_HEADER!r}")
+    # the family and beta tags, once each, follow the header; every later
+    # line names a member, whatever characters it holds
     meta = {}
     i = 1
-    while i < len(lines) and "=" in lines[i]:
-        key, _, value = lines[i].partition("=")
+    while i < len(lines):
+        key, sep, value = lines[i].partition("=")
+        if not sep or key not in ("family", "beta") or key in meta:
+            break
         meta[key] = value
         i += 1
     if "family" not in meta:

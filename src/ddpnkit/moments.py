@@ -24,7 +24,9 @@ so the tail of sum(s*y^2), which dominates the tails of every sum in the
 deviations, is at most s(N-1) times sum_k rho^k (N-1+k)^2. A cell counts as
 converged once that bound is below TAIL_TOL * min(1, gamma0) * sum(s). A
 cell still unconverged at MAX_TERMS raises NumericOverflow instead of
-returning a truncated value.
+returning a truncated value. So does, before any summing, a cell that can
+never converge: mu0 >= MAX_TERMS (the bound needs N > mu0), or a gamma0
+that overflows to inf.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ddpnkit.datagen import render_csv
 from ddpnkit.distributions import _xlogy, dp_log_h, dp_moment_corrections
 from ddpnkit.errors import DomainError, NumericOverflow
 
@@ -51,31 +54,33 @@ def _tail_converged(w_last: np.ndarray, s0: np.ndarray, mu0: float, gamma: np.nd
     w_last is the weight at y = n-1 and s0 the sum over the support, both at
     the cell's common scale.
     """
-    log_rho = gamma * math.log(mu0 / n) + np.maximum(gamma - 1.0, 0.0) / (2.0 * (n - 1))
     a = n - 1.0
     with np.errstate(all="ignore"):  # rho >= 1 where n <= mu0: rejected below
+        log_rho = (gamma * (math.log(mu0) - math.log(n))
+                   + np.maximum(gamma - 1.0, 0.0) / (2.0 * (n - 1)))
         rho = np.exp(log_rho)
         q = -np.expm1(log_rho)  # 1 - rho
         bound = rho * (a * a / q + 2.0 * a / q**2 + (1.0 + rho) / q**3)
         return (log_rho < 0.0) & (w_last * bound <= TAIL_TOL * np.minimum(1.0, gamma) * s0)
 
 
-def _series_sums(mu_values: np.ndarray, var_values: np.ndarray, n_terms: int):
+def _series_sums(mu_values: np.ndarray, var_values: np.ndarray, gamma: np.ndarray,
+                 n_terms: int):
     """Sums (s0, s1, s2, sy) of every cell's weight series, and its support length.
 
-    Cell (i, j), at mu0 = mu_values[i] and var0 = var_values[j], sums the
-    weights s(y) = s(mu0, mu0/var0, y) over the support 0..N-1 with
-    N = n_terms * 2^k (capped at MAX_TERMS), the shortest that passes
-    _tail_converged:
+    Cell (i, j), at mu0 = mu_values[i], var0 = var_values[j] and gamma0 =
+    gamma[i, j] = mu0/var0, sums the weights s(y) = s(mu0, gamma0, y) over
+    the support 0..N-1 with N = n_terms * 2^k (capped at MAX_TERMS), the
+    shortest that passes _tail_converged:
 
         s0 = sum(s), s1 = sum(s*(y-mu)), s2 = sum(s*(y-mu)^2), sy = sum(s*y).
 
     Each pass sums only the new terms n..2n-1 of the unconverged cells into
     their running sums. The sums are kept at scale exp(-shift), shift being
     the largest log weight seen so far; a block holding larger weights
-    raises it and rescales the sums.
+    raises it and rescales the sums. A log weight that overflows to -inf is
+    a weight of 0; while all of a cell's weights are 0 its shift stays -inf.
     """
-    gamma = mu_values[:, None] / var_values
     sums = np.zeros(gamma.shape + (4,))
     shift = np.full(gamma.shape, -np.inf)
     support = np.zeros(gamma.shape, dtype=np.int64)
@@ -97,13 +102,15 @@ def _series_sums(mu_values: np.ndarray, var_values: np.ndarray, n_terms: int):
             for start in range(0, todo[i].size, step):
                 cells = todo[i][start:start + step]
                 g = gamma[i, cells]
-                w = np.multiply.outer(g, base)
+                with np.errstate(over="ignore"):
+                    w = np.multiply.outer(g, base)
                 w += log_h
                 old = shift[i, cells]
                 new = np.maximum(old, np.max(w, axis=1))
-                w -= new[:, None]
+                top = np.where(new > -np.inf, new, 0.0)
+                w -= top[:, None]
                 np.exp(w, out=w)
-                s = sums[i, cells] * np.exp(old - new)[:, None] + w @ F
+                s = sums[i, cells] * np.exp(old - top)[:, None] + w @ F
                 sums[i, cells] = s
                 shift[i, cells] = new
                 ok = _tail_converged(w[:, -1], s[:, 0], mu0, g, hi)
@@ -174,23 +181,24 @@ def moments_grid(
             raise DomainError(f"{name} must be finite and positive, got {bad[0]}")
     if not 2 <= n_terms <= MAX_TERMS:
         raise DomainError(f"n_terms must lie in [2, {MAX_TERMS}], got {n_terms}")
-    sums, support = _series_sums(mu_values, var_values, n_terms)
-    mean_corr, var_corr = dp_moment_corrections(*sums, mu_values[:, None] / var_values)
+    with np.errstate(over="ignore"):
+        gamma = mu_values[:, None] / var_values
+    bad = np.argwhere(np.isinf(gamma) | (mu_values[:, None] >= MAX_TERMS))
+    if bad.size:
+        i, j = bad[0]
+        raise NumericOverflow(
+            f"moment series for mu0={float(mu_values[i])}, var0={float(var_values[j])} "
+            f"cannot be summed within {MAX_TERMS} terms")
+    sums, support = _series_sums(mu_values, var_values, gamma, n_terms)
+    mean_corr, var_corr = dp_moment_corrections(*sums, gamma)
     return MomentGrid(mu_values, var_values, np.abs(mean_corr), np.abs(var_corr), n_terms,
                       support)
 
 
-def write_moment_grid_csv(grid: MomentGrid, path) -> None:
-    """Write rows mu0,var0,eps1,eps2 in row-major grid order, one per line.
-
-    The bytes are those of csv.writer with "\\n" line ends, which quotes no
-    float repr.
-    """
+def render_grid_csv(grid: MomentGrid) -> str:
+    """CSV text of rows mu0,var0,eps1,eps2 in row-major grid order (repr floats)."""
+    mu_text = [repr(v) for v in grid.mu_values.tolist()]
     var_text = [repr(v) for v in grid.var_values.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("mu0,var0,eps1,eps2\n")
-        for mu0, eps1, eps2 in zip(grid.mu_values.tolist(), grid.eps1.tolist(),
-                                   grid.eps2.tolist()):
-            mu_text = repr(mu0)
-            fh.write("".join(f"{mu_text},{v},{e1!r},{e2!r}\n"
-                             for v, e1, e2 in zip(var_text, eps1, eps2)))
+    return render_csv("mu0,var0,eps1,eps2", [
+        [t for t in mu_text for _ in var_text], var_text * len(mu_text),
+        map(repr, grid.eps1.ravel().tolist()), map(repr, grid.eps2.ravel().tolist())])

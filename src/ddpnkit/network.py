@@ -110,10 +110,12 @@ class TrainConfig:
             raise DomainError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lr <= 0.0:
-            raise DomainError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0.0:
-            raise DomainError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise DomainError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise DomainError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not math.isfinite(self.gamma_bias_init):
+            raise DomainError(f"gamma_bias_init must be finite, got {self.gamma_bias_init}")
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
 
 
@@ -296,6 +298,7 @@ def _flat_views(flat: np.ndarray, like) -> tuple:
     return hidden, views[-2], views[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _adamw_update(p, g, m, v, tmp, step_vec, lr, weight_decay, bias1, bias2):
     """One AdamW step in place on flat vectors, through two scratch vectors.
 
@@ -303,7 +306,9 @@ def _adamw_update(p, g, m, v, tmp, step_vec, lr, weight_decay, bias1, bias2):
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= lr * ((m/bias1) / (sqrt(v/bias2) + eps) + weight_decay*p)
     in this order, so the result is the same to the bit as that arithmetic
-    on each weight array separately.
+    on each weight array separately. A step that overflows (a huge lr or
+    weight_decay) leaves weights that are not finite, which the next loss
+    reports as NumericDivergence.
     """
     m *= ADAM_BETA1
     np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
@@ -332,7 +337,7 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     epoch_hook(epoch, weights) after each epoch with 1-based epoch numbers.
 
     Raises NumericDivergence (with the partial report attached) if a batch
-    loss becomes non-finite.
+    loss becomes non-finite or no epoch reaches a finite validation loss.
     """
     t0 = time.perf_counter()
     xs = np.atleast_2d(np.asarray(dataset.xs, dtype=float))
@@ -410,6 +415,9 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
 
     report.wall_time = time.perf_counter() - t0
     report.final_weights = weights
+    if report.best_epoch == 0:
+        raise NumericDivergence(f"no epoch of {config.epochs} reached a finite validation loss",
+                                report=report)
     report.best_weights = best_weights
     return best_weights, report
 
@@ -449,18 +457,12 @@ def render_checkpoint(weights: MLPWeights, meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_checkpoint(weights: MLPWeights, meta: dict, path) -> None:
-    """Write a versioned flat-text checkpoint (see render_checkpoint)."""
-    with open(path, "w") as fh:
-        fh.write(render_checkpoint(weights, meta))
-
-
 class CheckpointFormatError(DomainError):
     """The checkpoint file does not follow the expected layout."""
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by save_checkpoint.
+    """Read a checkpoint in the render_checkpoint layout.
 
     Returns (MLPWeights, meta dict with string values). Raises
     CheckpointFormatError for a file that is not such a checkpoint: a bad

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import ddpnkit
 from ddpnkit import cli, ensemble, network
+from test_acceptance import _run_pipeline
 
 
 def run(argv):
@@ -97,6 +98,24 @@ class TestTrain:
                     "--out", tmp_path]) == 3
         assert not (tmp_path / "ckpt").exists()
 
+    def test_no_finite_validation_loss_exits_3(self, workspace, tmp_path, capsys):
+        """One step at lr 1e308 leaves no epoch with a finite validation loss;
+        the run fails instead of saving the untrained weights."""
+        out = tmp_path / "out"
+        assert run(["train", "--data", workspace["prefix"], "--epochs", 1, "--hidden", "4",
+                    "--batch-size", 64, "--lr", 1e308, "--out", out]) == 3
+        assert "finite validation loss" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_write_changes_no_output(self, workspace, tmp_path, capsys):
+        """A write that fails (reports/ is a file here, so the report's folder
+        cannot be made) leaves no checkpoint written before it and no .tmp."""
+        (tmp_path / "reports").write_text("in the way\n")
+        assert run(["train", "--data", workspace["prefix"], "--epochs", 1, "--hidden", "4",
+                    "--out", tmp_path]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["reports"]
+
     def test_missing_data_prefix(self, tmp_path):
         assert run(["train", "--data", tmp_path / "ghost", "--out", tmp_path]) == 2
 
@@ -137,7 +156,7 @@ class TestEval:
         count differs from the checkpoint's (two heads here), exits 4."""
         w = network.init_mlp(network.MLPConfig(input_dim=1, hidden_widths=(), head_count=2))
         ckpt = tmp_path / "tagged.ckpt"
-        network.save_checkpoint(w, meta, ckpt)
+        ckpt.write_text(network.render_checkpoint(w, meta))
         assert run(["eval", "--ckpt", ckpt, "--data", workspace["prefix"],
                     "--out", tmp_path]) == 4
 
@@ -148,8 +167,8 @@ class TestEval:
         w.head_w[:] = 0.0
         w.head_b[:] = (np.log(2e4), 0.0)
         ckpt = tmp_path / "wide.ckpt"
-        network.save_checkpoint(w, {"family": "double_poisson", "beta": "0.0",
-                                    "input_dim": "1"}, ckpt)
+        ckpt.write_text(network.render_checkpoint(
+            w, {"family": "double_poisson", "beta": "0.0", "input_dim": "1"}))
         assert run(["eval", "--ckpt", ckpt, "--data", workspace["prefix"],
                     "--out", tmp_path]) == 3
         assert "hard_cap" in capsys.readouterr().err
@@ -282,6 +301,15 @@ class TestAttenuationDemo:
         assert first[0] == "1"
         assert all(float(v) > 0.0 for v in first[1:])
 
+    def test_overflowed_probe_reads_inf(self, tmp_path):
+        """Heads that overflow at a far probe are written as inf, without a
+        RuntimeWarning (which pytest turns into an error)."""
+        assert run(["attenuation-demo", "--n", 30, "--epochs", 1, "--hidden", "4",
+                    "--probe-x", "1e308", "--out", tmp_path]) == 0
+        lines = (tmp_path / "reports" / "attenuation_trace.csv").read_text().splitlines()
+        assert lines[0] == "epoch,mu_at_1e+308,gamma_at_1e+308"
+        assert math.inf in [float(v) for v in lines[1].split(",")]
+
 
 class TestOptionMerging:
     def test_config_file_supplies_values(self, tmp_path):
@@ -343,6 +371,14 @@ class TestNumericFlags:
         ["ood", "--ood-low", "inf"],
         ["ood", "--ood-low", 10, "--ood-high", 1],
         ["ood", "--ood-low=-1e308", "--ood-high=1e308"],
+        ["train", "--lr", "nan"],
+        ["train", "--weight-decay", "inf"],
+        ["train", "--gamma-bias-init", "nan"],
+        ["attenuation-demo", "--lr", "nan"],
+        ["attenuation-demo", "--probe-x", "nan"],
+        ["attenuation-demo", "--probe-x", "1,inf"],
+        ["train", "--tag", "a\nb"],
+        ["train", "--tag", "a\udcffb"],  # not UTF-8 text: cannot be written
     ])
     def test_bad_values_are_usage_errors(self, workspace, tmp_path, capsys, argv):
         data = {"train": ["--data", workspace["prefix"], "--epochs", 1, "--hidden", "4"],
@@ -364,6 +400,21 @@ class TestNumericFlags:
             argv.append(f"{flag}={value}")
         return argv
 
+    @staticmethod
+    def run_flags(argv, out):
+        """Exit code of the run; a failed run must leave no file under out."""
+        code = run(argv + ["--out", out])
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert list(out.rglob("*")) == []
+        return code
+
+    @staticmethod
+    def finite_json(text):
+        def reject(constant):
+            raise AssertionError(f"report holds {constant}")
+        return json.loads(text, parse_constant=reject)
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), process=st.sampled_from(
         ("sine-conflation", "misspec-poisson", "misspec-nb", "beta-study")))
@@ -371,7 +422,7 @@ class TestNumericFlags:
         argv = ["simulate", "--process", process] + self.draw_flags(data, {
             flag: st.integers(1, 12) for flag in ("--seed", "--n", "--n-train", "--n-val",
                                                    "--n-test", "--isolated-repeat")})
-        assert run(argv + ["--out", tmp_path_factory.mktemp("sim")]) in (0, 2, 3)
+        self.run_flags(argv, tmp_path_factory.mktemp("sim"))
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -382,9 +433,7 @@ class TestNumericFlags:
             "--var-max": axis_end, "--mu-points": st.integers(1, 3),
             "--var-points": st.integers(1, 3), "--n-terms": st.integers(2, 40)})
         out = tmp_path_factory.mktemp("grid")
-        code = run(argv + ["--out", out])
-        assert code in (0, 2, 3)
-        if code == 0:
+        if self.run_flags(argv, out) == 0:
             lines = (out / "reports" / "moments_grid.csv").read_text().splitlines()[1:]
             assert all(math.isfinite(float(v)) for line in lines for v in line.split(","))
 
@@ -400,16 +449,70 @@ class TestNumericFlags:
             "--n-repeats": st.integers(1, 3), "--alpha-points": st.integers(2, 11),
             "--seed": st.integers(0, 5)})
         capsys.readouterr()
-        code = run(argv + ["--out", tmp_path_factory.mktemp("ood")])
-        assert code in (0, 2, 3)
-        if code == 0:
+        if self.run_flags(argv, tmp_path_factory.mktemp("ood")) == 0:
             payload = json.loads(capsys.readouterr().out)
             assert all(math.isfinite(v) for key in ("auroc", "aupr", "fpr80")
                        for v in payload[key].values())
 
+    # flags shared by train and attenuation-demo, at tiny sizes
+    TRAINING_FLAGS = {
+        "--seed": st.integers(0, 5), "--beta": st.sampled_from((0.0, 0.5, 1.0)),
+        "--gamma-bias-init": st.sampled_from((-1.0, 0.0, 3.0)),
+        "--epochs": st.integers(1, 2), "--batch-size": st.integers(8, 64),
+        "--lr": st.sampled_from((1e-3, 0.05)), "--weight-decay": st.sampled_from((0.0, 1e-5))}
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_train_flags(self, workspace, tmp_path_factory, data):
+        argv = ["train", "--data", workspace["prefix"], "--hidden", "4"]
+        argv += self.draw_flags(data, {**self.TRAINING_FLAGS, "--members": st.integers(1, 2)})
+        out = tmp_path_factory.mktemp("train")
+        if self.run_flags(argv, out) == 0:
+            self.finite_json((out / "reports" / "model_train.json").read_text())
+            for ckpt in (out / "ckpt").glob("*.ckpt"):
+                network.load_checkpoint(ckpt)  # refuses a tensor that is not finite
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_attenuation_demo_flags(self, tmp_path_factory, data):
+        argv = ["attenuation-demo", "--hidden", "4"] + self.draw_flags(data, {
+            **self.TRAINING_FLAGS, "--n": st.integers(10, 40),
+            "--isolated-repeat": st.integers(0, 2),
+            "--probe-x": st.sampled_from(("1.0", "-3.5,10.0"))})
+        out = tmp_path_factory.mktemp("attenuation")
+        if self.run_flags(argv, out) == 0:
+            lines = (out / "reports" / "attenuation_trace.csv").read_text().splitlines()[1:]
+            cells = [float(v) for line in lines for v in line.split(",")]
+            # mu and gamma are exp of the heads; at a probe of 1e308 they may
+            # overflow to inf, never to nan
+            assert all(v >= 0.0 for v in cells)
+            if "--probe-x=1e308" not in argv:
+                assert all(math.isfinite(v) for v in cells)
+
 
 # numeric flag values at and past the edges of every domain
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308")
+
+
+class TestOneWriter:
+    def test_every_output_is_written_once_by_write_text(self, tmp_path, monkeypatch):
+        """Across all seven subcommands, the files under --out are exactly
+        those cli._write_text wrote, each once, and no .tmp file is left."""
+        written = []
+        write = cli._write_text
+
+        def recording(path, text):
+            written.append(os.path.abspath(path))
+            write(path, text)
+
+        monkeypatch.setattr(cli, "_write_text", recording)
+        root = tmp_path / "run"
+        _run_pipeline(str(root))
+        on_disk = sorted(str(p) for p in root.rglob("*") if p.is_file())
+        assert sorted(written) == on_disk
+        assert len(set(written)) == len(written)
+        assert not list(root.rglob("*.tmp"))
 
 
 class TestImport:

@@ -6,6 +6,8 @@ every predictive distribution is known in closed form.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ddpnkit import distributions as dists
@@ -225,14 +227,14 @@ class TestManifest:
             w, spec = const_member(log_mu, log_g, family=family)
             p = tmp_path / f"member{i}.ckpt"
             meta = {"family": family, "beta": "0.0", "input_dim": "1"}
-            network.save_checkpoint(w, meta, p)
+            p.write_text(network.render_checkpoint(w, meta))
             paths.append(p.name)
         return paths
 
     def test_round_trip(self, tmp_path):
         names = self._write_members(tmp_path)
         manifest = tmp_path / "ens.manifest"
-        ensemble.save_manifest(names, LossSpec("double_poisson", 0.5), manifest)
+        manifest.write_text(ensemble.render_manifest(names, LossSpec("double_poisson", 0.5)))
         paths, spec = ensemble.load_manifest(manifest)
         assert paths == names
         assert spec.family == "double_poisson"
@@ -260,10 +262,26 @@ class TestManifest:
         with pytest.raises(ensemble.ManifestFormatError):
             ensemble.load_manifest(bad)
 
+    # member names holding "=" (a tag-like "family=..." or "beta=..." too), but
+    # no line break or NUL
+    NAME_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                      blacklist_characters="\n\r\0"), max_size=8)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(names=st.lists(st.builds("{}={}".format, st.one_of(
+               st.sampled_from(("family", "beta")), NAME_TEXT), NAME_TEXT), min_size=1,
+               max_size=4),
+           spec=st.sampled_from((LossSpec("double_poisson", 0.5), LossSpec("poisson"))))
+    def test_reads_back_every_member_name(self, tmp_path, names, spec):
+        manifest = tmp_path / "ens.manifest"
+        manifest.write_text(ensemble.render_manifest(names, spec))
+        assert ensemble.load_manifest(manifest) == (names, spec)
+
     def test_family_mismatch_between_member_and_manifest(self, tmp_path):
         names = self._write_members(tmp_path, family="poisson")
         manifest = tmp_path / "ens.manifest"
-        ensemble.save_manifest(names, LossSpec("double_poisson"), manifest)
+        manifest.write_text(ensemble.render_manifest(names, LossSpec("double_poisson")))
         with pytest.raises(ensemble.ManifestFormatError):
             ensemble.load_ensemble(manifest)
 

@@ -6,10 +6,11 @@ summed to convergence, written independently of the library code.
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -133,6 +134,24 @@ class TestGrowingSupport:
         with pytest.raises(NumericOverflow, match=r"mu0=0\.01, var0=10000\.0 "):
             moments.moments_grid([1.0, 0.01], [1.0, 1e4])
 
+    @settings(max_examples=60, deadline=None)
+    @given(log_mu=st.floats(math.log(5e-324), math.log(1e308)),
+           log_var=st.floats(math.log(5e-324), math.log(1e308)))
+    @example(log_mu=math.log(1e308), log_var=0.0)  # mu0 past MAX_TERMS
+    @example(log_mu=math.log(5e-324), log_var=math.log(1e308))  # mu0 / n underflows
+    @example(log_mu=math.log(100.0), log_var=math.log(1e-306))  # g * (log weight) overflows
+    @example(log_mu=0.0, log_var=-709.0)  # gamma0 * log(mu0/n) overflows
+    def test_any_positive_cell_is_finite_or_overflow(self, log_mu, log_var):
+        """A one-cell grid anywhere in the positive floats gives finite
+        deviations or raises NumericOverflow, without a RuntimeWarning."""
+        mu0, var0 = (min(max(math.exp(v), 5e-324), 1e308) for v in (log_mu, log_var))
+        try:
+            eps = moments.mdf_epsilon(mu0, var0)
+        except NumericOverflow as exc:
+            assert f"mu0={mu0}, var0={var0} " in str(exc)
+        else:
+            assert all(math.isfinite(e) for e in eps)
+
 
 class TestGrid:
     def test_shapes_and_content(self):
@@ -152,24 +171,20 @@ class TestGrid:
         assert axis.size == 25
         assert np.all(np.diff(np.log(axis)) > 0)
 
-    def test_csv_round_trip_text(self, tmp_path):
+    def test_csv_round_trip_text(self):
         grid = moments.moments_grid(np.array([1.0, 2.0]), np.array([0.5, 3.0]))
-        path = tmp_path / "grid.csv"
-        moments.write_moment_grid_csv(grid, path)
-        lines = path.read_text().strip().split("\n")
+        lines = moments.render_grid_csv(grid).strip().split("\n")
         assert lines[0] == "mu0,var0,eps1,eps2"
         assert len(lines) == 1 + 4
         cells = lines[1].split(",")
         assert float(cells[0]) == 1.0
         assert float(cells[2]) == grid.eps1[0, 0]
 
-    def test_csv_bytes_match_csv_writer(self, tmp_path):
+    def test_csv_bytes_match_csv_writer(self):
         values = np.array([[0.0, 1e-300, 5e-324], [1e300, 3.0, 2.5e-7]])
         grid = moments.MomentGrid(np.array([1e-300, 7.0]), np.array([2.0, 1e300, 0.1]),
                                   values, values[::-1] * 3.0, 100,
                                   np.zeros((2, 3), dtype=np.int64))
-        path = tmp_path / "grid.csv"
-        moments.write_moment_grid_csv(grid, path)
         ref = io.StringIO(newline="")
         writer = csv.writer(ref, lineterminator="\n")
         writer.writerow(["mu0", "var0", "eps1", "eps2"])
@@ -177,4 +192,4 @@ class TestGrid:
             for j, var0 in enumerate(grid.var_values):
                 writer.writerow([repr(float(mu0)), repr(float(var0)),
                                  repr(float(grid.eps1[i, j])), repr(float(grid.eps2[i, j]))])
-        assert path.read_bytes() == ref.getvalue().encode()
+        assert moments.render_grid_csv(grid) == ref.getvalue()

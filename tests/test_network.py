@@ -252,6 +252,26 @@ class TestTrain:
         assert err.value.report is not None
         assert err.value.report.final_weights is not None
 
+    def test_no_finite_validation_loss_raises(self):
+        """One AdamW step at lr 1e308 leaves weights whose validation loss is
+        not finite; returning the initial weights would hide that."""
+        ds, split = tiny_dataset()
+        config = network.TrainConfig(loss=LossSpec("double_poisson"), epochs=1,
+                                     batch_size=split.train.size, hidden_widths=(8,),
+                                     lr=1e308, seed=0)
+        with pytest.raises(NumericDivergence, match="finite validation loss") as err:
+            network.train(ds, split, config)
+        assert err.value.report.best_epoch == 0
+        assert err.value.report.val_loss == [math.inf]
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", math.nan), ("lr", math.inf), ("weight_decay", math.nan),
+        ("weight_decay", math.inf), ("gamma_bias_init", math.nan),
+        ("gamma_bias_init", -math.inf)])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            network.TrainConfig(loss=LossSpec("double_poisson"), **{field: value})
+
     def test_empty_split_rejected(self):
         ds, _ = tiny_dataset()
         bad = network.SplitIndices(np.arange(0), np.arange(5))
@@ -410,7 +430,7 @@ class TestCheckpoint:
         weights, _, _ = toy_problem()
         meta = {"family": "double_poisson", "beta": "0.5", "input_dim": "2"}
         path = tmp_path / "model.ckpt"
-        network.save_checkpoint(weights, meta, path)
+        path.write_text(network.render_checkpoint(weights, meta))
         loaded, meta2 = network.load_checkpoint(path)
         assert meta2 == meta
         assert np.array_equal(loaded.x_mean, weights.x_mean)
@@ -426,7 +446,7 @@ class TestCheckpoint:
         cfg = network.MLPConfig(input_dim=1, hidden_widths=(), head_count=2, seed=0)
         weights = network.init_mlp(cfg)
         path = tmp_path / "glm.ckpt"
-        network.save_checkpoint(weights, {"family": "gaussian"}, path)
+        path.write_text(network.render_checkpoint(weights, {"family": "gaussian"}))
         loaded, _ = network.load_checkpoint(path)
         assert loaded.hidden == []
         assert np.array_equal(loaded.head_w, weights.head_w)
