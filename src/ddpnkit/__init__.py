@@ -1,8 +1,6 @@
 """Heteroscedastic count regression with the Double Poisson distribution."""
 
 from ddpnkit.distributions import (
-    DEFAULT_TRUNCATION,
-    SupportTruncation,
     PredictiveBatch,
     double_poisson,
     poisson,

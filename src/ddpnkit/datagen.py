@@ -30,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from ddpnkit.distributions import (
-    DEFAULT_TRUNCATION, _log_factorial, _xlogy, dist_sample, double_poisson)
+    DOUBLE_POISSON, PredictiveBatch, _inverse_cdf, _log_factorial, _xlogy)
 from ddpnkit.errors import DomainError, ShapeError
 from ddpnkit.network import SplitIndices
 
@@ -180,10 +180,9 @@ def gen_beta_study(n: int = 500, seed: int = 0, isolated_repeat: int = 1):
         raise DomainError(f"isolated_repeat must be nonnegative, got {isolated_repeat}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(3.0, 8.0, n)
-    ys = np.zeros(n, dtype=np.int64)
-    for i, x in enumerate(xs):
-        mu, gamma = beta_study_params(float(x))
-        ys[i] = int(dist_sample(double_poisson(mu, gamma), rng, 1, DEFAULT_TRUNCATION)[0])
+    mu, gamma = np.array([beta_study_params(x) for x in xs.tolist()]).reshape(n, 2).T
+    # one uniform draw per row, inverted through that row's CDF
+    ys = _inverse_cdf(PredictiveBatch(DOUBLE_POISSON, (mu, gamma)), rng.random((n, 1)))[:, 0]
     n_train = int(round(0.8 * n))
     n_val = int(round(0.1 * n))
     iso_x = np.repeat([p[0] for p in ISOLATED_POINTS], isolated_repeat)

@@ -12,20 +12,31 @@ gamma = 1 recovers the ordinary Poisson exactly.
 
 Poisson, negative binomial and Gaussian families are provided as baselines.
 All probability work on the discrete families happens in log space over a
-truncated integer support; the conventions 0^0 = 1 and y*log(y) = 0 at
-y = 0 apply throughout. The Double Poisson and Poisson paths need only
-numpy: log(y!) comes from one cached table. scipy.special is imported on
-first use by the negative binomial (gammaln) and Gaussian (ndtr, ndtri)
-paths alone.
+finite integer support; the conventions 0^0 = 1 and y*log(y) = 0 at y = 0
+apply throughout. The Double Poisson and Poisson paths need only numpy:
+log(y!) comes from one cached table. scipy.special is imported on first use
+by the negative binomial (gammaln) and Gaussian (ndtr, ndtri) paths alone.
+
+One engine, _series, sums every infinite series: the PMF supports, the
+normalizer, the exact-series moments and the moment grid of the moments
+module. Each cell's support 0..N-1 grows as N = n0 * 2^k, summing only the
+new block into running sums, until a proven bound on the neglected tail of
+sum(s*y^2) is below TAIL_TOL of the sum (times min(1, gamma) for the Double
+Poisson). The bound uses rho >= s(y+1)/s(y) for y >= N-1: (mu/N)^gamma *
+exp(max(0, gamma-1)/(2(N-1))) for the Double Poisson, lam/N for the Poisson
+and max(1, (N+r-1)/N) * (1-p) for the negative binomial. A cell that cannot
+converge within MAX_TERMS terms is refused before any summing, and one
+unconverged at the cap raises NumericOverflow: no support is cut short
+silently.
 
 Every predictive distribution is a PredictiveBatch: n rows, each a uniform
 mixture of M members of one family, with parameters shaped (M, n). The
 constructors (double_poisson, poisson, ...) return one-member, one-row
 batches, and mixture stacks such batches along the member axis.
-predictive_summary builds the member log weights on a shared support in row
-blocks of at most BLOCK_CELLS cells, normalizes each member once, averages
-over members, and reads modes, quantiles and CRPS off one CDF matrix per
-block. The single-distribution functions (pmf_vector, dist_mode,
+predictive_summary builds the member log weights on the engine's supports
+in row blocks of at most BLOCK_CELLS cells, normalizes each member once,
+averages over members, and reads modes, quantiles and CRPS off one CDF
+matrix per block. The single-distribution functions (pmf_vector, dist_mode,
 dist_quantile, ...) take a one-row batch and are views of the same engine;
 every row is summed exactly as it would be alone, so a row's results do not
 depend on the rows batched with it.
@@ -56,33 +67,18 @@ _FIELDS = {
 EFRON_APPROX = "efron_approx"
 EXACT_SERIES = "exact_series"
 
-# largest (members x rows x support) block of log weights built at once
+# largest block of cells x terms summed, or members x rows x support built, at once
 BLOCK_CELLS = 1 << 17
+# every series is summed over at most MAX_TERMS terms, 0..MAX_TERMS-1
+MAX_TERMS = 1 << 16
+# a series stops once its neglected tail is bounded below TAIL_TOL of its sum
+TAIL_TOL = 1e-14
+# first support length of the predictive series (PMFs, normalizer, moments)
+PMF_N0 = 32
 # the upper CRPS sum stops at its first term below this
 CRPS_TAIL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SupportTruncation:
-    """Truncation policy for infinite-support summations.
-
-    The support of each distribution starts 10 standard deviations past its
-    mean and doubles until its edge term falls below tail_mass_tol times the
-    accumulated sum. A support still unconverged at hard_cap terms raises
-    NumericOverflow instead of being cut short.
-    """
-
-    tail_mass_tol: float = 1e-10
-    hard_cap: int = 10000
-
-    def __post_init__(self):
-        if not (0.0 < self.tail_mass_tol < 1.0):
-            raise DomainError(f"tail_mass_tol must lie in (0, 1), got {self.tail_mass_tol}")
-        if self.hard_cap < 1:
-            raise DomainError(f"hard_cap must be positive, got {self.hard_cap}")
-
-
-DEFAULT_TRUNCATION = SupportTruncation()
+# below this mean, mu/y may underflow, so r is formed from log(mu) - log(y)
+_TINY_MU = 1e-290
 
 
 def _valid(kind: str, params: tuple) -> None:
@@ -141,8 +137,7 @@ class PredictiveBatch:
     def __len__(self) -> int:
         return self.shape[1]
 
-    def member_moments(self, mode: str = EFRON_APPROX,
-                       trunc: SupportTruncation = DEFAULT_TRUNCATION) -> tuple:
+    def member_moments(self, mode: str = EFRON_APPROX) -> tuple:
         """Member means and variances, both (M, n).
 
         mode "exact_series" adds the Double Poisson correction series to the
@@ -154,17 +149,9 @@ class PredictiveBatch:
             mu, gamma = self.params
             mean, var = mu, mu / gamma
             if mode == EXACT_SERIES:
-                mean, var = mean.copy(), var.copy()
-                for rows, log_w, log_c, _ in _member_blocks(self, trunc):
-                    w = np.exp(log_w - log_c[..., None])
-                    ys = np.arange(w.shape[-1], dtype=float)
-                    d = ys - mu[:, rows, None]
-                    wd = w * d
-                    mc, vc = dp_moment_corrections(np.sum(w, axis=-1), np.sum(wd, axis=-1),
-                                                   np.sum(wd * d, axis=-1), w @ ys,
-                                                   gamma[:, rows])
-                    mean[:, rows] += mc
-                    var[:, rows] += vc
+                sums, _, _ = _series(self.kind, *_cells(self), PMF_N0)
+                mc, vc = dp_moment_corrections(*sums, gamma.ravel())
+                mean, var = mean + mc.reshape(mu.shape), var + vc.reshape(mu.shape)
             return mean, var
         if self.kind == POISSON:
             return self.params[0], self.params[0]
@@ -174,10 +161,18 @@ class PredictiveBatch:
             return mean, mean / p
         return self.params
 
-    def moments(self, mode: str = EFRON_APPROX,
-                trunc: SupportTruncation = DEFAULT_TRUNCATION) -> tuple:
+    def moments(self, mode: str = EFRON_APPROX) -> tuple:
         """Mixture mean and variance per row, both (n,)."""
-        return mixture_moments(*self.member_moments(mode, trunc))
+        return mixture_moments(*self.member_moments(mode))
+
+
+def _cells(batch: PredictiveBatch) -> tuple:
+    """The batch's member x row cells as flat parameter arrays, and a namer of cell i."""
+    def label(i: int) -> str:
+        values = ", ".join(f"{name}={float(p.flat[i])!r}"
+                           for name, p in zip(_FIELDS[batch.kind], batch.params))
+        return f"series of {batch.kind}({values})"
+    return [p.ravel() for p in batch.params], label
 
 
 def double_poisson(mu: float, gamma: float) -> PredictiveBatch:
@@ -300,17 +295,40 @@ def dp_log_h(ys) -> np.ndarray:
     return _dp_log_h(_check_counts(ys))
 
 
+def _dp_bracket(mu, ys: np.ndarray) -> np.ndarray:
+    """(y - mu) + y*log(mu/y), the exponent r(mu, gamma, y) per unit gamma.
+
+    Taking one log of the ratio keeps the rounding at about 1e-16 * y, where
+    y*log(mu) - y*log(y) would carry 1e-16 * y*log(y) and gamma multiplies
+    either. At y = 0 the ratio is taken as mu, times y = 0. mu/y can
+    underflow for a mean below _TINY_MU, where the difference of logs
+    serves instead.
+    """
+    b = np.asarray(mu / np.where(ys == 0.0, 1.0, ys))
+    with np.errstate(divide="ignore"):  # an underflowed ratio is replaced below
+        np.log(b, out=b)
+    b *= ys
+    b += ys - mu
+    tiny = mu < _TINY_MU
+    if np.any(tiny):
+        b = np.where(tiny, (ys - mu) + ys * np.log(mu) - _xlogy(ys, ys), b)
+    return b
+
+
 def dp_log_weight(mu, gamma, ys) -> np.ndarray:
     """log of s(mu, gamma, y) = h(y) exp(r(mu, gamma, y)).
 
-    r(mu, gamma, y) = gamma * (y - mu + y*log(mu) - y*log(y)); the
-    gamma^(1/2) prefactor of the normalizing series is not included. mu and
-    gamma broadcast against ys. Raises DomainError unless every y is a
-    nonnegative integer.
+    r(mu, gamma, y) = gamma * ((y - mu) + y*log(mu/y)), evaluated in that
+    form (see _dp_bracket); the gamma^(1/2) prefactor of the normalizing
+    series is not included. mu and gamma broadcast against ys. A weight
+    whose exponent overflows is 0 (log weight -inf). Raises DomainError
+    unless every y is a nonnegative integer.
     """
     ys = _check_counts(ys)
-    r = gamma * (ys - mu + ys * np.log(mu) - _xlogy(ys, ys))
-    return _dp_log_h(ys) + r
+    with np.errstate(over="ignore"):
+        log_w = gamma * _dp_bracket(mu, ys)
+    log_w += _dp_log_h(ys)
+    return log_w
 
 
 def _log_weights(kind: str, params, ys: np.ndarray) -> np.ndarray:
@@ -361,82 +379,178 @@ def _log_sums(log_w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.log1p(rest) + np.log(count) + top[:, 0]
 
 
-def _member_blocks(batch: PredictiveBatch, trunc: SupportTruncation):
-    """Yield (rows, log_w, log_c, lengths) per row block of a discrete batch.
+def _tail_bound(kind: str, params, n: int) -> np.ndarray:
+    """Per cell, B such that the tail past the support 0..n-1 is negligible once
+    w_last * B <= s0 (the weight at y = n-1 and the sum, at one scale).
 
-    log_w is the (M, r, N) array of member log weights on the shared support
-    0..N-1 of the block's r rows, -inf past each member's own support length
-    lengths[m, i]; log_c (M, r) holds their log sums. A block holds at most
-    BLOCK_CELLS cells unless a single row needs more.
+    With rho of the module docstring, the tail of sum(s*y^2) is at most
+    w_last * sum_{k>=1} rho^k (n-1+k)^2; B is that over the tolerance, inf
+    where rho >= 1.
+    """
+    with np.errstate(all="ignore"):  # an infinite gamma gives nan: never converges
+        if kind == DOUBLE_POISSON:
+            mu, gamma = params
+            log_rho = (gamma * (np.log(mu) - math.log(n))
+                       + np.maximum(gamma - 1.0, 0.0) / (2.0 * (n - 1)))
+            tol = TAIL_TOL * np.minimum(1.0, gamma)
+        elif kind == POISSON:
+            log_rho, tol = np.log(params[0]) - math.log(n), TAIL_TOL
+        else:
+            r, p = params
+            log_rho, tol = np.log1p(-p) + np.maximum(0.0, np.log1p((r - 1.0) / n)), TAIL_TOL
+        rho, q, a = np.exp(log_rho), -np.expm1(log_rho), n - 1.0
+        bound = rho * (a * a / q + 2.0 * a / q**2 + (1.0 + rho) / q**3) / tol
+    return np.where(log_rho < 0.0, bound, np.inf)
 
-    Each member support starts at ceil(mean + 10*sqrt(var + 1) + 16), at
-    least 32, and doubles until its edge term is below tail_mass_tol times
-    its sum. A support unconverged at hard_cap raises NumericOverflow.
+
+def _run_bounds(values: np.ndarray) -> np.ndarray:
+    """Start of every run of equal nonnegative values, then len(values)."""
+    return np.flatnonzero(np.diff(values, prepend=-1.0, append=-1.0))
+
+
+def _series(kind: str, params, label, n0: int):
+    """Sums of the weight series of flat cells of one discrete kind.
+
+    params holds one flat array per parameter; label(i) names cell i in
+    errors. Returns (sums, shift, support): support[i] is the cell's final
+    N, and sums[:, i] holds s0, s1, s2, sy = the sums of s, s*(y-m),
+    s*(y-m)^2 and s*y about the cell's first parameter m, at scale
+    exp(-shift[i]). Cells are visited in order of m: a run of Double
+    Poisson cells with equal mu shares one bracket, and a run with equal
+    c = round(m) one matmul with the columns 1, y-c, (y-c)^2, y, whose sums
+    are then moved from c to m (|m - c| <= 1/2, so nothing cancels).
+    """
+    dp = kind == DOUBLE_POISSON
+    with np.errstate(over="ignore"):
+        mean = params[0] * (1.0 - params[1]) / params[1] if kind == NEG_BINOMIAL else params[0]
+    hopeless = ~(mean < MAX_TERMS) | ~(_tail_bound(kind, params, MAX_TERMS) < np.inf)
+    if hopeless.any():
+        raise NumericOverflow(f"{label(int(np.argmax(hopeless)))} cannot be summed within "
+                              f"{MAX_TERMS} terms")
+    order = np.argsort(params[0], kind="stable")
+    params = [p[order] for p in params]
+    center = np.rint(params[0])
+    sums = np.zeros((order.size, 4))
+    shift = np.full(order.size, -np.inf)
+    support = np.zeros(order.size, dtype=np.int64)
+    todo = np.arange(order.size)
+    lo, hi = 0, n0
+    while todo.size:
+        if lo == MAX_TERMS:
+            raise NumericOverflow(f"{label(int(order[todo[0]]))} did not converge within "
+                                  f"{MAX_TERMS} terms")
+        ys = np.arange(lo, hi, dtype=float)
+        now = [p[todo] for p in params]
+        bound = _tail_bound(kind, now, hi)
+        if dp:
+            # log h decreases in y and the bracket is concave with its peak at
+            # y = mu: log h(lo) plus gamma times the bracket at floor(mu) or
+            # ceil(mu), clipped into the block, bounds a cell's log weights on
+            # the block from above, by less than 7 over their maximum
+            log_h = _dp_log_h(ys)
+            with np.errstate(over="ignore"):
+                peak = log_h[0] + now[1] * np.maximum(
+                    _dp_bracket(now[0], np.clip(np.floor(now[0]), lo, hi - 1)),
+                    _dp_bracket(now[0], np.clip(np.ceil(now[0]), lo, hi - 1)))
+        step = max(1, BLOCK_CELLS // ys.size)
+        left = []
+        for start in range(0, todo.size, step):
+            cells, part = todo[start:start + step], [p[start:start + step] for p in now]
+            runs = _run_bounds(part[0])
+            if dp and runs.size <= cells.size:  # cells of equal mu share one bracket
+                log_w = np.empty((cells.size, ys.size))
+                with np.errstate(over="ignore"):
+                    for a, b in zip(runs[:-1], runs[1:]):
+                        np.multiply.outer(part[1][a:b], _dp_bracket(part[0][a], ys),
+                                          out=log_w[a:b])
+                log_w += log_h
+            else:
+                log_w = _log_weights(kind, [p[:, None] for p in part], ys)
+            old = shift[cells]
+            new = np.maximum(old, peak[start:start + step] if dp else np.max(log_w, axis=1))
+            top = np.where(new > -np.inf, new, 0.0)
+            log_w -= top[:, None]
+            w = np.exp(log_w, out=log_w)
+            s = sums[cells] * np.exp(old - top)[:, None]
+            c = center[cells]
+            runs = _run_bounds(c)
+            for a, b in zip(runs[:-1], runs[1:]):
+                d = ys - c[a]
+                s[a:b] += w[a:b] @ np.column_stack((np.ones_like(ys), d, d * d, ys))
+            sums[cells], shift[cells] = s, new
+            ok = w[:, -1] * bound[start:start + step] <= s[:, 0]
+            support[cells[ok]] = hi
+            left.append(cells[~ok])
+        todo = np.concatenate(left)
+        lo, hi = hi, min(2 * hi, MAX_TERMS)
+    t0, t1, t2, ty = sums.T
+    delta = params[0] - center
+    sums = np.stack((t0, t1 - delta * t0, t2 - delta * (2.0 * t1 - delta * t0), ty))
+    inverse = np.argsort(order)
+    return sums[:, inverse], shift[inverse], support[inverse]
+
+
+def _pmf_blocks(batch: PredictiveBatch):
+    """Yield (rows, pmf, lengths) per row block of a discrete batch.
+
+    pmf is the (r, N) mixture PMF of the block's r rows, each member
+    normalized over its own support from _series, and zero past the row's
+    support length lengths[i], the longest of its members. A block holds at
+    most BLOCK_CELLS member cells unless a single row needs more.
     """
     members, n = batch.shape
-    mean, var = batch.member_moments()
-    with np.errstate(over="ignore", invalid="ignore"):
-        start = np.ceil(mean + 10.0 * np.sqrt(var + 1.0) + 16.0)
-    lengths = np.minimum(trunc.hard_cap, np.maximum(32.0, start)).astype(np.int64)
-    log_tol = math.log(trunc.tail_mass_tol)
+    support = _series(batch.kind, *_cells(batch), PMF_N0)[2]
+    support = support.reshape(members, n)
     lo = 0
     while lo < n:
         widest = np.maximum.accumulate(
-            lengths[:, lo:lo + BLOCK_CELLS // (32 * members) + 1].max(axis=0))
+            support[:, lo:lo + BLOCK_CELLS // (PMF_N0 * members) + 1].max(axis=0))
         cells = members * np.arange(1, widest.size + 1) * widest
         hi = lo + max(1, int(np.searchsorted(cells, BLOCK_CELLS, side="right")))
-        L = lengths[:, lo:hi]
+        L = support[:, lo:hi]
         ys = np.arange(L.max(), dtype=float)
         log_w = _log_weights(batch.kind, [p[:, lo:hi, None] for p in batch.params], ys)
         log_w[ys >= L[..., None]] = -np.inf
         log_c = _log_sums(log_w.reshape(-1, ys.size), L.ravel()).reshape(L.shape)
-        edge = np.take_along_axis(log_w, L[..., None] - 1, axis=2)[..., 0]
-        unconverged = ~(edge < log_tol + log_c)
-        if unconverged.any():
-            capped = np.argwhere(unconverged & (L >= trunc.hard_cap))
-            if capped.size:
-                m, i = capped[0]
-                values = ", ".join(f"{name}={float(p[m, lo + i])!r}" for name, p in
-                                   zip(_FIELDS[batch.kind], batch.params))
-                raise NumericOverflow(
-                    f"PMF support of {batch.kind}({values}) has not converged "
-                    f"within hard_cap={trunc.hard_cap} terms")
-            lengths[:, lo:hi] = np.where(unconverged, np.minimum(2 * L, trunc.hard_cap), L)
-            continue  # re-block these rows on their longer supports
-        yield slice(lo, hi), log_w, log_c, L
-        lo = hi
-
-
-def _pmf_blocks(batch: PredictiveBatch, trunc: SupportTruncation):
-    """Yield (rows, pmf, lengths) per row block of a discrete batch.
-
-    pmf is the (r, N) mixture PMF of the block's rows, each member
-    normalized over its own support, and zero past the row's support length
-    lengths[i], the longest of its members.
-    """
-    for rows, log_w, log_c, lengths in _member_blocks(batch, trunc):
         p = np.exp(log_w - log_c[..., None])
         pmf = p[0]
         for member in p[1:]:
             pmf += member
-        if len(p) > 1:
-            pmf /= len(p)
+        if members > 1:
+            pmf /= members
         if not np.all(np.isfinite(pmf)):
             raise NumericOverflow(f"non-finite PMF values for kind {batch.kind}")
-        yield rows, pmf, lengths.max(axis=0)
+        yield slice(lo, hi), pmf, L.max(axis=0)
+        lo = hi
 
 
-def dp_normalizer(mu: float, gamma: float, trunc: SupportTruncation = DEFAULT_TRUNCATION) -> float:
+def _inverse_cdf(batch: PredictiveBatch, u: np.ndarray) -> np.ndarray:
+    """Smallest z with CDF(z) >= u[i, j], for the draws u[i] in [0, 1) of row i.
+
+    Each row's CDF is taken as 1 at the last point of its support, so every
+    draw lands on it.
+    """
+    z = np.empty(u.shape, dtype=np.int64)
+    for rows, pmf, lengths in _pmf_blocks(batch):
+        cdf = np.cumsum(pmf, axis=1)
+        cdf[np.arange(cdf.shape[1]) >= lengths[:, None] - 1] = 1.0
+        for i, row_cdf in enumerate(cdf, start=rows.start):
+            z[i] = np.searchsorted(row_cdf, u[i], side="left")
+    return z
+
+
+def dp_normalizer(mu: float, gamma: float) -> float:
     """Normalizing constant c(mu, gamma) of the Double Poisson.
 
-    Sum over the truncated support of gamma^(1/2) h(y) exp(r(mu, gamma, y)).
+    Sum over the engine's support of gamma^(1/2) h(y) exp(r(mu, gamma, y)).
     Equals 1 exactly when gamma = 1 and stays within a few percent of 1 over
     moderate parameter ranges, which is what justifies dropping it from
     training losses.
     """
-    batch = PredictiveBatch(DOUBLE_POISSON, ([[mu]], [[gamma]]))
-    _, _, log_c, _ = next(_member_blocks(batch, trunc))
-    c = math.exp(0.5 * math.log(gamma) + float(log_c[0, 0]))
+    batch = double_poisson(mu, gamma)
+    (s0, *_), shift, _ = _series(DOUBLE_POISSON, *_cells(batch), PMF_N0)
+    with np.errstate(over="ignore"):
+        c = float(np.exp(0.5 * math.log(gamma) + shift[0] + math.log(s0[0])))
     if not math.isfinite(c):
         raise NumericOverflow(f"normalizer overflowed for mu={mu}, gamma={gamma}")
     return c
@@ -549,7 +663,6 @@ def predictive_summary(
     batch: PredictiveBatch,
     ys=None,
     levels=(),
-    trunc: SupportTruncation = DEFAULT_TRUNCATION,
 ) -> PredictiveSummary:
     """Modes, quantiles at ``levels`` and, given labels ``ys``, CRPS of every row.
 
@@ -577,7 +690,7 @@ def predictive_summary(
     labels = None if ys is None else _count_labels(ys)
     modes = np.empty(n)
     crps = None if ys is None else np.empty(n)
-    for rows, pmf, lengths in _pmf_blocks(batch, trunc):
+    for rows, pmf, lengths in _pmf_blocks(batch):
         modes[rows] = np.argmax(pmf, axis=1)
         cdf = np.cumsum(pmf, axis=1)
         for j, q in enumerate(levels):
@@ -596,42 +709,40 @@ def _one_row(dist: PredictiveBatch) -> PredictiveBatch:
     return dist
 
 
-def pmf_vector(
-    dist: PredictiveBatch, trunc: SupportTruncation = DEFAULT_TRUNCATION
-) -> np.ndarray:
-    """Normalized PMF over the truncated support 0..N-1 of a one-row discrete batch.
+def pmf_vector(dist: PredictiveBatch) -> np.ndarray:
+    """Normalized PMF over the support 0..N-1 of a one-row discrete batch.
 
     Raises DomainError for Gaussian distributions and NumericOverflow when
-    the support has not converged within trunc.hard_cap terms.
+    the support has not converged within MAX_TERMS terms.
     """
     if _one_row(dist).kind == GAUSSIAN:
         raise DomainError("pmf_vector requires a discrete distribution")
-    _, pmf, lengths = next(_pmf_blocks(dist, trunc))
+    _, pmf, lengths = next(_pmf_blocks(dist))
     return pmf[0, :lengths[0]]
 
 
-def dist_pmf(
-    dist: PredictiveBatch,
-    y: int,
-    trunc: SupportTruncation = DEFAULT_TRUNCATION,
-    normalized: bool = True,
-) -> float:
+def dist_pmf(dist: PredictiveBatch, y, normalized: bool = True) -> float:
     """PMF at integer y (density for Gaussian), averaged over the members.
 
-    For the Double Poisson, normalized=False returns the c = 1 value that the
+    0 at every y that is not a nonnegative integer, including +-inf. For the
+    Double Poisson, normalized=False returns the c = 1 value that the
     training loss implicitly uses; normalized=True divides by the normalizer
-    c(mu, gamma) of each member.
+    c(mu, gamma) of each member. Raises DomainError for nan.
     """
+    y = float(y)
+    if math.isnan(y):
+        raise DomainError("a PMF point must not be nan")
     params = [p[:, 0] for p in _one_row(dist).params]
     if dist.kind == GAUSSIAN:
         mu, s2 = params
         return float(np.mean(np.exp(-0.5 * (y - mu) ** 2 / s2) / np.sqrt(2.0 * math.pi * s2)))
-    if y < 0 or y != int(y):
+    if not (0.0 <= y < math.inf and y == math.floor(y)):
         return 0.0
-    log_p = _log_weights(dist.kind, params, np.array([float(int(y))]))
+    log_p = _log_weights(dist.kind, params, np.array([y]))
     if dist.kind == DOUBLE_POISSON:
         if normalized:  # log c = log(gamma)/2 + log of the weight sum
-            log_p = log_p - next(_member_blocks(dist, trunc))[2][:, 0]
+            (s0, *_), shift, _ = _series(dist.kind, *_cells(dist), PMF_N0)
+            log_p = log_p - (shift + np.log(s0))
         else:
             log_p = log_p + 0.5 * np.log(params[1])
     with np.errstate(over="ignore"):
@@ -642,10 +753,15 @@ def dist_pmf(
     return float(np.mean(values))
 
 
-def dist_cdf(
-    dist: PredictiveBatch, y: float, trunc: SupportTruncation = DEFAULT_TRUNCATION
-) -> float:
-    """CDF at real y. Nondecreasing, right-continuous, reaches 1 at the cap."""
+def dist_cdf(dist: PredictiveBatch, y) -> float:
+    """CDF at real y: 0 at -inf, 1 at +inf, DomainError at nan.
+
+    Nondecreasing and right-continuous; a discrete CDF reaches 1 at the end
+    of its support.
+    """
+    y = float(y)
+    if math.isnan(y):
+        raise DomainError("a CDF point must not be nan")
     if _one_row(dist).kind == GAUSSIAN:
         from scipy.special import ndtr
 
@@ -653,63 +769,46 @@ def dist_cdf(
         return float(np.mean(ndtr((y - mu) / np.sqrt(s2))))
     if y < 0:
         return 0.0
-    k = int(math.floor(y))
-    p = pmf_vector(dist, trunc)
-    return float(np.sum(p[: k + 1])) if k < p.size else 1.0
+    p = pmf_vector(dist)
+    return float(np.sum(p[: int(y) + 1])) if y < p.size else 1.0
 
 
-def dist_moments(
-    dist: PredictiveBatch,
-    mode: str = EFRON_APPROX,
-    trunc: SupportTruncation = DEFAULT_TRUNCATION,
-) -> tuple[float, float]:
+def dist_moments(dist: PredictiveBatch, mode: str = EFRON_APPROX) -> tuple[float, float]:
     """Mean and variance.
 
     mode selects how Double Poisson moments are computed: "efron_approx"
     uses (mu, mu/gamma); "exact_series" evaluates the correction series.
     Other kinds have closed forms and ignore the distinction.
     """
-    mean, var = _one_row(dist).moments(mode, trunc)
+    mean, var = _one_row(dist).moments(mode)
     return float(mean[0]), float(var[0])
 
 
-def dist_mode(
-    dist: PredictiveBatch, trunc: SupportTruncation = DEFAULT_TRUNCATION
-) -> float:
+def dist_mode(dist: PredictiveBatch) -> float:
     """Most probable value; ties break toward the smallest.
 
     Gaussian mode is the mean, left unrounded even on count labels. A
     mixture of Gaussians also reports its mean as the point prediction.
     """
-    return float(predictive_summary(_one_row(dist), trunc=trunc).modes[0])
+    return float(predictive_summary(_one_row(dist)).modes[0])
 
 
-def dist_quantile(
-    dist: PredictiveBatch, q: float, trunc: SupportTruncation = DEFAULT_TRUNCATION
-) -> float:
+def dist_quantile(dist: PredictiveBatch, q: float) -> float:
     """Smallest support value z with CDF(z) >= q (equal-tailed interval use)."""
-    return float(predictive_summary(_one_row(dist), levels=(q,),
-                                    trunc=trunc).quantiles[0, 0])
+    return float(predictive_summary(_one_row(dist), levels=(q,)).quantiles[0, 0])
 
 
-def dist_sample(
-    dist: PredictiveBatch,
-    rng: np.random.Generator,
-    n: int,
-    trunc: SupportTruncation = DEFAULT_TRUNCATION,
-) -> np.ndarray:
+def dist_sample(dist: PredictiveBatch, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n samples; deterministic for a given generator state.
 
-    Discrete kinds sample by inverse CDF over the normalized truncated
-    mixture PMF. A Gaussian mixture of M > 1 members draws a member for each
-    sample, then the sample from it.
+    Discrete kinds sample by inverse CDF over the normalized mixture PMF. A
+    Gaussian mixture of M > 1 members draws a member for each sample, then
+    the sample from it.
     """
     if n < 0:
         raise DomainError(f"sample count must be nonnegative, got {n}")
     if _one_row(dist).kind != GAUSSIAN:
-        cdf = np.cumsum(pmf_vector(dist, trunc))
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, rng.random(n), side="left").astype(np.int64)
+        return _inverse_cdf(dist, rng.random((1, n)))[0]
     mu, sd = dist.params[0][:, 0], np.sqrt(dist.params[1][:, 0])
     if mu.size > 1:
         idx = rng.integers(0, mu.size, size=n)

@@ -149,7 +149,6 @@ def predict_table(
     ens: Ensemble,
     X: np.ndarray,
     mode: str = dists.EFRON_APPROX,
-    trunc: dists.SupportTruncation = dists.DEFAULT_TRUNCATION,
     quantiles=None,
 ):
     """Per-row decomposition and equal-tailed 95 percent mixture interval.
@@ -163,8 +162,7 @@ def predict_table(
     means, variances = member_moments(ens, X, mode)
     dec = decompose_variance(means, variances)
     if quantiles is None:
-        quantiles = dists.predictive_summary(predictive_batch(ens, X), levels=INTERVAL,
-                                             trunc=trunc).quantiles
+        quantiles = dists.predictive_summary(predictive_batch(ens, X), levels=INTERVAL).quantiles
     return {
         "mean": np.mean(means, axis=0),
         "aleatoric": np.asarray(dec.aleatoric),

@@ -50,13 +50,9 @@ def crps_from_pmf(pmf: np.ndarray, y: int) -> float:
     return float(dists.crps_from_cdf(cdf[None], np.array([cdf.size]), np.array([y]))[0])
 
 
-def crps(
-    dist: dists.PredictiveBatch,
-    y,
-    trunc: dists.SupportTruncation = dists.DEFAULT_TRUNCATION,
-) -> float:
+def crps(dist: dists.PredictiveBatch, y) -> float:
     """CRPS of a one-row batch against one label; ShapeError for other batches."""
-    return float(dists.predictive_summary(dist, [y], trunc=trunc).crps[0])
+    return float(dists.predictive_summary(dist, [y]).crps[0])
 
 
 def median_precision(variances) -> float:
@@ -157,7 +153,6 @@ def evaluate(
     predictions: dists.PredictiveBatch,
     ys,
     variances=None,
-    trunc: dists.SupportTruncation = dists.DEFAULT_TRUNCATION,
     levels=(),
 ) -> EvalRecord:
     """Score predictive distributions against labels.
@@ -173,7 +168,7 @@ def evaluate(
         raise ShapeError(f"{len(predictions)} predictions for {ys.size} labels")
     if ys.size == 0:
         raise ShapeError("evaluate needs at least one example")
-    summary = dists.predictive_summary(predictions, ys, levels, trunc)
+    summary = dists.predictive_summary(predictions, ys, levels)
     if variances is None:
         variances = predictions.moments()[1]
     else:

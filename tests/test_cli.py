@@ -161,17 +161,17 @@ class TestEval:
                     "--out", tmp_path]) == 4
 
     def test_support_cap_hit_is_numeric_error(self, workspace, tmp_path, capsys):
-        """A model predicting DP(2e4, 1) everywhere needs more PMF support than
-        the 10000-term cap; the run fails with exit 3 instead of truncating."""
+        """A model predicting DP(1e5, 1) everywhere needs more PMF support than
+        the 65536-term cap; the run fails with exit 3 instead of truncating."""
         w = network.init_mlp(network.MLPConfig(input_dim=1, hidden_widths=(), head_count=2))
         w.head_w[:] = 0.0
-        w.head_b[:] = (np.log(2e4), 0.0)
+        w.head_b[:] = (np.log(1e5), 0.0)
         ckpt = tmp_path / "wide.ckpt"
         ckpt.write_text(network.render_checkpoint(
             w, {"family": "double_poisson", "beta": "0.0", "input_dim": "1"}))
         assert run(["eval", "--ckpt", ckpt, "--data", workspace["prefix"],
                     "--out", tmp_path]) == 3
-        assert "hard_cap" in capsys.readouterr().err
+        assert "cannot be summed within 65536 terms" in capsys.readouterr().err
         assert not (tmp_path / "reports" / "eval_metrics.json").exists()
 
 

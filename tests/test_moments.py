@@ -105,6 +105,9 @@ class TestGrowingSupport:
     @settings(max_examples=60, deadline=None)
     @given(log_mu=st.floats(-2.0, 2.0), log_var=st.floats(-2.0, 2.0),
            n_terms=st.integers(2, 400))
+    # gamma0 of about 1000 and 3400 magnify the log weights' rounding
+    @example(log_mu=1.9974996246716303, log_var=-1.0, n_terms=2)
+    @example(log_mu=1.5253106566334935, log_var=-2.0, n_terms=2)
     def test_matches_sum_over_final_support(self, log_mu, log_var, n_terms):
         """Summing block by block gives the direct sum over the support the
         cell ended on; that support is n_terms doubled until it converged."""
@@ -151,6 +154,25 @@ class TestGrowingSupport:
             assert f"mu0={mu0}, var0={var0} " in str(exc)
         else:
             assert all(math.isfinite(e) for e in eps)
+
+
+class TestOneEngine:
+    @settings(max_examples=25, deadline=None)
+    @given(members=st.integers(1, 5), rows=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_batch_moments_match_grid(self, members, rows, seed):
+        """The exact-series member moments of a random Double Poisson batch
+        deviate from (mu, mu/gamma) by mdf_epsilon's eps1 and eps2: the batch
+        and the grid read one engine."""
+        rng = np.random.default_rng(seed)
+        mu, gamma = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (2, members, rows)))
+        batch = dists.PredictiveBatch(dists.DOUBLE_POISSON, (mu, gamma))
+        mean, var = batch.member_moments(dists.EXACT_SERIES)
+        for m, i in np.ndindex(mu.shape):
+            mu0, var0 = float(mu[m, i]), float(mu[m, i] / gamma[m, i])
+            want = moments.mdf_epsilon(mu0, var0)
+            atol = 1e-13 * (1.0 + mu0 + var0)
+            assert_allclose(abs(mean[m, i] - mu0), want[0], rtol=1e-12, atol=atol)
+            assert_allclose(abs(var[m, i] - var0), want[1], rtol=1e-12, atol=atol)
 
 
 class TestGrid:
