@@ -33,13 +33,14 @@ Every predictive distribution is a PredictiveBatch: n rows, each a uniform
 mixture of M members of one family, with parameters shaped (M, n). The
 constructors (double_poisson, poisson, ...) return one-member, one-row
 batches, and mixture stacks such batches along the member axis.
-predictive_summary builds the member log weights on the engine's supports
-in row blocks of at most BLOCK_CELLS cells, normalizes each member once,
-averages over members, and reads modes, quantiles and CRPS off one CDF
-matrix per block. The single-distribution functions (pmf_vector, dist_mode,
-dist_quantile, ...) take a one-row batch and are views of the same engine;
-every row is summed exactly as it would be alone, so a row's results do not
-depend on the rows batched with it.
+predictive_summary builds the member log weights in blocks of rows of one
+width (the widest support among a row's members) and at most BLOCK_CELLS
+cells, normalizes each member once, averages over members, and reads modes,
+quantiles and CRPS off one CDF matrix per block. The single-distribution
+functions (pmf_vector, dist_mode, dist_quantile, ...) take a one-row batch
+and are views of the same engine. Every row is summed at its own width,
+exactly as it would be alone, so its results do not depend on the rows
+batched with it.
 """
 
 from __future__ import annotations
@@ -349,23 +350,8 @@ def _log_weights(kind: str, params, ys: np.ndarray) -> np.ndarray:
     return gammaln(ys + r) - gammaln(r) - _log_factorial(ys) + r * np.log(p) + ys * np.log1p(-p)
 
 
-def _segment_sums(values: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """sum(values[i, start[i]:stop[i]]) for every row i.
-
-    Rows are summed in groups of equal length, so each row is added up
-    exactly as np.sum adds a vector of that length and its value does not
-    depend on the rows beside it.
-    """
-    out = np.zeros(values.shape[0])
-    width = stop - start
-    for k in np.unique(width[width > 0]):
-        rows = np.flatnonzero(width == k)
-        out[rows] = np.sum(values[rows[:, None], start[rows, None] + np.arange(k)], axis=1)
-    return out
-
-
-def _log_sums(log_w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """log(sum(exp(log_w[i, :lengths[i]]))) per row; entries past a row's length are -inf.
+def _log_sums(log_w: np.ndarray) -> np.ndarray:
+    """log(sum(exp(log_w[i]))) per row.
 
     The largest terms are taken out of the sum and added back through
     log1p, which keeps the result accurate when one term dominates.
@@ -375,8 +361,7 @@ def _log_sums(log_w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     e = np.exp(log_w - top)
     e[at_top] = 0.0
     count = np.sum(at_top, axis=1)
-    rest = _segment_sums(e, np.zeros_like(lengths), lengths) / count
-    return np.log1p(rest) + np.log(count) + top[:, 0]
+    return np.log1p(np.sum(e, axis=1) / count) + np.log(count) + top[:, 0]
 
 
 def _tail_bound(kind: str, params, n: int) -> np.ndarray:
@@ -491,37 +476,32 @@ def _series(kind: str, params, label, n0: int):
 
 
 def _pmf_blocks(batch: PredictiveBatch):
-    """Yield (rows, pmf, lengths) per row block of a discrete batch.
+    """Yield (rows, pmf) per block of rows of one width N, the widest support
+    from _series among a row's members.
 
-    pmf is the (r, N) mixture PMF of the block's r rows, each member
-    normalized over its own support from _series, and zero past the row's
-    support length lengths[i], the longest of its members. A block holds at
-    most BLOCK_CELLS member cells unless a single row needs more.
+    rows indexes the block's rows in the batch and pmf is their (r, N)
+    mixture PMF, each member normalized over its own support and zero past
+    it. As every row of a block has the block's width, plain sums along axis
+    1 add each row up exactly as when it is alone: a row's results cannot
+    depend on its neighbours. A block holds at most BLOCK_CELLS member
+    cells unless a single row needs more.
     """
     members, n = batch.shape
-    support = _series(batch.kind, *_cells(batch), PMF_N0)[2]
-    support = support.reshape(members, n)
-    lo = 0
-    while lo < n:
-        widest = np.maximum.accumulate(
-            support[:, lo:lo + BLOCK_CELLS // (PMF_N0 * members) + 1].max(axis=0))
-        cells = members * np.arange(1, widest.size + 1) * widest
-        hi = lo + max(1, int(np.searchsorted(cells, BLOCK_CELLS, side="right")))
-        L = support[:, lo:hi]
-        ys = np.arange(L.max(), dtype=float)
-        log_w = _log_weights(batch.kind, [p[:, lo:hi, None] for p in batch.params], ys)
-        log_w[ys >= L[..., None]] = -np.inf
-        log_c = _log_sums(log_w.reshape(-1, ys.size), L.ravel()).reshape(L.shape)
-        p = np.exp(log_w - log_c[..., None])
-        pmf = p[0]
-        for member in p[1:]:
-            pmf += member
-        if members > 1:
-            pmf /= members
-        if not np.all(np.isfinite(pmf)):
-            raise NumericOverflow(f"non-finite PMF values for kind {batch.kind}")
-        yield slice(lo, hi), pmf, L.max(axis=0)
-        lo = hi
+    support = _series(batch.kind, *_cells(batch), PMF_N0)[2].reshape(members, n)
+    width = support.max(axis=0)
+    for w in np.unique(width):
+        same = np.flatnonzero(width == w)
+        step = max(1, BLOCK_CELLS // (members * int(w)))
+        ys = np.arange(w, dtype=float)
+        for start in range(0, same.size, step):
+            rows = same[start:start + step]
+            log_w = _log_weights(batch.kind, [p[:, rows, None] for p in batch.params], ys)
+            log_w[ys >= support[:, rows, None]] = -np.inf
+            log_c = _log_sums(log_w.reshape(-1, ys.size)).reshape(members, rows.size)
+            pmf = np.mean(np.exp(log_w - log_c[..., None]), axis=0)
+            if not np.all(np.isfinite(pmf)):
+                raise NumericOverflow(f"non-finite PMF values for kind {batch.kind}")
+            yield rows, pmf
 
 
 def _inverse_cdf(batch: PredictiveBatch, u: np.ndarray) -> np.ndarray:
@@ -531,10 +511,10 @@ def _inverse_cdf(batch: PredictiveBatch, u: np.ndarray) -> np.ndarray:
     draw lands on it.
     """
     z = np.empty(u.shape, dtype=np.int64)
-    for rows, pmf, lengths in _pmf_blocks(batch):
+    for rows, pmf in _pmf_blocks(batch):
         cdf = np.cumsum(pmf, axis=1)
-        cdf[np.arange(cdf.shape[1]) >= lengths[:, None] - 1] = 1.0
-        for i, row_cdf in enumerate(cdf, start=rows.start):
+        cdf[:, -1] = 1.0
+        for i, row_cdf in zip(rows, cdf):
             z[i] = np.searchsorted(row_cdf, u[i], side="left")
     return z
 
@@ -591,32 +571,49 @@ class PredictiveSummary:
     crps: object = None
 
 
-def crps_from_cdf(cdf: np.ndarray, lengths: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def crps_from_cdf(cdf: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """CRPS of each row of a discrete CDF matrix against nonnegative integer labels.
 
-    Row i is a CDF over the support 0..lengths[i]-1 (later entries are
-    ignored) and is 1 past it:
+    Every row is a CDF over the support 0..N-1, N = cdf.shape[1], and is 1
+    past it; ys are integer-valued floats:
 
         CRPS(F, y) = sum_{z<y} F(z)^2 + sum_{z>=y} (F(z) - 1)^2,
 
-    with the upper sum stopped at its first term below CRPS_TAIL_TOL.
+    with the upper sum stopped at its first term below CRPS_TAIL_TOL. Both
+    sums are masked sums over whole rows, so a row's value depends on its
+    own CDF and label alone.
     """
-    low = np.minimum(ys, lengths)
-    total = _segment_sums(cdf**2, np.zeros_like(low), low) + np.maximum(0, ys - lengths)
+    z = np.arange(cdf.shape[1])
+    below = z < ys[:, None]
     tail = (cdf - 1.0) ** 2
-    small = (tail < CRPS_TAIL_TOL) & (np.arange(cdf.shape[1]) >= low[:, None])
+    small = (tail < CRPS_TAIL_TOL) & ~below
     stop = np.where(small.any(axis=1), np.argmax(small, axis=1), cdf.shape[1])
-    return total + _segment_sums(tail, low, np.minimum(stop, lengths))
+    upper = ~below & (z < stop[:, None])
+    total = np.sum(np.where(below, cdf**2, 0.0), axis=1) + np.maximum(0.0, ys - cdf.shape[1])
+    return total + np.sum(np.where(upper, tail, 0.0), axis=1)
 
 
-def _count_labels(ys: np.ndarray) -> np.ndarray:
-    labels = np.rint(ys)
-    off = np.flatnonzero(np.abs(ys - labels) > 1e-9)
-    if off.size:
-        raise DomainError(f"discrete CRPS needs an integer label, got {ys[off[0]]}")
-    if np.any(labels < 0):
-        raise DomainError(f"count label must be nonnegative, got {int(labels.min())}")
-    return labels.astype(np.int64)
+def count_labels(ys) -> np.ndarray:
+    """Labels rounded to integer floats; DomainError for a label that is nan,
+    infinite, negative or more than 1e-9 from an integer."""
+    ys = np.asarray(ys, dtype=float)
+    labels = np.rint(np.where(np.isfinite(ys), ys, -1.0))
+    bad = np.flatnonzero((labels < 0) | (np.abs(ys - labels) > 1e-9))
+    if bad.size:
+        raise DomainError(f"a count label must be a nonnegative integer, got {ys[bad[0]]}")
+    return labels
+
+
+def _normal_density(u) -> np.ndarray:
+    """Standard normal density at u."""
+    return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+
+
+def _gaussian_cdf(x, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """CDF at x of uniform Gaussian mixtures, the members along axis 0."""
+    from scipy.special import ndtr
+
+    return np.mean(ndtr((x - mu) / sd), axis=0)
 
 
 def _gauss_abs_moment(delta: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -625,7 +622,7 @@ def _gauss_abs_moment(delta: np.ndarray, var: np.ndarray) -> np.ndarray:
 
     s = np.sqrt(var)
     u = delta / s
-    return s * (u * (2.0 * ndtr(u) - 1.0) + 2.0 * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    return s * (u * (2.0 * ndtr(u) - 1.0) + 2.0 * _normal_density(u))
 
 
 def gaussian_crps(mu: np.ndarray, sigma2: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -643,7 +640,7 @@ def gaussian_crps(mu: np.ndarray, sigma2: np.ndarray, ys: np.ndarray) -> np.ndar
 
 
 def _gaussian_quantile(mu: np.ndarray, sigma2: np.ndarray, q: float) -> np.ndarray:
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtri
 
     sd = np.sqrt(sigma2)
     if mu.shape[0] == 1:
@@ -653,7 +650,7 @@ def _gaussian_quantile(mu: np.ndarray, sigma2: np.ndarray, q: float) -> np.ndarr
     hi = np.max(mu + 10.0 * sd, axis=0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = np.mean(ndtr((mid - mu) / sd), axis=0) < q
+        below = _gaussian_cdf(mid, mu, sd) < q
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -667,7 +664,8 @@ def predictive_summary(
     """Modes, quantiles at ``levels`` and, given labels ``ys``, CRPS of every row.
 
     Discrete rows: the mode is the most probable value (ties break toward
-    the smallest), the q-quantile the smallest z with CDF(z) >= q, and CRPS
+    the smallest), the q-quantile the smallest z with CDF(z) >= q (less a
+    relative 1e-12 of q, for the rounding of the CDF sums), and CRPS
     follows crps_from_cdf. Gaussian rows report their mean as the mode,
     unrounded, and use closed forms (bisection for mixture quantiles).
     """
@@ -687,16 +685,16 @@ def predictive_summary(
             quantiles[j] = _gaussian_quantile(mu, sigma2, q)
         crps = None if ys is None else gaussian_crps(mu, sigma2, ys)
         return PredictiveSummary(np.mean(mu, axis=0), quantiles, crps)
-    labels = None if ys is None else _count_labels(ys)
+    labels = None if ys is None else count_labels(ys)
     modes = np.empty(n)
     crps = None if ys is None else np.empty(n)
-    for rows, pmf, lengths in _pmf_blocks(batch):
+    for rows, pmf in _pmf_blocks(batch):
         modes[rows] = np.argmax(pmf, axis=1)
         cdf = np.cumsum(pmf, axis=1)
         for j, q in enumerate(levels):
-            quantiles[j, rows] = np.minimum(np.sum(cdf < q - 1e-12, axis=1), lengths)
+            quantiles[j, rows] = np.sum(cdf < q * (1.0 - 1e-12), axis=1)
         if crps is not None:
-            crps[rows] = crps_from_cdf(cdf, lengths, labels[rows])
+            crps[rows] = crps_from_cdf(cdf, labels[rows])
     return PredictiveSummary(modes, quantiles, crps)
 
 
@@ -717,8 +715,8 @@ def pmf_vector(dist: PredictiveBatch) -> np.ndarray:
     """
     if _one_row(dist).kind == GAUSSIAN:
         raise DomainError("pmf_vector requires a discrete distribution")
-    _, pmf, lengths = next(_pmf_blocks(dist))
-    return pmf[0, :lengths[0]]
+    _, pmf = next(_pmf_blocks(dist))
+    return pmf[0]
 
 
 def dist_pmf(dist: PredictiveBatch, y, normalized: bool = True) -> float:
@@ -734,8 +732,8 @@ def dist_pmf(dist: PredictiveBatch, y, normalized: bool = True) -> float:
         raise DomainError("a PMF point must not be nan")
     params = [p[:, 0] for p in _one_row(dist).params]
     if dist.kind == GAUSSIAN:
-        mu, s2 = params
-        return float(np.mean(np.exp(-0.5 * (y - mu) ** 2 / s2) / np.sqrt(2.0 * math.pi * s2)))
+        mu, sd = params[0], np.sqrt(params[1])
+        return float(np.mean(_normal_density((y - mu) / sd) / sd))
     if not (0.0 <= y < math.inf and y == math.floor(y)):
         return 0.0
     log_p = _log_weights(dist.kind, params, np.array([y]))
@@ -763,10 +761,8 @@ def dist_cdf(dist: PredictiveBatch, y) -> float:
     if math.isnan(y):
         raise DomainError("a CDF point must not be nan")
     if _one_row(dist).kind == GAUSSIAN:
-        from scipy.special import ndtr
-
         mu, s2 = (p[:, 0] for p in dist.params)
-        return float(np.mean(ndtr((y - mu) / np.sqrt(s2))))
+        return float(_gaussian_cdf(y, mu, np.sqrt(s2)))
     if y < 0:
         return 0.0
     p = pmf_vector(dist)

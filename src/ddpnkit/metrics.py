@@ -41,13 +41,10 @@ def mae(predictions: dists.PredictiveBatch, ys) -> float:
     return float(np.mean(np.abs(np.asarray(ys, dtype=float) - modes)))
 
 
-def crps_from_pmf(pmf: np.ndarray, y: int) -> float:
-    """CRPS of a normalized PMF vector against an integer label."""
-    y = int(y)
-    if y < 0:
-        raise DomainError(f"count label must be nonnegative, got {y}")
+def crps_from_pmf(pmf: np.ndarray, y) -> float:
+    """CRPS of a normalized PMF vector against a nonnegative integer label."""
     cdf = np.cumsum(np.asarray(pmf, dtype=float))
-    return float(dists.crps_from_cdf(cdf[None], np.array([cdf.size]), np.array([y]))[0])
+    return float(dists.crps_from_cdf(cdf[None], dists.count_labels([y]))[0])
 
 
 def crps(dist: dists.PredictiveBatch, y) -> float:

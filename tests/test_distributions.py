@@ -221,6 +221,12 @@ class TestQuantile:
         with pytest.raises(NumericOverflow, match=r"mu=100000\.0, gamma=1\.0"):
             dists.dist_quantile(dists.double_poisson(1e5, 1.0), 0.975)
 
+    def test_tiny_level(self):
+        """The slack on q is relative, so levels far below 1e-12 still resolve."""
+        z = dists.dist_quantile(dists.double_poisson(1000.0, 1.0), 1e-13)
+        assert z == 777
+        assert stats.poisson.cdf(z - 1, 1000.0) < 1e-13 <= stats.poisson.cdf(z, 1000.0)
+
     def test_gaussian_quantile(self):
         z = dists.dist_quantile(dists.gaussian(1.0, 4.0), 0.975)
         assert_allclose(z, 1.0 + 2.0 * stats.norm.ppf(0.975), rtol=1e-9)
@@ -267,7 +273,7 @@ def oracle_summary(kind, params, ys):
         cdf = np.cumsum(mix)
         modes[i] = np.argmax(mix)
         for j, q in enumerate((0.025, 0.975)):
-            quantiles[j, i] = np.argmax(cdf >= q - 1e-12)
+            quantiles[j, i] = np.argmax(cdf >= q * (1.0 - 1e-12))
         below, above = cdf[:int(ys[i])], (cdf[int(ys[i]):] - 1.0) ** 2
         small = np.flatnonzero(above < 1e-12)
         crps[i] = np.sum(below**2) + np.sum(above[:small[0] if small.size else above.size])
@@ -305,13 +311,45 @@ class TestBatchEngine:
         self.check(kind, random_params(kind, members, 40, rng), rng)
 
     def test_narrow_rows_beside_wide_rows(self):
-        """mu = 0.5 and mu = 500 share one block; each row keeps its own support."""
+        """mu = 0.5 and mu = 500 rows go to blocks of their own widths."""
         rng = np.random.default_rng(4)
         mu = np.tile([[0.5, 500.0], [0.6, 480.0]], 10)
         batch, _, _ = self.check(dists.DOUBLE_POISSON, (mu, rng.uniform(0.5, 2.0, mu.shape)), rng)
         blocks = list(dists._pmf_blocks(batch))
-        assert len(blocks) == 1
-        assert blocks[0][2][0] < 64 < blocks[0][2][1]
+        assert np.array_equal(np.concatenate([rows for rows, pmf in blocks if pmf.shape[1] < 64]),
+                              np.arange(0, 20, 2))
+        assert np.array_equal(np.concatenate([rows for rows, pmf in blocks if pmf.shape[1] > 64]),
+                              np.arange(1, 20, 2))
+        support = dists._series(batch.kind, *dists._cells(batch), dists.PMF_N0)[2]
+        width = support.reshape(batch.shape).max(axis=0)
+        for rows, pmf in blocks:  # every block has one width, its rows' own
+            assert np.all(width[rows] == pmf.shape[1])
+
+    @pytest.mark.parametrize("kind", [dists.DOUBLE_POISSON, dists.POISSON, dists.NEG_BINOMIAL])
+    def test_wide_rows_score_as_alone(self, kind):
+        """Rows whose supports span 32 to 4096 terms score bit for bit as alone."""
+        rng = np.random.default_rng(6)
+        shape = (3, 90)
+        mean = np.exp(rng.uniform(math.log(0.3), math.log(2000.0), shape[1])) * np.ones(shape)
+        if kind == dists.DOUBLE_POISSON:
+            params = (mean, np.exp(rng.uniform(math.log(0.5), math.log(4.0), shape)))
+        elif kind == dists.POISSON:
+            params = (mean,)
+        else:
+            p = rng.uniform(0.3, 0.9, shape)
+            params = (mean * p / (1.0 - p), p)
+        batch = dists.PredictiveBatch(kind, params)
+        support = dists._series(kind, *dists._cells(batch), dists.PMF_N0)[2]
+        width = support.reshape(shape).max(axis=0)
+        assert width.min() == 32 and width.max() == 4096
+        ys = np.rint(mean[0] * rng.uniform(0.5, 1.5, shape[1]))
+        got = dists.predictive_summary(batch, ys, levels=(0.025, 0.975))
+        for i in range(len(batch)):
+            alone = dists.PredictiveBatch(kind, [p[:, i:i + 1] for p in params])
+            one = dists.predictive_summary(alone, ys[i:i + 1], levels=(0.025, 0.975))
+            assert one.modes[0] == got.modes[i]
+            assert np.array_equal(one.quantiles[:, 0], got.quantiles[:, i])
+            assert one.crps[0] == got.crps[i]
 
     def test_more_rows_than_one_block(self):
         rng = np.random.default_rng(5)

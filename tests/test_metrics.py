@@ -77,6 +77,22 @@ class TestDiscreteCrps:
         with pytest.raises(DomainError):
             metrics.crps_from_pmf(dists.pmf_vector(d), -1)
 
+    @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, 2.5])
+    @pytest.mark.parametrize("score", [
+        lambda y: metrics.crps(dists.poisson(2.0), y),
+        lambda y: metrics.crps_from_pmf(dists.pmf_vector(dists.poisson(2.0)), y),
+        lambda y: metrics.evaluate(dists.PredictiveBatch(dists.POISSON, ([2.0, 3.0],)), [1, y]),
+    ], ids=["crps", "crps_from_pmf", "evaluate"])
+    def test_rejects_labels_that_are_not_counts(self, score, label):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            score(label)
+
+    def test_huge_label_is_scored_as_a_float(self):
+        """Every CDF value past the support is 1, so a huge label scores about itself."""
+        d = dists.poisson(2.0)
+        assert_allclose(metrics.crps(d, 1e300), 1e300, rtol=1e-15)
+        assert_allclose(metrics.crps_from_pmf(dists.pmf_vector(d), 1e300), 1e300, rtol=1e-15)
+
     def test_sharper_correct_prediction_scores_better(self):
         y = 12
         tight = metrics.crps(dists.double_poisson(12.0, 4.0), y)
