@@ -604,6 +604,19 @@ def count_labels(ys) -> np.ndarray:
     return labels
 
 
+def check_labels(batch: PredictiveBatch, ys) -> np.ndarray:
+    """Labels to score batch against, as floats: count_labels for the
+    discrete families; Gaussian rows take any finite label. DomainError for
+    a label that does not qualify."""
+    if batch.kind != GAUSSIAN:
+        return count_labels(ys)
+    ys = np.asarray(ys, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(ys))
+    if bad.size:
+        raise DomainError(f"a label must be finite, got {ys[bad[0]]}")
+    return ys
+
+
 def _normal_density(u) -> np.ndarray:
     """Standard normal density at u."""
     return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
@@ -668,26 +681,28 @@ def predictive_summary(
     relative 1e-12 of q, for the rounding of the CDF sums), and CRPS
     follows crps_from_cdf. Gaussian rows report their mean as the mode,
     unrounded, and use closed forms (bisection for mixture quantiles).
+    Labels go through check_labels first.
     """
     levels = tuple(float(q) for q in levels)
     for q in levels:
         if not (0.0 < q < 1.0):
             raise DomainError(f"quantile level must lie in (0, 1), got {q}")
     n = len(batch)
+    labels = None
     if ys is not None:
         ys = np.asarray(ys, dtype=float)
         if ys.shape != (n,):
             raise ShapeError(f"{ys.size} labels for {n} predictive rows")
+        labels = check_labels(batch, ys)
     quantiles = np.empty((len(levels), n))
     if batch.kind == GAUSSIAN:
         mu, sigma2 = batch.params
         for j, q in enumerate(levels):
             quantiles[j] = _gaussian_quantile(mu, sigma2, q)
-        crps = None if ys is None else gaussian_crps(mu, sigma2, ys)
+        crps = None if labels is None else gaussian_crps(mu, sigma2, labels)
         return PredictiveSummary(np.mean(mu, axis=0), quantiles, crps)
-    labels = None if ys is None else count_labels(ys)
     modes = np.empty(n)
-    crps = None if ys is None else np.empty(n)
+    crps = None if labels is None else np.empty(n)
     for rows, pmf in _pmf_blocks(batch):
         modes[rows] = np.argmax(pmf, axis=1)
         cdf = np.cumsum(pmf, axis=1)

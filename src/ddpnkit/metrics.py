@@ -14,7 +14,10 @@ model concentrates, the median of 1/variance over the evaluation set.
 
 Modes, CRPS and interval quantiles all come from the batched engine in
 distributions.predictive_summary: mae and evaluate score every row of a
-PredictiveBatch, and crps scores a one-row batch.
+PredictiveBatch, and crps scores a one-row batch. All three check their
+labels first (distributions.check_labels): the discrete families take
+nonnegative integer labels and Gaussian rows finite ones, and any other
+label raises DomainError.
 
 OOD detection quality is scored on AUROC (rank statistic with tie
 correction), AUPR with the OOD points as positives, and FPR80, the false
@@ -32,13 +35,16 @@ from ddpnkit.errors import DomainError, ShapeError
 
 
 def mae(predictions: dists.PredictiveBatch, ys) -> float:
-    """Mean absolute error between labels and distribution modes."""
+    """Mean absolute error between labels and distribution modes; DomainError
+    for a label the batch cannot be scored against (distributions.check_labels)."""
     if len(predictions) != len(ys):
         raise ShapeError(f"{len(predictions)} predictions for {len(ys)} labels")
     if len(ys) == 0:
         raise ShapeError("mae needs at least one example")
+    ys = np.asarray(ys, dtype=float)
+    dists.check_labels(predictions, ys)
     modes = dists.predictive_summary(predictions).modes
-    return float(np.mean(np.abs(np.asarray(ys, dtype=float) - modes)))
+    return float(np.mean(np.abs(ys - modes)))
 
 
 def crps_from_pmf(pmf: np.ndarray, y) -> float:

@@ -8,17 +8,22 @@ mu for d/d(log mu) and gamma for d/d(log gamma).
 
 Training uses mini-batch AdamW with decoupled weight decay, a cosine decay
 of the learning rate over epochs, and keeps the weights from the epoch with
-the best validation loss. Features are standardized with statistics of the
-training split; the standardizer is stored with the weights so checkpoints
-are self-contained. An empty hidden_widths tuple degrades the model to a
-log-linear GLM, which is handy for sanity checks.
+the best validation loss. The parameters, the gradient and the two Adam
+moments each live in one flat vector. The moments are kept undamped (running
+sums of g and g*g, without the (1 - beta) factors), so two scalars per step
+absorb both bias corrections and eps, and the spent gradient vector is the
+update's only scratch. train checks its train and val labels once, up front;
+the public backward and batch_loss check the labels they are given. Features
+are standardized with statistics of the training split; the standardizer is
+stored with the weights so checkpoints are self-contained. An empty
+hidden_widths tuple degrades the model to a log-linear GLM, which is handy
+for sanity checks.
 
 Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -81,9 +86,6 @@ class MLPWeights:
     @property
     def head_count(self) -> int:
         return int(self.head_b.size)
-
-    def copy(self) -> "MLPWeights":
-        return copy.deepcopy(self)
 
 
 @dataclass
@@ -205,23 +207,22 @@ def forward(weights: MLPWeights, x: np.ndarray) -> HeadOutput:
 
 
 def _head_loss_and_grads(spec: LossSpec, ys: np.ndarray, heads: np.ndarray):
-    """Per-example loss values and gradients w.r.t. the log-space heads."""
-    a1 = heads[:, 0]
+    """Per-example loss values and gradients w.r.t. the log-space heads.
+
+    ys are not checked here; backward, batch_loss and train check them.
+    """
     if spec.family == "double_poisson":
-        mu = np.exp(a1)
-        gamma = np.exp(heads[:, 1])
-        # exp overflow/underflow leaves the positive range; that is a numeric
-        # blow-up of the optimization, not bad user input
-        for arr in (mu, gamma):
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                raise NumericDivergence("head outputs overflowed out of the positive range")
-        _check_labels(ys)
+        pos = np.exp(heads)
+        # exp overflow/underflow leaves the positive range (nan fails both
+        # tests); that is a numeric blow-up of the optimization, not bad user input
+        if not (pos.min() > 0.0 and pos.max() < math.inf):
+            raise NumericDivergence("head outputs overflowed out of the positive range")
+        mu, gamma = pos[:, 0], pos[:, 1]
         values, _, dmu, dgamma = _dp_loss_and_grads(ys, mu, gamma, spec.beta)
-        dheads = np.empty((heads.shape[0], 2))
-        np.multiply(dmu, mu, out=dheads[:, 0])
-        np.multiply(dgamma, gamma, out=dheads[:, 1])
-        return values, dheads
-    head = HeadOutput(a1, heads[:, 1] if spec.head_count == 2 else None)
+        mu *= dmu  # pos becomes d/d(heads): the chain factors mu and gamma
+        gamma *= dgamma
+        return values, pos
+    head = HeadOutput(heads[:, 0], heads[:, 1] if spec.head_count == 2 else None)
     values, (g1, g2) = baseline_nll(spec, ys, head)
     if g2 is None:
         return values, g1[:, None]
@@ -232,9 +233,11 @@ def batch_loss(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpe
     """Mean per-example loss of the batch, inf if the model has blown up.
 
     Returning inf rather than raising keeps validation evaluation usable
-    while the training batches themselves are still finite.
+    while the training batches themselves are still finite. Raises
+    DomainError for labels that are not finite and nonnegative.
     """
     ys = np.asarray(ys, dtype=float)
+    _check_labels(ys)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         heads = forward_batch(weights, X)
         try:
@@ -249,14 +252,22 @@ def backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec,
     """Mean-over-batch gradients for every trainable array.
 
     Returns (grads, mean_loss). The gradients are written into out, whose
-    arrays must match the shapes of the weights' (train passes views of its
-    flat gradient vector); without out they go into a fresh MLPGradients.
-    Raises NumericDivergence if the batch loss is not finite.
+    arrays must match the shapes of the weights'; without out they go into a
+    fresh MLPGradients. Raises DomainError for labels that are not finite
+    and nonnegative, and NumericDivergence if the batch loss is not finite.
     """
     ys = np.asarray(ys, dtype=float)
+    _check_labels(ys)
     if out is None:
         size = sum(arr.size for arr in _trainable(weights))
         out = MLPGradients(*_flat_views(np.empty(size), weights))
+    return _backward(weights, X, ys, spec, out)
+
+
+def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec,
+              out: MLPGradients):
+    """backward without the label check, for train, which checks its labels
+    once; train passes views of its flat gradient vector as out."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         acts, heads = _forward_cached(weights, X)
         if ys.size != heads.shape[0]:
@@ -299,33 +310,34 @@ def _flat_views(flat: np.ndarray, like) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _adamw_update(p, g, m, v, tmp, step_vec, lr, weight_decay, bias1, bias2):
-    """One AdamW step in place on flat vectors, through two scratch vectors.
+def _adamw_update(p, g, m, v, lr, weight_decay, bias1, bias2):
+    """One AdamW step in place on flat vectors; g is used up as the scratch.
 
-    Every element goes through the operations of
-        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        p -= lr * ((m/bias1) / (sqrt(v/bias2) + eps) + weight_decay*p)
+    m and v hold the undamped moment sums m~ = b1*m~ + g and v~ = b2*v~ + g*g,
+    the textbook moments m, v over (1-b1) and (1-b2). With
+    s = sqrt((1-b2)/bias2), the textbook step
+        lr * ((m/bias1) / (sqrt(v/bias2) + eps) + weight_decay*p)
+    (Kingma & Ba 2015, sec. 2; Loshchilov & Hutter 2019) becomes
+        p *= 1 - lr*weight_decay;  p -= c * m~ / (sqrt(v~) + eps/s),
+    where c = lr*(1-b1)/(bias1*s) absorbs bias1 and bias2, and eps/s takes
+    eps to the scale of sqrt(v~). Every element goes through these operations
     in this order, so the result is the same to the bit as that arithmetic
-    on each weight array separately. A step that overflows (a huge lr or
-    weight_decay) leaves weights that are not finite, which the next loss
-    reports as NumericDivergence.
+    on each weight array separately: 11 passes over 4 vectors. A step that
+    overflows (a huge lr or weight_decay) leaves weights that are not finite,
+    which the next loss reports as NumericDivergence.
     """
+    s = math.sqrt((1.0 - ADAM_BETA2) / bias2)
     m *= ADAM_BETA1
-    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-    m += tmp
+    m += g
     v *= ADAM_BETA2
-    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-    tmp *= g
-    v += tmp
-    np.divide(v, bias2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += ADAM_EPS
-    np.divide(m, bias1, out=step_vec)
-    step_vec /= tmp
-    np.multiply(p, weight_decay, out=tmp)
-    step_vec += tmp
-    step_vec *= lr
-    p -= step_vec
+    np.multiply(g, g, out=g)
+    v += g
+    np.sqrt(v, out=g)
+    g += ADAM_EPS / s
+    np.divide(m, g, out=g)
+    g *= lr * (1.0 - ADAM_BETA1) / (bias1 * s)
+    p *= 1.0 - lr * weight_decay
+    p -= g
 
 
 def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
@@ -336,8 +348,10 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     weights, loss curves and timing. epoch_hook, if given, is called as
     epoch_hook(epoch, weights) after each epoch with 1-based epoch numbers.
 
-    Raises NumericDivergence (with the partial report attached) if a batch
-    loss becomes non-finite or no epoch reaches a finite validation loss.
+    Raises DomainError before the first step if a train or val label is not
+    finite and nonnegative (test rows are never read), and NumericDivergence
+    (with the partial report attached) if a batch loss becomes non-finite or
+    no epoch reaches a finite validation loss.
     """
     t0 = time.perf_counter()
     xs = np.atleast_2d(np.asarray(dataset.xs, dtype=float))
@@ -346,6 +360,11 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
         raise ShapeError(f"dataset has {xs.shape[0]} inputs but {ys.size} labels")
     if split.train.size == 0 or split.val.size == 0:
         raise DomainError("train and val splits must be nonempty")
+    train_x, train_y = xs[split.train], ys[split.train]
+    val_x, val_y = xs[split.val], ys[split.val]
+    # the only label check of the training loop, which calls _backward
+    _check_labels(train_y)
+    _check_labels(val_y)
 
     model_cfg = MLPConfig(
         input_dim=xs.shape[1],
@@ -354,23 +373,22 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
         seed=config.seed,
     )
     weights = init_mlp(model_cfg, gamma_bias_init=config.gamma_bias_init)
-    train_x, train_y = xs[split.train], ys[split.train]
     std = train_x.std(axis=0)
     std[std < 1e-12] = 1.0
     weights.x_mean = train_x.mean(axis=0)
     weights.x_std = std
-    val_x, val_y = xs[split.val], ys[split.val]
     val_spec = LossSpec(config.loss.family, 0.0) if config.select_unscaled else config.loss
 
     # parameters, gradients and both Adam moments each live in one contiguous
-    # vector, so the update is a few whole-vector ufunc calls into two scratch
-    # vectors; the weights and gradients handed to backward are views of them
+    # vector, so the update is a few whole-vector ufunc calls; the weights and
+    # gradients handed to _backward are views of them, and the best weights
+    # are a snapshot of the parameter vector
     params = np.concatenate([arr.ravel() for arr in _trainable(weights)])
     weights.hidden, weights.head_w, weights.head_b = _flat_views(params, weights)
     grad = np.zeros_like(params)
     grads = MLPGradients(*_flat_views(grad, weights))
     m_state, v_state = np.zeros_like(params), np.zeros_like(params)
-    tmp, step_vec = np.empty_like(params), np.empty_like(params)
+    best_params = np.empty_like(params)
     step = 0
     shuffle_rng = np.random.default_rng(config.seed + 1)
 
@@ -379,7 +397,6 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
         wall_time=0.0, config=config,
     )
     best_val = math.inf
-    best_weights = weights.copy()
 
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, config.epochs, config.lr)
@@ -388,8 +405,8 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
         for start in range(0, order.size, config.batch_size):
             rows = order[start : start + config.batch_size]
             try:
-                _, loss_value = backward(weights, train_x[rows], train_y[rows], config.loss,
-                                         out=grads)
+                _, loss_value = _backward(weights, train_x[rows], train_y[rows], config.loss,
+                                          grads)
             except NumericDivergence:
                 report.wall_time = time.perf_counter() - t0
                 report.final_weights = weights
@@ -401,14 +418,13 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
             step += 1
             bias1 = 1.0 - ADAM_BETA1**step
             bias2 = 1.0 - ADAM_BETA2**step
-            _adamw_update(params, grad, m_state, v_state, tmp, step_vec,
-                          lr, config.weight_decay, bias1, bias2)
+            _adamw_update(params, grad, m_state, v_state, lr, config.weight_decay, bias1, bias2)
         report.train_loss.append(epoch_loss / split.train.size)
         val_loss = batch_loss(weights, val_x, val_y, val_spec)
         report.val_loss.append(val_loss)
         if math.isfinite(val_loss) and val_loss < best_val:
             best_val = val_loss
-            best_weights = weights.copy()
+            np.copyto(best_params, params)
             report.best_epoch = epoch + 1
         if epoch_hook is not None:
             epoch_hook(epoch + 1, weights)
@@ -418,6 +434,8 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     if report.best_epoch == 0:
         raise NumericDivergence(f"no epoch of {config.epochs} reached a finite validation loss",
                                 report=report)
+    best_weights = MLPWeights(*_flat_views(best_params, weights), x_mean=weights.x_mean.copy(),
+                              x_std=weights.x_std.copy())
     report.best_weights = best_weights
     return best_weights, report
 

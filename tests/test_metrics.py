@@ -162,6 +162,40 @@ class TestMae:
             metrics.mae(dists.PredictiveBatch(dists.POISSON, (np.ones((1, 0)),)), [])
 
 
+class TestLabelBoundary:
+    """mae, crps and evaluate check every label before scoring: Gaussian rows
+    take any finite label, the discrete families count labels."""
+
+    GAUSS_ROWS = dists.PredictiveBatch(dists.GAUSSIAN, ([0.0, 1.0], [1.0, 2.0]))
+
+    @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("score", [
+        lambda y: metrics.crps(dists.gaussian(0.0, 1.0), y),
+        lambda y: metrics.crps(dists.mixture([dists.gaussian(0.0, 1.0),
+                                              dists.gaussian(3.0, 2.0)]), y),
+        lambda y: metrics.evaluate(TestLabelBoundary.GAUSS_ROWS, [1.0, y]),
+        lambda y: metrics.mae(TestLabelBoundary.GAUSS_ROWS, [y, 1.0]),
+    ], ids=["crps", "crps_mixture", "evaluate", "mae"])
+    def test_gaussian_rejects_non_finite_labels(self, score, label):
+        with pytest.raises(DomainError, match="finite"):
+            score(label)
+
+    @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, -1.0, 2.5])
+    def test_discrete_mae_rejects_labels_that_are_not_counts(self, label):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            metrics.mae(dists.poisson(2.0), [label])
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            metrics.mae(dists.PredictiveBatch(dists.POISSON, ([2.0, 3.0],)), [1.0, label])
+
+    def test_gaussian_scores_negative_and_fractional_labels(self):
+        y = -1.25
+        assert_allclose(metrics.crps(dists.gaussian(0.5, 2.0), y),
+                        gaussian_crps_closed_form(0.5, 2.0, y), rtol=1e-12)
+        assert metrics.mae(self.GAUSS_ROWS, [-1.0, 2.5]) == 1.25
+        rec = metrics.evaluate(self.GAUSS_ROWS, [-1.0, 2.5])
+        assert rec.mae == 1.25 and np.all(np.isfinite(rec.crps_values))
+
+
 class TestMedianPrecision:
     def test_reciprocal_median(self):
         assert metrics.median_precision([0.5, 2.0, 8.0]) == 0.5

@@ -4,7 +4,9 @@ Backpropagation is checked against central finite differences over every
 trainable parameter of a small network, for each loss family.
 """
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +171,17 @@ class TestBackward:
             network.backward(weights, X, ys, LossSpec("double_poisson"))
         assert network.batch_loss(weights, X, ys, LossSpec("double_poisson")) == math.inf
 
+    @pytest.mark.parametrize("head_b", [[-1000.0, 0.0], [0.0, -1000.0], [math.nan, 0.0]])
+    def test_underflowed_or_nan_heads_divergence(self, head_b):
+        """exp(-1000) is 0, out of the positive range like an overflow; with a
+        zero label in the batch the loss itself would be nan, not inf."""
+        weights, X, ys = toy_problem()
+        ys[0] = 0.0
+        weights.head_b = np.array(head_b)
+        with pytest.raises(NumericDivergence, match="positive range"):
+            network.backward(weights, X, ys, LossSpec("double_poisson"))
+        assert network.batch_loss(weights, X, ys, LossSpec("double_poisson")) == math.inf
+
 
 class TestCosineSchedule:
     def test_endpoint_identities(self):
@@ -316,9 +329,9 @@ def _reference_backward(weights, X, ys, spec):
 
 
 def _reference_train(ds, split, config):
-    """network.train with one AdamW update per weight array, the reference
-    its flat-vector update must match bit for bit; returns the best and the
-    final weights."""
+    """network.train with one folded AdamW update per weight array, the
+    reference its flat-vector update must match bit for bit; returns the best
+    and the final weights. m and v are the undamped moment sums."""
     xs, ys = ds.xs, np.asarray(ds.ys, dtype=float)
     model_cfg = network.MLPConfig(input_dim=xs.shape[1], hidden_widths=config.hidden_widths,
                                   head_count=config.loss.head_count, seed=config.seed)
@@ -333,7 +346,7 @@ def _reference_train(ds, split, config):
     v_state = [np.zeros_like(p) for p in params]
     step = 0
     shuffle_rng = np.random.default_rng(config.seed + 1)
-    best_val, best_weights = math.inf, weights.copy()
+    best_val, best_weights = math.inf, copy.deepcopy(weights)
     for epoch in range(config.epochs):
         lr = network.cosine_lr(epoch, config.epochs, config.lr)
         order = shuffle_rng.permutation(split.train.size)
@@ -344,16 +357,19 @@ def _reference_train(ds, split, config):
             step += 1
             bias1 = 1.0 - network.ADAM_BETA1**step
             bias2 = 1.0 - network.ADAM_BETA2**step
+            s = math.sqrt((1.0 - network.ADAM_BETA2) / bias2)
             for p, g, m, v in zip(params, flat_params(grads), m_state, v_state):
                 m *= network.ADAM_BETA1
-                m += (1.0 - network.ADAM_BETA1) * g
+                m += g
                 v *= network.ADAM_BETA2
-                v += (1.0 - network.ADAM_BETA2) * g * g
-                p -= lr * ((m / bias1) / (np.sqrt(v / bias2) + network.ADAM_EPS)
-                           + config.weight_decay * p)
+                v += g * g
+                step_vec = m / (np.sqrt(v) + network.ADAM_EPS / s)
+                step_vec *= lr * (1.0 - network.ADAM_BETA1) / (bias1 * s)
+                p *= 1.0 - lr * config.weight_decay
+                p -= step_vec
         val_loss = network.batch_loss(weights, xs[split.val], ys[split.val], config.loss)
         if math.isfinite(val_loss) and val_loss < best_val:
-            best_val, best_weights = val_loss, weights.copy()
+            best_val, best_weights = val_loss, copy.deepcopy(weights)
     return best_weights, weights
 
 
@@ -410,6 +426,33 @@ class TestFlatOptimizer:
         assert all(np.array_equal(a, b)
                    for a, b in zip(flat_params(fresh), flat_params(reference)))
 
+    @pytest.mark.parametrize("family", ["double_poisson", "poisson"])
+    @pytest.mark.parametrize("role", ["train", "val"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_label_stops_train_before_first_step(self, monkeypatch, family, role, bad):
+        ds, split = tiny_dataset()
+        ds.ys = ds.ys.astype(float)
+        ds.ys[getattr(split, role)[3]] = bad
+        steps, epochs = [], []
+        update = network._adamw_update
+        monkeypatch.setattr(network, "_adamw_update", lambda *a: steps.append(1) or update(*a))
+        config = network.TrainConfig(loss=LossSpec(family), epochs=2, hidden_widths=(4,))
+        with pytest.raises(DomainError, match="labels"):
+            network.train(ds, split, config, epoch_hook=lambda e, w: epochs.append(e))
+        assert steps == [] and epochs == []
+
+    def test_bad_test_label_is_never_read(self):
+        ds, _ = tiny_dataset()
+        split = network.SplitIndices(np.arange(40), np.arange(40, 50), np.arange(50, 60))
+        config = network.TrainConfig(loss=LossSpec("double_poisson"), epochs=2,
+                                     hidden_widths=(4,), seed=0)
+        clean, clean_report = network.train(ds, split, config)
+        ds.ys = ds.ys.astype(float)
+        ds.ys[split.test] = [math.nan, math.inf, -1.0] + [-2.5] * 7
+        best, report = network.train(ds, split, config)
+        assert report.val_loss == clean_report.val_loss
+        assert all(np.array_equal(a, b) for a, b in zip(flat_params(best), flat_params(clean)))
+
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_double_poisson_labels_still_checked(self, bad):
         weights, X, ys = toy_problem()
@@ -423,6 +466,71 @@ class TestFlatOptimizer:
                                      hidden_widths=(4,), seed=0)
         with pytest.raises(DomainError, match="labels"):
             network.train(ds, split, config)
+
+
+def _textbook_adamw(p, g, m, v, lr, weight_decay, bias1, bias2):
+    """AdamW with damped moments and bias corrections applied to them."""
+    b1, b2 = network.ADAM_BETA1, network.ADAM_BETA2
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + ((1.0 - b2) * g) * g
+    p = p - lr * ((m / bias1) / (np.sqrt(v / bias2) + network.ADAM_EPS) + weight_decay * p)
+    return p, m, v
+
+
+class TestFoldedAdamW:
+    @settings(max_examples=150, deadline=None)
+    @given(step=st.floats(0.0, 5.0).map(lambda e: int(round(10.0**e))),
+           lr=st.floats(1e-6, 1e-1), weight_decay=st.sampled_from([0.0, 1e-5, 1e-2]),
+           g_exp=st.floats(-14.0, 4.0), seed=st.integers(0, 2**16))
+    @example(step=1, lr=1e-3, weight_decay=1e-5, g_exp=0.0, seed=0)
+    @example(step=100_000, lr=1e-3, weight_decay=1e-5, g_exp=4.0, seed=1)
+    @example(step=2, lr=1e-1, weight_decay=1e-2, g_exp=-14.0, seed=2)
+    @example(step=1, lr=1e-3, weight_decay=0.0, g_exp=-14.0, seed=3)
+    def test_one_step_matches_textbook_adamw(self, step, lr, weight_decay, g_exp, seed):
+        """One folded step from the same state as the textbook update, over
+        steps 1 to 1e5, gradients from 0 to 1e4 and states where eps
+        dominates sqrt(v_hat). The bound is relative to the terms the step
+        is made of, since the step itself cancels where m and g disagree."""
+        b1, b2 = network.ADAM_BETA1, network.ADAM_BETA2
+        rng = np.random.default_rng(seed)
+        n = 256
+        p = rng.uniform(-10.0, 10.0, n)
+        g = 10.0 ** rng.uniform(-14.0, g_exp, n) * rng.choice([-1.0, 0.0, 1.0], n)
+        # a history of gradients of any scale up to the present one's, none at step 1
+        history = 10.0 ** rng.uniform(-14.0, g_exp, n)
+        m = (1.0 - b1 ** (step - 1)) * history * rng.uniform(-1.0, 1.0, n)
+        v = (1.0 - b2 ** (step - 1)) * history**2 * rng.uniform(0.0, 1.0, n)
+        bias1, bias2 = 1.0 - b1**step, 1.0 - b2**step
+        want_p, want_m, want_v = _textbook_adamw(p, g, m, v, lr, weight_decay, bias1, bias2)
+
+        got_p, got_m, got_v = p.copy(), m / (1.0 - b1), v / (1.0 - b2)
+        network._adamw_update(got_p, g.copy(), got_m, got_v, lr, weight_decay, bias1, bias2)
+
+        denom = np.sqrt(want_v / bias2) + network.ADAM_EPS
+        scale = np.abs(p) + lr * (np.abs(b1 * m) + np.abs((1.0 - b1) * g)) / bias1 / denom
+        assert np.all(np.abs(got_p - want_p) <= 1e-14 * scale)
+        assert np.all(np.abs((1.0 - b1) * got_m - want_m)
+                      <= 1e-14 * (np.abs(b1 * m) + np.abs((1.0 - b1) * g)))
+        assert np.all(np.abs((1.0 - b2) * got_v - want_v) <= 1e-14 * (b2 * v + (1.0 - b2) * g * g))
+
+    def test_update_allocates_no_temporary(self):
+        """The update runs in place: no vector-sized temporary, which tracemalloc
+        does see (the calibration line allocates one)."""
+        rng = np.random.default_rng(0)
+        p, g, m = (rng.normal(size=41_666) for _ in range(3))
+        v = m * m
+        network._adamw_update(p, g.copy(), m, v, 1e-3, 1e-5, 0.1, 0.001)
+        tracemalloc.start()
+        try:
+            p -= 2.0 * g
+            _, calibration = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            network._adamw_update(p, g, m, v, 1e-3, 1e-5, 1.0 - 0.9**2, 1.0 - 0.999**2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calibration >= g.nbytes
+        assert peak < 4096
 
 
 class TestCheckpoint:
