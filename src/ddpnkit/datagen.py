@@ -29,8 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from ddpnkit.distributions import (
-    DOUBLE_POISSON, PredictiveBatch, _inverse_cdf, _log_factorial, _xlogy)
+from ddpnkit.distributions import DOUBLE_POISSON, PredictiveBatch, _bd0, _inverse_cdf, _log_h
 from ddpnkit.errors import DomainError, ShapeError
 from ddpnkit.network import SplitIndices
 
@@ -83,19 +82,27 @@ def split_indices(n: int, counts=None, fractions=(0.8, 0.1, 0.1)) -> SplitIndice
 # --- sine conflation ----------------------------------------------------------
 
 
+def _conflation_log_pmf(lams: np.ndarray) -> np.ndarray:
+    """Log PMFs over 0..60 at rates lams, less each row's largest: CONFLATION_POWER times
+    the Poisson log PMF (-lam at y = 0, log h(y) - bd0(y, lam) above; lam = 0 is a point mass)."""
+    bad = ~(np.isfinite(lams) & (lams >= 0.0))
+    if bad.any():
+        raise DomainError(f"rate must be finite and nonnegative, got {lams[bad][0]}")
+    ys = np.arange(1.0, CONFLATION_SUPPORT + 1.0)
+    log_p = CONFLATION_POWER * np.column_stack((-lams, _log_h(ys) - _bd0(ys, lams[:, None])))
+    return log_p - np.max(log_p, axis=1, keepdims=True)
+
+
 def sine_conflation_pmf(lam: float) -> np.ndarray:
     """Normalized PMF of the 5-fold Poisson conflation over 0..60."""
-    if lam < 0.0:
-        raise DomainError(f"rate must be nonnegative, got {lam}")
-    ys = np.arange(CONFLATION_SUPPORT + 1)
-    log_p = CONFLATION_POWER * (_xlogy(ys, lam) - lam - _log_factorial(ys))
-    log_p -= np.max(log_p)
-    p = np.exp(log_p)
+    p = np.exp(_conflation_log_pmf(np.array([float(lam)]))[0])
     return p / p.sum()
 
 
 def sine_conflation_true_moments(x: float) -> tuple[float, float]:
-    """Mean and variance of the emitted label y = 30 - y0 at covariate x."""
+    """Mean and variance of the emitted label y = 30 - y0 at a finite covariate x."""
+    if not math.isfinite(x):
+        raise DomainError(f"covariate must be finite, got {x}")
     p = sine_conflation_pmf(10.0 * math.sin(x) + 10.0)
     ys = np.arange(p.size)
     m0 = float(np.sum(p * ys))
@@ -104,11 +111,7 @@ def sine_conflation_true_moments(x: float) -> tuple[float, float]:
 
 
 def _sample_conflation(rng: np.random.Generator, lams: np.ndarray) -> np.ndarray:
-    ys = np.arange(CONFLATION_SUPPORT + 1)
-    log_p = CONFLATION_POWER * (_xlogy(ys[None, :], lams[:, None])
-                                - lams[:, None] - _log_factorial(ys)[None, :])
-    log_p -= log_p.max(axis=1, keepdims=True)
-    p = np.exp(log_p)
+    p = np.exp(_conflation_log_pmf(lams))
     cdf = np.cumsum(p, axis=1)
     cdf /= cdf[:, -1:]
     u = rng.random(lams.size)

@@ -52,15 +52,12 @@ class HeadOutput:
 class MLPConfig:
     input_dim: int
     hidden_widths: tuple = (128, 128, 128, 64)
-    activation: str = "relu"
     head_count: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise DomainError(f"input_dim must be positive, got {self.input_dim}")
-        if self.activation != "relu":
-            raise DomainError(f"only relu activation is supported, got {self.activation!r}")
         if self.head_count not in (1, 2):
             raise DomainError(f"head_count must be 1 or 2, got {self.head_count}")
         if any(w < 1 for w in self.hidden_widths):

@@ -51,6 +51,20 @@ class TestSineConflation:
         assert_allclose(mean, datagen.CONFLATION_SHIFT - m0, rtol=1e-12)
         assert var > 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_bad_rates_and_covariates(self, bad):
+        with pytest.raises(DomainError, match="rate"):
+            datagen.sine_conflation_pmf(bad)
+        if not math.isfinite(bad):
+            with pytest.raises(DomainError, match="covariate"):
+                datagen.sine_conflation_true_moments(bad)
+
+    def test_zero_rate_is_point_mass(self):
+        p = datagen.sine_conflation_pmf(0.0)
+        assert p[0] == 1.0 and np.all(p[1:] == 0.0)
+        mean, var = datagen.sine_conflation_true_moments(1.5 * math.pi)
+        assert (mean, var) == (datagen.CONFLATION_SHIFT, 0.0)
+
     def test_dataset_shape_and_bounds(self):
         ds, split = datagen.gen_sine_conflation(seed=3)
         assert ds.n == 1000

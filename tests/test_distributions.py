@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -44,6 +46,30 @@ SERIES_MOMENTS_ORACLE = {
     (0.5, 0.1): (1.8975658573085353, 7.4290054584659507),
     (7.0, 1.0): (7.0, 7.0),
 }
+
+
+def mp_log_weight(mp, mu, gamma, y: int):
+    """log s(mu, gamma, y) = log h(y) - gamma*bd0(y, mu) in mpmath, at its
+    working precision: log h(y) = y*log(y) - y - log(y!), bd0(y, mu) =
+    y*log(y/mu) + mu - y, and -gamma*mu at y = 0."""
+    mu, gamma = mp.mpf(mu), mp.mpf(gamma)
+    if y == 0:
+        return -gamma * mu
+    y = mp.mpf(y)
+    return y * mp.log(y) - y - mp.loggamma(y + 1) - gamma * (y * mp.log(y / mu) + mu - y)
+
+
+def mp_moments(mu: float, gamma: float) -> tuple:
+    """Mean and variance of DP(mu, gamma) from 40-digit sums over mu +- 40 sd."""
+    mp = pytest.importorskip("mpmath")
+    sd = math.sqrt(mu / gamma)
+    ys = range(max(0, int(mu - 40.0 * sd)), int(mu + 40.0 * sd) + 2)
+    with mp.workdps(40):
+        w = [mp.exp(mp_log_weight(mp, mu, gamma, y)) for y in ys]
+        s0 = mp.fsum(w)
+        mean = mp.fsum(wi * y for wi, y in zip(w, ys)) / s0
+        var = mp.fsum(wi * (y - mean) ** 2 for wi, y in zip(w, ys)) / s0
+        return float(mean), float(var)
 
 
 class TestNormalizer:
@@ -157,6 +183,14 @@ class TestMoments:
             got = dists.dist_moments(d, mode=dists.EXACT_SERIES)
             assert_allclose(got, (mean, var), rtol=1e-10)
 
+    @pytest.mark.parametrize("mu, gamma", [(1e4, 1.0), (3e4, 50.0)])
+    def test_exact_series_match_mpmath_at_large_means(self, mu, gamma):
+        """Log weights of rounding 1e-16 * y*log(y) would leave the variance
+        off by about 1e-12 relative here."""
+        got = dists.double_poisson(mu, gamma).member_moments(dists.EXACT_SERIES)
+        assert_allclose([float(g[0, 0]) for g in got], mp_moments(mu, gamma),
+                        rtol=1e-14, atol=0.0)
+
     def test_series_identities_match_brute_force(self):
         """The correction-series mean and variance equal the moments of the
         normalized truncated PMF."""
@@ -194,6 +228,18 @@ class TestMode:
     def test_poisson_tie_breaks_toward_smallest(self):
         """Poisson(2) has equal mass at 1 and 2; the mode reports 1."""
         assert dists.dist_mode(dists.poisson(2.0)) == 1.0
+
+    def test_integer_poisson_modes_follow_the_tie_rule(self):
+        """Poisson(k) = DP(k, 1) has equal mass at k - 1 and k, and both
+        report k - 1, alone and batched, whatever the rounding of the weights."""
+        ks = np.arange(1.0, 61.0)
+        for k in ks:
+            assert dists.dist_mode(dists.poisson(k)) == k - 1
+            assert dists.dist_mode(dists.double_poisson(k, 1.0)) == k - 1
+        batches = (dists.PredictiveBatch(dists.POISSON, (ks,)),
+                   dists.PredictiveBatch(dists.DOUBLE_POISSON, (ks, np.ones_like(ks))))
+        for batch in batches:
+            assert np.array_equal(dists.predictive_summary(batch).modes, ks - 1)
 
     def test_matches_argmax_scan(self):
         rng = np.random.default_rng(3)
@@ -490,27 +536,7 @@ class TestValidation:
 
 
 class TestNumpyKernels:
-    """The scipy-free log(y!) table and x*log(y) helper against scipy.special."""
-
-    def test_log_factorial_matches_gammaln(self):
-        from scipy.special import gammaln
-
-        ys = np.arange(65536, dtype=float)
-        assert_allclose(dists._log_factorial(ys), gammaln(ys + 1.0), rtol=2e-15, atol=0.0)
-        # counts past the table are computed one by one
-        big = np.array([3.0, 2.0**20, 1e7, 1e12])
-        assert_allclose(dists._log_factorial(big), gammaln(big + 1.0), rtol=2e-15, atol=0.0)
-
-    def test_xlogy_matches_scipy(self):
-        from scipy.special import xlogy
-
-        rng = np.random.default_rng(0)
-        x = np.concatenate([[0.0, 0.0, 0.0, 3.0], rng.integers(0, 60, 200),
-                            rng.uniform(0.0, 50.0, 200)])
-        y = np.concatenate([[0.0, 2.5, 0.5, 0.0], rng.uniform(0.0, 50.0, 400)])
-        got = dists._xlogy(x, y)
-        assert np.array_equal(got[:4], [0.0, 0.0, 0.0, -np.inf])
-        assert_allclose(got, xlogy(x, y), rtol=1e-15, atol=0.0)
+    """log h and the Double Poisson log weights against mpmath."""
 
     @pytest.mark.parametrize("bad", [1.5, -1.0, np.nan, np.inf])
     def test_log_weights_take_counts_only(self, bad):
@@ -521,10 +547,39 @@ class TestNumpyKernels:
             dists.dp_log_h(ys)
 
     def test_log_h_past_the_table(self):
-        from scipy.special import gammaln, xlogy
+        mp = pytest.importorskip("mpmath")
+        ys = np.concatenate([np.arange(40.0), [100.0, 1e4, 65535.0, 2.0**21, 1e9]])
+        with mp.workdps(40):
+            want = np.array([float(mp_log_weight(mp, 1.0, 0.0, int(y))) for y in ys])
+        got = dists.dp_log_h(ys)
+        assert np.array_equal(got[:16], want[:16])  # the table is correctly rounded
+        assert_allclose(got, want, rtol=0.0, atol=4e-15)
 
-        # log h(y) is a difference of terms near y*log(y), so both sides carry
-        # absolute rounding of a few ulp of 3e7 at y = 2^21
-        ys = np.array([5.0, 2.0**21])
-        assert_allclose(dists.dp_log_h(ys), -ys + xlogy(ys, ys) - gammaln(ys + 1.0),
-                        rtol=0.0, atol=2e-8)
+    def test_log_h_decreases(self):
+        """The series engine's peak bound takes log h(lo) as the largest log h
+        of a block lo..hi-1."""
+        assert np.all(np.diff(dists.dp_log_h(np.arange(dists.MAX_TERMS + 1.0))) < 0.0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(log_mu=st.floats(math.log(1e-300), math.log(6e4)),
+           log_gamma=st.floats(math.log(1e-3), math.log(1e8)))
+    @example(log_mu=math.log(1e4), log_gamma=0.0)
+    @example(log_mu=math.log(3e4), log_gamma=math.log(50.0))
+    @example(log_mu=math.log(1000.0), log_gamma=math.log(1000.0))
+    @example(log_mu=math.log(6e4), log_gamma=math.log(1e-3))
+    def test_log_weights_match_mpmath(self, log_mu, log_gamma):
+        """dp_log_weight within 1e-13 of 40-digit mpmath over mu +- 8 sd, and
+        the Poisson PMF, DP(lam, 1), over lam +- 8 sd."""
+        mp = pytest.importorskip("mpmath")
+        mu, gamma = math.exp(log_mu), math.exp(log_gamma)
+        for g in (gamma, 1.0):
+            sd = math.sqrt(mu / g)
+            ys = np.unique(np.maximum(0.0, np.rint(mu + sd * np.linspace(-8.0, 8.0, 33))))
+            ys = ys[np.abs(ys - mu) <= 8.0 * sd]
+            with mp.workdps(40):
+                want = np.array([float(mp_log_weight(mp, mu, g, int(y))) for y in ys])
+            if g == 1.0:
+                got = np.log([dists.dist_pmf(dists.poisson(mu), y) for y in ys])
+            else:
+                got = dists.dp_log_weight(mu, g, ys)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13, (mu, g)

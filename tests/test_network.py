@@ -103,8 +103,6 @@ class TestInit:
         with pytest.raises(DomainError):
             network.MLPConfig(input_dim=0)
         with pytest.raises(DomainError):
-            network.MLPConfig(input_dim=1, activation="tanh")
-        with pytest.raises(DomainError):
             network.MLPConfig(input_dim=1, head_count=3)
 
 
