@@ -41,9 +41,11 @@ from ddpnkit.network import (
 )
 from ddpnkit.ensemble import (
     Ensemble,
+    MemberHeads,
     UncertaintyDecomposition,
     decompose_variance,
     load_ensemble,
+    member_heads,
     mixture_moments,
     predictive_batch,
     variance_scores,

@@ -20,7 +20,6 @@ overflow (including a PMF support that has not converged within its cap),
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import json
 import math
@@ -179,8 +178,15 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     opts = _COMMAND_OPTS[command]
     from_config = {}
     if args.config is not None:
+        # configparser and its regex compiles load only for a run that reads a config
+        import configparser
+
         cp = configparser.ConfigParser(default_section="_no_defaults")
-        if not cp.read(args.config):
+        try:
+            found = cp.read(args.config)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot parse config file {args.config}: {exc}") from exc
+        if not found:
             raise UsageError(f"cannot read config file {args.config}")
         if cp.has_section(command):
             for key, value in cp.items(command):
@@ -331,10 +337,10 @@ def cmd_ensemble_eval(opts: dict) -> tuple[dict, str]:
     if test_y.size == 0:
         raise DomainError(f"no test rows found under prefix {opts['data']}")
     mode = opts["moments_mode"]
-    variances = ensemble.variance_scores(ens, test_x, mode)
-    record = metrics.evaluate(ensemble.predictive_batch(ens, test_x), test_y,
-                              variances=variances, levels=ensemble.INTERVAL)
-    table = ensemble.predict_table(ens, test_x, mode, quantiles=record.quantiles)
+    heads = ensemble.member_heads(ens, test_x)
+    record = metrics.evaluate(heads.batch(), test_y, variances=heads.scores(mode),
+                              levels=ensemble.INTERVAL)
+    table = ensemble.predict_table(heads, mode, quantiles=record.quantiles)
     names = ("mean", "aleatoric", "epistemic", "q025", "q975")
     columns = [test_x[:, 0]] + [table[name] for name in names]
     csv_text = datagen.render_csv(",".join(("x",) + names), [

@@ -281,24 +281,39 @@ def dp_log_h(ys) -> np.ndarray:
     return _log_h(_check_counts(ys))
 
 
+_TINY_RATIO = np.finfo(float).tiny
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # fdlibm's split
+
+
 def _bd0(ys, mu) -> np.ndarray:
     """Loader's deviance bd0(y, mu) = y*log(y/mu) + mu - y >= 0, and mu at y = 0.
 
-    At unchecked counts ys and mu > 0, broadcast together. With r = mu/y it is
-    y*((r - 1) - log(r)): the rounding of r costs |y - mu| * 1e-16, not y *
-    1e-16. Where these terms cancel, |y - mu| < 0.1*(y + mu) (9/11 < r < 11/9),
-    and at y = 0 (v = -1 gives mu), it is Loader's (2000) series (y - mu)*v +
-    2y*(v^3/3 + ... + v^17/17) in v = (y - mu)/(y + mu), exact to 1e-18 as
-    v^2 < 0.01. For mu below 2.2e-308 * y, r is subnormal and loses digits;
-    it underflows to 0, and bd0 to +inf, for mu below 5e-324 * y.
+    At unchecked counts ys and mu > 0 (mu = 0 gives +inf at y >= 1), broadcast
+    together. With r = mu/y it is y*((r - 1) - log(r)): the rounding of r
+    costs |y - mu| * 1e-16, not y * 1e-16. Where these terms cancel,
+    |y - mu| < 0.1*(y + mu) (9/11 < r < 11/9), and at y = 0 (v = -1 gives
+    mu), it is Loader's (2000) series (y - mu)*v + 2y*(v^3/3 + ... + v^17/17)
+    in v = (y - mu)/(y + mu), exact to 1e-18 as v^2 < 0.01. Where r is
+    subnormal or underflows to 0 (mu below 2.2e-308 * y), bd0 is formed from
+    log(mu) and log(y) instead, so no digits of r are lost.
     """
-    ratio = np.asarray(mu / np.where(ys == 0.0, 1.0, ys))
+    den = np.where(ys == 0.0, 1.0, ys)
+    ratio = np.asarray(mu / den)
     near = (ratio > 9.0 / 11.0) & (ratio < 11.0 / 9.0) | (ys == 0.0)
-    with np.errstate(divide="ignore"):  # an underflowed ratio gives bd0 = +inf
+    tiny = ratio < _TINY_RATIO
+    with np.errstate(divide="ignore"):  # an underflowed ratio is replaced below
         log_r = np.log(ratio)
     out = np.subtract(ratio, 1.0, out=ratio)
     out -= log_r
     out *= ys
+    if np.any(tiny):
+        # r - 1 is -1 there and log r = log(mu) - log(y); with mu = frac*2^expo,
+        # log(mu) = log(frac) + expo*log(2), where expo times the high part
+        # of log 2 is exact, so log(mu) adds no rounding at its own scale
+        frac, expo = np.frexp(mu)
+        with np.errstate(divide="ignore"):  # mu = 0 keeps bd0 = +inf for y >= 1
+            low = (np.log(den) - 1.0) - (np.log(frac) + expo * _LN2_LO)
+        out = np.where(tiny, ys * (-expo * _LN2_HI) + ys * low, out)
     if np.any(near):
         y = np.broadcast_to(ys, out.shape)[near]
         m = np.broadcast_to(mu, out.shape)[near]
@@ -411,7 +426,6 @@ def _series(kind: str, params, label, n0: int):
                               f"{MAX_TERMS} terms")
     order = np.argsort(params[0], kind="stable")
     params = [p[order] for p in params]
-    center = np.rint(params[0])
     sums = np.zeros((order.size, 4))
     shift = np.full(order.size, -np.inf)
     support = np.zeros(order.size, dtype=np.int64)
@@ -422,35 +436,37 @@ def _series(kind: str, params, label, n0: int):
             raise NumericOverflow(f"{label(int(order[todo[0]]))} did not converge within "
                                   f"{MAX_TERMS} terms")
         ys = np.arange(lo, hi, dtype=float)
-        now = [p[todo] for p in params]
-        bound = _tail_bound(kind, now, hi)
-        if dp:
-            # log h decreases and bd0 is convex with its minimum 0 at y = mu, so
-            # log h(lo) less gamma*bd0 at floor(mu) or ceil(mu) clipped into the
-            # block bounds the block's log weights, by less than 7 over their max
-            log_h = _log_h(ys)
-            with np.errstate(over="ignore"):
-                nearest = np.clip([np.floor(now[0]), np.ceil(now[0])], lo, hi - 1)
-                peak = log_h[0] - now[1] * np.min(_bd0(nearest, now[0]), axis=0)
+        bound = _tail_bound(kind, [p[todo] for p in params], hi)
+        log_h = _log_h(ys) if dp else None
         step = max(1, BLOCK_CELLS // ys.size)
         left = []
         for start in range(0, todo.size, step):
-            cells, part = todo[start:start + step], [p[start:start + step] for p in now]
-            if dp:  # a run of cells of equal mu shares one row of bd0
+            cells = todo[start:start + step]
+            part = [p[cells] for p in params]
+            if dp:
+                # a run of cells of equal mu shares one row of bd0; log h
+                # decreases and bd0 is convex with its minimum 0 at y = mu, so
+                # log h(lo) less gamma times the row's least bd0 (at floor(mu)
+                # or ceil(mu) clipped into the block) bounds the block's log
+                # weights, by less than 7 over their max
                 runs = _run_bounds(part[0])
-                log_w = np.repeat(_bd0(ys, part[0][runs[:-1], None]), np.diff(runs), axis=0)
+                counts = np.diff(runs)
+                bd0 = _bd0(ys, part[0][runs[:-1], None])
+                least = np.repeat(np.min(bd0, axis=1), counts)
+                log_w = np.repeat(bd0, counts, axis=0)
                 with np.errstate(over="ignore"):
+                    peak = log_h[0] - part[1] * least
                     log_w *= -part[1][:, None]
                 log_w += log_h
             else:
                 log_w = _log_weights(kind, [p[:, None] for p in part], ys)
             old = shift[cells]
-            new = np.maximum(old, peak[start:start + step] if dp else np.max(log_w, axis=1))
+            new = np.maximum(old, peak if dp else np.max(log_w, axis=1))
             top = np.where(new > -np.inf, new, 0.0)
             log_w -= top[:, None]
             w = np.exp(log_w, out=log_w)
             s = sums[cells] * np.exp(old - top)[:, None]
-            c = center[cells]
+            c = np.rint(part[0])
             runs = _run_bounds(c)
             for a, b in zip(runs[:-1], runs[1:]):
                 d = ys - c[a]
@@ -461,11 +477,12 @@ def _series(kind: str, params, label, n0: int):
             left.append(cells[~ok])
         todo = np.concatenate(left)
         lo, hi = hi, min(2 * hi, MAX_TERMS)
-    t0, t1, t2, ty = sums.T
-    delta = params[0] - center
-    sums = np.stack((t0, t1 - delta * t0, t2 - delta * (2.0 * t1 - delta * t0), ty))
+    t0, t1 = sums[:, 0], sums[:, 1]  # moved from c to m in place
+    delta = params[0] - np.rint(params[0])
+    sums[:, 2] -= delta * (2.0 * t1 - delta * t0)
+    sums[:, 1] -= delta * t0
     inverse = np.argsort(order)
-    return sums[:, inverse], shift[inverse], support[inverse]
+    return sums[inverse].T, shift[inverse], support[inverse]
 
 
 def _pmf_blocks(batch: PredictiveBatch):

@@ -72,85 +72,99 @@ def decompose_variance(means, variances) -> UncertaintyDecomposition:
     return UncertaintyDecomposition(total, aleatoric, epistemic)
 
 
-def _member_heads(ens: Ensemble, X: np.ndarray) -> np.ndarray:
-    """Head outputs of every member, (M, n, heads); overflow is left as inf."""
+@dataclass(frozen=True)
+class MemberHeads:
+    """Head outputs of every member at one set of input rows.
+
+    values is (M, n, heads), in log space, with overflow left as inf. Every
+    prediction at those rows is read from it, so a caller that needs several
+    (ensemble-eval needs the distributions, the scores and the table) runs
+    each member's network once.
+    """
+
+    family: str
+    values: np.ndarray
+
+    def batch(self) -> dists.PredictiveBatch:
+        """The predictive distributions: row i is the uniform mixture of the M
+        member distributions, with parameters (M, n). Heads are (log mean, log
+        second parameter): the inverse dispersion gamma for the Double
+        Poisson, the dispersion alpha of the negative binomial (r = 1/alpha,
+        p = 1/(1 + alpha*mean)), and the variance for the Gaussian. Raises
+        DomainError for rows whose heads overflow.
+        """
+        with np.errstate(over="ignore"):
+            mean = np.exp(self.values[..., 0])
+            if self.family == "poisson":
+                return dists.PredictiveBatch(dists.POISSON, (mean,))
+            second = np.exp(self.values[..., 1])
+        if self.family == "neg_binomial":
+            return dists.PredictiveBatch(dists.NEG_BINOMIAL,
+                                         (1.0 / second, 1.0 / (1.0 + second * mean)))
+        return dists.PredictiveBatch(self.family, (mean, second))
+
+    def moments(self, mode: str = dists.EFRON_APPROX) -> tuple[np.ndarray, np.ndarray]:
+        """Member means and variances, both shaped (M, n).
+
+        mode "efron_approx" reads moments straight off the heads, in log space
+        where it takes two heads, and tolerates extreme values (variances may
+        overflow to inf far from the training data); "exact_series" evaluates
+        the Double Poisson series. Any other mode is a DomainError.
+        """
+        if mode not in (dists.EFRON_APPROX, dists.EXACT_SERIES):
+            raise DomainError(f"unknown moments mode {mode!r}")
+        if self.family == "double_poisson" and mode == dists.EXACT_SERIES:
+            return self.batch().member_moments(mode)
+        log_m = self.values[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf heads give nan
+            m = np.exp(log_m)
+            if self.family == "double_poisson":
+                v = np.exp(log_m - self.values[..., 1])
+            elif self.family == "poisson":
+                v = m.copy()
+            elif self.family == "neg_binomial":
+                v = m + np.exp(self.values[..., 1] + 2.0 * log_m)
+            else:
+                v = np.exp(self.values[..., 1])
+        return m, v
+
+    def scores(self, mode: str = dists.EFRON_APPROX) -> np.ndarray:
+        """Total mixture variance per row, the OOD detection score.
+
+        A row whose variance overflows, or is left undefined by overflowed
+        heads, scores +inf: it ranks as the most out-of-distribution.
+        """
+        total = np.asarray(decompose_variance(*self.moments(mode)).total)
+        return np.where(np.isnan(total), np.inf, total)
+
+
+def member_heads(ens: Ensemble, X: np.ndarray) -> MemberHeads:
+    """One forward pass of every member over the rows of X."""
     with np.errstate(over="ignore"):
-        return np.stack([forward_batch(w, X) for w, _ in ens.members])
+        return MemberHeads(ens.family, np.stack([forward_batch(w, X) for w, _ in ens.members]))
 
 
 def predictive_batch(ens: Ensemble, X: np.ndarray) -> dists.PredictiveBatch:
-    """The ensemble's predictive distributions at the rows of X.
-
-    Row i is the uniform mixture of the M member distributions at X[i];
-    parameters are (M, n). Heads are (log mean, log second parameter): the
-    inverse dispersion gamma for the Double Poisson, the dispersion alpha of
-    the negative binomial (r = 1/alpha, p = 1/(1 + alpha*mean)), and the
-    variance for the Gaussian. Raises DomainError for rows whose heads
-    overflow.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    heads = _member_heads(ens, X)
-    with np.errstate(over="ignore"):
-        mean = np.exp(heads[..., 0])
-        if ens.family == "poisson":
-            return dists.PredictiveBatch(dists.POISSON, (mean,))
-        second = np.exp(heads[..., 1])
-    if ens.family == "neg_binomial":
-        return dists.PredictiveBatch(dists.NEG_BINOMIAL,
-                                     (1.0 / second, 1.0 / (1.0 + second * mean)))
-    return dists.PredictiveBatch(ens.family, (mean, second))
+    """The ensemble's predictive distributions at the rows of X (MemberHeads.batch)."""
+    return member_heads(ens, X).batch()
 
 
 def member_moments(
     ens: Ensemble, X: np.ndarray, mode: str = dists.EFRON_APPROX
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Member means and variances, both shaped (M, n).
-
-    mode "efron_approx" reads moments straight off the head outputs, in log
-    space where it takes two heads, and tolerates extreme values (variances
-    may overflow to inf far from the training data); "exact_series"
-    evaluates the Double Poisson series. Any other mode is a DomainError.
-    """
-    if mode not in (dists.EFRON_APPROX, dists.EXACT_SERIES):
-        raise DomainError(f"unknown moments mode {mode!r}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if ens.family == "double_poisson" and mode == dists.EXACT_SERIES:
-        return predictive_batch(ens, X).member_moments(mode)
-    heads = _member_heads(ens, X)
-    log_m = heads[..., 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf heads give nan
-        m = np.exp(log_m)
-        if ens.family == "double_poisson":
-            v = np.exp(log_m - heads[..., 1])
-        elif ens.family == "poisson":
-            v = m.copy()
-        elif ens.family == "neg_binomial":
-            v = m + np.exp(heads[..., 1] + 2.0 * log_m)
-        else:
-            v = np.exp(heads[..., 1])
-    return m, v
+    """Member means and variances at the rows of X, both (M, n) (MemberHeads.moments)."""
+    return member_heads(ens, X).moments(mode)
 
 
 def variance_scores(ens: Ensemble, X: np.ndarray, mode: str = dists.EFRON_APPROX) -> np.ndarray:
-    """Total mixture variance per input row, the OOD detection score.
-
-    A row whose variance overflows, or is left undefined by overflowed head
-    outputs, scores +inf: it ranks as the most out-of-distribution.
-    """
-    means, variances = member_moments(ens, X, mode)
-    total = np.asarray(decompose_variance(means, variances).total)
-    return np.where(np.isnan(total), np.inf, total)
+    """Total mixture variance per row of X, the OOD score (MemberHeads.scores)."""
+    return member_heads(ens, X).scores(mode)
 
 
 INTERVAL = (0.025, 0.975)
 
 
-def predict_table(
-    ens: Ensemble,
-    X: np.ndarray,
-    mode: str = dists.EFRON_APPROX,
-    quantiles=None,
-):
+def predict_table(heads: MemberHeads, mode: str = dists.EFRON_APPROX, quantiles=None):
     """Per-row decomposition and equal-tailed 95 percent mixture interval.
 
     Returns a dict of arrays: mean, aleatoric, epistemic, q025, q975.
@@ -158,11 +172,10 @@ def predict_table(
     INTERVAL levels (as metrics.evaluate does with levels=INTERVAL); by
     default they are computed here.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    means, variances = member_moments(ens, X, mode)
+    means, variances = heads.moments(mode)
     dec = decompose_variance(means, variances)
     if quantiles is None:
-        quantiles = dists.predictive_summary(predictive_batch(ens, X), levels=INTERVAL).quantiles
+        quantiles = dists.predictive_summary(heads.batch(), levels=INTERVAL).quantiles
     return {
         "mean": np.mean(means, axis=0),
         "aleatoric": np.asarray(dec.aleatoric),

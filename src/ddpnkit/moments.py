@@ -23,6 +23,7 @@ NumericOverflow instead of returning a truncated value.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,9 @@ def render_grid_csv(grid: MomentGrid) -> str:
     """CSV text of rows mu0,var0,eps1,eps2 in row-major grid order (repr floats)."""
     mu_text = [repr(v) for v in grid.mu_values.tolist()]
     var_text = [repr(v) for v in grid.var_values.tolist()]
+    # eps values are formatted a row at a time as they stream past: no whole-grid
+    # list of floats
     return render_csv("mu0,var0,eps1,eps2", [
-        [t for t in mu_text for _ in var_text], var_text * len(mu_text),
-        map(repr, grid.eps1.ravel().tolist()), map(repr, grid.eps2.ravel().tolist())])
+        (t for t in mu_text for _ in var_text), itertools.cycle(var_text),
+        *(itertools.chain.from_iterable(map(repr, row.tolist()) for row in eps)
+          for eps in (grid.eps1, grid.eps2))])

@@ -175,25 +175,33 @@ def init_mlp(config: MLPConfig, gamma_bias_init: float = 0.0) -> MLPWeights:
     )
 
 
-def _forward_cached(weights: MLPWeights, X: np.ndarray):
-    """Forward pass keeping activations for backprop.
+def _forward(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """The one forward pass: head outputs, shape (n, head_count), in log space.
 
-    Returns (activations, heads) where activations[0] is the standardized
-    input and heads has shape (n, head_count).
+    Only the current layer's activations are held, unless acts is a list: it
+    then receives every layer's input for backprop, acts[0] the standardized
+    input and acts[-1] the last hidden layer's output.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != weights.x_mean.size:
         raise ShapeError(f"expected {weights.x_mean.size} features, got {X.shape[1]}")
-    acts = [(X - weights.x_mean) / weights.x_std]
+    a = (X - weights.x_mean) / weights.x_std
     for W, b in weights.hidden:
-        acts.append(np.maximum(acts[-1] @ W.T + b, 0.0))
-    heads = acts[-1] @ weights.head_w.T + weights.head_b
-    return acts, heads
+        if acts is not None:
+            acts.append(a)
+        a = a @ W.T
+        a += b
+        np.maximum(a, 0.0, out=a)
+    if acts is not None:
+        acts.append(a)
+    heads = a @ weights.head_w.T
+    heads += weights.head_b
+    return heads
 
 
 def forward_batch(weights: MLPWeights, X: np.ndarray) -> np.ndarray:
     """Head outputs, shape (n, head_count), still in log space."""
-    return _forward_cached(weights, X)[1]
+    return _forward(weights, X)
 
 
 def forward(weights: MLPWeights, x: np.ndarray) -> HeadOutput:
@@ -266,7 +274,8 @@ def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec
     """backward without the label check, for train, which checks its labels
     once; train passes views of its flat gradient vector as out."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        acts, heads = _forward_cached(weights, X)
+        acts = []
+        heads = _forward(weights, X, acts)
         if ys.size != heads.shape[0]:
             raise ShapeError(f"batch has {heads.shape[0]} inputs but {ys.size} labels")
         values, dheads = _head_loss_and_grads(spec, ys, heads)
@@ -442,13 +451,13 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
 
 def _format_tensor(name: str, arr: np.ndarray) -> list:
     arr = np.asarray(arr, dtype=float)
+    # tolist gives Python floats, whose repr is the shortest round-trip text;
+    # a row at a time, so the whole tensor is never held as floats
     if arr.ndim == 1:
-        lines = [f"tensor {name} 1 {arr.size}"]
-        lines.append(" ".join(repr(float(v)) for v in arr))
+        lines = [f"tensor {name} 1 {arr.size}", " ".join(map(repr, arr.tolist()))]
     elif arr.ndim == 2:
         lines = [f"tensor {name} 2 {arr.shape[0]} {arr.shape[1]}"]
-        for row in arr:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        lines.extend(" ".join(map(repr, row.tolist())) for row in arr)
     else:
         raise ShapeError(f"cannot serialize tensor of rank {arr.ndim}")
     return lines

@@ -46,16 +46,11 @@ class OODProtocolConfig:
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    alpha: float
-    tau: float
-    fpr: float
-    tpr: float
-    precision: float
-
-
-@dataclass(frozen=True)
 class OODReport:
+    """(mean, std) over repeats of each curve metric; per_repeat holds each
+    repeat's (AUROC, AUPR, FPR80) and operating_points its sweep columns
+    (see sweep_operating_points)."""
+
     auroc: tuple
     aupr: tuple
     fpr80: tuple
@@ -72,57 +67,57 @@ class OODReport:
         }
 
 
-def sweep_operating_points(holdout_scores, id_scores, ood_scores, alphas):
+def _side(scores) -> tuple[np.ndarray, int]:
+    """(the scores ascending with NaN left out, the count with NaN): a NaN
+    score is never above a threshold, but it counts in the rates."""
+    scores = np.asarray(scores, dtype=float)
+    return np.sort(scores[~np.isnan(scores)]), scores.size
+
+
+def _sweep(holdout_scores, alphas, id_side, ood_side) -> dict:
+    """sweep_operating_points on checked inputs, the ID and OOD scores given
+    as _side pairs."""
+    with np.errstate(invalid="ignore"):  # interpolating toward +inf scores gives inf - inf
+        taus = np.quantile(holdout_scores, 1.0 - alphas, method="linear")
+    taus[np.isnan(taus)] = np.inf  # flags what nan did: nothing lies above it
+    (id_sorted, n_id), (ood_sorted, n_ood) = id_side, ood_side
+    fp = id_sorted.size - np.searchsorted(id_sorted, taus, side="right")
+    tp = ood_sorted.size - np.searchsorted(ood_sorted, taus, side="right")
+    flagged = fp + tp
+    return {"alpha": alphas, "tau": taus, "fpr": fp / n_id, "tpr": tp / n_ood,
+            "precision": np.where(flagged > 0, tp / np.maximum(flagged, 1), 1.0)}
+
+
+def sweep_operating_points(holdout_scores, id_scores, ood_scores, alphas) -> dict:
     """Classify score > tau_alpha as OOD for every alpha in the grid.
 
     tau_alpha is the (1 - alpha) empirical quantile of the holdout scores,
     linearly interpolated: alpha = 0 gives the largest holdout score (nothing
     flagged beyond the holdout range), alpha = 1 the smallest. All thresholds
     come from one quantile call, and the flagged counts from binary searches
-    in the sorted scores.
+    in the sorted scores. Returns the operating points as columns: a dict of
+    arrays alpha, tau, fpr, tpr and precision, one entry per alpha
+    (precision is 1 where nothing is flagged).
     """
     holdout_scores = np.asarray(holdout_scores, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
-    if holdout_scores.size == 0:
-        raise ShapeError("sweep_operating_points needs at least one holdout score")
+    if holdout_scores.size == 0 or np.size(id_scores) == 0 or np.size(ood_scores) == 0:
+        raise ShapeError("sweep_operating_points needs at least one holdout, ID and OOD score")
     bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
     if bad.size:
         raise DomainError(f"alpha must lie in [0, 1], got {bad[0]}")
-    with np.errstate(invalid="ignore"):  # interpolating toward +inf scores gives inf - inf
-        taus = np.quantile(holdout_scores, 1.0 - alphas, method="linear")
-    taus[np.isnan(taus)] = np.inf  # flags what nan did: nothing lies above it
-    id_scores = np.asarray(id_scores, dtype=float)
-    ood_scores = np.asarray(ood_scores, dtype=float)
-
-    def flagged(scores):
-        # NaN is never above a threshold, so it is left out of the search
-        ordered = np.sort(scores[~np.isnan(scores)])
-        return ordered.size - np.searchsorted(ordered, taus, side="right")
-
-    fp, tp = flagged(id_scores), flagged(ood_scores)
-    points = []
-    for alpha, tau, f, t in zip(alphas.tolist(), taus.tolist(), fp.tolist(), tp.tolist()):
-        points.append(OperatingPoint(
-            alpha=alpha,
-            tau=tau,
-            fpr=f / id_scores.size,
-            tpr=t / ood_scores.size,
-            precision=t / (f + t) if f + t > 0 else 1.0,
-        ))
-    return points
+    return _sweep(holdout_scores, alphas, _side(id_scores), _side(ood_scores))
 
 
 def curve_metrics_from_points(points) -> tuple[float, float, float]:
-    """(AUROC, AUPR, FPR80) integrated from sweep operating points.
+    """(AUROC, AUPR, FPR80) integrated from the columns of a sweep.
 
     The ROC integral runs trapezoidal over (FPR, TPR) with (0,0) and (1,1)
     anchors; the PR integral is a step sum in recall with the OOD side as
     positives. FPR80 is read at the first point reaching TPR >= 0.80 and
     defaults to 1.0 if the sweep never gets there.
     """
-    fpr = np.array([p.fpr for p in points])
-    tpr = np.array([p.tpr for p in points])
-    precision = np.array([p.precision for p in points])
+    fpr, tpr, precision = points["fpr"], points["tpr"], points["precision"]
     order = np.lexsort((tpr, fpr))
     fpr_curve = np.concatenate([[0.0], fpr[order], [1.0]])
     tpr_curve = np.concatenate([[0.0], tpr[order], [1.0]])
@@ -133,7 +128,7 @@ def curve_metrics_from_points(points) -> tuple[float, float, float]:
     prec_curve = precision[rec_order]
     aupr = float(np.sum(np.diff(np.concatenate([[0.0], recall_curve])) * prec_curve))
 
-    reach = np.nonzero(tpr[rec_order] >= 0.80)[0]
+    reach = np.nonzero(recall_curve >= 0.80)[0]
     fpr80 = float(fpr[rec_order][reach[0]]) if reach.size else 1.0
     return auroc, aupr, fpr80
 
@@ -158,16 +153,15 @@ def run_ood_eval(
         raise DomainError(
             f"holdout of {n_hold} from {id_all.size} ID points leaves no evaluation set"
         )
+    alphas, ood_side = np.asarray(config.alphas), _side(ood_all)
     per_repeat = []
     all_points = []
     for rep in range(config.n_repeats):
         rng = np.random.default_rng(config.seed + rep)
         perm = rng.permutation(id_all.size)
-        holdout = id_all[perm[:n_hold]]
-        id_eval = id_all[perm[n_hold:]]
-        points = sweep_operating_points(holdout, id_eval, ood_all, config.alphas)
+        points = _sweep(id_all[perm[:n_hold]], alphas, _side(id_all[perm[n_hold:]]), ood_side)
         per_repeat.append(curve_metrics_from_points(points))
-        all_points.append(tuple(points))
+        all_points.append(points)
     per = np.array(per_repeat)
     return OODReport(
         auroc=(float(per[:, 0].mean()), float(per[:, 0].std())),

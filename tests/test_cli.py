@@ -189,6 +189,28 @@ class TestEnsembleEval:
         assert cells[2] >= 0.0 and cells[3] >= 0.0
         assert cells[4] <= cells[5]
 
+    def test_one_forward_pass_per_member_and_input_set(self, workspace, tmp_path,
+                                                        monkeypatch):
+        """ensemble-eval reads its distributions, scores and table off one
+        pass of each member over the test rows; ood runs one pass of each
+        member over the ID rows and one over the OOD rows."""
+        members = len(ensemble.load_ensemble(workspace["manifest"]).members)
+        rows = []
+
+        def counted(weights, X):
+            rows.append(len(X))
+            return network.forward_batch(weights, X)
+
+        monkeypatch.setattr(ensemble, "forward_batch", counted)
+        assert run(["ensemble-eval", "--manifest", workspace["manifest"],
+                    "--data", workspace["prefix"], "--out", tmp_path]) == 0
+        assert rows == [6] * members
+        rows.clear()
+        assert run(["ood", "--manifest", workspace["manifest"], "--data", workspace["prefix"],
+                    "--n-repeats", 2, "--alpha-points", 11, "--ood-n", 30,
+                    "--out", tmp_path]) == 0
+        assert rows == [6] * members + [30] * members
+
     def test_corrupt_manifest_is_io_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.manifest"
         bad.write_text("nonsense\n")
@@ -339,6 +361,15 @@ class TestOptionMerging:
     def test_unreadable_config(self, tmp_path):
         assert run(["simulate", "--process", "misspec-nb",
                     "--config", tmp_path / "ghost.ini", "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("text", [b"seed=3\n", b"[simulate]\nseed\n",
+                                      b"[simulate]\n[simulate]\n", b"\xff\xfe[x"])
+    def test_malformed_config_is_a_usage_error(self, tmp_path, text):
+        conf = tmp_path / "bad.ini"
+        conf.write_bytes(text)
+        assert run(["simulate", "--process", "misspec-nb", "--config", conf,
+                    "--out", tmp_path]) == 2
+        assert not (tmp_path / "data").exists()
 
     def test_missing_required_option(self, tmp_path):
         assert run(["simulate", "--out", tmp_path]) == 2
@@ -522,6 +553,16 @@ class TestImport:
         src = os.path.dirname(os.path.dirname(os.path.abspath(ddpnkit.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         code = "import ddpnkit.cli, sys; assert 'scipy.stats' not in sys.modules"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=False)
+        assert done.returncode == 0, done.stderr
+
+    def test_cli_import_leaves_configparser_out(self):
+        """configparser and its regex compiles load only for a run given
+        --config."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ddpnkit.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import ddpnkit.cli, sys; assert 'configparser' not in sys.modules"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=False)
         assert done.returncode == 0, done.stderr

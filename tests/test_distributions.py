@@ -562,20 +562,27 @@ class TestNumpyKernels:
 
     @settings(max_examples=120, deadline=None)
     @given(log_mu=st.floats(math.log(1e-300), math.log(6e4)),
-           log_gamma=st.floats(math.log(1e-3), math.log(1e8)))
-    @example(log_mu=math.log(1e4), log_gamma=0.0)
-    @example(log_mu=math.log(3e4), log_gamma=math.log(50.0))
-    @example(log_mu=math.log(1000.0), log_gamma=math.log(1000.0))
-    @example(log_mu=math.log(6e4), log_gamma=math.log(1e-3))
-    def test_log_weights_match_mpmath(self, log_mu, log_gamma):
-        """dp_log_weight within 1e-13 of 40-digit mpmath over mu +- 8 sd, and
-        the Poisson PMF, DP(lam, 1), over lam +- 8 sd."""
+           log_gamma=st.floats(math.log(1e-3), math.log(1e8)),
+           low_counts=st.just(0))
+    @example(log_mu=math.log(1e4), log_gamma=0.0, low_counts=0)
+    @example(log_mu=math.log(3e4), log_gamma=math.log(50.0), low_counts=0)
+    @example(log_mu=math.log(1000.0), log_gamma=math.log(1000.0), low_counts=0)
+    @example(log_mu=math.log(6e4), log_gamma=math.log(1e-3), low_counts=0)
+    @example(log_mu=math.log(1e-320), log_gamma=math.log(1e-3), low_counts=60)
+    @example(log_mu=math.log(5e-324), log_gamma=math.log(1e-2), low_counts=60)
+    def test_log_weights_match_mpmath(self, log_mu, log_gamma, low_counts):
+        """dp_log_weight within 1e-13 of 40-digit mpmath over mu +- 8 sd and at
+        the counts 0..low_counts-1, and the Poisson PMF, DP(lam, 1), over lam
+        +- 8 sd. The pinned subnormal means take r = mu/y below the normal
+        range (to 0 at 5e-324) for every y >= 1."""
         mp = pytest.importorskip("mpmath")
         mu, gamma = math.exp(log_mu), math.exp(log_gamma)
         for g in (gamma, 1.0):
             sd = math.sqrt(mu / g)
             ys = np.unique(np.maximum(0.0, np.rint(mu + sd * np.linspace(-8.0, 8.0, 33))))
             ys = ys[np.abs(ys - mu) <= 8.0 * sd]
+            if g != 1.0:
+                ys = np.union1d(ys, np.arange(float(low_counts)))
             with mp.workdps(40):
                 want = np.array([float(mp_log_weight(mp, mu, g, int(y))) for y in ys])
             if g == 1.0:

@@ -212,7 +212,7 @@ class TestPredictTable:
     def test_columns_and_interval_coverage(self):
         ens = dp_ensemble()
         X = np.zeros((2, 1))
-        table = ensemble.predict_table(ens, X)
+        table = ensemble.predict_table(ensemble.member_heads(ens, X))
         assert set(table) == {"mean", "aleatoric", "epistemic", "q025", "q975"}
         assert_allclose(table["mean"], [3.0, 3.0], rtol=1e-12)
         mix = ensemble.predictive_batch(ens, X[:1])

@@ -304,7 +304,8 @@ class TestTrain:
 
 def _reference_backward(weights, X, ys, spec):
     """Per-array backpropagation through the checked public losses."""
-    acts, heads = network._forward_cached(weights, X)
+    acts = []
+    heads = network._forward(weights, X, acts)
     if spec.family == "double_poisson":
         mu, gamma = np.exp(heads[:, 0]), np.exp(heads[:, 1])
         dmu, dgamma = ddpn_grads(ys, mu, gamma, spec.beta)
@@ -547,6 +548,36 @@ class TestCheckpoint:
         for (W1, b1), (W2, b2) in zip(loaded.hidden, weights.hidden):
             assert np.array_equal(W1, W2)
             assert np.array_equal(b1, b2)
+
+    def test_text_matches_per_element_repr(self):
+        """The row-wise rendering writes each value as repr(float(v)), bit for
+        bit, at signed zeros, subnormals and extreme magnitudes."""
+        cfg = network.MLPConfig(input_dim=3, hidden_widths=(5, 4), head_count=2, seed=7)
+        weights = network.init_mlp(cfg)
+        special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0, -7.0]
+        for i, arr in enumerate([weights.hidden[0][0], weights.hidden[1][1],
+                                 weights.head_w, weights.head_b]):
+            flat = arr.reshape(-1)
+            flat[:len(special)] = np.roll(special, i)[:flat.size]
+        weights.x_mean[:] = [-0.0, 5e-324, 1e300]
+        meta = {"family": "double_poisson"}
+
+        def per_element(name, arr):
+            shape = " ".join(str(n) for n in arr.shape)
+            rows = arr.reshape(-1, arr.shape[-1])
+            return [f"tensor {name} {arr.ndim} {shape}"] + [
+                " ".join(repr(float(v)) for v in row) for row in rows]
+
+        named = [("x_mean", weights.x_mean), ("x_std", weights.x_std)]
+        for i, (W, b) in enumerate(weights.hidden):
+            named += [(f"hidden{i}.W", W), (f"hidden{i}.b", b)]
+        named += [("head.W", weights.head_w), ("head.b", weights.head_b)]
+        want = [network.CKPT_HEADER, "family=double_poisson"]
+        for name, arr in named:
+            want += per_element(name, arr)
+        text = network.render_checkpoint(weights, meta)
+        assert text == "\n".join(want) + "\n"
+        assert "-0.0 " in text and "5e-324" in text and "-1e+300" in text
 
     def test_glm_round_trip(self, tmp_path):
         cfg = network.MLPConfig(input_dim=1, hidden_widths=(), head_count=2, seed=0)
