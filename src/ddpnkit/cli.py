@@ -7,20 +7,31 @@ over config values. Unknown config keys are rejected.
 
 Outputs land under the --out directory in data/, ckpt/ and reports/
 subfolders. A handler only computes: it returns its output files as
-{path: text} together with the text to print. After it returns, execute
-writes every file to path.tmp through the one writer, _write_text, then
-moves each onto its path with os.replace and prints last. A run that
-fails, in a handler or in a write, changes no output file.
+{path: text chunks} together with the text to print. The chunks are
+rendered as the writer takes them: a CSV file in blocks of rows, so none is
+held whole, and each checkpoint's text when its file is reached, so one is
+held at a time. After the handler returns, execute streams every file to
+path.tmp through the one writer, _write_text, then moves each onto its path
+with os.replace and prints last. A run that fails, in a handler, a renderer
+or a write, changes no output file.
+
+The package modules the handlers use are put in sys.modules when cli is
+imported, but each one runs on its first attribute access
+(importlib.util.LazyLoader), so a process executes only the code of its own
+subcommand, and a tool that looks them up in sys.modules right after the
+import (as bench/tracer.py does) finds every one.
 
 Exit codes: 0 success, 2 usage or domain errors, 3 numeric divergence or
 overflow (including a PMF support that has not converged within its cap),
-4 I/O problems and malformed checkpoint, manifest or dataset files.
+4 I/O problems and malformed checkpoint, manifest or dataset files
+(FileFormatError).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import math
 import os
@@ -28,16 +39,35 @@ import sys
 
 import numpy as np
 
-from ddpnkit import datagen, ensemble, metrics, moments, network, ood
 from ddpnkit.errors import (
     DdpnError,
     DomainError,
+    FileFormatError,
     NumericDivergence,
     NumericOverflow,
     ShapeError,
     UsageError,
 )
 from ddpnkit.losses import FAMILIES, LossSpec
+
+
+def _lazy_module(name: str):
+    """ddpnkit.<name>, in sys.modules and bound on the package as an import
+    leaves it, but executed only when one of its attributes is first read."""
+    fullname = f"ddpnkit.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules["ddpnkit"], name, module)
+    return sys.modules[fullname]
+
+
+datagen, ensemble, metrics, moments, network, ood = map(_lazy_module, (
+    "datagen", "ensemble", "metrics", "moments", "network", "ood"))
+_lazy_module("distributions")  # the handlers reach it only through the modules above
 
 
 def _parse_bool(text: str) -> bool:
@@ -73,6 +103,9 @@ def _parse_floats(text: str) -> tuple:
     return values
 
 
+# the keys of datagen.PROCESSES, kept here so that --help loads no datagen
+PROCESSES = ("sine-conflation", "misspec-poisson", "misspec-nb", "beta-study")
+
 # Option tables: name -> (parser, default, help). A default of REQUIRED marks
 # options that must be supplied by flag or config file.
 REQUIRED = object()
@@ -96,7 +129,7 @@ _TRAIN_OPTS = {
 
 _COMMAND_OPTS = {
     "simulate": {
-        "process": (str, REQUIRED, f"one of {', '.join(datagen.PROCESSES)}"),
+        "process": (str, REQUIRED, f"one of {', '.join(PROCESSES)}"),
         "seed": (_parse_count, 0, "rng seed"),
         "n": (_parse_count, 2000, "total rows for single-size processes"),
         "n_train": (_parse_count, 800, "sine-conflation train rows"),
@@ -219,13 +252,18 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     return merged
 
 
-def _write_text(path: str, text: str) -> None:
-    """The one file writer: text goes to path.tmp, in slices (one write would
-    encode a copy of the whole text); execute moves it onto path."""
+def _write_text(path: str, chunks) -> None:
+    """The one file writer: the text chunks go to path.tmp as they are
+    rendered; execute moves the file onto path."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path + ".tmp", "w", newline="") as fh:
-        for start in range(0, len(text), 1 << 20):
-            fh.write(text[start:start + (1 << 20)])
+        fh.writelines(chunks)
+
+
+def _rendered_on_write(render, *args):
+    """render(*args) as one chunk, made when the writer reaches its file, so
+    a command holds one such text at a time."""
+    yield render(*args)
 
 
 def _report_path(opts: dict, suffix: str) -> str:
@@ -233,13 +271,13 @@ def _report_path(opts: dict, suffix: str) -> str:
     return os.path.join(opts["out"], "reports", f"{opts['tag']}_{suffix}")
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json(payload) -> tuple:
+    return (json.dumps(payload, indent=2), "\n")
 
 
 def _dataset_for(opts: dict):
     process = opts["process"]
-    if process not in datagen.PROCESSES:
+    if process not in PROCESSES:
         raise UsageError(f"unknown process {process!r}")
     seed = opts["seed"]
     if process == "sine-conflation":
@@ -252,7 +290,7 @@ def _dataset_for(opts: dict):
 def cmd_simulate(opts: dict) -> tuple[dict, str]:
     ds, split = _dataset_for(opts)
     prefix = os.path.join(opts["out"], "data", f"{ds.process}_seed{opts['seed']}")
-    files = {f"{prefix}_{name}.csv": datagen.render_dataset_csv(ds.xs[idx], ds.ys[idx])
+    files = {f"{prefix}_{name}.csv": datagen.dataset_csv_chunks(ds.xs[idx], ds.ys[idx])
              for name, idx in (("train", split.train), ("val", split.val), ("test", split.test))}
     return files, "\n".join(files)
 
@@ -302,7 +340,7 @@ def cmd_train(opts: dict) -> tuple[dict, str]:
     for member, weights, report in results:
         meta = network.train_meta(report.config, ds.xs.shape[1])
         path = os.path.join(ckpt_dir, f"{opts['tag']}_member{member}.ckpt")
-        files[path] = network.render_checkpoint(weights, meta)
+        files[path] = _rendered_on_write(network.render_checkpoint, weights, meta)
         report_payload.append({
             "member": member,
             "seed": report.seed,
@@ -313,7 +351,8 @@ def cmd_train(opts: dict) -> tuple[dict, str]:
         })
     names = [os.path.basename(p) for p in files]
     manifest_path = os.path.join(ckpt_dir, f"{opts['tag']}.manifest")
-    files[manifest_path] = ensemble.render_manifest(names, LossSpec(opts["family"], opts["beta"]))
+    spec = LossSpec(opts["family"], opts["beta"])
+    files[manifest_path] = (ensemble.render_manifest(names, spec),)
     files[_report_path(opts, "train.json")] = _json(
         {"family": opts["family"], "beta": opts["beta"], "members": report_payload})
     return files, manifest_path
@@ -343,11 +382,11 @@ def cmd_ensemble_eval(opts: dict) -> tuple[dict, str]:
     table = ensemble.predict_table(heads, mode, quantiles=record.quantiles)
     names = ("mean", "aleatoric", "epistemic", "q025", "q975")
     columns = [test_x[:, 0]] + [table[name] for name in names]
-    csv_text = datagen.render_csv(",".join(("x",) + names), [
+    decomposition = datagen.csv_chunks(",".join(("x",) + names), [
         map(repr, np.asarray(column, dtype=float).tolist()) for column in columns])
     summary = record.summary()
     return {_report_path(opts, "metrics.json"): _json(summary),
-            _report_path(opts, "decomposition.csv"): csv_text}, json.dumps(summary)
+            _report_path(opts, "decomposition.csv"): decomposition}, json.dumps(summary)
 
 
 def cmd_ood(opts: dict) -> tuple[dict, str]:
@@ -390,7 +429,7 @@ def _log_axis(opts: dict, name: str) -> np.ndarray:
 def cmd_moments_grid(opts: dict) -> tuple[dict, str]:
     grid = moments.moments_grid(_log_axis(opts, "mu"), _log_axis(opts, "var"), opts["n_terms"])
     path = _report_path(opts, "grid.csv")
-    return {path: moments.render_grid_csv(grid)}, path
+    return {path: moments.grid_csv_chunks(grid)}, path
 
 
 def cmd_attenuation_demo(opts: dict) -> tuple[dict, str]:
@@ -410,7 +449,7 @@ def cmd_attenuation_demo(opts: dict) -> tuple[dict, str]:
     header = ",".join(["epoch"] + [f"{name}_at_{x:g}" for x in opts["probe_x"]
                                    for name in ("mu", "gamma")])
     path = _report_path(opts, "trace.csv")
-    return {path: datagen.render_csv(header, [epochs] + [
+    return {path: datagen.csv_chunks(header, [epochs] + [
         map(repr, column.tolist()) for column in np.array(rows).T])}, path
 
 
@@ -454,8 +493,7 @@ def main(argv=None) -> int:
     except (NumericDivergence, NumericOverflow) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (network.CheckpointFormatError, ensemble.ManifestFormatError,
-            datagen.DatasetFormatError, OSError) as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     except (DomainError, ShapeError) as exc:

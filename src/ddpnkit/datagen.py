@@ -24,18 +24,26 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
 from ddpnkit.distributions import DOUBLE_POISSON, PredictiveBatch, _bd0, _inverse_cdf, _log_h
-from ddpnkit.errors import DomainError, ShapeError
-from ddpnkit.network import SplitIndices
+from ddpnkit.errors import DomainError, FileFormatError, ShapeError
 
 CONFLATION_SUPPORT = 60
 CONFLATION_POWER = 5
 CONFLATION_SHIFT = 30
+
+
+@dataclass(frozen=True)
+class SplitIndices:
+    """Row indices of a dataset assigned to the train/val/test roles."""
+
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -207,30 +215,34 @@ PROCESSES = {
 }
 
 
-def render_csv(header: str, columns) -> str:
-    """CSV text: the header line, then one line per row of the text columns.
+def csv_chunks(header: str, columns):
+    """CSV text in chunks: the header line, then one line per row of the text
+    columns, 1024 rows to a chunk.
 
     Cells hold no comma, quote or line break; every line ends with "\\n".
-    Rows are joined in blocks, so that not every line is held as a string
-    beside the text (7 MB more peak memory for a 200x200 moments grid).
     """
+    yield header + "\n"
     rows = map(",".join, zip(*columns))
-    blocks = []
     while block := list(islice(rows, 1024)):
-        blocks.append("\n".join(block))
-    return "\n".join([header, *blocks, ""])
+        block.append("")
+        yield "\n".join(block)
 
 
-def render_dataset_csv(xs: np.ndarray, ys: np.ndarray) -> str:
-    """x,y CSV text of a single-feature dataset, floats written with repr."""
+def dataset_csv_chunks(xs: np.ndarray, ys: np.ndarray):
+    """x,y CSV text of a single-feature dataset, floats written with repr (csv_chunks)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != 1:
         raise ShapeError("CSV datasets carry a single feature column")
-    return render_csv("x,y", [map(repr, xs[:, 0].tolist()),
+    return csv_chunks("x,y", [map(repr, xs[:, 0].tolist()),
                               map(str, np.asarray(ys, dtype=np.int64).tolist())])
 
 
-class DatasetFormatError(DomainError):
+def render_dataset_csv(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The text of dataset_csv_chunks as one string."""
+    return "".join(dataset_csv_chunks(xs, ys))
+
+
+class DatasetFormatError(FileFormatError):
     """A dataset CSV does not follow the x,y layout."""
 
 

@@ -499,9 +499,13 @@ def _pmf_blocks(batch: PredictiveBatch):
     members, n = batch.shape
     support = _series(batch.kind, *_cells(batch), PMF_N0)[2].reshape(members, n)
     width = support.max(axis=0)
-    for w in np.unique(width):
-        same = np.flatnonzero(width == w)
-        step = max(1, BLOCK_CELLS // (members * int(w)))
+    # rows grouped by width with a sort (np.unique would load numpy.ma)
+    order = np.argsort(width, kind="stable")
+    runs = _run_bounds(width[order])
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        same = order[lo:hi]
+        w = int(width[same[0]])
+        step = max(1, BLOCK_CELLS // (members * w))
         ys = np.arange(w, dtype=float)
         for start in range(0, same.size, step):
             rows = same[start:start + step]

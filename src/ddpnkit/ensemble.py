@@ -15,12 +15,12 @@ series evaluation is available behind a flag.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ddpnkit import distributions as dists
-from ddpnkit.errors import DomainError
+from ddpnkit.errors import DomainError, FileFormatError
 from ddpnkit.losses import LossSpec
 from ddpnkit.network import CheckpointFormatError, forward_batch, load_checkpoint
 
@@ -79,11 +79,12 @@ class MemberHeads:
     values is (M, n, heads), in log space, with overflow left as inf. Every
     prediction at those rows is read from it, so a caller that needs several
     (ensemble-eval needs the distributions, the scores and the table) runs
-    each member's network once.
+    each member's network once, and sums each mode's moments once.
     """
 
     family: str
     values: np.ndarray
+    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def batch(self) -> dists.PredictiveBatch:
         """The predictive distributions: row i is the uniform mixture of the M
@@ -109,10 +110,18 @@ class MemberHeads:
         mode "efron_approx" reads moments straight off the heads, in log space
         where it takes two heads, and tolerates extreme values (variances may
         overflow to inf far from the training data); "exact_series" evaluates
-        the Double Poisson series. Any other mode is a DomainError.
+        the Double Poisson series. Any other mode is a DomainError. The
+        arrays are kept per mode, shared by later calls and read-only.
         """
         if mode not in (dists.EFRON_APPROX, dists.EXACT_SERIES):
             raise DomainError(f"unknown moments mode {mode!r}")
+        if mode not in self._moments:
+            means, variances = self._member_moments(mode)
+            means.flags.writeable = variances.flags.writeable = False
+            self._moments[mode] = means, variances
+        return self._moments[mode]
+
+    def _member_moments(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
         if self.family == "double_poisson" and mode == dists.EXACT_SERIES:
             return self.batch().member_moments(mode)
         log_m = self.values[..., 0]
@@ -188,7 +197,7 @@ def predict_table(heads: MemberHeads, mode: str = dists.EFRON_APPROX, quantiles=
 # --- manifest I/O -------------------------------------------------------------
 
 
-class ManifestFormatError(DomainError):
+class ManifestFormatError(FileFormatError):
     """The ensemble manifest does not follow the expected layout."""
 
 

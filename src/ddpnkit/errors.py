@@ -34,5 +34,9 @@ class NumericDivergence(DdpnError):
         self.report = report
 
 
+class FileFormatError(DomainError):
+    """An input file (checkpoint, manifest or dataset) does not follow its layout."""
+
+
 class UsageError(DdpnError):
     """Invalid command-line usage or malformed configuration."""

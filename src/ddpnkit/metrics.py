@@ -65,7 +65,11 @@ def median_precision(variances) -> float:
         raise ShapeError("median_precision needs at least one variance")
     if np.any(np.isnan(variances)) or np.any(variances <= 0.0):
         raise DomainError("variances must be positive")
-    return float(np.median(1.0 / variances))
+    precision = np.sort(1.0 / variances, axis=None)
+    half = precision.size // 2
+    # the mean of the middle one or two values, as np.median takes it (which
+    # would load numpy.ma)
+    return float(np.mean(precision[half - 1 + precision.size % 2:half + 1]))
 
 
 @dataclass(frozen=True)

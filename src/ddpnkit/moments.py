@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddpnkit.datagen import render_csv
+from ddpnkit.datagen import csv_chunks
 from ddpnkit.distributions import DOUBLE_POISSON, MAX_TERMS, _series, dp_moment_corrections
 from ddpnkit.errors import DomainError
 
@@ -103,13 +103,19 @@ def moments_grid(
                       support.reshape(gamma.shape))
 
 
-def render_grid_csv(grid: MomentGrid) -> str:
-    """CSV text of rows mu0,var0,eps1,eps2 in row-major grid order (repr floats)."""
+def grid_csv_chunks(grid: MomentGrid):
+    """CSV text of rows mu0,var0,eps1,eps2 in row-major grid order (repr
+    floats), in the chunks of datagen.csv_chunks."""
     mu_text = [repr(v) for v in grid.mu_values.tolist()]
     var_text = [repr(v) for v in grid.var_values.tolist()]
     # eps values are formatted a row at a time as they stream past: no whole-grid
     # list of floats
-    return render_csv("mu0,var0,eps1,eps2", [
+    return csv_chunks("mu0,var0,eps1,eps2", [
         (t for t in mu_text for _ in var_text), itertools.cycle(var_text),
         *(itertools.chain.from_iterable(map(repr, row.tolist()) for row in eps)
           for eps in (grid.eps1, grid.eps2))])
+
+
+def render_grid_csv(grid: MomentGrid) -> str:
+    """The text of grid_csv_chunks as one string."""
+    return "".join(grid_csv_chunks(grid))

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ddpnkit.errors import DomainError, NumericDivergence, ShapeError
+from ddpnkit.datagen import SplitIndices  # re-exported: train takes one
+from ddpnkit.errors import DomainError, FileFormatError, NumericDivergence, ShapeError
 from ddpnkit.losses import LossSpec, _check_labels, _dp_loss_and_grads, baseline_nll
 
 ADAM_BETA1 = 0.9
@@ -128,15 +129,6 @@ class TrainReport:
     config: TrainConfig
     final_weights: MLPWeights | None = None
     best_weights: MLPWeights | None = None
-
-
-@dataclass(frozen=True)
-class SplitIndices:
-    """Row indices of a dataset assigned to the train/val/test roles."""
-
-    train: np.ndarray
-    val: np.ndarray
-    test: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -449,27 +441,22 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
 # --- checkpoint I/O -----------------------------------------------------------
 
 
-def _format_tensor(name: str, arr: np.ndarray) -> list:
+def _tensor_lines(name: str, arr: np.ndarray):
     arr = np.asarray(arr, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ShapeError(f"cannot serialize tensor of rank {arr.ndim}")
+    yield f"tensor {name} {arr.ndim} {' '.join(map(str, arr.shape))}\n"
     # tolist gives Python floats, whose repr is the shortest round-trip text;
     # a row at a time, so the whole tensor is never held as floats
-    if arr.ndim == 1:
-        lines = [f"tensor {name} 1 {arr.size}", " ".join(map(repr, arr.tolist()))]
-    elif arr.ndim == 2:
-        lines = [f"tensor {name} 2 {arr.shape[0]} {arr.shape[1]}"]
-        lines.extend(" ".join(map(repr, row.tolist())) for row in arr)
-    else:
-        raise ShapeError(f"cannot serialize tensor of rank {arr.ndim}")
-    return lines
+    for row in np.atleast_2d(arr):
+        yield " ".join(map(repr, row.tolist())) + "\n"
 
 
-def render_checkpoint(weights: MLPWeights, meta: dict) -> str:
-    """Checkpoint text: header, key=value metadata echo, then each tensor as
-    a dimension-prefixed block of decimal floats. repr round-trips doubles
-    exactly, so save/load is bit-identical."""
-    lines = [CKPT_HEADER]
+def _checkpoint_lines(weights: MLPWeights, meta: dict):
+    """The lines of render_checkpoint's text."""
+    yield CKPT_HEADER + "\n"
     for key, value in meta.items():
-        lines.append(f"{key}={value}")
+        yield f"{key}={value}\n"
     named = [("x_mean", weights.x_mean), ("x_std", weights.x_std)]
     for i, (W, b) in enumerate(weights.hidden):
         named.append((f"hidden{i}.W", W))
@@ -477,11 +464,17 @@ def render_checkpoint(weights: MLPWeights, meta: dict) -> str:
     named.append(("head.W", weights.head_w))
     named.append(("head.b", weights.head_b))
     for name, arr in named:
-        lines.extend(_format_tensor(name, arr))
-    return "\n".join(lines) + "\n"
+        yield from _tensor_lines(name, arr)
 
 
-class CheckpointFormatError(DomainError):
+def render_checkpoint(weights: MLPWeights, meta: dict) -> str:
+    """Checkpoint text: header, key=value metadata echo, then each tensor as
+    a dimension-prefixed block of decimal floats. repr round-trips doubles
+    exactly, so save/load is bit-identical."""
+    return "".join(_checkpoint_lines(weights, meta))
+
+
+class CheckpointFormatError(FileFormatError):
     """The checkpoint file does not follow the expected layout."""
 
 

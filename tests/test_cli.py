@@ -4,11 +4,14 @@ Training configurations here are deliberately tiny; the goal is wiring,
 not model quality.
 """
 
+import importlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ddpnkit
-from ddpnkit import cli, ensemble, network
+from ddpnkit import cli, datagen, distributions, ensemble, errors, moments, network
 from test_acceptance import _run_pipeline
 
 
@@ -116,6 +119,45 @@ class TestTrain:
         assert "i/o error" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["reports"]
 
+    def test_failing_checkpoint_render_changes_no_output(self, workspace, tmp_path,
+                                                         monkeypatch, capsys):
+        """A checkpoint that fails to render after an earlier one was written
+        leaves the earlier run's outputs as they were and no .tmp file."""
+        argv = ["train", "--data", workspace["prefix"], "--epochs", 1, "--hidden", "4",
+                "--members", 2, "--out", tmp_path]
+        assert run(argv) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        rendered = []
+        render = network.render_checkpoint
+
+        def failing(weights, meta):
+            if rendered:
+                raise OSError("device full")
+            rendered.append(render(weights, meta))
+            return rendered[-1]
+
+        monkeypatch.setattr(network, "render_checkpoint", failing)
+        assert run(argv + ["--seed", 7]) == 4
+        assert "device full" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_checkpoints_rendered_one_at_a_time(self, tmp_path):
+        """train renders each checkpoint when the writer reaches its file:
+        tracemalloc's peak over a 2-member, 1-epoch run of the
+        (128,128,128,64) network stays under 3.8 MB (about 2.8 MB; 4.9 MB
+        when every checkpoint's text was held before the first write)."""
+        assert run(["simulate", "--process", "sine-conflation", "--out", tmp_path]) == 0
+        argv = ["train", "--data", tmp_path / "data" / "sine_conflation_seed0",
+                "--hidden", "128,128,128,64", "--members", 2, "--epochs", 1,
+                "--out", tmp_path]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.8e6, f"train traced peak {peak / 1e6:.2f} MB"
+
     def test_missing_data_prefix(self, tmp_path):
         assert run(["train", "--data", tmp_path / "ghost", "--out", tmp_path]) == 2
 
@@ -211,6 +253,23 @@ class TestEnsembleEval:
                     "--out", tmp_path]) == 0
         assert rows == [6] * members + [30] * members
 
+    def test_exact_series_moments_summed_once(self, workspace, tmp_path, monkeypatch):
+        """With --moments-mode exact_series the series engine runs twice: once
+        to size the PMF supports and once for the member moments, which the
+        scores and the table share."""
+        calls = []
+        series = distributions._series
+
+        def counted(*args):
+            calls.append(args[0])
+            return series(*args)
+
+        monkeypatch.setattr(distributions, "_series", counted)
+        assert run(["ensemble-eval", "--manifest", workspace["manifest"],
+                    "--data", workspace["prefix"], "--moments-mode", "exact_series",
+                    "--out", tmp_path]) == 0
+        assert len(calls) == 2
+
     def test_corrupt_manifest_is_io_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.manifest"
         bad.write_text("nonsense\n")
@@ -298,6 +357,46 @@ class TestMomentsGrid:
         diag = table[table[:, 0] == table[:, 1]]
         assert diag.shape == (5, 4)
         assert np.all(diag[:, 2:] <= 1e-9)
+
+    def test_renderer_failing_mid_stream_changes_no_output(self, tmp_path, monkeypatch,
+                                                          capsys):
+        """A CSV renderer that raises after part of its file is written leaves
+        the earlier run's output as it was and no .tmp file."""
+        argv = ["moments-grid", "--mu-points", 40, "--var-points", 40, "--out", tmp_path]
+        assert run(argv) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        chunks = moments.grid_csv_chunks
+
+        def failing(grid):
+            yield from itertools.islice(chunks(grid), 2)
+            raise OSError("device full")
+
+        monkeypatch.setattr(moments, "grid_csv_chunks", failing)
+        assert run(argv) == 4
+        assert "device full" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_grid_csv_streams_to_disk(self, tmp_path, monkeypatch):
+        """The 3.1 MB CSV of a 200x200 grid is never held whole: tracemalloc's
+        peak while it is written stays under 3.5 MB (about 1.6 MB streamed;
+        6.5 MB when its text is joined before the write)."""
+        peaks = []
+        write = cli._write_text
+
+        def measured(path, chunks):
+            tracemalloc.reset_peak()
+            write(path, chunks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(cli, "_write_text", measured)
+        tracemalloc.start()
+        try:
+            assert run(["moments-grid", "--mu-points", 200, "--var-points", 200,
+                        "--out", tmp_path]) == 0
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "reports" / "moments_grid.csv").stat().st_size > 3e6
+        assert len(peaks) == 1 and peaks[0] < 3.5e6, f"write peak {peaks[0] / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("flag", ["--mu-min", "--mu-max", "--var-min", "--var-max"])
     @pytest.mark.parametrize("value", [0, -1, "nan", "inf"])
@@ -546,26 +645,26 @@ class TestOneWriter:
         assert not list(root.rglob("*.tmp"))
 
 
+def run_fresh(code: str, **fmt) -> None:
+    """Run code in a fresh interpreter that imports ddpnkit from this tree;
+    it must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddpnkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code.format(**fmt)], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_stats_out(self):
         """scipy.stats costs most of a child's start-up and memory; the CLI
         must not import it."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ddpnkit.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import ddpnkit.cli, sys; assert 'scipy.stats' not in sys.modules"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=False)
-        assert done.returncode == 0, done.stderr
+        run_fresh("import ddpnkit.cli, sys; assert 'scipy.stats' not in sys.modules")
 
     def test_cli_import_leaves_configparser_out(self):
         """configparser and its regex compiles load only for a run given
         --config."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ddpnkit.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import ddpnkit.cli, sys; assert 'configparser' not in sys.modules"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=False)
-        assert done.returncode == 0, done.stderr
+        run_fresh("import ddpnkit.cli, sys; assert 'configparser' not in sys.modules")
 
     def test_double_poisson_pipeline_runs_without_scipy(self, tmp_path):
         """scipy.special and multiprocessing cost every CLI child start-up
@@ -573,12 +672,96 @@ class TestImport:
         (and Poisson) pipeline runs without scipy; the negative binomial and
         Gaussian paths load it on first use. A fresh interpreter, so no other
         test has imported scipy first."""
-        script = PIPELINE_SCRIPT.format(root=str(tmp_path))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ddpnkit.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, check=False)
-        assert done.returncode == 0, done.stderr
+        run_fresh(PIPELINE_SCRIPT, root=str(tmp_path))
+
+    def test_each_command_loads_only_its_modules(self, workspace, tmp_path):
+        """Importing the CLI loads no package module beyond cli, errors and
+        losses, --help loads no datagen, simulate and moments-grid load no
+        network, ensemble, metrics or ood, and eval leaves numpy.ma out."""
+        run_fresh(MODULES_SCRIPT, root=str(tmp_path), ckpt=str(workspace["root"] / "ckpt"),
+                  prefix=str(workspace["prefix"]))
+
+    def test_benchmark_tracer_sees_every_layer(self, workspace, tmp_path):
+        """bench/tracer.py looks up every layer module in sys.modules right
+        after ddpnkit.cli is imported, then wraps their public functions: a
+        traced train still finds them all and records each checkpoint's
+        render_checkpoint call and bytes."""
+        bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "bench")
+        run_fresh(TRACER_SCRIPT, bench=bench, prefix=str(workspace["prefix"]),
+                  root=str(tmp_path))
+
+    def test_process_names_match_datagen(self):
+        """cli keeps the process names as a literal, for --help."""
+        assert cli.PROCESSES == tuple(datagen.PROCESSES)
+
+    def test_public_names_resolve_lazily(self):
+        """Every name in ddpnkit.__all__ is the object its module defines;
+        dir() lists them all, and an unknown name is an AttributeError."""
+        for module, names in ddpnkit._EXPORTS.items():
+            source = importlib.import_module(f"ddpnkit.{module}")
+            for name in names:
+                assert getattr(ddpnkit, name) is getattr(source, name), name
+        assert sorted(ddpnkit.__all__) == sorted(
+            name for names in ddpnkit._EXPORTS.values() for name in names)
+        assert set(ddpnkit.__all__) <= set(dir(ddpnkit))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ddpnkit.no_such_name
+
+    def test_format_errors_share_one_base(self):
+        """main maps FileFormatError to exit 4; each file format's error
+        derives from it and stays importable from its module."""
+        for error in (network.CheckpointFormatError, ensemble.ManifestFormatError,
+                      datagen.DatasetFormatError):
+            assert issubclass(error, errors.FileFormatError)
+        assert issubclass(errors.FileFormatError, errors.DomainError)
+
+
+MODULES_SCRIPT = """
+import sys, types
+from ddpnkit import cli
+
+def loaded():
+    # a module that cli registered lazily is a ModuleType once it has run
+    return {{name.split(".")[1] for name, module in list(sys.modules.items())
+            if name.startswith("ddpnkit.") and type(module) is types.ModuleType}}
+
+assert loaded() == {{"cli", "errors", "losses"}}, loaded()
+try:
+    cli.main(["simulate", "--help"])
+except SystemExit:
+    pass
+assert "datagen" not in loaded(), loaded()
+root = {root!r}
+for argv in (["simulate", "--process", "sine-conflation", "--n-train", 20, "--n-val", 5,
+              "--n-test", 5, "--out", root],
+             ["moments-grid", "--mu-points", 3, "--var-points", 3, "--out", root]):
+    assert cli.main([str(a) for a in argv]) == 0
+assert not loaded() & {{"network", "ensemble", "metrics", "ood"}}, loaded()
+assert cli.main(["eval", "--ckpt", {ckpt!r} + "/m_member0.ckpt", "--data", {prefix!r},
+                 "--out", root]) == 0
+assert "numpy.ma" not in sys.modules
+"""
+
+
+TRACER_SCRIPT = """
+import os, sys
+from ddpnkit import cli
+sys.path.insert(0, {bench!r})
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+argv = ["train", "--data", {prefix!r}, "--epochs", "1", "--hidden", "4", "--members", "2",
+        "--out", {root!r}]
+assert tracer.wrap("cli.main", cli.main)(argv) == 0
+spans = tracer.summary()
+assert spans["network.render_checkpoint"]["calls"] == 2, spans.keys()
+assert spans["network.train"]["calls"] == 2
+ckpt = os.path.join({root!r}, "ckpt")
+size = sum(os.path.getsize(os.path.join(ckpt, f"model_member{{m}}.ckpt")) for m in (0, 1))
+assert tracer.counters["network.ckpt_bytes"] == size, (tracer.counters, size)
+"""
 
 
 PIPELINE_SCRIPT = """
