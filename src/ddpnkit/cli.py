@@ -12,14 +12,19 @@ rendered as the writer takes them: a CSV file in blocks of rows, so none is
 held whole, and each checkpoint's text when its file is reached, so one is
 held at a time. After the handler returns, execute streams every file to
 path.tmp through the one writer, _write_text, then moves each onto its path
-with os.replace and prints last. A run that fails, in a handler, a renderer
-or a write, changes no output file.
+with os.replace and prints last. The writer encodes a bounded slice of text
+at a time (WRITE_SLICE characters per write), so no chunk, a whole
+checkpoint's text included, is held beside its whole encoding. A run that
+fails, in a handler, a renderer or a write, changes no output file.
 
 The package modules the handlers use are put in sys.modules when cli is
 imported, but each one runs on its first attribute access
 (importlib.util.LazyLoader), so a process executes only the code of its own
 subcommand, and a tool that looks them up in sys.modules right after the
-import (as bench/tracer.py does) finds every one.
+import (as bench/tracer.py does) finds every one. train executes cli,
+errors, losses, network and datagen alone: the manifest format lives in
+network beside the checkpoint format, and datagen loads distributions only
+in the samplers that draw from it.
 
 Exit codes: 0 success, 2 usage or domain errors, 3 numeric divergence or
 overflow (including a PMF support that has not converged within its cap),
@@ -252,12 +257,18 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     return merged
 
 
+WRITE_SLICE = 1 << 16  # characters the writer hands the file object at a time
+
+
 def _write_text(path: str, chunks) -> None:
     """The one file writer: the text chunks go to path.tmp as they are
-    rendered; execute moves the file onto path."""
+    rendered, WRITE_SLICE characters per write, so no chunk is held beside
+    its whole encoding; execute moves the file onto path."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path + ".tmp", "w", newline="") as fh:
-        fh.writelines(chunks)
+        for chunk in chunks:
+            for start in range(0, len(chunk), WRITE_SLICE):
+                fh.write(chunk[start:start + WRITE_SLICE])
 
 
 def _rendered_on_write(render, *args):
@@ -313,6 +324,7 @@ def _member_config(opts: dict, member: int) -> network.TrainConfig:
 def _train_one(payload):
     member, ds, split, config = payload
     weights, report = network.train(ds, split, config)
+    report.final_weights = None  # unused here; kept, or pickled back, it doubles the weights
     return member, weights, report
 
 
@@ -352,7 +364,7 @@ def cmd_train(opts: dict) -> tuple[dict, str]:
     names = [os.path.basename(p) for p in files]
     manifest_path = os.path.join(ckpt_dir, f"{opts['tag']}.manifest")
     spec = LossSpec(opts["family"], opts["beta"])
-    files[manifest_path] = (ensemble.render_manifest(names, spec),)
+    files[manifest_path] = (network.render_manifest(names, spec),)
     files[_report_path(opts, "train.json")] = _json(
         {"family": opts["family"], "beta": opts["beta"], "members": report_payload})
     return files, manifest_path

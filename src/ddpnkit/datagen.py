@@ -17,6 +17,10 @@ Four processes at desk scale:
 
 Datasets are exchanged as CSV with header "x,y"; floats are written with
 repr so a write/read round trip is bit-exact.
+
+The sine conflation and beta study samplers import distributions when they
+run, so the CSV reader and writer, all that the train command uses here,
+execute none of it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from itertools import islice
 
 import numpy as np
 
-from ddpnkit.distributions import DOUBLE_POISSON, PredictiveBatch, _bd0, _inverse_cdf, _log_h
 from ddpnkit.errors import DomainError, FileFormatError, ShapeError
 
 CONFLATION_SUPPORT = 60
@@ -93,6 +96,8 @@ def split_indices(n: int, counts=None, fractions=(0.8, 0.1, 0.1)) -> SplitIndice
 def _conflation_log_pmf(lams: np.ndarray) -> np.ndarray:
     """Log PMFs over 0..60 at rates lams, less each row's largest: CONFLATION_POWER times
     the Poisson log PMF (-lam at y = 0, log h(y) - bd0(y, lam) above; lam = 0 is a point mass)."""
+    from ddpnkit.distributions import _bd0, _log_h
+
     bad = ~(np.isfinite(lams) & (lams >= 0.0))
     if bad.any():
         raise DomainError(f"rate must be finite and nonnegative, got {lams[bad][0]}")
@@ -187,6 +192,8 @@ def gen_beta_study(n: int = 500, seed: int = 0, isolated_repeat: int = 1):
     The isolated points land in the training block so mean-fit speed at
     x = 1 and x = 10 can be probed during training.
     """
+    from ddpnkit.distributions import DOUBLE_POISSON, PredictiveBatch, _inverse_cdf
+
     if isolated_repeat < 0:
         raise DomainError(f"isolated_repeat must be nonnegative, got {isolated_repeat}")
     rng = np.random.default_rng(seed)

@@ -10,6 +10,12 @@ that is, an aleatoric part, the average member variance, plus an epistemic
 part, the spread of member means about their average. Member
 variances come from the Efron approximation mu/gamma by default; the exact
 series evaluation is available behind a flag.
+
+load_ensemble reads a manifest and the checkpoints it lists. The manifest
+format (MANIFEST_HEADER, render_manifest, load_manifest and
+ManifestFormatError) lives in network, beside the checkpoint format, so the
+train command writes a manifest without executing this module or
+distributions; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -20,11 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ddpnkit import distributions as dists
-from ddpnkit.errors import DomainError, FileFormatError
+from ddpnkit.errors import DomainError
 from ddpnkit.losses import LossSpec
 from ddpnkit.network import CheckpointFormatError, forward_batch, load_checkpoint
-
-MANIFEST_HEADER = "ddpnkit-ensemble v1"
+from ddpnkit.network import MANIFEST_HEADER, ManifestFormatError, load_manifest, render_manifest
 
 
 @dataclass(frozen=True)
@@ -192,53 +197,6 @@ def predict_table(heads: MemberHeads, mode: str = dists.EFRON_APPROX, quantiles=
         "q025": quantiles[0],
         "q975": quantiles[1],
     }
-
-
-# --- manifest I/O -------------------------------------------------------------
-
-
-class ManifestFormatError(FileFormatError):
-    """The ensemble manifest does not follow the expected layout."""
-
-
-def render_manifest(paths, spec: LossSpec) -> str:
-    """Manifest text: header, family and beta tags, one member path per line."""
-    lines = [MANIFEST_HEADER, f"family={spec.family}", f"beta={spec.beta!r}"]
-    lines.extend(str(p) for p in paths)
-    return "\n".join(lines) + "\n"
-
-
-def load_manifest(path) -> tuple[list, LossSpec]:
-    """Read a manifest; returns (checkpoint paths, loss spec)."""
-    try:
-        with open(path) as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except UnicodeDecodeError as exc:
-        raise ManifestFormatError(f"{path}: not a text file ({exc})") from exc
-    if not lines or lines[0] != MANIFEST_HEADER:
-        raise ManifestFormatError(f"{path}: missing header {MANIFEST_HEADER!r}")
-    # the family and beta tags, once each, follow the header; every later
-    # line names a member, whatever characters it holds
-    meta = {}
-    i = 1
-    while i < len(lines):
-        key, sep, value = lines[i].partition("=")
-        if not sep or key not in ("family", "beta") or key in meta:
-            break
-        meta[key] = value
-        i += 1
-    if "family" not in meta:
-        raise ManifestFormatError(f"{path}: missing family tag")
-    try:
-        spec = LossSpec(meta["family"], float(meta.get("beta", 0.0)))
-    except (ValueError, DomainError) as exc:
-        raise ManifestFormatError(f"{path}: bad family or beta: {exc}") from exc
-    paths = [line for line in lines[i:] if line.strip()]
-    if not paths:
-        raise ManifestFormatError(f"{path}: no member checkpoints listed")
-    if any("\0" in p for p in paths):
-        raise ManifestFormatError(f"{path}: a member path holds a NUL character")
-    return paths, spec
 
 
 def load_member(path, fallback: LossSpec | None = None) -> tuple:

@@ -19,6 +19,12 @@ stored with the weights so checkpoints are self-contained. An empty
 hidden_widths tuple degrades the model to a log-linear GLM, which is handy
 for sanity checks.
 
+Checkpoints are text files; render_checkpoint and load_checkpoint are their
+format. The ensemble manifest, which lists a run's checkpoints, has its
+format here too (render_manifest and load_manifest; ensemble re-exports
+them), so the train command executes only cli, errors, losses, network and
+datagen.
+
 Everything is deterministic for a fixed seed.
 """
 
@@ -570,3 +576,52 @@ def train_meta(config: TrainConfig, input_dim: int) -> dict:
             value = ",".join(str(w) for w in value)
         meta[f.name] = repr(value) if isinstance(value, float) else str(value)
     return meta
+
+
+# --- manifest I/O -------------------------------------------------------------
+
+MANIFEST_HEADER = "ddpnkit-ensemble v1"
+
+
+class ManifestFormatError(FileFormatError):
+    """The ensemble manifest does not follow the expected layout."""
+
+
+def render_manifest(paths, spec: LossSpec) -> str:
+    """Manifest text: header, family and beta tags, one member path per line."""
+    lines = [MANIFEST_HEADER, f"family={spec.family}", f"beta={spec.beta!r}"]
+    lines.extend(str(p) for p in paths)
+    return "\n".join(lines) + "\n"
+
+
+def load_manifest(path) -> tuple[list, LossSpec]:
+    """Read a manifest; returns (checkpoint paths, loss spec)."""
+    try:
+        with open(path) as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ManifestFormatError(f"{path}: not a text file ({exc})") from exc
+    if not lines or lines[0] != MANIFEST_HEADER:
+        raise ManifestFormatError(f"{path}: missing header {MANIFEST_HEADER!r}")
+    # the family and beta tags, once each, follow the header; every later
+    # line names a member, whatever characters it holds
+    meta = {}
+    i = 1
+    while i < len(lines):
+        key, sep, value = lines[i].partition("=")
+        if not sep or key not in ("family", "beta") or key in meta:
+            break
+        meta[key] = value
+        i += 1
+    if "family" not in meta:
+        raise ManifestFormatError(f"{path}: missing family tag")
+    try:
+        spec = LossSpec(meta["family"], float(meta.get("beta", 0.0)))
+    except (ValueError, DomainError) as exc:
+        raise ManifestFormatError(f"{path}: bad family or beta: {exc}") from exc
+    paths = [line for line in lines[i:] if line.strip()]
+    if not paths:
+        raise ManifestFormatError(f"{path}: no member checkpoints listed")
+    if any("\0" in p for p in paths):
+        raise ManifestFormatError(f"{path}: a member path holds a NUL character")
+    return paths, spec

@@ -15,7 +15,7 @@ against the rank-based statistic in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +47,16 @@ class OODProtocolConfig:
 
 @dataclass(frozen=True)
 class OODReport:
-    """(mean, std) over repeats of each curve metric; per_repeat holds each
-    repeat's (AUROC, AUPR, FPR80) and operating_points its sweep columns
-    (see sweep_operating_points)."""
+    """(mean, std) over n_repeats holdout resamples of each curve metric.
+
+    A repeat's sweep is reduced to its (AUROC, AUPR, FPR80) as soon as it
+    is made, so the protocol holds one sweep's columns at a time.
+    """
 
     auroc: tuple
     aupr: tuple
     fpr80: tuple
     n_repeats: int
-    per_repeat: tuple = field(default_factory=tuple)
-    operating_points: tuple = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,19 +155,15 @@ def run_ood_eval(
         )
     alphas, ood_side = np.asarray(config.alphas), _side(ood_all)
     per_repeat = []
-    all_points = []
     for rep in range(config.n_repeats):
         rng = np.random.default_rng(config.seed + rep)
         perm = rng.permutation(id_all.size)
         points = _sweep(id_all[perm[:n_hold]], alphas, _side(id_all[perm[n_hold:]]), ood_side)
         per_repeat.append(curve_metrics_from_points(points))
-        all_points.append(points)
     per = np.array(per_repeat)
     return OODReport(
         auroc=(float(per[:, 0].mean()), float(per[:, 0].std())),
         aupr=(float(per[:, 1].mean()), float(per[:, 1].std())),
         fpr80=(float(per[:, 2].mean()), float(per[:, 2].std())),
         n_repeats=config.n_repeats,
-        per_repeat=tuple(map(tuple, per_repeat)),
-        operating_points=tuple(all_points),
     )

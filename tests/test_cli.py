@@ -142,10 +142,12 @@ class TestTrain:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_checkpoints_rendered_one_at_a_time(self, tmp_path):
-        """train renders each checkpoint when the writer reaches its file:
-        tracemalloc's peak over a 2-member, 1-epoch run of the
-        (128,128,128,64) network stays under 3.8 MB (about 2.8 MB; 4.9 MB
-        when every checkpoint's text was held before the first write)."""
+        """train renders each checkpoint when the writer reaches its file,
+        and keeps no member's final weights beside its best: tracemalloc's
+        peak over a 2-member, 1-epoch run of the (128,128,128,64) network
+        stays under 2.75 MB (about 2.52 MB; 2.68 MB when each report kept
+        its final weights and train loaded ensemble, 4.9 MB when every
+        checkpoint's text was held before the first write)."""
         assert run(["simulate", "--process", "sine-conflation", "--out", tmp_path]) == 0
         argv = ["train", "--data", tmp_path / "data" / "sine_conflation_seed0",
                 "--hidden", "128,128,128,64", "--members", 2, "--epochs", 1,
@@ -156,7 +158,7 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.8e6, f"train traced peak {peak / 1e6:.2f} MB"
+        assert peak < 2.75e6, f"train traced peak {peak / 1e6:.2f} MB"
 
     def test_missing_data_prefix(self, tmp_path):
         assert run(["train", "--data", tmp_path / "ghost", "--out", tmp_path]) == 2
@@ -644,6 +646,25 @@ class TestOneWriter:
         assert len(set(written)) == len(written)
         assert not list(root.rglob("*.tmp"))
 
+    def test_write_text_encodes_a_bounded_slice_at_a_time(self, tmp_path):
+        """A 4.6 MB chunk is written byte for byte, and tracemalloc's peak
+        while it is written stays under a quarter of its encoded size: the
+        file object is handed cli.WRITE_SLICE characters at a time, so the
+        chunk is never held beside its whole encoding (the peak was 4.6 MB
+        when the chunk went to the file object whole)."""
+        text = "".join(f"{i!r},{i / 7!r}\n" for i in range(200_000))
+        path = str(tmp_path / "big.txt")
+        tracemalloc.start()
+        try:
+            cli._write_text(path, ("head\n", text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = ("head\n" + text).encode()
+        assert len(expected) > 4e6
+        assert (tmp_path / "big.txt.tmp").read_bytes() == expected
+        assert peak < len(expected) / 4, f"write peak {peak / 1e6:.2f} MB"
+
 
 def run_fresh(code: str, **fmt) -> None:
     """Run code in a fresh interpreter that imports ddpnkit from this tree;
@@ -676,9 +697,14 @@ class TestImport:
 
     def test_each_command_loads_only_its_modules(self, workspace, tmp_path):
         """Importing the CLI loads no package module beyond cli, errors and
-        losses, --help loads no datagen, simulate and moments-grid load no
-        network, ensemble, metrics or ood, and eval leaves numpy.ma out."""
+        losses, --help loads no datagen, train executes network and datagen
+        alone beyond those (no distributions, ensemble, metrics, ood or
+        moments), simulate and moments-grid load no network, ensemble,
+        metrics or ood, and eval leaves numpy.ma out. train runs in an
+        interpreter of its own, since the others load what it must not."""
         run_fresh(MODULES_SCRIPT, root=str(tmp_path), ckpt=str(workspace["root"] / "ckpt"),
+                  prefix=str(workspace["prefix"]))
+        run_fresh(TRAIN_MODULES_SCRIPT, root=str(tmp_path / "train"),
                   prefix=str(workspace["prefix"]))
 
     def test_benchmark_tracer_sees_every_layer(self, workspace, tmp_path):
@@ -717,7 +743,7 @@ class TestImport:
         assert issubclass(errors.FileFormatError, errors.DomainError)
 
 
-MODULES_SCRIPT = """
+LOADED_SCRIPT = """
 import sys, types
 from ddpnkit import cli
 
@@ -727,6 +753,17 @@ def loaded():
             if name.startswith("ddpnkit.") and type(module) is types.ModuleType}}
 
 assert loaded() == {{"cli", "errors", "losses"}}, loaded()
+"""
+
+
+TRAIN_MODULES_SCRIPT = LOADED_SCRIPT + """
+assert cli.main(["train", "--data", {prefix!r}, "--epochs", "1", "--hidden", "4",
+                 "--out", {root!r}]) == 0
+assert loaded() == {{"cli", "errors", "losses", "network", "datagen"}}, loaded()
+"""
+
+
+MODULES_SCRIPT = LOADED_SCRIPT + """
 try:
     cli.main(["simulate", "--help"])
 except SystemExit:
