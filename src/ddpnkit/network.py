@@ -19,6 +19,13 @@ stored with the weights so checkpoints are self-contained. An empty
 hidden_widths tuple degrades the model to a log-linear GLM, which is handy
 for sanity checks.
 
+Inference (forward_batch) runs the hidden layers over row blocks of
+INFER_BLOCK rows once a batch holds two blocks, and the head over all rows
+at once, so its working set does not grow with one full-batch activation
+array per layer and its outputs are bit for bit the unblocked pass's.
+Training's forward pass, which keeps every layer's activations for
+backprop, is not blocked.
+
 Checkpoints are text files; render_checkpoint and load_checkpoint are their
 format. The ensemble manifest, which lists a run's checkpoints, has its
 format here too (render_manifest and load_manifest; ensemble re-exports
@@ -45,6 +52,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 CKPT_HEADER = "ddpnkit-ckpt v1"
+INFER_BLOCK = 128  # rows per hidden-layer block of an inference pass
 
 
 @dataclass(frozen=True)
@@ -173,16 +181,12 @@ def init_mlp(config: MLPConfig, gamma_bias_init: float = 0.0) -> MLPWeights:
     )
 
 
-def _forward(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -> np.ndarray:
-    """The one forward pass: head outputs, shape (n, head_count), in log space.
-
-    Only the current layer's activations are held, unless acts is a list: it
-    then receives every layer's input for backprop, acts[0] the standardized
-    input and acts[-1] the last hidden layer's output.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != weights.x_mean.size:
-        raise ShapeError(f"expected {weights.x_mean.size} features, got {X.shape[1]}")
+def _hidden_pass(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """The standardized input run through the hidden layers: the last hidden
+    layer's output. Only the current layer's activations are held, unless
+    acts is a list: it then receives every layer's input for backprop,
+    acts[0] the standardized input and acts[-1] the last hidden layer's
+    output."""
     a = (X - weights.x_mean) / weights.x_std
     for W, b in weights.hidden:
         if acts is not None:
@@ -192,13 +196,45 @@ def _forward(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -> np
         np.maximum(a, 0.0, out=a)
     if acts is not None:
         acts.append(a)
+    return a
+
+
+def _forward(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """The one forward pass: head outputs, shape (n, head_count), in log space.
+
+    acts is as in _hidden_pass; a pass with acts is not blocked. Without
+    acts, 2 * INFER_BLOCK rows or more go through the hidden layers in blocks
+    of INFER_BLOCK rows, the last block taking the remainder. The head runs
+    over all rows at once: on OpenBLAS a hidden product gives the same bits
+    in any row block of 32 rows or more, but a product with 2 to 8 output
+    columns, such as the head's, does not.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != weights.x_mean.size:
+        raise ShapeError(f"expected {weights.x_mean.size} features, got {X.shape[1]}")
+    n = X.shape[0]
+    if acts is not None or n < 2 * INFER_BLOCK:
+        a = _hidden_pass(weights, X, acts)
+    else:
+        width = weights.hidden[-1][1].size if weights.hidden else X.shape[1]
+        a = np.empty((n, width))
+        edges = [*range(0, n - INFER_BLOCK + 1, INFER_BLOCK), n]
+        for start, stop in zip(edges[:-1], edges[1:]):
+            a[start:stop] = _hidden_pass(weights, X[start:stop])
     heads = a @ weights.head_w.T
     heads += weights.head_b
     return heads
 
 
 def forward_batch(weights: MLPWeights, X: np.ndarray) -> np.ndarray:
-    """Head outputs, shape (n, head_count), still in log space."""
+    """Head outputs, shape (n, head_count), still in log space.
+
+    From 2 * INFER_BLOCK rows on, the hidden layers run over row blocks of
+    INFER_BLOCK rows and the head over all rows at once, so the working set
+    is one block's activations plus the (n, last width) output of the last
+    hidden layer; the result is the same to the bit as one pass over all
+    rows.
+    """
     return _forward(weights, X)
 
 
@@ -490,8 +526,13 @@ def load_checkpoint(path):
     Returns (MLPWeights, meta dict with string values). Raises
     CheckpointFormatError for a file that is not such a checkpoint: a bad
     header, line or number, a value that is not finite, a cut-off or missing
-    tensor, an input scale that is not positive, or tensor shapes that do not
-    chain from the input standardizer through the hidden layers to the head.
+    tensor, an input scale that is not positive, tensor shapes that do not
+    chain from the input standardizer through the hidden layers to the head,
+    a tensor given twice, or a tensor that is not part of that chain (an
+    unknown name, or a hidden layer after a missing one).
+
+    Each tensor row is parsed straight into its row of a preallocated array,
+    so no nested lists of Python floats are held.
     """
     try:
         with open(path) as fh:
@@ -518,20 +559,32 @@ def load_checkpoint(path):
             shape = tuple(int(v) for v in parts[3:])
         except ValueError as exc:
             raise CheckpointFormatError(f"{path}: bad tensor line {lines[i]!r}") from exc
-        if len(shape) != int(parts[2]):
+        if len(shape) != int(parts[2]) or min(shape) < 0:
             raise CheckpointFormatError(f"{path}: bad tensor line {lines[i]!r}")
+        if name in tensors:
+            raise CheckpointFormatError(f"{path}: tensor {name} appears twice")
         n_rows = 1 if len(shape) == 1 else shape[0]
         block = lines[i + 1:i + 1 + n_rows]
         if len(block) != n_rows:
             raise CheckpointFormatError(f"{path}: tensor {name} is cut short")
-        try:
-            rows = [[float(v) for v in line.split()] for line in block]
-        except ValueError as exc:
-            raise CheckpointFormatError(f"{path}: tensor {name} holds a value that is not "
-                                        "a number") from exc
-        if any(len(row) != shape[-1] for row in rows):
+        # each row is parsed into its slot of the tensor; a row of the wrong
+        # length is reported once the block has parsed, so a value that is
+        # not a number anywhere in it is reported first
+        arr = np.empty((n_rows, shape[-1]))
+        ragged = False
+        for r, line in enumerate(block):
+            try:
+                row = [float(v) for v in line.split()]
+            except ValueError as exc:
+                raise CheckpointFormatError(f"{path}: tensor {name} holds a value that is "
+                                            "not a number") from exc
+            if len(row) == shape[-1]:
+                arr[r] = row
+            else:
+                ragged = True
+        if ragged:
             raise CheckpointFormatError(f"{path}: tensor {name} expected shape {shape}")
-        tensors[name] = np.array(rows).reshape(shape)
+        tensors[name] = arr.reshape(shape)
         if not np.all(np.isfinite(tensors[name])):
             raise CheckpointFormatError(f"{path}: tensor {name} holds a value that is not "
                                         "finite")
@@ -539,29 +592,27 @@ def load_checkpoint(path):
     for required in ("x_mean", "x_std"):
         if required not in tensors:
             raise CheckpointFormatError(f"{path}: missing tensor {required}")
-    width = tensors["x_mean"].shape
-    if len(width) != 1 or tensors["x_std"].shape != width:
+    x_mean, x_std = tensors.pop("x_mean"), tensors.pop("x_std")
+    width = x_mean.shape
+    if len(width) != 1 or x_std.shape != width:
         raise CheckpointFormatError(f"{path}: x_mean and x_std must be equal-length vectors")
-    if not np.all(tensors["x_std"] > 0.0):
+    if not np.all(x_std > 0.0):
         raise CheckpointFormatError(f"{path}: x_std must be positive")
     n_hidden = 0
     while f"hidden{n_hidden}.W" in tensors or f"hidden{n_hidden}.b" in tensors:
         n_hidden += 1
+    layers = []  # [W, b] of each hidden layer, then of the head
     for layer in [f"hidden{j}" for j in range(n_hidden)] + ["head"]:
-        W, b = tensors.get(f"{layer}.W"), tensors.get(f"{layer}.b")
+        W, b = tensors.pop(f"{layer}.W", None), tensors.pop(f"{layer}.b", None)
         if W is None or b is None or W.shape[1:] != width or b.shape != W.shape[:1]:
             raise CheckpointFormatError(f"{path}: tensors {layer}.W and {layer}.b are "
                                         f"missing or do not fit width {width[0]}")
         width = W.shape[:1]
-    hidden = [[tensors[f"hidden{j}.W"], tensors[f"hidden{j}.b"]] for j in range(n_hidden)]
-    weights = MLPWeights(
-        hidden=hidden,
-        head_w=tensors["head.W"],
-        head_b=tensors["head.b"],
-        x_mean=tensors["x_mean"],
-        x_std=tensors["x_std"],
-    )
-    return weights, meta
+        layers.append([W, b])
+    if tensors:  # a name outside the chain: unknown, or a layer past a missing one
+        raise CheckpointFormatError(f"{path}: unexpected tensor {next(iter(tensors))} in a "
+                                    f"network of {n_hidden} hidden layers")
+    return MLPWeights(layers[:-1], *layers[-1], x_mean, x_std), meta
 
 
 def train_meta(config: TrainConfig, input_dim: int) -> dict:

@@ -11,6 +11,12 @@ repeated with fresh holdout resamples to report mean and spread.
 Ranking by raw variance induces the same ROC up to the quantile grid
 resolution; the sweep is implemented literally and its AUROC is checked
 against the rank-based statistic in the test suite.
+
+The thresholds are numpy's "linear" quantile rule written out on the sorted
+holdout (_linear_quantiles): the virtual index (n - 1) * q, with its floor
+and next neighbour clipped to the last score, interpolated as numpy's _lerp
+does. They equal np.quantile's to the bit, and numpy.ma, which np.quantile
+loads, is never imported.
 """
 
 from __future__ import annotations
@@ -74,11 +80,38 @@ def _side(scores) -> tuple[np.ndarray, int]:
     return np.sort(scores[~np.isnan(scores)]), scores.size
 
 
+def _linear_quantiles(sorted_scores: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.quantile(scores, q, method="linear") of the ascending scores, bit
+    for bit, without the sort and np.unique (which loads numpy.ma) inside
+    np.quantile. numpy's rule: the virtual index (n - 1) * q, its floor and
+    next neighbour, both clipped to the last score from n - 1 on; with t the
+    virtual index minus the clipped floor, a + d * t, or b - d * (1 - t)
+    where t >= 0.5 (d = b - a); all nan if a score is nan.
+    """
+    n = sorted_scores.size
+    if np.isnan(sorted_scores[-1]):  # nan sorts last
+        return np.full(q.shape, np.nan)
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= n - 1
+    below[top] = -1
+    above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    t = virtual - below
+    a, b = sorted_scores[below], sorted_scores[above]
+    d = b - a
+    out = a + d * t
+    np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def _sweep(holdout_scores, alphas, id_side, ood_side) -> dict:
     """sweep_operating_points on checked inputs, the ID and OOD scores given
-    as _side pairs."""
+    as _side pairs. The thresholds are _linear_quantiles of the sorted
+    holdout at q = 1 - alpha, a nan threshold read as +inf."""
     with np.errstate(invalid="ignore"):  # interpolating toward +inf scores gives inf - inf
-        taus = np.quantile(holdout_scores, 1.0 - alphas, method="linear")
+        taus = _linear_quantiles(np.sort(holdout_scores), 1.0 - alphas)
     taus[np.isnan(taus)] = np.inf  # flags what nan did: nothing lies above it
     (id_sorted, n_id), (ood_sorted, n_ood) = id_side, ood_side
     fp = id_sorted.size - np.searchsorted(id_sorted, taus, side="right")
@@ -93,11 +126,12 @@ def sweep_operating_points(holdout_scores, id_scores, ood_scores, alphas) -> dic
 
     tau_alpha is the (1 - alpha) empirical quantile of the holdout scores,
     linearly interpolated: alpha = 0 gives the largest holdout score (nothing
-    flagged beyond the holdout range), alpha = 1 the smallest. All thresholds
-    come from one quantile call, and the flagged counts from binary searches
-    in the sorted scores. Returns the operating points as columns: a dict of
-    arrays alpha, tau, fpr, tpr and precision, one entry per alpha
-    (precision is 1 where nothing is flagged).
+    flagged beyond the holdout range), alpha = 1 the smallest; a nan holdout
+    score makes every threshold +inf. All thresholds come from one pass of
+    the linear rule over the sorted holdout, and the flagged counts from
+    binary searches in the sorted scores. Returns the operating points as
+    columns: a dict of arrays alpha, tau, fpr, tpr and precision, one entry
+    per alpha (precision is 1 where nothing is flagged).
     """
     holdout_scores = np.asarray(holdout_scores, dtype=float)
     alphas = np.asarray(alphas, dtype=float)

@@ -700,7 +700,7 @@ class TestImport:
         losses, --help loads no datagen, train executes network and datagen
         alone beyond those (no distributions, ensemble, metrics, ood or
         moments), simulate and moments-grid load no network, ensemble,
-        metrics or ood, and eval leaves numpy.ma out. train runs in an
+        metrics or ood, and eval and ood leave numpy.ma out. train runs in an
         interpreter of its own, since the others load what it must not."""
         run_fresh(MODULES_SCRIPT, root=str(tmp_path), ckpt=str(workspace["root"] / "ckpt"),
                   prefix=str(workspace["prefix"]))
@@ -776,6 +776,9 @@ for argv in (["simulate", "--process", "sine-conflation", "--n-train", 20, "--n-
     assert cli.main([str(a) for a in argv]) == 0
 assert not loaded() & {{"network", "ensemble", "metrics", "ood"}}, loaded()
 assert cli.main(["eval", "--ckpt", {ckpt!r} + "/m_member0.ckpt", "--data", {prefix!r},
+                 "--out", root]) == 0
+assert "numpy.ma" not in sys.modules
+assert cli.main(["ood", "--manifest", {ckpt!r} + "/m.manifest", "--data", {prefix!r},
                  "--out", root]) == 0
 assert "numpy.ma" not in sys.modules
 """

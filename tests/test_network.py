@@ -80,6 +80,45 @@ class TestForward:
             network.forward_batch(weights, np.zeros((3, 5)))
 
 
+def benchmark_network(seed=0):
+    """The default 128-128-128-64 double-head network on one input, with a
+    standardizer that is not the identity."""
+    weights = network.init_mlp(network.MLPConfig(input_dim=1, seed=seed))
+    weights.x_mean, weights.x_std = np.array([5.0]), np.array([2.9])
+    return weights
+
+
+class TestBlockedInference:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 4097])
+    def test_matches_unblocked_pass_bit_for_bit(self, n):
+        """Row blocks through the hidden layers and one whole-rows head give
+        the bits of one layer-by-layer pass over all rows."""
+        weights = benchmark_network()
+        X = np.random.default_rng(n).uniform(-2.0, 20.0, (n, 1))
+        a = (X - weights.x_mean) / weights.x_std
+        for W, b in weights.hidden:
+            a = np.maximum(a @ W.T + b, 0.0)
+        want = a @ weights.head_w.T + weights.head_b
+        got = network.forward_batch(weights, X)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_forward_batch_peak_memory(self):
+        """1000 rows through the benchmark network hold one row block's
+        activations and the (1000, 64) last hidden layer: a traced peak of
+        about 1.0 MB, against 2.05 MB with two (1000, 128) arrays per layer."""
+        weights = benchmark_network()
+        X = np.random.default_rng(0).uniform(0.0, 10.0, (1000, 1))
+        tracemalloc.start()
+        try:
+            heads = network.forward_batch(weights, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert heads.shape == (1000, 2)
+        assert peak < 1.5e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 class TestInit:
     def test_deterministic_and_seed_sensitive(self):
         cfg = network.MLPConfig(input_dim=2, hidden_widths=(8, 4), seed=11)
@@ -661,6 +700,36 @@ class TestCheckpoint:
                 network.load_checkpoint(path)
         path.write_bytes(b"\xff" + text.encode())
         with pytest.raises(network.CheckpointFormatError, match="not a text file"):
+            network.load_checkpoint(path)
+
+    @pytest.mark.parametrize("case, match", [
+        ("duplicate", "tensor head.W appears twice"),
+        ("unknown", "unexpected tensor extra"),
+        ("gap", "unexpected tensor hidden2.W"),
+        ("negative", "bad tensor line"),
+    ])
+    def test_malformed_tensor_set_rejected(self, tmp_path, case, match):
+        """A tensor given twice, a tensor no layer uses, a hidden layer after
+        a missing one (which would load a deeper network as a shallower one)
+        and a negative dimension are format errors, not a silent load."""
+        cfg = network.MLPConfig(input_dim=2, hidden_widths=(4, 4, 4), head_count=2, seed=1)
+        lines = network.render_checkpoint(network.init_mlp(cfg), {"family": "poisson"}
+                                          ).splitlines()
+
+        def at(name):
+            return next(i for i, line in enumerate(lines) if line.startswith(f"tensor {name} "))
+
+        if case == "duplicate":
+            lines += lines[at("head.W"):at("head.b")]
+        elif case == "unknown":
+            lines += ["tensor extra 1 2", "1.0 2.0"]
+        elif case == "gap":
+            del lines[at("hidden1.W"):at("hidden2.W")]
+        else:
+            lines += ["tensor extra 2 0 -1"]
+        path = tmp_path / f"{case}.ckpt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(network.CheckpointFormatError, match=match):
             network.load_checkpoint(path)
 
     def test_train_meta_echo(self):
