@@ -14,13 +14,13 @@ _EXPORTS = {
         "dist_sample", "predictive_summary",
     ),
     "losses": (
-        "AttenuationParts", "LossSpec", "attenuation_decompose", "baseline_nll", "ddpn_beta_nll",
-        "ddpn_grads", "ddpn_nll",
+        "AttenuationParts", "LossSpec", "attenuation_decompose", "ddpn_grads", "ddpn_nll",
+        "head_nll",
     ),
     "moments": ("MomentGrid", "mdf_epsilon", "moments_grid"),
     "network": (
-        "MLPConfig", "MLPWeights", "TrainConfig", "TrainReport", "cosine_lr", "forward",
-        "forward_batch", "init_mlp", "load_checkpoint", "train",
+        "MLPConfig", "MLPWeights", "TrainConfig", "TrainReport", "cosine_lr", "forward_batch",
+        "init_mlp", "load_checkpoint", "train",
     ),
     "ensemble": (
         "Ensemble", "MemberHeads", "UncertaintyDecomposition", "decompose_variance",

@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="INI config file with a "
                        f"[{command}] section")
-        p.add_argument("--out", default=".", help="output directory root")
+        p.add_argument("--out", default=None, help="output directory root (default .)")
         for name, (_, _, help_text) in opts.items():
             flag = "--" + name.replace("_", "-")
             p.add_argument(flag, default=None, help=help_text)
@@ -252,8 +252,7 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
                 raise UsageError(f"bad value {raw!r} for {flag}: {exc}") from exc
     if not merged.get("tag", "").isprintable():
         raise UsageError(f"--tag must be printable text, got {merged['tag']!r}")
-    out = args.out if args.out != "." or "out" not in from_config else from_config["out"]
-    merged["out"] = out
+    merged["out"] = args.out if args.out is not None else from_config.get("out", ".")
     return merged
 
 
@@ -341,7 +340,9 @@ def cmd_train(opts: dict) -> tuple[dict, str]:
         # loads only here
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
+        # the fork context starts every worker at the first submit, so more
+        # workers than members would only be forked to sit idle
+        with ProcessPoolExecutor(max_workers=min(opts["jobs"], opts["members"])) as pool:
             results = sorted(pool.map(_train_one, payloads), key=lambda r: r[0])
     else:
         results = [_train_one(p) for p in payloads]

@@ -8,15 +8,18 @@ normalizer held at 1 and all parameter-free terms dropped:
 with y*log(y) = 0 at y = 0. Its beta-scaled variant multiplies both the
 value and the gradients by gamma^(-beta) treated as a plain number (a
 stop-gradient), which interpolates between the raw likelihood (beta = 0)
-and a mean-focused objective (beta = 1).
+and a mean-focused objective (beta = 1). ddpn_nll and ddpn_grads give the
+value and the partial derivatives in the natural parameters mu and gamma.
 
 The loss also factors exactly into a dispersion penalty plus an attenuated
 fit residual, L = d(phi) + a(phi) * r(mu, y) with phi = 1/gamma, which is
 what lets a model buy down a bad fit by inflating its predicted dispersion.
 
-Baseline losses (Poisson, negative binomial, Gaussian) share the log-space
-head convention: every head emits a log parameter and the loss exponentiates
-internally, so the returned gradients are with respect to the head outputs.
+Training goes through head_nll, the one loss of every family on log-space
+heads: column 0 of the heads is log mu, column 1 log gamma (Double
+Poisson), log dispersion (negative binomial) or log variance (Gaussian).
+It exponentiates internally and returns the per-example values with their
+gradients with respect to the heads, the chain factors included.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddpnkit.errors import DomainError
+from ddpnkit.errors import DomainError, NumericDivergence
 
 FAMILIES = ("double_poisson", "poisson", "neg_binomial", "gaussian")
 
@@ -97,14 +100,20 @@ def _fit_residual(y, mu):
     return (mu - y) - (y * np.log(mu) - y * np.log(np.where(y == 0.0, 1.0, y)))
 
 
-def ddpn_nll(y, mu, gamma):
-    """Per-example Double Poisson NLL; broadcasts over array inputs."""
-    out = _dp_loss_and_grads(*_check_dp_args(y, mu, gamma), 0.0)[0]
+def ddpn_nll(y, mu, gamma, beta: float = 0.0):
+    """Per-example beta-scaled NLL gamma^(-beta) * L; broadcasts over array
+    inputs. beta = 0 gives the plain NLL.
+
+    The scale factor carries no gradient; ddpn_grads multiplies the
+    gradients of L by it rather than differentiating through it.
+    """
+    _check_beta(beta)
+    out = _dp_loss_and_grads(*_check_dp_args(y, mu, gamma), beta)[0]
     return float(out) if out.ndim == 0 else out
 
 
 def _dp_loss_and_grads(y, mu, gamma, beta: float):
-    """Unchecked beta-scaled NLL, its scale gamma^(-beta) and dL/dmu, dL/dgamma.
+    """Unchecked beta-scaled NLL and its dL/dmu, dL/dgamma.
 
     The one place the Double Poisson loss formulas are written; callers
     validate y, mu, gamma and beta first.
@@ -114,20 +123,7 @@ def _dp_loss_and_grads(y, mu, gamma, beta: float):
     value = scale * (-0.5 * np.log(gamma) + gamma * resid)
     dmu = gamma ** (1.0 - beta) * (1.0 - y / mu)
     dgamma = -0.5 * scale / gamma + scale * resid
-    return value, scale, dmu, dgamma
-
-
-def ddpn_beta_nll(y, mu, gamma, beta: float):
-    """Beta-scaled NLL. Returns (scaled value, scale factor gamma^(-beta)).
-
-    The scale factor carries no gradient; callers multiply their gradients
-    by it rather than differentiating through it.
-    """
-    _check_beta(beta)
-    value, scale, _, _ = _dp_loss_and_grads(*_check_dp_args(y, mu, gamma), beta)
-    if value.ndim == 0:
-        return float(value), float(scale)
-    return value, scale
+    return value, dmu, dgamma
 
 
 def ddpn_grads(y, mu, gamma, beta: float = 0.0):
@@ -140,7 +136,7 @@ def ddpn_grads(y, mu, gamma, beta: float = 0.0):
     beta = 0 gives the plain NLL gradients.
     """
     _check_beta(beta)
-    _, _, dmu, dgamma = _dp_loss_and_grads(*_check_dp_args(y, mu, gamma), beta)
+    _, dmu, dgamma = _dp_loss_and_grads(*_check_dp_args(y, mu, gamma), beta)
     if dmu.ndim == 0:
         return float(dmu), float(dgamma)
     return dmu, dgamma
@@ -155,61 +151,54 @@ def attenuation_decompose(y: float, mu: float, phi: float) -> AttenuationParts:
     return AttenuationParts(d=0.5 * math.log(phi), a=1.0 / phi, r=r, phi=phi)
 
 
-# --- baseline losses ----------------------------------------------------------
+# --- the training loss on log-space heads -------------------------------------
 
 
-def baseline_nll(spec: LossSpec, y, head):
-    """Loss value and gradients w.r.t. the log-space head outputs.
+def head_nll(spec: LossSpec, ys: np.ndarray, heads: np.ndarray):
+    """Per-example loss values and their gradients w.r.t. the log-space heads.
 
-    head must expose log_mu and (except for Poisson) log_gamma_or_disp. The
-    second head holds log dispersion for negative binomial and log variance
-    for Gaussian. Gaussian supports beta scaling with the stop-gradient
-    factor (sigma^2)^beta; parameter-free terms such as log y! are omitted.
-
-    Returns (value, (grad_log_mu, grad_second)) with grad_second None for
-    Poisson. Scalars in, scalars out; arrays broadcast elementwise.
+    heads has shape (n, spec.head_count) and ys shape (n,); returns
+    (values, dheads) of shapes (n,) and (n, head_count). Double Poisson and
+    Gaussian scale by the stop-gradient factors gamma^(-beta) and
+    (sigma^2)^beta; parameter-free terms such as log y! are omitted. ys are
+    not checked here. Raises NumericDivergence if a Double Poisson head
+    leaves the range where its exponential is finite and positive; callers
+    that take overflow as a result set np.errstate.
     """
-    y = np.asarray(y, dtype=float)
-    log_mu = np.asarray(head.log_mu, dtype=float)
-    scalar = y.ndim == 0 and log_mu.ndim == 0
+    if spec.family == "double_poisson":
+        pos = np.exp(heads)
+        # exp overflow/underflow leaves the positive range (nan fails both
+        # tests); that is a numeric blow-up of the optimization, not bad user input
+        if not (pos.min() > 0.0 and pos.max() < math.inf):
+            raise NumericDivergence("head outputs overflowed out of the positive range")
+        mu, gamma = pos[:, 0], pos[:, 1]
+        values, dmu, dgamma = _dp_loss_and_grads(ys, mu, gamma, spec.beta)
+        mu *= dmu  # pos becomes d/d(heads): the chain factors mu and gamma
+        gamma *= dgamma
+        return values, pos
 
+    log_mu = heads[:, 0]
     if spec.family == "poisson":
         lam = np.exp(log_mu)
-        value = lam - y * log_mu
-        grad = lam - y
-        if scalar:
-            return float(value), (float(grad), None)
-        return value, (grad, None)
+        return lam - ys * log_mu, (lam - ys)[:, None]
 
-    second = np.asarray(head.log_gamma_or_disp, dtype=float)
-
+    second = heads[:, 1]
     if spec.family == "neg_binomial":
         from scipy.special import digamma, gammaln
 
         m = np.exp(log_mu)
         r = np.exp(-second)  # r = 1/dispersion
         log_rm = np.log(r + m)
-        loglik = gammaln(y + r) - gammaln(r) + r * (-second) - (r + y) * log_rm + y * log_mu
-        value = -loglik
-        dl_dm = y / m - (r + y) / (r + m)
-        dl_dr = digamma(y + r) - digamma(r) - second + 1.0 - log_rm - (r + y) / (r + m)
-        grad_mu = -m * dl_dm
-        grad_disp = r * dl_dr
-        if scalar:
-            return float(value), (float(grad_mu), float(grad_disp))
-        return value, (grad_mu, grad_disp)
+        loglik = gammaln(ys + r) - gammaln(r) + r * (-second) - (r + ys) * log_rm + ys * log_mu
+        dl_dm = ys / m - (r + ys) / (r + m)
+        dl_dr = digamma(ys + r) - digamma(r) - second + 1.0 - log_rm - (r + ys) / (r + m)
+        return -loglik, np.stack([-m * dl_dm, r * dl_dr], axis=1)
 
-    if spec.family == "gaussian":
-        mu = np.exp(log_mu)
-        s2 = np.exp(second)
-        resid = y - mu
-        base = 0.5 * second + 0.5 * resid * resid / s2
-        scale = s2**spec.beta  # stop-gradient beta factor
-        value = scale * base
-        grad_mu = scale * mu * (mu - y) / s2
-        grad_disp = scale * (0.5 - 0.5 * resid * resid / s2)
-        if scalar:
-            return float(value), (float(grad_mu), float(grad_disp))
-        return value, (grad_mu, grad_disp)
-
-    raise DomainError("double_poisson is trained through ddpn_grads, not baseline_nll")
+    mu = np.exp(log_mu)  # gaussian
+    s2 = np.exp(second)
+    resid = ys - mu
+    base = 0.5 * second + 0.5 * resid * resid / s2
+    scale = s2**spec.beta  # stop-gradient beta factor
+    grad_mu = scale * mu * (mu - ys) / s2
+    grad_var = scale * (0.5 - 0.5 * resid * resid / s2)
+    return scale * base, np.stack([grad_mu, grad_var], axis=1)

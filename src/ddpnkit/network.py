@@ -2,9 +2,9 @@
 
 The regression model is an MLP with ReLU hidden layers and one affine head
 per predicted parameter. Heads live in log space (log mu, and log gamma /
-log dispersion / log variance depending on the family); exponentiation
-happens inside the losses, so backpropagation picks up the chain factor
-mu for d/d(log mu) and gamma for d/d(log gamma).
+log dispersion / log variance depending on the family). losses.head_nll
+takes the heads as they are and returns the loss with its gradients with
+respect to them, so backpropagation starts from the heads for every family.
 
 Training uses mini-batch AdamW with decoupled weight decay, a cosine decay
 of the learning rate over epochs, and keeps the weights from the epoch with
@@ -45,7 +45,7 @@ import numpy as np
 
 from ddpnkit.datagen import SplitIndices  # re-exported: train takes one
 from ddpnkit.errors import DomainError, FileFormatError, NumericDivergence, ShapeError
-from ddpnkit.losses import LossSpec, _check_labels, _dp_loss_and_grads, baseline_nll
+from ddpnkit.losses import LossSpec, _check_labels, head_nll
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -53,14 +53,6 @@ ADAM_EPS = 1e-8
 
 CKPT_HEADER = "ddpnkit-ckpt v1"
 INFER_BLOCK = 128  # rows per hidden-layer block of an inference pass
-
-
-@dataclass(frozen=True)
-class HeadOutput:
-    """Raw affine head outputs for one example, still in log space."""
-
-    log_mu: float
-    log_gamma_or_disp: float | None = None
 
 
 @dataclass(frozen=True)
@@ -238,36 +230,6 @@ def forward_batch(weights: MLPWeights, X: np.ndarray) -> np.ndarray:
     return _forward(weights, X)
 
 
-def forward(weights: MLPWeights, x: np.ndarray) -> HeadOutput:
-    """Single-example forward pass."""
-    heads = forward_batch(weights, np.atleast_2d(x))[0]
-    second = float(heads[1]) if heads.size > 1 else None
-    return HeadOutput(log_mu=float(heads[0]), log_gamma_or_disp=second)
-
-
-def _head_loss_and_grads(spec: LossSpec, ys: np.ndarray, heads: np.ndarray):
-    """Per-example loss values and gradients w.r.t. the log-space heads.
-
-    ys are not checked here; backward, batch_loss and train check them.
-    """
-    if spec.family == "double_poisson":
-        pos = np.exp(heads)
-        # exp overflow/underflow leaves the positive range (nan fails both
-        # tests); that is a numeric blow-up of the optimization, not bad user input
-        if not (pos.min() > 0.0 and pos.max() < math.inf):
-            raise NumericDivergence("head outputs overflowed out of the positive range")
-        mu, gamma = pos[:, 0], pos[:, 1]
-        values, _, dmu, dgamma = _dp_loss_and_grads(ys, mu, gamma, spec.beta)
-        mu *= dmu  # pos becomes d/d(heads): the chain factors mu and gamma
-        gamma *= dgamma
-        return values, pos
-    head = HeadOutput(heads[:, 0], heads[:, 1] if spec.head_count == 2 else None)
-    values, (g1, g2) = baseline_nll(spec, ys, head)
-    if g2 is None:
-        return values, g1[:, None]
-    return values, np.stack([g1, g2], axis=1)
-
-
 def batch_loss(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec) -> float:
     """Mean per-example loss of the batch, inf if the model has blown up.
 
@@ -280,39 +242,36 @@ def batch_loss(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpe
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         heads = forward_batch(weights, X)
         try:
-            values, _ = _head_loss_and_grads(spec, ys, heads)
+            values, _ = head_nll(spec, ys, heads)
         except NumericDivergence:
             return math.inf
     return float(np.mean(values))
 
 
-def backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec,
-             out: MLPGradients | None = None):
+def backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec):
     """Mean-over-batch gradients for every trainable array.
 
-    Returns (grads, mean_loss). The gradients are written into out, whose
-    arrays must match the shapes of the weights'; without out they go into a
-    fresh MLPGradients. Raises DomainError for labels that are not finite
-    and nonnegative, and NumericDivergence if the batch loss is not finite.
+    Returns (grads, mean_loss), the gradients in a fresh MLPGradients. Raises
+    DomainError for labels that are not finite and nonnegative, and
+    NumericDivergence if the batch loss is not finite.
     """
     ys = np.asarray(ys, dtype=float)
     _check_labels(ys)
-    if out is None:
-        size = sum(arr.size for arr in _trainable(weights))
-        out = MLPGradients(*_flat_views(np.empty(size), weights))
-    return _backward(weights, X, ys, spec, out)
+    size = sum(arr.size for arr in _trainable(weights))
+    return _backward(weights, X, ys, spec, MLPGradients(*_flat_views(np.empty(size), weights)))
 
 
 def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec,
               out: MLPGradients):
-    """backward without the label check, for train, which checks its labels
-    once; train passes views of its flat gradient vector as out."""
+    """backward without the label check, writing the gradients into out,
+    whose arrays match the shapes of the weights'; train checks its labels
+    once and passes views of its flat gradient vector as out."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         acts = []
         heads = _forward(weights, X, acts)
         if ys.size != heads.shape[0]:
             raise ShapeError(f"batch has {heads.shape[0]} inputs but {ys.size} labels")
-        values, dheads = _head_loss_and_grads(spec, ys, heads)
+        values, dheads = head_nll(spec, ys, heads)
         mean_loss = float(np.mean(values))
         if not math.isfinite(mean_loss):
             raise NumericDivergence("non-finite batch loss")

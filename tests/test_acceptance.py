@@ -116,19 +116,21 @@ def _head_gradient_gap(spec: LossSpec, rng: np.random.Generator) -> float:
                                  - losses.ddpn_nll(y, mu0, gamma0 - step)) / (2.0 * step)
             worst = max(worst, _rel_gap(dmu, fd_mu), _rel_gap(dgamma, fd_gamma))
             continue
-        second = None if spec.head_count == 1 else h2
-        _, (g1, g2) = losses.baseline_nll(spec, y, network.HeadOutput(h1, second))
+        ys = np.array([y])
+        _, dheads = losses.head_nll(spec, ys, np.array([[h1, h2][:spec.head_count]]))
         plain = LossSpec(spec.family, 0.0)
         scale0 = math.exp(h2) ** spec.beta if spec.family == "gaussian" else 1.0
 
         def value(a: float, b: float) -> float:
-            head = network.HeadOutput(a, None if spec.head_count == 1 else b)
-            return scale0 * losses.baseline_nll(plain, y, head)[0]
+            heads = np.array([[a, b][:spec.head_count]])
+            return scale0 * float(losses.head_nll(plain, ys, heads)[0][0])
 
         step = 1e-6
+        g1 = float(dheads[0, 0])
         worst = max(worst, _rel_gap(g1, (value(h1 + step, h2)
                                          - value(h1 - step, h2)) / (2.0 * step)))
-        if g2 is not None:
+        if spec.head_count == 2:
+            g2 = float(dheads[0, 1])
             worst = max(worst, _rel_gap(g2, (value(h1, h2 + step)
                                              - value(h1, h2 - step)) / (2.0 * step)))
     return worst
@@ -166,8 +168,7 @@ def _network_gradient_gap(spec: LossSpec) -> float:
         if spec.family == "double_poisson":
             values = losses.ddpn_nll(ys, np.exp(heads[:, 0]), np.exp(heads[:, 1]))
         elif spec.family == "gaussian":
-            head = network.HeadOutput(heads[:, 0], heads[:, 1])
-            values, _ = losses.baseline_nll(LossSpec("gaussian", 0.0), ys, head)
+            values, _ = losses.head_nll(LossSpec("gaussian", 0.0), ys, heads)
         else:
             return network.batch_loss(weights, X, ys, spec)
         return float(np.mean(scale0 * values))

@@ -95,6 +95,34 @@ class TestTrain:
             parallel = (tmp_path / "ckpt" / f"par_member{member}.ckpt").read_bytes()
             assert serial == parallel
 
+    def test_jobs_beyond_members_start_no_extra_workers(self, workspace, tmp_path, monkeypatch):
+        """--jobs above --members asks the pool for one worker per member; the
+        pool is a fake that records its size and runs the members in turn."""
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert run(["train", "--data", workspace["prefix"], "--epochs", 2, "--hidden", "4",
+                    "--members", 2, "--jobs", 500, "--tag", "m", "--out", tmp_path]) == 0
+        assert sizes == [2]
+        for member in (0, 1):
+            name = f"ckpt/m_member{member}.ckpt"
+            assert (tmp_path / name).read_bytes() == (workspace["root"] / name).read_bytes()
+
     def test_divergence_exits_3_and_leaves_no_checkpoints(self, workspace, tmp_path):
         assert run(["train", "--data", workspace["prefix"], "--epochs", 1,
                     "--hidden", "4", "--lr", 1e12, "--tag", "boom",
@@ -453,6 +481,14 @@ class TestOptionMerging:
         conf.write_text(f"[simulate]\nprocess = misspec-nb\nn = 50\nout = {tmp_path / 'elsewhere'}\n")
         assert run(["simulate", "--config", conf]) == 0
         assert (tmp_path / "elsewhere" / "data" / "misspec_nb_seed0_train.csv").exists()
+
+    def test_explicit_out_dot_beats_config(self, tmp_path, monkeypatch):
+        conf = tmp_path / "run.ini"
+        conf.write_text(f"[simulate]\nprocess = misspec-nb\nn = 50\nout = {tmp_path / 'elsewhere'}\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--config", conf, "--out", "."]) == 0
+        assert (tmp_path / "data" / "misspec_nb_seed0_train.csv").exists()
+        assert not (tmp_path / "elsewhere").exists()
 
     def test_unknown_config_key(self, tmp_path):
         conf = tmp_path / "run.ini"

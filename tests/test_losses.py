@@ -2,11 +2,11 @@
 
 Gradients are checked against central finite differences computed in the
 test, with the beta scale factor frozen wherever the loss definition treats
-it as a constant.
+it as a constant. The baselines are checked through head_nll, the training
+loss on log-space heads, one head row at a time.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from ddpnkit import losses
-from ddpnkit.errors import DomainError
+from ddpnkit.errors import DomainError, NumericDivergence
 
 
 def central_diff(f, x, h=None):
@@ -58,14 +58,13 @@ class TestDoublePoissonNll:
         ys, mus, gammas = random_tuples(50, 2)
         for beta in (0.0, 0.3, 1.0):
             for y, mu, gamma in zip(ys, mus, gammas):
-                value, scale = losses.ddpn_beta_nll(y, mu, gamma, beta)
-                assert_allclose(scale, gamma ** (-beta), rtol=1e-13)
-                assert_allclose(value, scale * losses.ddpn_nll(y, mu, gamma), rtol=1e-12)
+                value = losses.ddpn_nll(y, mu, gamma, beta)
+                assert_allclose(value, gamma ** (-beta) * losses.ddpn_nll(y, mu, gamma),
+                                rtol=1e-12)
 
     def test_beta_is_inert_at_unit_gamma(self):
         for beta in (0.0, 0.5, 1.0):
-            value, scale = losses.ddpn_beta_nll(3.0, 2.5, 1.0, beta)
-            assert scale == 1.0
+            value = losses.ddpn_nll(3.0, 2.5, 1.0, beta)
             assert_allclose(value, losses.ddpn_nll(3.0, 2.5, 1.0), rtol=1e-14)
 
     def test_gradients_match_finite_differences(self):
@@ -104,7 +103,7 @@ class TestDoublePoissonNll:
         with pytest.raises(DomainError):
             losses.ddpn_nll(1.0, 1.0, -2.0)
         with pytest.raises(DomainError):
-            losses.ddpn_beta_nll(1.0, 1.0, 1.0, 1.5)
+            losses.ddpn_nll(1.0, 1.0, 1.0, 1.5)
         with pytest.raises(DomainError):
             losses.attenuation_decompose(1.0, 1.0, 0.0)
 
@@ -148,13 +147,18 @@ class TestLossSpec:
             losses.LossSpec("gaussian", -0.1)
 
 
+def head_loss(spec, y, *heads):
+    """head_nll on one example: (value, gradients w.r.t. each head)."""
+    values, dheads = losses.head_nll(spec, np.array([y]), np.array([heads]))
+    return float(values[0]), tuple(dheads[0].tolist())
+
+
 class TestPoissonBaseline:
     def test_value_is_logpmf_without_parameter_free_terms(self):
         y = 6.0
         diffs = []
         for log_mu in (-0.5, 0.2, 1.7):
-            head = SimpleNamespace(log_mu=log_mu)
-            value, _ = losses.baseline_nll(losses.LossSpec("poisson"), y, head)
+            value, _ = head_loss(losses.LossSpec("poisson"), y, log_mu)
             diffs.append(value + stats.poisson.logpmf(y, math.exp(log_mu)))
         assert_allclose(diffs, -gammaln(y + 1.0), rtol=1e-12)
 
@@ -166,11 +170,11 @@ class TestPoissonBaseline:
             a = float(rng.uniform(-1.0, 2.5))
 
             def f(t):
-                return losses.baseline_nll(spec, y, SimpleNamespace(log_mu=t))[0]
+                return head_loss(spec, y, t)[0]
 
-            _, (grad, second) = losses.baseline_nll(spec, y, SimpleNamespace(log_mu=a))
-            assert second is None
-            assert_allclose(grad, central_diff(f, a), rtol=1e-5, atol=1e-7)
+            _, grads = head_loss(spec, y, a)
+            assert len(grads) == 1
+            assert_allclose(grads[0], central_diff(f, a), rtol=1e-5, atol=1e-7)
 
 
 class TestNegBinomialBaseline:
@@ -183,8 +187,7 @@ class TestNegBinomialBaseline:
             y = float(rng.integers(0, 20))
             a = float(rng.uniform(-0.5, 2.5))
             b = float(rng.uniform(-2.0, 1.5))
-            head = SimpleNamespace(log_mu=a, log_gamma_or_disp=b)
-            value, _ = losses.baseline_nll(spec, y, head)
+            value, _ = head_loss(spec, y, a, b)
             m, r = math.exp(a), math.exp(-b)
             ref = -(stats.nbinom.logpmf(y, r, r / (r + m)) + gammaln(y + 1.0))
             assert_allclose(value, ref, rtol=1e-10, atol=1e-10)
@@ -196,16 +199,13 @@ class TestNegBinomialBaseline:
             y = float(rng.integers(0, 20))
             a = float(rng.uniform(-0.5, 2.5))
             b = float(rng.uniform(-2.0, 1.5))
-            head = SimpleNamespace(log_mu=a, log_gamma_or_disp=b)
-            _, (g_mu, g_disp) = losses.baseline_nll(spec, y, head)
+            _, (g_mu, g_disp) = head_loss(spec, y, a, b)
 
             def f_mu(t):
-                return losses.baseline_nll(
-                    spec, y, SimpleNamespace(log_mu=t, log_gamma_or_disp=b))[0]
+                return head_loss(spec, y, t, b)[0]
 
             def f_disp(t):
-                return losses.baseline_nll(
-                    spec, y, SimpleNamespace(log_mu=a, log_gamma_or_disp=t))[0]
+                return head_loss(spec, y, a, t)[0]
 
             assert_allclose(g_mu, central_diff(f_mu, a), rtol=2e-5, atol=1e-6)
             assert_allclose(g_disp, central_diff(f_disp, b), rtol=2e-5, atol=1e-6)
@@ -214,16 +214,14 @@ class TestNegBinomialBaseline:
 class TestGaussianBaseline:
     def test_value_matches_library_logpdf(self):
         spec = losses.LossSpec("gaussian")
-        head = SimpleNamespace(log_mu=1.0, log_gamma_or_disp=0.6)
-        value, _ = losses.baseline_nll(spec, 4.0, head)
+        value, _ = head_loss(spec, 4.0, 1.0, 0.6)
         mu, s2 = math.exp(1.0), math.exp(0.6)
         ref = -stats.norm.logpdf(4.0, mu, math.sqrt(s2)) - 0.5 * math.log(2.0 * math.pi)
         assert_allclose(value, ref, rtol=1e-12)
 
     def test_beta_scales_by_variance_power(self):
-        head = SimpleNamespace(log_mu=0.5, log_gamma_or_disp=1.2)
-        base, _ = losses.baseline_nll(losses.LossSpec("gaussian", 0.0), 3.0, head)
-        scaled, _ = losses.baseline_nll(losses.LossSpec("gaussian", 0.5), 3.0, head)
+        base, _ = head_loss(losses.LossSpec("gaussian", 0.0), 3.0, 0.5, 1.2)
+        scaled, _ = head_loss(losses.LossSpec("gaussian", 0.5), 3.0, 0.5, 1.2)
         assert_allclose(scaled, math.exp(1.2) ** 0.5 * base, rtol=1e-12)
 
     def test_gradients_with_frozen_scale(self):
@@ -234,40 +232,51 @@ class TestGaussianBaseline:
                 y = float(rng.uniform(0.0, 12.0))
                 a = float(rng.uniform(-0.5, 2.0))
                 b = float(rng.uniform(-1.5, 1.5))
-                head = SimpleNamespace(log_mu=a, log_gamma_or_disp=b)
-                _, (g_mu, g_disp) = losses.baseline_nll(spec, y, head)
+                _, (g_mu, g_disp) = head_loss(spec, y, a, b)
                 scale = math.exp(b) ** beta
                 base_spec = losses.LossSpec("gaussian", 0.0)
 
                 def f_mu(t):
-                    return scale * losses.baseline_nll(
-                        base_spec, y, SimpleNamespace(log_mu=t, log_gamma_or_disp=b))[0]
+                    return scale * head_loss(base_spec, y, t, b)[0]
 
                 def f_disp(t):
-                    return scale * losses.baseline_nll(
-                        base_spec, y, SimpleNamespace(log_mu=a, log_gamma_or_disp=t))[0]
+                    return scale * head_loss(base_spec, y, a, t)[0]
 
                 assert_allclose(g_mu, central_diff(f_mu, a), rtol=2e-5, atol=1e-6)
                 assert_allclose(g_disp, central_diff(f_disp, b), rtol=2e-5, atol=1e-6)
 
 
-class TestBaselineDispatch:
-    def test_double_poisson_rejected(self):
-        head = SimpleNamespace(log_mu=0.0, log_gamma_or_disp=0.0)
-        with pytest.raises(DomainError):
-            losses.baseline_nll(losses.LossSpec("double_poisson"), 1.0, head)
+HEAD_SPECS = [losses.LossSpec("double_poisson", 0.5), losses.LossSpec("poisson"),
+              losses.LossSpec("neg_binomial"), losses.LossSpec("gaussian", 0.5)]
 
-    def test_array_paths(self):
-        spec = losses.LossSpec("neg_binomial")
-        ys = np.array([0.0, 3.0, 11.0])
-        head = SimpleNamespace(log_mu=np.array([0.1, 0.9, 2.0]),
-                               log_gamma_or_disp=np.array([-0.2, 0.3, 0.0]))
-        values, (g1, g2) = losses.baseline_nll(spec, ys, head)
-        assert values.shape == (3,)
-        for i in range(3):
-            s_head = SimpleNamespace(log_mu=head.log_mu[i],
-                                     log_gamma_or_disp=head.log_gamma_or_disp[i])
-            sv, (s1, s2) = losses.baseline_nll(spec, ys[i], s_head)
-            assert_allclose(values[i], sv, rtol=1e-14)
-            assert_allclose(g1[i], s1, rtol=1e-14)
-            assert_allclose(g2[i], s2, rtol=1e-14)
+
+class TestHeadNll:
+    def test_double_poisson_matches_natural_parameter_oracles(self):
+        """Values are ddpn_nll at (e^h0, e^h1) and the head gradients are
+        ddpn_grads times the chain factors (mu, gamma), bit for bit."""
+        ys, mus, gammas = random_tuples(64, 10)
+        heads = np.stack([np.log(mus), np.log(gammas)], axis=1)
+        for beta in (0.0, 0.5, 1.0):
+            values, dheads = losses.head_nll(losses.LossSpec("double_poisson", beta), ys, heads)
+            mu, gamma = np.exp(heads[:, 0]), np.exp(heads[:, 1])
+            dmu, dgamma = losses.ddpn_grads(ys, mu, gamma, beta)
+            assert values.tobytes() == losses.ddpn_nll(ys, mu, gamma, beta).tobytes()
+            assert dheads.tobytes() == np.stack([dmu * mu, dgamma * gamma], axis=1).tobytes()
+
+    @pytest.mark.parametrize("spec", HEAD_SPECS, ids=lambda spec: spec.family)
+    def test_batch_equals_rows_bit_for_bit(self, spec):
+        rng = np.random.default_rng(11)
+        ys = rng.integers(0, 20, 9).astype(float)
+        heads = rng.uniform(-1.0, 2.0, (9, spec.head_count))
+        values, dheads = losses.head_nll(spec, ys, heads)
+        assert values.shape == (9,) and dheads.shape == (9, spec.head_count)
+        for i in range(9):
+            row_value, row_grads = losses.head_nll(spec, ys[i:i + 1], heads[i:i + 1])
+            assert row_value.tobytes() == values[i:i + 1].tobytes()
+            assert row_grads.tobytes() == dheads[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("head", [[800.0, 0.0], [0.0, -800.0], [math.nan, 0.0]])
+    def test_double_poisson_overflow_is_numeric_divergence(self, head):
+        heads = np.array([[0.5, 0.1], head])
+        with np.errstate(over="ignore"), pytest.raises(NumericDivergence, match="overflowed"):
+            losses.head_nll(losses.LossSpec("double_poisson"), np.array([1.0, 2.0]), heads)

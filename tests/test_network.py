@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from ddpnkit import network
 from ddpnkit.errors import DomainError, NumericDivergence, ShapeError
-from ddpnkit.losses import LossSpec, baseline_nll, ddpn_grads
+from ddpnkit.losses import LossSpec, ddpn_grads, head_nll
 
 
 def toy_problem(head_count=2, seed=0, n=7, d=2):
@@ -46,15 +46,15 @@ class TestForward:
         w = network.init_mlp(cfg, gamma_bias_init=5.0)
         w.x_mean = np.array([2.0])
         w.x_std = np.array([4.0])
-        out = network.forward(w, np.array([2.0]))
-        assert out.log_gamma_or_disp == 5.0
-        assert out.log_mu == w.head_b[0]
+        out = network.forward_batch(w, np.array([[2.0]]))[0]
+        assert out[1] == 5.0
+        assert out[0] == w.head_b[0]
 
     def test_single_head_output(self):
         cfg = network.MLPConfig(input_dim=2, hidden_widths=(4,), head_count=1, seed=0)
         w = network.init_mlp(cfg)
-        out = network.forward(w, np.array([0.3, -0.1]))
-        assert out.log_gamma_or_disp is None
+        out = network.forward_batch(w, np.array([[0.3, -0.1]]))
+        assert out.shape == (1, 1)
 
     def test_forward_matches_manual_computation(self):
         weights, X, _ = toy_problem()
@@ -70,9 +70,8 @@ class TestForward:
         # rounding error rather than bit-exactly
         weights, X, _ = toy_problem()
         batch = network.forward_batch(weights, X)
-        one = network.forward(weights, X[2])
-        assert_allclose(one.log_mu, batch[2, 0], rtol=1e-12)
-        assert_allclose(one.log_gamma_or_disp, batch[2, 1], rtol=1e-12)
+        one = network.forward_batch(weights, X[2][None])[0]
+        assert_allclose(one, batch[2], rtol=1e-12)
 
     def test_feature_count_mismatch(self):
         weights, _, _ = toy_problem(d=2)
@@ -150,15 +149,13 @@ class TestBackward:
     def _frozen_scale_loss(weights, X, ys, spec, scale0):
         """Batch loss with the per-example beta scale pinned at scale0, which
         is the function the analytic stop-gradient derivative belongs to."""
-        from ddpnkit.losses import baseline_nll, ddpn_nll
-        from types import SimpleNamespace
+        from ddpnkit.losses import ddpn_nll
 
         heads = network.forward_batch(weights, X)
         if spec.family == "double_poisson":
             values = ddpn_nll(ys, np.exp(heads[:, 0]), np.exp(heads[:, 1]))
         elif spec.family == "gaussian":
-            head = SimpleNamespace(log_mu=heads[:, 0], log_gamma_or_disp=heads[:, 1])
-            values, _ = baseline_nll(LossSpec("gaussian", 0.0), ys, head)
+            values, _ = head_nll(LossSpec("gaussian", 0.0), ys, heads)
         else:
             return network.batch_loss(weights, X, ys, spec)
         return float(np.mean(scale0 * values))
@@ -342,7 +339,8 @@ class TestTrain:
 
 
 def _reference_backward(weights, X, ys, spec):
-    """Per-array backpropagation through the checked public losses."""
+    """Per-array backpropagation: Double Poisson head gradients from the
+    checked natural-parameter ddpn_grads, the baselines' from head_nll."""
     acts = []
     heads = network._forward(weights, X, acts)
     if spec.family == "double_poisson":
@@ -350,9 +348,7 @@ def _reference_backward(weights, X, ys, spec):
         dmu, dgamma = ddpn_grads(ys, mu, gamma, spec.beta)
         dheads = np.stack([dmu * mu, dgamma * gamma], axis=1)
     else:
-        second = heads[:, 1] if spec.head_count == 2 else None
-        _, (g1, g2) = baseline_nll(spec, ys, network.HeadOutput(heads[:, 0], second))
-        dheads = g1[:, None] if g2 is None else np.stack([g1, g2], axis=1)
+        _, dheads = head_nll(spec, ys, heads)
     dheads = dheads / float(ys.size)
     grad_head_w = dheads.T @ acts[-1]
     grad_head_b = dheads.sum(axis=0)
@@ -457,7 +453,7 @@ class TestFlatOptimizer:
         fresh, loss0 = network.backward(weights, X, ys, spec)
         flat = np.full(sum(a.size for a in flat_params(weights)), np.nan)
         out = network.MLPGradients(*network._flat_views(flat, weights))
-        into, loss1 = network.backward(weights, X, ys, spec, out=out)
+        into, loss1 = network._backward(weights, X, ys, spec, out)
         assert into is out and loss1 == loss0
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in flat_params(fresh)]))
         reference = _reference_backward(weights, X, ys, spec)
