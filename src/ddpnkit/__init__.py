@@ -9,9 +9,10 @@ import importlib
 
 _EXPORTS = {
     "distributions": (
-        "PredictiveBatch", "double_poisson", "poisson", "neg_binomial", "gaussian", "mixture",
-        "dp_normalizer", "dist_pmf", "dist_cdf", "dist_moments", "dist_mode", "dist_quantile",
-        "dist_sample", "predictive_summary",
+        "PredictiveBatch", "UncertaintyDecomposition", "double_poisson", "poisson",
+        "neg_binomial", "gaussian", "mixture", "decompose_variance", "dp_normalizer",
+        "dist_pmf", "dist_cdf", "dist_moments", "dist_mode", "dist_quantile", "dist_sample",
+        "predictive_summary",
     ),
     "losses": (
         "AttenuationParts", "LossSpec", "attenuation_decompose", "ddpn_grads", "ddpn_nll",
@@ -23,9 +24,7 @@ _EXPORTS = {
         "init_mlp", "load_checkpoint", "train",
     ),
     "ensemble": (
-        "Ensemble", "MemberHeads", "UncertaintyDecomposition", "decompose_variance",
-        "load_ensemble", "member_heads", "mixture_moments", "predictive_batch",
-        "variance_scores",
+        "Ensemble", "MemberHeads", "load_ensemble", "member_heads",
     ),
     "metrics": (
         "EvalRecord", "OODScores", "crps", "evaluate", "mae", "median_precision",

@@ -15,7 +15,10 @@ path.tmp through the one writer, _write_text, then moves each onto its path
 with os.replace and prints last. The writer encodes a bounded slice of text
 at a time (WRITE_SLICE characters per write), so no chunk, a whole
 checkpoint's text included, is held beside its whole encoding. A run that
-fails, in a handler, a renderer or a write, changes no output file.
+fails, in a handler, a renderer or a write, changes no output file: a
+target that is an existing directory, which os.replace could not replace,
+is refused before anything is written, and a failed move removes the .tmp
+files it leaves.
 
 The package modules the handlers use are put in sys.modules when cli is
 imported, but each one runs on its first attribute access
@@ -27,7 +30,8 @@ network beside the checkpoint format, and datagen loads distributions only
 in the samplers that draw from it.
 
 Exit codes: 0 success, 2 usage or domain errors, 3 numeric divergence or
-overflow (including a PMF support that has not converged within its cap),
+overflow (including a PMF support that has not converged within its cap and
+head outputs that over- or underflow out of their family's domain),
 4 I/O problems and malformed checkpoint, manifest or dataset files
 (FileFormatError).
 """
@@ -378,7 +382,7 @@ def cmd_eval(opts: dict) -> tuple[dict, str]:
     if test_y.size == 0:
         raise DomainError(f"no test rows found under prefix {opts['data']}")
     model = ensemble.Ensemble(((weights, spec),))
-    summary = metrics.evaluate(ensemble.predictive_batch(model, test_x), test_y).summary()
+    summary = metrics.evaluate(ensemble.member_heads(model, test_x).batch(), test_y).summary()
     return {_report_path(opts, "metrics.json"): _json(summary)}, json.dumps(summary)
 
 
@@ -423,7 +427,9 @@ def cmd_ood(opts: dict) -> tuple[dict, str]:
         alphas=tuple(np.linspace(0.0, 1.0, opts["alpha_points"])),
         seed=opts["seed"],
     )
-    payload = ood.run_ood_eval(ens, id_x, ood_x, config).to_json_dict()
+    id_scores = ensemble.member_heads(ens, id_x).scores()
+    ood_scores = ensemble.member_heads(ens, ood_x).scores()
+    payload = ood.run_ood_eval(id_scores, ood_scores, config).to_json_dict()
     return {_report_path(opts, "ood.json"): _json(payload)}, json.dumps(payload)
 
 
@@ -483,16 +489,20 @@ def execute(argv=None) -> int:
     args = parser.parse_args(argv)
     opts = _merge_options(args.command, args)
     files, printed = _HANDLERS[args.command](opts)
+    for path in files:
+        # os.replace cannot move a file onto a directory; refuse before any write
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path {path} is a directory")
     try:
         for path, text in files.items():
             _write_text(path, text)
+        for path in files:
+            os.replace(path + ".tmp", path)
     except BaseException:
         for path in files:
             with contextlib.suppress(OSError):
                 os.remove(path + ".tmp")
         raise
-    for path in files:
-        os.replace(path + ".tmp", path)
     print(printed)
     return 0
 

@@ -84,7 +84,8 @@ _SLACK = 1e-12
 
 
 def _valid(kind: str, params: tuple) -> None:
-    """Raise DomainError at the first element outside kind's parameter domain.
+    """Raise DomainError naming the first row, then member, holding a value
+    outside kind's parameter domain.
 
     Every parameter must be finite and positive, except the Gaussian mean,
     which need only be finite, and the negative binomial p, which must lie
@@ -98,11 +99,12 @@ def _valid(kind: str, params: tuple) -> None:
             rules.append((np.isfinite(p), "must be finite"))
         else:
             rules.append((np.isfinite(p) & (p > 0.0), "must be finite and positive"))
-    bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in rules]))
+    bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in rules]).T)
     if bad.size:
+        row, member = divmod(int(bad[0]), params[0].shape[0])
         for name, p, (ok, rule) in zip(_FIELDS[kind], params, rules):
-            if not ok.flat[bad[0]]:
-                raise DomainError(f"{name} {rule}, got {float(p.flat[bad[0]])}")
+            if not ok[member, row]:
+                raise DomainError(f"{name} {rule}, got {float(p[member, row])} at row {row}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,8 @@ class PredictiveBatch:
 
     def moments(self, mode: str = EFRON_APPROX) -> tuple:
         """Mixture mean and variance per row, both (n,)."""
-        return mixture_moments(*self.member_moments(mode))
+        dec = decompose_variance(*self.member_moments(mode))
+        return dec.mean, dec.total
 
 
 def _cells(batch: PredictiveBatch) -> tuple:
@@ -207,14 +210,24 @@ def mixture(members) -> PredictiveBatch:
                            tuple(np.concatenate(p) for p in zip(*(m.params for m in members))))
 
 
-def mixture_variance_parts(means, variances) -> tuple:
-    """Mean, aleatoric and epistemic variance of uniform mixtures, per column.
+@dataclass(frozen=True)
+class UncertaintyDecomposition:
+    """A uniform mixture's mean and its variance, total = aleatoric + epistemic."""
 
-    Members run along the first axis. aleatoric is the average member
-    variance; epistemic the population variance of the member means, taken
-    about their average so that it never cancels or goes negative. Where
-    that average is not finite (the means overflowed), the spread cannot be
-    resolved and is inf.
+    mean: object
+    total: object
+    aleatoric: object
+    epistemic: object
+
+
+def decompose_variance(means, variances) -> UncertaintyDecomposition:
+    """The one mixture decomposition: mean and variance of uniform mixtures.
+
+    Members run along the first axis; 1-D inputs give floats, (M, n) inputs
+    one value per column. aleatoric is the average member variance;
+    epistemic the population variance of the member means, taken about
+    their average so that it never cancels or goes negative (inf where the
+    means overflowed); total is their sum.
     """
     means = np.asarray(means, dtype=float)
     variances = np.asarray(variances, dtype=float)
@@ -225,21 +238,11 @@ def mixture_variance_parts(means, variances) -> tuple:
     finite = np.isfinite(center)
     with np.errstate(over="ignore"):
         epistemic = np.mean((means - np.where(finite, center, 0.0)) ** 2, axis=0)
-    return center, aleatoric, np.where(finite, epistemic, np.inf)
-
-
-def mixture_moments(means, variances) -> tuple:
-    """Mean and variance of a uniform mixture with the given member moments.
-
-    Members run along the first axis; 1-D inputs give floats, (M, n) inputs
-    one value per column. The variance is the aleatoric plus the epistemic
-    part of mixture_variance_parts.
-    """
-    mean, aleatoric, epistemic = mixture_variance_parts(means, variances)
-    var = aleatoric + epistemic
-    if np.ndim(means) == 1:
-        return float(mean), float(var)
-    return mean, var
+    epistemic = np.where(finite, epistemic, np.inf)
+    parts = center, aleatoric + epistemic, aleatoric, epistemic
+    if means.ndim == 1:
+        parts = map(float, parts)
+    return UncertaintyDecomposition(*parts)
 
 
 # --- Double Poisson series machinery -----------------------------------------

@@ -11,6 +11,14 @@ part, the spread of member means about their average. Member
 variances come from the Efron approximation mu/gamma by default; the exact
 series evaluation is available behind a flag.
 
+member_heads(ens, X) is the one way to read an ensemble at a set of rows:
+it runs each member's network once, and the MemberHeads it returns gives
+the predictive distributions (batch), the member moments (moments) and the
+OOD scores (scores) at those rows. The mixture decomposition itself,
+decompose_variance and UncertaintyDecomposition, lives in distributions
+beside PredictiveBatch, which reads its moments from it; both names are
+re-exported here.
+
 load_ensemble reads a manifest and the checkpoints it lists. The manifest
 format (MANIFEST_HEADER, render_manifest, load_manifest and
 ManifestFormatError) lives in network, beside the checkpoint format, so the
@@ -26,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ddpnkit import distributions as dists
-from ddpnkit.errors import DomainError
+from ddpnkit.distributions import UncertaintyDecomposition, decompose_variance
+from ddpnkit.errors import DomainError, NumericOverflow
 from ddpnkit.losses import LossSpec
 from ddpnkit.network import CheckpointFormatError, forward_batch, load_checkpoint
 from ddpnkit.network import MANIFEST_HEADER, ManifestFormatError, load_manifest, render_manifest
@@ -52,32 +61,6 @@ class Ensemble:
 
 
 @dataclass(frozen=True)
-class UncertaintyDecomposition:
-    """total = aleatoric + epistemic, all nonnegative."""
-
-    total: object
-    aleatoric: object
-    epistemic: object
-
-
-mixture_moments = dists.mixture_moments
-
-
-def decompose_variance(means, variances) -> UncertaintyDecomposition:
-    """Split the mixture variance into aleatoric and epistemic parts.
-
-    aleatoric is the average member variance, epistemic the population
-    variance of the member means (see dists.mixture_variance_parts); they
-    sum to the mixture variance.
-    """
-    _, aleatoric, epistemic = dists.mixture_variance_parts(means, variances)
-    total = aleatoric + epistemic
-    if np.ndim(means) == 1:
-        return UncertaintyDecomposition(float(total), float(aleatoric), float(epistemic))
-    return UncertaintyDecomposition(total, aleatoric, epistemic)
-
-
-@dataclass(frozen=True)
 class MemberHeads:
     """Head outputs of every member at one set of input rows.
 
@@ -97,17 +80,23 @@ class MemberHeads:
         second parameter): the inverse dispersion gamma for the Double
         Poisson, the dispersion alpha of the negative binomial (r = 1/alpha,
         p = 1/(1 + alpha*mean)), and the variance for the Gaussian. Raises
-        DomainError for rows whose heads overflow.
+        NumericOverflow naming the first row where a member's heads over- or
+        underflow out of the family's parameter domain (an inf or zero mean,
+        say, or a negative binomial p of 0).
         """
-        with np.errstate(over="ignore"):
+        with np.errstate(all="ignore"):
             mean = np.exp(self.values[..., 0])
             if self.family == "poisson":
-                return dists.PredictiveBatch(dists.POISSON, (mean,))
-            second = np.exp(self.values[..., 1])
-        if self.family == "neg_binomial":
-            return dists.PredictiveBatch(dists.NEG_BINOMIAL,
-                                         (1.0 / second, 1.0 / (1.0 + second * mean)))
-        return dists.PredictiveBatch(self.family, (mean, second))
+                params = (mean,)
+            else:
+                second = np.exp(self.values[..., 1])
+                params = ((1.0 / second, 1.0 / (1.0 + second * mean))
+                          if self.family == "neg_binomial" else (mean, second))
+        try:
+            return dists.PredictiveBatch(self.family, params)
+        except DomainError as exc:
+            raise NumericOverflow(f"member heads over- or underflow out of the "
+                                  f"{self.family} parameter domain: {exc}") from exc
 
     def moments(self, mode: str = dists.EFRON_APPROX) -> tuple[np.ndarray, np.ndarray]:
         """Member means and variances, both shaped (M, n).
@@ -148,7 +137,7 @@ class MemberHeads:
         A row whose variance overflows, or is left undefined by overflowed
         heads, scores +inf: it ranks as the most out-of-distribution.
         """
-        total = np.asarray(decompose_variance(*self.moments(mode)).total)
+        total = decompose_variance(*self.moments(mode)).total
         return np.where(np.isnan(total), np.inf, total)
 
 
@@ -156,23 +145,6 @@ def member_heads(ens: Ensemble, X: np.ndarray) -> MemberHeads:
     """One forward pass of every member over the rows of X."""
     with np.errstate(over="ignore"):
         return MemberHeads(ens.family, np.stack([forward_batch(w, X) for w, _ in ens.members]))
-
-
-def predictive_batch(ens: Ensemble, X: np.ndarray) -> dists.PredictiveBatch:
-    """The ensemble's predictive distributions at the rows of X (MemberHeads.batch)."""
-    return member_heads(ens, X).batch()
-
-
-def member_moments(
-    ens: Ensemble, X: np.ndarray, mode: str = dists.EFRON_APPROX
-) -> tuple[np.ndarray, np.ndarray]:
-    """Member means and variances at the rows of X, both (M, n) (MemberHeads.moments)."""
-    return member_heads(ens, X).moments(mode)
-
-
-def variance_scores(ens: Ensemble, X: np.ndarray, mode: str = dists.EFRON_APPROX) -> np.ndarray:
-    """Total mixture variance per row of X, the OOD score (MemberHeads.scores)."""
-    return member_heads(ens, X).scores(mode)
 
 
 INTERVAL = (0.025, 0.975)
@@ -186,14 +158,13 @@ def predict_table(heads: MemberHeads, mode: str = dists.EFRON_APPROX, quantiles=
     INTERVAL levels (as metrics.evaluate does with levels=INTERVAL); by
     default they are computed here.
     """
-    means, variances = heads.moments(mode)
-    dec = decompose_variance(means, variances)
+    dec = decompose_variance(*heads.moments(mode))
     if quantiles is None:
         quantiles = dists.predictive_summary(heads.batch(), levels=INTERVAL).quantiles
     return {
-        "mean": np.mean(means, axis=0),
-        "aleatoric": np.asarray(dec.aleatoric),
-        "epistemic": np.asarray(dec.epistemic),
+        "mean": dec.mean,
+        "aleatoric": dec.aleatoric,
+        "epistemic": dec.epistemic,
         "q025": quantiles[0],
         "q975": quantiles[1],
     }

@@ -231,7 +231,8 @@ def forward_batch(weights: MLPWeights, X: np.ndarray) -> np.ndarray:
 
 
 def batch_loss(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec) -> float:
-    """Mean per-example loss of the batch, inf if the model has blown up.
+    """Mean per-example loss of the batch, inf if the model has blown up
+    (any mean that is not finite, nan included).
 
     Returning inf rather than raising keeps validation evaluation usable
     while the training batches themselves are still finite. Raises
@@ -245,7 +246,8 @@ def batch_loss(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpe
             values, _ = head_nll(spec, ys, heads)
         except NumericDivergence:
             return math.inf
-    return float(np.mean(values))
+        loss = float(np.mean(values))
+    return loss if math.isfinite(loss) else math.inf
 
 
 def backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec):

@@ -1,11 +1,13 @@
 """Out-of-distribution detection via thresholded predictive variance.
 
-The protocol holds out a fraction of the in-distribution test inputs,
-computes total predictive (mixture) variance on the holdout, and sets the
-detection threshold tau_alpha at the (1 - alpha) empirical quantile of
-those scores. Remaining ID inputs and the OOD inputs are then classified
-as OOD whenever their variance exceeds tau_alpha. Sweeping alpha over a
-grid traces ROC and precision/recall curves, and the whole procedure is
+The protocol takes the scores of the in-distribution test inputs and of
+the OOD inputs, the total predictive (mixture) variance that
+ensemble.MemberHeads.scores reads off one forward pass of each member; it
+runs no network itself. It holds out a fraction of the ID scores and sets
+the detection threshold tau_alpha at the (1 - alpha) empirical quantile of
+the holdout. Remaining ID inputs and the OOD inputs are then classified as
+OOD whenever their score exceeds tau_alpha. Sweeping alpha over a grid
+traces ROC and precision/recall curves, and the whole procedure is
 repeated with fresh holdout resamples to report mean and spread.
 
 Ranking by raw variance induces the same ROC up to the quantile grid
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddpnkit.ensemble import Ensemble, variance_scores
 from ddpnkit.errors import DomainError, ShapeError
 
 DEFAULT_ALPHAS = tuple(np.linspace(0.0, 1.0, 101))
@@ -167,27 +168,23 @@ def curve_metrics_from_points(points) -> tuple[float, float, float]:
     return auroc, aupr, fpr80
 
 
-def run_ood_eval(
-    ens: Ensemble,
-    id_xs: np.ndarray,
-    ood_xs: np.ndarray,
-    config: OODProtocolConfig = OODProtocolConfig(),
-) -> OODReport:
-    """Full protocol: score, threshold on a holdout, sweep, repeat, aggregate.
+def run_ood_eval(id_scores, ood_scores,
+                 config: OODProtocolConfig = OODProtocolConfig()) -> OODReport:
+    """Full protocol over the ID and OOD scores: threshold on a holdout,
+    sweep, repeat, aggregate.
 
-    Each repeat redraws the ID holdout with a derived seed; the OOD inputs
-    are scored once. Reported statistics are (mean, std) over repeats.
+    Each repeat redraws the ID holdout with a derived seed; the OOD scores
+    are sorted once. Reported statistics are (mean, std) over repeats.
     """
-    if np.asarray(ood_xs).size == 0:
+    id_all = np.asarray(id_scores, dtype=float)
+    if np.size(ood_scores) == 0:
         raise DomainError("OOD input set must be nonempty")
-    id_all = variance_scores(ens, id_xs)
-    ood_all = variance_scores(ens, ood_xs)
     n_hold = int(round(config.holdout_fraction * id_all.size))
     if n_hold < 1 or n_hold >= id_all.size:
         raise DomainError(
             f"holdout of {n_hold} from {id_all.size} ID points leaves no evaluation set"
         )
-    alphas, ood_side = np.asarray(config.alphas), _side(ood_all)
+    alphas, ood_side = np.asarray(config.alphas), _side(ood_scores)
     per_repeat = []
     for rep in range(config.n_repeats):
         rng = np.random.default_rng(config.seed + rep)

@@ -291,7 +291,7 @@ def _single_model_crps(ds, split, spec: LossSpec, seed: int) -> float:
     cfg = network.TrainConfig(loss=spec, epochs=60, batch_size=64, lr=1e-3,
                               weight_decay=1e-5, seed=seed, hidden_widths=(64, 64))
     weights, _ = network.train(ds, split, cfg)
-    preds = ensemble.predictive_batch(ensemble.Ensemble(((weights, spec),)), ds.xs[split.test])
+    preds = ensemble.member_heads(ensemble.Ensemble(((weights, spec),)), ds.xs[split.test]).batch()
     return metrics.evaluate(preds, ds.ys[split.test]).crps_mean
 
 
@@ -344,23 +344,21 @@ def sine_ensembles():
 def test_criterion_06_ensemble_crps_and_aleatoric_ordering(capsys, sine_ensembles):
     ds, split, built, train_seconds = sine_ensembles
     xs_test, ys_test = ds.xs[split.test], ds.ys[split.test]
+    heads = {family: ensemble.member_heads(built[family], xs_test) for family in _SINE_FAMILIES}
     crps_by_family = {}
     for family in _SINE_FAMILIES:
-        ens = built[family]
-        preds = ensemble.predictive_batch(ens, xs_test)
-        variances = ensemble.variance_scores(ens, xs_test)
-        crps_by_family[family] = metrics.evaluate(preds, ys_test,
-                                                  variances=variances).crps_mean
+        crps_by_family[family] = metrics.evaluate(heads[family].batch(), ys_test,
+                                                  variances=heads[family].scores()).crps_mean
     wins = (crps_by_family["double_poisson"] < crps_by_family["poisson"]
             and crps_by_family["double_poisson"] < crps_by_family["neg_binomial"])
     # under-dispersed high-count region: true mean >= 25
     true_means = np.array([datagen.sine_conflation_true_moments(float(x))[0]
                            for x in xs_test[:, 0]])
-    region = xs_test[true_means >= 25.0]
+    in_region = true_means >= 25.0
 
     def mean_aleatoric(family: str) -> float:
-        means, variances = ensemble.member_moments(built[family], region)
-        dec = ensemble.decompose_variance(means, variances)
+        means, variances = heads[family].moments()
+        dec = ensemble.decompose_variance(means[:, in_region], variances[:, in_region])
         return float(np.mean(np.asarray(dec.aleatoric)))
 
     flexible_alea = mean_aleatoric("double_poisson")
@@ -372,7 +370,7 @@ def test_criterion_06_ensemble_crps_and_aleatoric_ordering(capsys, sine_ensemble
             f"{crps_by_family['poisson']:.4f} and < neg_binomial "
             f"{crps_by_family['neg_binomial']:.4f}: {wins}; high-count aleatoric "
             f"{flexible_alea:.3f} vs poisson {poisson_alea:.3f} (factor {factor:.1f} "
-            f">= 2, {region.shape[0]} rows); training {train_seconds:.0f}s < 1200s")
+            f">= 2, {np.count_nonzero(in_region)} rows); training {train_seconds:.0f}s < 1200s")
 
 
 # --- criterion 7: beta ordering of mean convergence at an isolated point ------
@@ -510,13 +508,13 @@ def test_criterion_10_ood_detection_and_sweep_agreement(capsys, sine_ensembles):
     xs_test = ds.xs[split.test]
     ood_xs = np.random.default_rng(2026).uniform(4.0 * math.pi, 6.0 * math.pi,
                                                  200)[:, None]
+    id_all = ensemble.member_heads(ens, xs_test).scores()
+    ood_all = ensemble.member_heads(ens, ood_xs).scores()
     config = ood.OODProtocolConfig()
-    report = ood.run_ood_eval(ens, xs_test, ood_xs, config)
+    report = ood.run_ood_eval(id_all, ood_all, config)
     sweep_auroc = report.auroc[0]
 
     # rank route, replicating each repeat's holdout split
-    id_all = ensemble.variance_scores(ens, xs_test)
-    ood_all = ensemble.variance_scores(ens, ood_xs)
     n_hold = int(round(config.holdout_fraction * id_all.size))
     rank_values = []
     for rep in range(config.n_repeats):

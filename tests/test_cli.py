@@ -9,6 +9,8 @@ import itertools
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -246,6 +248,20 @@ class TestEval:
         assert "cannot be summed within 65536 terms" in capsys.readouterr().err
         assert not (tmp_path / "reports" / "eval_metrics.json").exists()
 
+    def test_overflowed_heads_are_numeric_errors(self, workspace, tmp_path, capsys):
+        """A test row so far out (x = 1e300) that the heads overflow out of the
+        family's parameter domain exits 3, as numeric overflow, naming the
+        row, in eval and ensemble-eval alike, and writes no report."""
+        prefix = tmp_path / "far"
+        for split in ("train", "val"):
+            shutil.copy(f"{workspace['prefix']}_{split}.csv", f"{prefix}_{split}.csv")
+        (tmp_path / "far_test.csv").write_text("x,y\n0.5,1\n1e300,2\n")
+        for argv in (["eval", "--ckpt", workspace["root"] / "ckpt" / "m_member0.ckpt"],
+                     ["ensemble-eval", "--manifest", workspace["manifest"]]):
+            assert run(argv + ["--data", prefix, "--out", tmp_path / "out"]) == 3
+            assert "at row 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEnsembleEval:
     def test_metrics_and_decomposition(self, workspace, tmp_path):
@@ -300,6 +316,19 @@ class TestEnsembleEval:
                     "--out", tmp_path]) == 0
         assert len(calls) == 2
 
+    def test_directory_in_the_way_changes_no_output(self, workspace, tmp_path, capsys):
+        """An output path that is an existing directory is refused before any
+        file is written: the run exits 4, the metrics written by an earlier
+        run stay as they were, and no .tmp file is left."""
+        reports = tmp_path / "reports"
+        (reports / "ens_decomposition.csv").mkdir(parents=True)
+        (reports / "ens_metrics.json").write_text("sentinel\n")
+        assert run(["ensemble-eval", "--manifest", workspace["manifest"],
+                    "--data", workspace["prefix"], "--tag", "ens", "--out", tmp_path]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert (reports / "ens_metrics.json").read_text() == "sentinel\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_corrupt_manifest_is_io_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.manifest"
         bad.write_text("nonsense\n")
@@ -342,7 +371,7 @@ class TestOod:
         """An input far past the training range overflows its variance: it
         scores +inf, not nan, and the run stays finite and warning-free."""
         ens = ensemble.load_ensemble(workspace["manifest"])
-        assert ensemble.variance_scores(ens, [[1.85e17]])[0] == np.inf
+        assert ensemble.member_heads(ens, [[1.85e17]]).scores()[0] == np.inf
         ood_csv = tmp_path / "ood.csv"
         ood_csv.write_text("x,y\n12.0,0\n13.0,1\n1.85e17,0\n")
         with warnings.catch_warnings():
@@ -777,6 +806,18 @@ class TestImport:
                       datagen.DatasetFormatError):
             assert issubclass(error, errors.FileFormatError)
         assert issubclass(errors.FileFormatError, errors.DomainError)
+
+
+class TestReadme:
+    def test_library_example_runs(self):
+        """The README's one python block (train a 5-member ensemble, read it
+        through member_heads, evaluate) runs verbatim in a fresh interpreter."""
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme) as fh:
+            blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.S | re.M)
+        assert len(blocks) == 1
+        run_fresh("{block}", block=blocks[0])
 
 
 LOADED_SCRIPT = """

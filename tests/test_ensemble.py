@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from ddpnkit import distributions as dists
 from ddpnkit import ensemble, network
-from ddpnkit.errors import DomainError, ShapeError
+from ddpnkit.errors import DomainError, NumericOverflow, ShapeError
 from ddpnkit.losses import LossSpec
 
 
@@ -37,16 +37,16 @@ def dp_ensemble():
 
 class TestMixtureMoments:
     def test_hand_computed_example(self):
-        mean, var = ensemble.mixture_moments([2.0, 4.0], [2.0, 2.0])
-        assert_allclose(mean, 3.0, rtol=1e-14)
-        assert_allclose(var, 2.0 + 1.0, rtol=1e-14)  # aleatoric 2, mean spread 1
+        dec = ensemble.decompose_variance([2.0, 4.0], [2.0, 2.0])
+        assert_allclose(dec.mean, 3.0, rtol=1e-14)
+        assert_allclose(dec.total, 2.0 + 1.0, rtol=1e-14)  # aleatoric 2, mean spread 1
 
     def test_matches_mixture_pmf_moments(self):
         a = dists.poisson(3.0)
         b = dists.double_poisson(7.0, 2.0)
         moments = [dists.dist_moments(d, mode=dists.EXACT_SERIES) for d in (a, b)]
-        mean, var = ensemble.mixture_moments([m for m, _ in moments],
-                                             [v for _, v in moments])
+        dec = ensemble.decompose_variance([m for m, _ in moments], [v for _, v in moments])
+        mean, var = dec.mean, dec.total
         mix_pmfs = [dists.pmf_vector(d) for d in (a, b)]
         size = max(p.size for p in mix_pmfs)
         p = sum(np.pad(q, (0, size - q.size)) for q in mix_pmfs) / 2.0
@@ -58,20 +58,22 @@ class TestMixtureMoments:
     def test_vectorized_rows(self):
         means = np.array([[1.0, 2.0], [3.0, 6.0]])
         variances = np.ones((2, 2))
-        mean, var = ensemble.mixture_moments(means, variances)
+        dec = ensemble.decompose_variance(means, variances)
+        mean, var = dec.mean, dec.total
         assert mean.shape == (2,)
         assert_allclose(mean, [2.0, 4.0])
         assert_allclose(var, [1.0 + 1.0, 1.0 + 4.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ensemble.mixture_moments([1.0], [1.0, 2.0])
+            ensemble.decompose_variance([1.0], [1.0, 2.0])
 
     def test_agrees_with_decomposition_bit_for_bit(self):
+        """A batch's mixture moments are the decomposition's mean and total."""
         rng = np.random.default_rng(2)
         means = rng.uniform(1.0, 1e8, (5, 60))
         variances = rng.uniform(1e-6, 10.0, (5, 60))
-        mean, var = ensemble.mixture_moments(means, variances)
+        mean, var = dists.PredictiveBatch(dists.GAUSSIAN, (means, variances)).moments()
         assert np.array_equal(var, ensemble.decompose_variance(means, variances).total)
         assert np.array_equal(mean, means.mean(axis=0))
 
@@ -85,7 +87,7 @@ class TestDecomposition:
         assert_allclose(dec.total, dec.aleatoric + dec.epistemic, rtol=1e-13)
         assert_allclose(dec.aleatoric, variances.mean(axis=0), rtol=1e-13)
         assert_allclose(dec.epistemic, means.var(axis=0), rtol=1e-10, atol=1e-12)
-        _, mix_var = ensemble.mixture_moments(means, variances)
+        mix_var = np.mean(variances + means**2, axis=0) - means.mean(axis=0) ** 2
         assert_allclose(dec.total, mix_var, rtol=1e-10, atol=1e-10)
 
     def test_identical_members_have_no_epistemic_part(self):
@@ -115,7 +117,7 @@ class TestDecomposition:
 
 def member_distribution(w, spec, x):
     """The predictive distribution of a one-member ensemble at one input row."""
-    batch = ensemble.predictive_batch(ensemble.Ensemble(((w, spec),)), x)
+    batch = ensemble.member_heads(ensemble.Ensemble(((w, spec),)), x).batch()
     assert batch.shape == (1, 1)
     return batch
 
@@ -146,11 +148,19 @@ class TestMemberDistributions:
         d = member_distribution(w, spec, np.array([[0.0]]))
         assert_allclose(dists.dist_moments(d), (2.0, 9.0), rtol=1e-12)
 
+    def test_heads_out_of_the_domain_are_numeric_overflow(self):
+        """Heads whose parameters leave the family's domain raise
+        NumericOverflow naming the first such row: alpha * mean = e^800
+        overflows, so the negative binomial p = 1/(1 + alpha*mean) is 0."""
+        ens = ensemble.Ensemble((const_member(400.0, 400.0, family="neg_binomial"),))
+        with pytest.raises(NumericOverflow, match=r"p must lie in \(0, 1\), got 0.0 at row 0"):
+            ensemble.member_heads(ens, np.zeros((2, 1))).batch()
+
 
 class TestMixturePredict:
     def test_pmf_is_member_average(self):
         ens = dp_ensemble()
-        mix = ensemble.predictive_batch(ens, np.array([0.2]))
+        mix = ensemble.member_heads(ens, np.array([0.2])).batch()
         assert mix.shape == (2, 1)
         comp = [dists.double_poisson(2.0, 1.0), dists.double_poisson(4.0, 2.0)]
         for y in (0, 2, 6):
@@ -159,7 +169,7 @@ class TestMixturePredict:
 
     def test_rejects_multiple_rows(self):
         """The single-distribution views take one row of a batch only."""
-        batch = ensemble.predictive_batch(dp_ensemble(), np.zeros((2, 1)))
+        batch = ensemble.member_heads(dp_ensemble(), np.zeros((2, 1))).batch()
         with pytest.raises(ShapeError):
             dists.dist_pmf(batch, 0)
 
@@ -168,7 +178,7 @@ class TestMemberMoments:
     def test_shapes_and_efron_values(self):
         ens = dp_ensemble()
         X = np.zeros((3, 1))
-        means, variances = ensemble.member_moments(ens, X)
+        means, variances = ensemble.member_heads(ens, X).moments()
         assert means.shape == (2, 3)
         assert_allclose(means[:, 0], [2.0, 4.0], rtol=1e-12)
         assert_allclose(variances[:, 0], [2.0, 2.0], rtol=1e-12)
@@ -177,8 +187,9 @@ class TestMemberMoments:
         w, spec = const_member(np.log(1.0), np.log(5.0))
         ens = ensemble.Ensemble(((w, spec),))
         X = np.zeros((1, 1))
-        _, v_efron = ensemble.member_moments(ens, X, mode=dists.EFRON_APPROX)
-        _, v_exact = ensemble.member_moments(ens, X, mode=dists.EXACT_SERIES)
+        heads = ensemble.member_heads(ens, X)
+        _, v_efron = heads.moments(dists.EFRON_APPROX)
+        _, v_exact = heads.moments(dists.EXACT_SERIES)
         d = dists.double_poisson(1.0, 5.0)
         assert_allclose(v_exact[0, 0], dists.dist_moments(d, mode=dists.EXACT_SERIES)[1],
                         rtol=1e-10)
@@ -188,7 +199,7 @@ class TestMemberMoments:
         """exp(800) overflows both exp(log mu) and exp(log gamma); their ratio
         mu/gamma = exp(10) does not."""
         ens = ensemble.Ensemble((const_member(800.0, 790.0),))
-        means, variances = ensemble.member_moments(ens, np.zeros((1, 1)))
+        means, variances = ensemble.member_heads(ens, np.zeros((1, 1))).moments()
         assert means[0, 0] == np.inf
         assert_allclose(variances[0, 0], np.exp(10.0), rtol=1e-14)
 
@@ -197,14 +208,12 @@ class TestMemberMoments:
         ranks as the most out-of-distribution."""
         for heads in ((800.0, -800.0), (np.inf, np.inf)):
             ens = ensemble.Ensemble((const_member(*heads), const_member(0.0, 0.0)))
-            assert ensemble.variance_scores(ens, np.zeros((1, 1)))[0] == np.inf
+            assert ensemble.member_heads(ens, np.zeros((1, 1))).scores()[0] == np.inf
 
-    def test_variance_scores_are_total_variance(self):
-        ens = dp_ensemble()
-        X = np.linspace(-1.0, 1.0, 5)[:, None]
-        scores = ensemble.variance_scores(ens, X)
-        means, variances = ensemble.member_moments(ens, X)
-        dec = ensemble.decompose_variance(means, variances)
+    def test_scores_are_total_variance(self):
+        heads = ensemble.member_heads(dp_ensemble(), np.linspace(-1.0, 1.0, 5)[:, None])
+        scores = heads.scores()
+        dec = ensemble.decompose_variance(*heads.moments())
         assert_allclose(scores, dec.total, rtol=1e-13)
 
 
@@ -215,7 +224,7 @@ class TestPredictTable:
         table = ensemble.predict_table(ensemble.member_heads(ens, X))
         assert set(table) == {"mean", "aleatoric", "epistemic", "q025", "q975"}
         assert_allclose(table["mean"], [3.0, 3.0], rtol=1e-12)
-        mix = ensemble.predictive_batch(ens, X[:1])
+        mix = ensemble.member_heads(ens, X[:1]).batch()
         assert dists.dist_cdf(mix, table["q975"][0]) >= 0.975
         assert table["q025"][0] <= table["mean"][0] <= table["q975"][0]
 
@@ -241,7 +250,7 @@ class TestManifest:
         assert spec.beta == 0.5
         ens = ensemble.load_ensemble(manifest)
         assert len(ens.members) == 2
-        means, _ = ensemble.member_moments(ens, np.zeros((1, 1)))
+        means, _ = ensemble.member_heads(ens, np.zeros((1, 1))).moments()
         assert_allclose(means[:, 0], [np.exp(0.5), np.exp(1.0)], rtol=1e-12)
 
     def test_missing_header(self, tmp_path):

@@ -216,6 +216,17 @@ class TestBackward:
             network.backward(weights, X, ys, LossSpec("double_poisson"))
         assert network.batch_loss(weights, X, ys, LossSpec("double_poisson")) == math.inf
 
+    @pytest.mark.parametrize("family, head_b", [
+        ("double_poisson", [800.0, 0.0]), ("poisson", [800.0]),
+        ("neg_binomial", [0.0, -800.0]), ("gaussian", [800.0, 800.0])])
+    def test_blown_up_batch_loss_is_inf_for_every_family(self, family, head_b):
+        """Heads far out of range give each family an inf or nan loss (a
+        dispersion of exp(-800) = 0 makes the negative binomial's nan, and
+        inf / inf the Gaussian's); the batch loss reads inf either way."""
+        weights, X, ys = toy_problem(head_count=len(head_b))
+        weights.head_b = np.array(head_b)
+        assert network.batch_loss(weights, X, ys, LossSpec(family)) == math.inf
+
 
 class TestCosineSchedule:
     def test_endpoint_identities(self):

@@ -31,6 +31,11 @@ def ramp_ensemble():
     ))
 
 
+def ramp_scores(xs):
+    """The ramp ensemble's OOD scores at the rows of xs."""
+    return ensemble.member_heads(ramp_ensemble(), xs).scores()
+
+
 def fit_threshold(scores, alpha):
     """Scalar oracle of the sweep: the (1 - alpha) empirical quantile of the
     holdout scores with linear interpolation."""
@@ -160,37 +165,33 @@ class TestCurveFromPoints:
 
 class TestRunProtocol:
     def test_detects_variance_ramp(self):
-        ens = ramp_ensemble()
         rng = np.random.default_rng(2)
-        id_xs = rng.uniform(0.0, 1.0, 300)[:, None]
-        ood_xs = rng.uniform(3.0, 4.0, 150)[:, None]
+        id_scores = ramp_scores(rng.uniform(0.0, 1.0, 300)[:, None])
+        ood_scores = ramp_scores(rng.uniform(3.0, 4.0, 150)[:, None])
         config = ood.OODProtocolConfig(n_repeats=4, seed=7)
-        report = ood.run_ood_eval(ens, id_xs, ood_xs, config)
+        report = ood.run_ood_eval(id_scores, ood_scores, config)
         # score ranking is perfect; the sweep concedes a sliver of ROC area
         # because no threshold can sit above the holdout maximum
         rank_auroc, _, _ = metrics.ood_curve_metrics(metrics.OODScores(
-            id_scores=ensemble.variance_scores(ens, id_xs),
-            ood_scores=ensemble.variance_scores(ens, ood_xs)))
+            id_scores=id_scores, ood_scores=ood_scores))
         assert rank_auroc == 1.0
         assert report.auroc[0] > 0.95
         assert report.n_repeats == 4
         assert report.auroc[1] >= 0.0
 
     def test_deterministic_per_seed(self):
-        ens = ramp_ensemble()
         rng = np.random.default_rng(3)
-        id_xs = rng.uniform(0.0, 1.5, 100)[:, None]
-        ood_xs = rng.uniform(1.0, 3.0, 60)[:, None]
+        id_scores = ramp_scores(rng.uniform(0.0, 1.5, 100)[:, None])
+        ood_scores = ramp_scores(rng.uniform(1.0, 3.0, 60)[:, None])
         config = ood.OODProtocolConfig(n_repeats=3, seed=11)
-        a = ood.run_ood_eval(ens, id_xs, ood_xs, config)
-        b = ood.run_ood_eval(ens, id_xs, ood_xs, config)
+        a = ood.run_ood_eval(id_scores, ood_scores, config)
+        b = ood.run_ood_eval(id_scores, ood_scores, config)
         assert a == b
 
     def test_holdout_resamples_move_the_thresholds(self, monkeypatch):
-        ens = ramp_ensemble()
         rng = np.random.default_rng(4)
-        id_xs = rng.uniform(0.0, 2.0, 120)[:, None]
-        ood_xs = rng.uniform(1.5, 3.5, 60)[:, None]
+        id_scores = ramp_scores(rng.uniform(0.0, 2.0, 120)[:, None])
+        ood_scores = ramp_scores(rng.uniform(1.5, 3.5, 60)[:, None])
         config = ood.OODProtocolConfig(n_repeats=2, seed=0)
         taus = []
         sweep = ood._sweep
@@ -201,40 +202,35 @@ class TestRunProtocol:
             return points
 
         monkeypatch.setattr(ood, "_sweep", recording)
-        ood.run_ood_eval(ens, id_xs, ood_xs, config)
+        ood.run_ood_eval(id_scores, ood_scores, config)
         assert len(taus) == 2
         assert taus[0] != taus[1]
 
     def test_degenerate_holdout_rejected(self):
-        ens = ramp_ensemble()
         config = ood.OODProtocolConfig(holdout_fraction=0.2, n_repeats=1)
         with pytest.raises(DomainError):
-            ood.run_ood_eval(ens, np.zeros((2, 1)), np.ones((5, 1)), config)
+            ood.run_ood_eval(ramp_scores(np.zeros((2, 1))), ramp_scores(np.ones((5, 1))), config)
 
     def test_identical_populations_are_indistinguishable(self):
-        ens = ramp_ensemble()
         rng = np.random.default_rng(6)
-        id_xs = rng.uniform(0.0, 2.0, 400)[:, None]
-        ood_xs = rng.uniform(0.0, 2.0, 200)[:, None]
-        report = ood.run_ood_eval(ens, id_xs, ood_xs,
+        id_scores = ramp_scores(rng.uniform(0.0, 2.0, 400)[:, None])
+        ood_scores = ramp_scores(rng.uniform(0.0, 2.0, 200)[:, None])
+        report = ood.run_ood_eval(id_scores, ood_scores,
                                   ood.OODProtocolConfig(n_repeats=5, seed=1))
         assert abs(report.auroc[0] - 0.5) < 0.1
 
     def test_single_repeat_has_zero_std(self):
-        ens = ramp_ensemble()
         rng = np.random.default_rng(8)
-        id_xs = rng.uniform(0.0, 1.0, 100)[:, None]
-        ood_xs = rng.uniform(2.0, 3.0, 50)[:, None]
-        report = ood.run_ood_eval(ens, id_xs, ood_xs,
-                                  ood.OODProtocolConfig(n_repeats=1))
+        id_scores = ramp_scores(rng.uniform(0.0, 1.0, 100)[:, None])
+        ood_scores = ramp_scores(rng.uniform(2.0, 3.0, 50)[:, None])
+        report = ood.run_ood_eval(id_scores, ood_scores, ood.OODProtocolConfig(n_repeats=1))
         assert report.auroc[1] == 0.0
         assert report.aupr[1] == 0.0
         assert report.fpr80[1] == 0.0
 
     def test_empty_ood_set_rejected(self):
-        ens = ramp_ensemble()
         with pytest.raises(DomainError):
-            ood.run_ood_eval(ens, np.zeros((50, 1)), np.zeros((0, 1)))
+            ood.run_ood_eval(ramp_scores(np.zeros((50, 1))), ramp_scores(np.zeros((0, 1))))
 
     def test_json_payload_shape(self):
         report = ood.OODReport(auroc=(0.9, 0.01), aupr=(0.8, 0.02),
@@ -263,7 +259,8 @@ class TestFootprint:
         config = ood.OODProtocolConfig(n_repeats=20, alphas=np.linspace(0.0, 1.0, 1001))
         tracemalloc.start()
         try:
-            report = ood.run_ood_eval(ens, id_xs, ood_xs, config)
+            report = ood.run_ood_eval(ensemble.member_heads(ens, id_xs).scores(),
+                                      ensemble.member_heads(ens, ood_xs).scores(), config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
