@@ -11,7 +11,6 @@ _EXPORTS = {
     "distributions": (
         "PredictiveBatch", "UncertaintyDecomposition", "double_poisson", "poisson",
         "neg_binomial", "gaussian", "mixture", "decompose_variance", "dp_normalizer",
-        "dist_pmf", "dist_cdf", "dist_moments", "dist_mode", "dist_quantile", "dist_sample",
         "predictive_summary",
     ),
     "losses": (
@@ -27,8 +26,7 @@ _EXPORTS = {
         "Ensemble", "MemberHeads", "load_ensemble", "member_heads",
     ),
     "metrics": (
-        "EvalRecord", "OODScores", "crps", "evaluate", "mae", "median_precision",
-        "ood_curve_metrics",
+        "EvalRecord", "OODScores", "evaluate", "median_precision", "ood_curve_metrics",
     ),
     "ood": ("OODProtocolConfig", "OODReport", "run_ood_eval"),
     "datagen": (

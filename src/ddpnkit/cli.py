@@ -254,8 +254,11 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
             except (ValueError, TypeError) as exc:
                 flag = "--" + name.replace("_", "-")
                 raise UsageError(f"bad value {raw!r} for {flag}: {exc}") from exc
-    if not merged.get("tag", "").isprintable():
-        raise UsageError(f"--tag must be printable text, got {merged['tag']!r}")
+    tag = merged.get("tag")
+    if tag is not None and (not tag or not tag.isprintable()
+                            or any(sep and sep in tag for sep in ("/", os.sep, os.altsep))):
+        raise UsageError(f"--tag must be nonempty printable text without path separators, "
+                         f"got {tag!r}")
     merged["out"] = args.out if args.out is not None else from_config.get("out", ".")
     return merged
 
@@ -439,6 +442,9 @@ def _log_axis(opts: dict, name: str) -> np.ndarray:
         value = opts[f"{name}_{end}"]
         if not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"--{name}-{end} must be finite and positive, got {value}")
+    if opts[f"{name}_min"] > opts[f"{name}_max"]:
+        raise DomainError(f"--{name}-min must not exceed --{name}-max, got "
+                          f"{opts[f'{name}_min']} and {opts[f'{name}_max']}")
     if opts[f"{name}_points"] < 1:
         raise DomainError(f"--{name}-points must be at least 1, got {opts[f'{name}_points']}")
     return np.logspace(math.log10(opts[f"{name}_min"]), math.log10(opts[f"{name}_max"]),

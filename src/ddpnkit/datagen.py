@@ -200,7 +200,7 @@ def gen_beta_study(n: int = 500, seed: int = 0, isolated_repeat: int = 1):
     xs = rng.uniform(3.0, 8.0, n)
     mu, gamma = np.array([beta_study_params(x) for x in xs.tolist()]).reshape(n, 2).T
     # one uniform draw per row, inverted through that row's CDF
-    ys = _inverse_cdf(PredictiveBatch(DOUBLE_POISSON, (mu, gamma)), rng.random((n, 1)))[:, 0]
+    ys = _inverse_cdf(PredictiveBatch(DOUBLE_POISSON, (mu, gamma)), rng.random(n))
     n_train = int(round(0.8 * n))
     n_val = int(round(0.1 * n))
     iso_x = np.repeat([p[0] for p in ISOLATED_POINTS], isolated_repeat)

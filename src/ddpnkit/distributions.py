@@ -37,9 +37,9 @@ batches, and mixture stacks such batches along the member axis.
 predictive_summary builds the member log weights in blocks of rows of one
 width (the widest support among a row's members) and at most BLOCK_CELLS
 cells, normalizes each member once, averages over members, and reads modes,
-quantiles and CRPS off one CDF matrix per block. The single-distribution
-functions (pmf_vector, dist_mode, dist_quantile, ...) take a one-row batch
-and are views of the same engine. Every row is summed at its own width,
+quantiles, CRPS and p(y), F(y) at the labels off one PMF and CDF matrix per
+block. It is the one reader of predictive distributions: a single
+distribution is a one-row batch. Every row is summed at its own width,
 exactly as it would be alone, so its results do not depend on the rows
 batched with it.
 """
@@ -522,17 +522,17 @@ def _pmf_blocks(batch: PredictiveBatch):
 
 
 def _inverse_cdf(batch: PredictiveBatch, u: np.ndarray) -> np.ndarray:
-    """Smallest z with CDF(z) >= u[i, j], for the draws u[i] in [0, 1) of row i.
+    """Smallest z with CDF(z) >= u[i], for one draw u[i] in [0, 1) per row i.
 
     Each row's CDF is taken as 1 at the last point of its support, so every
-    draw lands on it.
+    draw lands on it; as the CDF is nondecreasing, z is the count of its
+    values below u[i].
     """
     z = np.empty(u.shape, dtype=np.int64)
     for rows, pmf in _pmf_blocks(batch):
         cdf = np.cumsum(pmf, axis=1)
         cdf[:, -1] = 1.0
-        for i, row_cdf in zip(rows, cdf):
-            z[i] = np.searchsorted(row_cdf, u[i], side="left")
+        z[rows] = np.sum(cdf < u[rows, None], axis=1)
     return z
 
 
@@ -540,9 +540,11 @@ def dp_normalizer(mu: float, gamma: float) -> float:
     """Normalizing constant c(mu, gamma) of the Double Poisson.
 
     Sum over the engine's support of gamma^(1/2) h(y) exp(r(mu, gamma, y)).
-    Equals 1 exactly when gamma = 1 and stays within a few percent of 1 over
-    moderate parameter ranges, which is what justifies dropping it from
-    training losses.
+    Equals 1 exactly when gamma = 1. The training loss drops it, as the
+    paper does, but c is near 1 only away from low counts: 0.99 at (5, 2),
+    yet 0.035 at (0.5, 20), 1.65 at (1, 20) and 0.66 at (0.1, 0.2). What
+    that costs the fit is open; see "the exact Double Poisson likelihood at
+    low counts" in ROADMAP.md.
     """
     batch = double_poisson(mu, gamma)
     (s0, *_), shift, _ = _series(DOUBLE_POISSON, *_cells(batch), PMF_N0)
@@ -579,13 +581,16 @@ class PredictiveSummary:
     """Point, interval and score read off a batch, one entry per row.
 
     modes: most probable values, (n,). quantiles: one row per requested
-    level, (levels, n). crps: CRPS against the labels, (n,), or None when no
-    labels were given.
+    level, (levels, n). crps, pmf and cdf: CRPS, p(y) and F(y) at each row's
+    label y, each (n,), or None when no labels were given; Gaussian rows give
+    the mixture density as p(y).
     """
 
     modes: np.ndarray
     quantiles: np.ndarray
     crps: object = None
+    pmf: object = None
+    cdf: object = None
 
 
 def crps_from_cdf(cdf: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -691,14 +696,16 @@ def predictive_summary(
     ys=None,
     levels=(),
 ) -> PredictiveSummary:
-    """Modes, quantiles at ``levels`` and, given labels ``ys``, CRPS of every row.
+    """Modes, quantiles at ``levels`` and, given labels ``ys``, CRPS, p(y) and
+    F(y) of every row.
 
     Discrete rows: the mode is the smallest z whose mass is within a
     relative 1e-12 of the row's largest (Poisson(k) gives k - 1, not k), the
     q-quantile the smallest z with CDF(z) >= q less a relative 1e-12 of q,
-    and CRPS follows crps_from_cdf. Gaussian rows report their mean as the mode,
-    unrounded, and use closed forms (bisection for mixture quantiles).
-    Labels go through check_labels first.
+    and CRPS follows crps_from_cdf; p(y) and F(y) are read off the row's PMF
+    and CDF, and are 0 and 1 past its support. Gaussian rows report their
+    mean as the mode, unrounded, and use closed forms (bisection for mixture
+    quantiles). Labels go through check_labels first.
     """
     levels = tuple(float(q) for q in levels)
     for q in levels:
@@ -716,130 +723,28 @@ def predictive_summary(
         mu, sigma2 = batch.params
         for j, q in enumerate(levels):
             quantiles[j] = _gaussian_quantile(mu, sigma2, q)
-        crps = None if labels is None else gaussian_crps(mu, sigma2, labels)
-        return PredictiveSummary(np.mean(mu, axis=0), quantiles, crps)
+        if labels is None:
+            return PredictiveSummary(np.mean(mu, axis=0), quantiles)
+        sd = np.sqrt(sigma2)
+        return PredictiveSummary(np.mean(mu, axis=0), quantiles,
+                                 gaussian_crps(mu, sigma2, labels),
+                                 np.mean(_normal_density((labels - mu) / sd) / sd, axis=0),
+                                 _gaussian_cdf(labels, mu, sd))
     modes = np.empty(n)
-    crps = None if labels is None else np.empty(n)
+    crps = pmf_y = cdf_y = None
+    if labels is not None:
+        crps, pmf_y, cdf_y = np.empty(n), np.empty(n), np.empty(n)
     for rows, pmf in _pmf_blocks(batch):
         modes[rows] = np.argmax(pmf >= (1.0 - _SLACK) * pmf.max(axis=1, keepdims=True), axis=1)
         cdf = np.cumsum(pmf, axis=1)
         for j, q in enumerate(levels):
             quantiles[j, rows] = np.sum(cdf < q * (1.0 - _SLACK), axis=1)
-        if crps is not None:
-            crps[rows] = crps_from_cdf(cdf, labels[rows])
-    return PredictiveSummary(modes, quantiles, crps)
-
-
-# --- single-distribution views ---------------------------------------------------
-
-
-def _one_row(dist: PredictiveBatch) -> PredictiveBatch:
-    if len(dist) != 1:
-        raise ShapeError(f"a single distribution is a one-row batch, got {len(dist)} rows")
-    return dist
-
-
-def pmf_vector(dist: PredictiveBatch) -> np.ndarray:
-    """Normalized PMF over the support 0..N-1 of a one-row discrete batch.
-
-    Raises DomainError for Gaussian distributions and NumericOverflow when
-    the support has not converged within MAX_TERMS terms.
-    """
-    if _one_row(dist).kind == GAUSSIAN:
-        raise DomainError("pmf_vector requires a discrete distribution")
-    _, pmf = next(_pmf_blocks(dist))
-    return pmf[0]
-
-
-def dist_pmf(dist: PredictiveBatch, y, normalized: bool = True) -> float:
-    """PMF at integer y (density for Gaussian), averaged over the members.
-
-    0 at every y that is not a nonnegative integer, including +-inf. For the
-    Double Poisson, normalized=False returns the c = 1 value that the
-    training loss implicitly uses; normalized=True divides by the normalizer
-    c(mu, gamma) of each member. Raises DomainError for nan.
-    """
-    y = float(y)
-    if math.isnan(y):
-        raise DomainError("a PMF point must not be nan")
-    params = [p[:, 0] for p in _one_row(dist).params]
-    if dist.kind == GAUSSIAN:
-        mu, sd = params[0], np.sqrt(params[1])
-        return float(np.mean(_normal_density((y - mu) / sd) / sd))
-    if not (0.0 <= y < math.inf and y == math.floor(y)):
-        return 0.0
-    log_p = _log_weights(dist.kind, params, np.array([y]))
-    if dist.kind == DOUBLE_POISSON:
-        if normalized:  # log c = log(gamma)/2 + log of the weight sum
-            (s0, *_), shift, _ = _series(dist.kind, *_cells(dist), PMF_N0)
-            log_p = log_p - (shift + np.log(s0))
-        else:
-            log_p = log_p + 0.5 * np.log(params[1])
-    with np.errstate(over="ignore"):
-        values = np.exp(log_p)
-    if not np.all(np.isfinite(values)):
-        raise NumericOverflow(f"PMF overflowed at y={int(y)} for {dist.kind} members "
-                              f"{[p.tolist() for p in params]}")
-    return float(np.mean(values))
-
-
-def dist_cdf(dist: PredictiveBatch, y) -> float:
-    """CDF at real y: 0 at -inf, 1 at +inf, DomainError at nan.
-
-    Nondecreasing and right-continuous; a discrete CDF reaches 1 at the end
-    of its support.
-    """
-    y = float(y)
-    if math.isnan(y):
-        raise DomainError("a CDF point must not be nan")
-    if _one_row(dist).kind == GAUSSIAN:
-        mu, s2 = (p[:, 0] for p in dist.params)
-        return float(_gaussian_cdf(y, mu, np.sqrt(s2)))
-    if y < 0:
-        return 0.0
-    p = pmf_vector(dist)
-    return float(np.sum(p[: int(y) + 1])) if y < p.size else 1.0
-
-
-def dist_moments(dist: PredictiveBatch, mode: str = EFRON_APPROX) -> tuple[float, float]:
-    """Mean and variance.
-
-    mode selects how Double Poisson moments are computed: "efron_approx"
-    uses (mu, mu/gamma); "exact_series" evaluates the correction series.
-    Other kinds have closed forms and ignore the distinction.
-    """
-    mean, var = _one_row(dist).moments(mode)
-    return float(mean[0]), float(var[0])
-
-
-def dist_mode(dist: PredictiveBatch) -> float:
-    """Most probable value; ties, up to a relative 1e-12, break toward the
-    smallest (see predictive_summary).
-
-    Gaussian mode is the mean, left unrounded even on count labels. A
-    mixture of Gaussians also reports its mean as the point prediction.
-    """
-    return float(predictive_summary(_one_row(dist)).modes[0])
-
-
-def dist_quantile(dist: PredictiveBatch, q: float) -> float:
-    """Smallest support value z with CDF(z) >= q (equal-tailed interval use)."""
-    return float(predictive_summary(_one_row(dist), levels=(q,)).quantiles[0, 0])
-
-
-def dist_sample(dist: PredictiveBatch, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n samples; deterministic for a given generator state.
-
-    Discrete kinds sample by inverse CDF over the normalized mixture PMF. A
-    Gaussian mixture of M > 1 members draws a member for each sample, then
-    the sample from it.
-    """
-    if n < 0:
-        raise DomainError(f"sample count must be nonnegative, got {n}")
-    if _one_row(dist).kind != GAUSSIAN:
-        return _inverse_cdf(dist, rng.random((1, n)))[0]
-    mu, sd = dist.params[0][:, 0], np.sqrt(dist.params[1][:, 0])
-    if mu.size > 1:
-        idx = rng.integers(0, mu.size, size=n)
-        mu, sd = mu[idx], sd[idx]
-    return mu + sd * rng.standard_normal(n)
+        if labels is not None:
+            y = labels[rows]
+            crps[rows] = crps_from_cdf(cdf, y)
+            # compared as floats before the cast: a label may be far past any index
+            inside = y < pmf.shape[1]
+            at = np.where(inside, y, 0.0).astype(np.intp)[:, None]
+            pmf_y[rows] = np.where(inside, np.take_along_axis(pmf, at, axis=1)[:, 0], 0.0)
+            cdf_y[rows] = np.where(inside, np.take_along_axis(cdf, at, axis=1)[:, 0], 1.0)
+    return PredictiveSummary(modes, quantiles, crps, pmf_y, cdf_y)

@@ -12,12 +12,12 @@ families use the closed form, and Gaussian mixtures the kernel identity
 CRPS = E|X - y| - E|X - X'|/2. Median precision summarizes how tightly a
 model concentrates, the median of 1/variance over the evaluation set.
 
-Modes, CRPS and interval quantiles all come from the batched engine in
-distributions.predictive_summary: mae and evaluate score every row of a
-PredictiveBatch, and crps scores a one-row batch. All three check their
-labels first (distributions.check_labels): the discrete families take
-nonnegative integer labels and Gaussian rows finite ones, and any other
-label raises DomainError.
+Modes, CRPS and interval quantiles all come from one pass of the batched
+engine, distributions.predictive_summary, over every row of a
+PredictiveBatch; evaluate scores them, and a single distribution is a
+one-row batch. Labels are checked first (distributions.check_labels): the
+discrete families take nonnegative integer labels and Gaussian rows finite
+ones, and any other label raises DomainError.
 
 OOD detection quality is scored on AUROC (rank statistic with tie
 correction), AUPR with the OOD points as positives, and FPR80, the false
@@ -32,30 +32,6 @@ import numpy as np
 
 from ddpnkit import distributions as dists
 from ddpnkit.errors import DomainError, ShapeError
-
-
-def mae(predictions: dists.PredictiveBatch, ys) -> float:
-    """Mean absolute error between labels and distribution modes; DomainError
-    for a label the batch cannot be scored against (distributions.check_labels)."""
-    if len(predictions) != len(ys):
-        raise ShapeError(f"{len(predictions)} predictions for {len(ys)} labels")
-    if len(ys) == 0:
-        raise ShapeError("mae needs at least one example")
-    ys = np.asarray(ys, dtype=float)
-    dists.check_labels(predictions, ys)
-    modes = dists.predictive_summary(predictions).modes
-    return float(np.mean(np.abs(ys - modes)))
-
-
-def crps_from_pmf(pmf: np.ndarray, y) -> float:
-    """CRPS of a normalized PMF vector against a nonnegative integer label."""
-    cdf = np.cumsum(np.asarray(pmf, dtype=float))
-    return float(dists.crps_from_cdf(cdf[None], dists.count_labels([y]))[0])
-
-
-def crps(dist: dists.PredictiveBatch, y) -> float:
-    """CRPS of a one-row batch against one label; ShapeError for other batches."""
-    return float(dists.predictive_summary(dist, [y]).crps[0])
 
 
 def median_precision(variances) -> float:

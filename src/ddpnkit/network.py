@@ -531,7 +531,10 @@ def load_checkpoint(path):
         # each row is parsed into its slot of the tensor; a row of the wrong
         # length is reported once the block has parsed, so a value that is
         # not a number anywhere in it is reported first
-        arr = np.empty((n_rows, shape[-1]))
+        try:  # a dimension too large to allocate is malformed, not a crash
+            arr = np.empty((n_rows, shape[-1]))
+        except (ValueError, MemoryError) as exc:
+            raise CheckpointFormatError(f"{path}: tensor {name} expected shape {shape}") from exc
         ragged = False
         for r, line in enumerate(block):
             try:

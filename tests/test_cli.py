@@ -469,6 +469,24 @@ class TestMomentsGrid:
     def test_axis_points_must_be_positive(self, tmp_path, flag):
         assert run(["moments-grid", flag, -1, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("axis", ["mu", "var"])
+    def test_axis_must_not_descend(self, tmp_path, capsys, axis):
+        """A minimum above its maximum is refused, as ood refuses a reversed range."""
+        assert run(["moments-grid", f"--{axis}-min", 10, f"--{axis}-max", 1,
+                    "--mu-points", 2, "--var-points", 2, "--out", tmp_path]) == 2
+        assert f"--{axis}-min must not exceed --{axis}-max" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("tag", ["../../escape", "a/b", ""])
+    def test_tag_names_files_inside_out(self, tmp_path, capsys, tag):
+        """A tag is a file name stem: an empty one, or one holding a path
+        separator, is a usage error, and no file appears inside --out or
+        outside it."""
+        assert run(["moments-grid", "--mu-points", 2, "--var-points", 2, "--tag", tag,
+                    "--out", tmp_path / "a" / "b"]) == 2
+        assert "--tag must be" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
 
 class TestAttenuationDemo:
     def test_trace_csv(self, tmp_path):

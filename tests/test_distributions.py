@@ -5,6 +5,7 @@ the defining series (4000 terms), independent of the library code.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scipy import stats
 
 from ddpnkit import distributions as dists
 from ddpnkit import metrics
-from ddpnkit.errors import DomainError, NumericOverflow, ShapeError
+from ddpnkit.errors import DomainError, NumericOverflow
 
 # (mu, gamma) -> c(mu, gamma) from the high-precision oracle
 NORMALIZER_ORACLE = {
@@ -92,22 +93,43 @@ class TestNormalizer:
             dists.dp_normalizer(1.0, 0.0)
 
 
+def pmf_of(dist):
+    """The whole PMF of a one-row discrete batch, as the engine builds it."""
+    (_, pmf), = dists._pmf_blocks(dist)
+    return pmf[0]
+
+
+def repeated(dist, n):
+    """A one-row batch repeated as n rows."""
+    return dists.PredictiveBatch(dist.kind, [np.repeat(p, n, axis=1) for p in dist.params])
+
+
+def at_labels(dist, ys):
+    """The summary of a one-row batch repeated once per label, read at the labels."""
+    ys = np.asarray(ys, dtype=float)
+    return dists.predictive_summary(repeated(dist, ys.size), ys)
+
+
+def draws(dist, rng, n):
+    """n draws from a one-row discrete batch: one uniform per repeated row."""
+    return dists._inverse_cdf(repeated(dist, n), rng.random(n))
+
+
 class TestPmf:
     def test_frozen_normalized_values(self):
         for (mu, gamma, y), expected in PMF_ORACLE.items():
             d = dists.double_poisson(mu, gamma)
-            assert_allclose(dists.dist_pmf(d, y), expected, rtol=1e-12)
+            assert_allclose(dists.predictive_summary(d, [y]).pmf[0], expected, rtol=1e-12)
 
     def test_unnormalized_ratio_is_the_normalizer(self):
-        d = dists.double_poisson(3.0, 0.5)
-        raw = dists.dist_pmf(d, 4, normalized=False)
-        norm = dists.dist_pmf(d, 4, normalized=True)
+        """The c = 1 value that the training loss implicitly uses, over p(y)."""
+        raw = math.sqrt(0.5) * math.exp(dists.dp_log_weight(3.0, 0.5, [4.0])[0])
+        norm = dists.predictive_summary(dists.double_poisson(3.0, 0.5), [4.0]).pmf[0]
         assert_allclose(raw / norm, dists.dp_normalizer(3.0, 0.5), rtol=1e-12)
 
     def test_gamma_one_matches_poisson(self):
-        d = dists.double_poisson(4.2, 1.0)
         ys = np.arange(30)
-        ours = np.array([dists.dist_pmf(d, int(y)) for y in ys])
+        ours = at_labels(dists.double_poisson(4.2, 1.0), ys).pmf
         assert_allclose(ours, stats.poisson.pmf(ys, 4.2), rtol=1e-10)
 
     def test_vector_sums_to_one(self):
@@ -115,72 +137,69 @@ class TestPmf:
         for _ in range(20):
             mu = float(rng.uniform(0.2, 30.0))
             gamma = float(rng.uniform(0.1, 5.0))
-            p = dists.pmf_vector(dists.double_poisson(mu, gamma))
+            p = pmf_of(dists.double_poisson(mu, gamma))
             assert p.min() >= 0.0
             assert_allclose(p.sum(), 1.0, rtol=1e-12)
 
     def test_off_support_is_zero(self):
-        d = dists.double_poisson(3.0, 0.5)
-        assert dists.dist_pmf(d, -1) == 0.0
-        assert dists.dist_pmf(d, 2.5) == 0.0
+        """Past the support p(y) reads 0 and F(y) 1, up to the count 1e300,
+        which is compared as a float and never cast to an index."""
+        for d in (dists.double_poisson(3.0, 0.5), dists.poisson(4.0),
+                  dists.neg_binomial(4.0, 0.5)):
+            width = pmf_of(d).size
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = at_labels(d, [width, 2.0 * width, 1e300])
+            assert np.array_equal(got.pmf, [0.0, 0.0, 0.0])
+            assert np.array_equal(got.cdf, [1.0, 1.0, 1.0])
 
     def test_mixture_is_component_average(self):
         a = dists.double_poisson(2.0, 1.5)
         b = dists.double_poisson(6.0, 0.7)
         mix = dists.mixture([a, b])
-        for y in (0, 3, 9):
-            expected = 0.5 * (dists.dist_pmf(a, y) + dists.dist_pmf(b, y))
-            assert_allclose(dists.dist_pmf(mix, y), expected, rtol=1e-12)
+        ys = [0, 3, 9]
+        expected = 0.5 * (at_labels(a, ys).pmf + at_labels(b, ys).pmf)
+        assert_allclose(at_labels(mix, ys).pmf, expected, rtol=1e-12)
 
 
 class TestCdf:
     def test_frozen_values(self):
         for (mu, gamma, k), expected in CDF_ORACLE.items():
             d = dists.double_poisson(mu, gamma)
-            assert_allclose(dists.dist_cdf(d, k), expected, rtol=1e-12)
+            assert_allclose(dists.predictive_summary(d, [k]).cdf[0], expected, rtol=1e-12)
 
     def test_monotone_and_reaches_one(self):
         d = dists.double_poisson(3.0, 0.5)
-        values = [dists.dist_cdf(d, y) for y in range(0, 60)]
+        values = at_labels(d, range(0, 60)).cdf
         assert np.all(np.diff(values) >= -1e-15)
-        assert_allclose(dists.dist_cdf(d, 10000), 1.0, atol=1e-9)
-        assert dists.dist_cdf(d, -0.5) == 0.0
-
-    def test_poisson_matches_scipy(self):
-        d = dists.poisson(2.0)
-        for y in (0, 1, 5, 11.7):
-            assert_allclose(dists.dist_cdf(d, y), stats.poisson.cdf(y, 2.0), rtol=1e-12)
-
-    def test_step_between_integers(self):
-        d = dists.poisson(4.0)
-        assert dists.dist_cdf(d, 3.0) == dists.dist_cdf(d, 3.9)
+        assert_allclose(dists.predictive_summary(d, [10000]).cdf[0], 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("make", [lambda: dists.double_poisson(3.0, 1.0),
                                       lambda: dists.neg_binomial(4.0, 0.5),
                                       lambda: dists.gaussian(3.0, 2.0)])
     def test_non_finite_points(self, make):
-        """The CDF is 0 and 1 at -inf and +inf, the PMF 0 at both; nan is a
-        domain error for both."""
+        """p(y) and F(y) are read at labels, and a nan or infinite label is a
+        domain error for the discrete and Gaussian families alike."""
         d = make()
-        assert dists.dist_cdf(d, -np.inf) == 0.0
-        assert dists.dist_cdf(d, np.inf) == 1.0
-        assert dists.dist_pmf(d, -np.inf) == 0.0
-        assert dists.dist_pmf(d, np.inf) == 0.0
-        with pytest.raises(DomainError, match="nan"):
-            dists.dist_cdf(d, np.nan)
-        with pytest.raises(DomainError, match="nan"):
-            dists.dist_pmf(d, float("nan"))
+        for y in (-np.inf, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                dists.predictive_summary(d, [y])
+
+    def test_poisson_matches_scipy(self):
+        ys = [0, 1, 5, 11]
+        assert_allclose(at_labels(dists.poisson(2.0), ys).cdf, stats.poisson.cdf(ys, 2.0),
+                        rtol=1e-12)
 
 
 class TestMoments:
     def test_efron_approximation_reads_parameters(self):
-        d = dists.double_poisson(6.0, 3.0)
-        assert dists.dist_moments(d) == (6.0, 2.0)
+        mean, var = dists.double_poisson(6.0, 3.0).moments()
+        assert (mean[0], var[0]) == (6.0, 2.0)
 
     def test_exact_series_frozen_values(self):
         for (mu, gamma), (mean, var) in SERIES_MOMENTS_ORACLE.items():
             d = dists.double_poisson(mu, gamma)
-            got = dists.dist_moments(d, mode=dists.EXACT_SERIES)
+            got = np.concatenate(d.moments(dists.EXACT_SERIES))
             assert_allclose(got, (mean, var), rtol=1e-10)
 
     @pytest.mark.parametrize("mu, gamma", [(1e4, 1.0), (3e4, 50.0)])
@@ -199,43 +218,42 @@ class TestMoments:
             mu = float(rng.uniform(0.5, 25.0))
             gamma = float(rng.uniform(0.15, 4.0))
             d = dists.double_poisson(mu, gamma)
-            p = dists.pmf_vector(d)
+            p = pmf_of(d)
             ys = np.arange(p.size)
             bf_mean = float(np.sum(p * ys))
             bf_var = float(np.sum(p * (ys - bf_mean) ** 2))
-            series = dists.dist_moments(d, mode=dists.EXACT_SERIES)
+            series = np.concatenate(d.moments(dists.EXACT_SERIES))
             assert_allclose(series, (bf_mean, bf_var), rtol=1e-9, atol=1e-9)
 
     def test_neg_binomial_closed_forms(self):
-        d = dists.neg_binomial(4.0, 0.25)
-        mean, var = dists.dist_moments(d)
+        mean, var = dists.neg_binomial(4.0, 0.25).moments()
         assert_allclose(mean, stats.nbinom.mean(4.0, 0.25), rtol=1e-12)
         assert_allclose(var, stats.nbinom.var(4.0, 0.25), rtol=1e-12)
-        assert var > mean  # this family cannot be under-dispersed
+        assert var[0] > mean[0]  # this family cannot be under-dispersed
 
     def test_mixture_matches_its_pmf_moments(self):
         a = dists.poisson(3.0)
         b = dists.poisson(9.0)
         mix = dists.mixture([a, b])
-        p = dists.pmf_vector(mix)
+        p = pmf_of(mix)
         ys = np.arange(p.size)
         bf_mean = float(np.sum(p * ys))
         bf_var = float(np.sum(p * (ys - bf_mean) ** 2))
-        assert_allclose(dists.dist_moments(mix), (bf_mean, bf_var), rtol=1e-9)
+        assert_allclose(np.concatenate(mix.moments()), (bf_mean, bf_var), rtol=1e-9)
 
 
 class TestMode:
     def test_poisson_tie_breaks_toward_smallest(self):
         """Poisson(2) has equal mass at 1 and 2; the mode reports 1."""
-        assert dists.dist_mode(dists.poisson(2.0)) == 1.0
+        assert dists.predictive_summary(dists.poisson(2.0)).modes[0] == 1.0
 
     def test_integer_poisson_modes_follow_the_tie_rule(self):
         """Poisson(k) = DP(k, 1) has equal mass at k - 1 and k, and both
         report k - 1, alone and batched, whatever the rounding of the weights."""
         ks = np.arange(1.0, 61.0)
         for k in ks:
-            assert dists.dist_mode(dists.poisson(k)) == k - 1
-            assert dists.dist_mode(dists.double_poisson(k, 1.0)) == k - 1
+            assert dists.predictive_summary(dists.poisson(k)).modes[0] == k - 1
+            assert dists.predictive_summary(dists.double_poisson(k, 1.0)).modes[0] == k - 1
         batches = (dists.PredictiveBatch(dists.POISSON, (ks,)),
                    dists.PredictiveBatch(dists.DOUBLE_POISSON, (ks, np.ones_like(ks))))
         for batch in batches:
@@ -245,14 +263,13 @@ class TestMode:
         rng = np.random.default_rng(3)
         for _ in range(20):
             d = dists.double_poisson(float(rng.uniform(0.5, 20)), float(rng.uniform(0.2, 4)))
-            p = dists.pmf_vector(d)
-            assert dists.dist_mode(d) == float(np.argmax(p))
+            assert dists.predictive_summary(d).modes[0] == float(np.argmax(pmf_of(d)))
         # the mass of DP(1e5, 1) lies past the 65536-term cap
         with pytest.raises(NumericOverflow, match=r"mu=100000\.0, gamma=1\.0"):
-            dists.dist_mode(dists.double_poisson(1e5, 1.0))
+            dists.predictive_summary(dists.double_poisson(1e5, 1.0))
 
     def test_gaussian_mode_is_unrounded_mean(self):
-        assert dists.dist_mode(dists.gaussian(3.7, 2.0)) == 3.7
+        assert dists.predictive_summary(dists.gaussian(3.7, 2.0)).modes[0] == 3.7
 
 
 class TestQuantile:
@@ -260,27 +277,28 @@ class TestQuantile:
         """Smallest z with CDF(z) >= q."""
         d = dists.poisson(4.0)
         for q in (0.025, 0.5, 0.975):
-            z = dists.dist_quantile(d, q)
-            assert dists.dist_cdf(d, z) >= q
+            z = dists.predictive_summary(d, levels=(q,)).quantiles[0, 0]
+            assert dists.predictive_summary(d, [z]).cdf[0] >= q
             if z > 0:
-                assert dists.dist_cdf(d, z - 1) < q
+                assert dists.predictive_summary(d, [z - 1]).cdf[0] < q
         with pytest.raises(NumericOverflow, match=r"mu=100000\.0, gamma=1\.0"):
-            dists.dist_quantile(dists.double_poisson(1e5, 1.0), 0.975)
+            dists.predictive_summary(dists.double_poisson(1e5, 1.0), levels=(0.975,))
 
     def test_tiny_level(self):
         """The slack on q is relative, so levels far below 1e-12 still resolve."""
-        z = dists.dist_quantile(dists.double_poisson(1000.0, 1.0), 1e-13)
+        d = dists.double_poisson(1000.0, 1.0)
+        z = dists.predictive_summary(d, levels=(1e-13,)).quantiles[0, 0]
         assert z == 777
         assert stats.poisson.cdf(z - 1, 1000.0) < 1e-13 <= stats.poisson.cdf(z, 1000.0)
 
     def test_gaussian_quantile(self):
-        z = dists.dist_quantile(dists.gaussian(1.0, 4.0), 0.975)
+        z = dists.predictive_summary(dists.gaussian(1.0, 4.0), levels=(0.975,)).quantiles[0, 0]
         assert_allclose(z, 1.0 + 2.0 * stats.norm.ppf(0.975), rtol=1e-9)
 
     def test_gaussian_mixture_by_bisection(self):
         mix = dists.mixture([dists.gaussian(0.0, 1.0), dists.gaussian(4.0, 1.0)])
-        z = dists.dist_quantile(mix, 0.5)
-        assert_allclose(dists.dist_cdf(mix, z), 0.5, atol=1e-9)
+        z = dists.predictive_summary(mix, levels=(0.5,)).quantiles[0, 0]
+        assert_allclose(dists.predictive_summary(mix, [z]).cdf[0], 0.5, atol=1e-9)
 
 
 def _xlogx(y):
@@ -305,12 +323,13 @@ def oracle_pmf(kind, a, b, n):
 
 
 def oracle_summary(kind, params, ys):
-    """Modes, (q025, q975) and CRPS per row of a mixture batch, from long
-    untruncated PMFs and direct sums. The upper CRPS sum stops at its first
-    term below 1e-12, as the metric is defined."""
+    """Modes, (q025, q975), CRPS, p(y) and F(y) per row of a mixture batch,
+    from long untruncated PMFs and direct sums. The upper CRPS sum stops at
+    its first term below 1e-12, as the metric is defined."""
     members, n = params[0].shape
     second = params[1] if len(params) > 1 else np.zeros_like(params[0])
     modes, quantiles, crps = np.zeros(n), np.zeros((2, n)), np.zeros(n)
+    pmf, cdf_y = np.zeros(n), np.zeros(n)
     for i in range(n):
         mean, var = dists.PredictiveBatch(kind, [p[:, i:i + 1] for p in params]).member_moments()
         size = int(np.max(mean + 30.0 * np.sqrt(var + 1.0) + 64.0))
@@ -323,7 +342,8 @@ def oracle_summary(kind, params, ys):
         below, above = cdf[:int(ys[i])], (cdf[int(ys[i]):] - 1.0) ** 2
         small = np.flatnonzero(above < 1e-12)
         crps[i] = np.sum(below**2) + np.sum(above[:small[0] if small.size else above.size])
-    return modes, quantiles, crps
+        pmf[i], cdf_y[i] = mix[int(ys[i])], cdf[int(ys[i])]
+    return modes, quantiles, crps, pmf, cdf_y
 
 
 def random_params(kind, members, n, rng):
@@ -336,19 +356,35 @@ def random_params(kind, members, n, rng):
 
 class TestBatchEngine:
     """predictive_summary against oracle_summary: modes and quantiles equal,
-    CRPS within rtol 1e-12. The supports stop on a proven tail bound far
-    below the CRPS tolerance, so the comparison checks the engine's block,
-    mask and mixture arithmetic."""
+    CRPS, p(y) and F(y) within rtol 1e-12 (p(y) also within the neglected
+    tail, TAIL_TOL). The supports stop on a proven
+    tail bound far below the CRPS tolerance, so the comparison checks the
+    engine's block, mask and mixture arithmetic. Every row reads the same
+    bits alone as in its batch."""
+
+    LEVELS = (0.025, 0.975)
 
     def check(self, kind, params, rng):
         batch = dists.PredictiveBatch(kind, params)
         ys = rng.integers(0, 40, len(batch)).astype(float)
-        got = dists.predictive_summary(batch, ys, levels=(0.025, 0.975))
-        modes, quantiles, crps = oracle_summary(kind, batch.params, ys)
+        got = dists.predictive_summary(batch, ys, self.LEVELS)
+        modes, quantiles, crps, pmf, cdf = oracle_summary(kind, batch.params, ys)
         assert np.array_equal(got.modes, modes)
         assert np.array_equal(got.quantiles, quantiles)
         assert_allclose(got.crps, crps, rtol=1e-12)
+        # a member's support leaves out a tail of mass below TAIL_TOL
+        assert_allclose(got.pmf, pmf, rtol=1e-12, atol=dists.TAIL_TOL)
+        assert_allclose(got.cdf, cdf, rtol=1e-12)
+        self.check_rows_alone(batch, ys, got)
         return batch, ys, got
+
+    def check_rows_alone(self, batch, ys, got):
+        for i in range(len(batch)):
+            alone = dists.PredictiveBatch(batch.kind, [p[:, i:i + 1] for p in batch.params])
+            one = dists.predictive_summary(alone, ys[i:i + 1], self.LEVELS)
+            assert one.modes[0] == got.modes[i]
+            assert np.array_equal(one.quantiles[:, 0], got.quantiles[:, i])
+            assert (one.crps[0], one.pmf[0], one.cdf[0]) == (got.crps[i], got.pmf[i], got.cdf[i])
 
     @pytest.mark.parametrize("kind", [dists.DOUBLE_POISSON, dists.POISSON, dists.NEG_BINOMIAL])
     @pytest.mark.parametrize("members", [1, 5])
@@ -389,25 +425,46 @@ class TestBatchEngine:
         width = support.reshape(shape).max(axis=0)
         assert width.min() == 32 and width.max() == 4096
         ys = np.rint(mean[0] * rng.uniform(0.5, 1.5, shape[1]))
-        got = dists.predictive_summary(batch, ys, levels=(0.025, 0.975))
-        for i in range(len(batch)):
-            alone = dists.PredictiveBatch(kind, [p[:, i:i + 1] for p in params])
-            one = dists.predictive_summary(alone, ys[i:i + 1], levels=(0.025, 0.975))
-            assert one.modes[0] == got.modes[i]
-            assert np.array_equal(one.quantiles[:, 0], got.quantiles[:, i])
-            assert one.crps[0] == got.crps[i]
+        self.check_rows_alone(batch, ys, dists.predictive_summary(batch, ys, self.LEVELS))
 
     def test_more_rows_than_one_block(self):
         rng = np.random.default_rng(5)
-        batch, ys, got = self.check(dists.DOUBLE_POISSON,
-                                    random_params(dists.DOUBLE_POISSON, 5, 1200, rng), rng)
+        batch, _, _ = self.check(dists.DOUBLE_POISSON,
+                                 random_params(dists.DOUBLE_POISSON, 5, 1200, rng), rng)
         assert len(list(dists._pmf_blocks(batch))) > 1
-        # each row scores exactly as it does alone
-        for i in (0, 599, 1199):
-            alone = dists.PredictiveBatch(batch.kind, [p[:, i:i + 1] for p in batch.params])
-            assert dists.dist_mode(alone) == got.modes[i]
-            assert dists.dist_quantile(alone, 0.975) == got.quantiles[1, i]
-            assert metrics.crps(alone, ys[i]) == got.crps[i]
+
+    def test_label_reads_match_scipy(self):
+        """p(y) and F(y) of Poisson, negative binomial and Gaussian mixture
+        rows against scipy.stats; a Gaussian row reads the same bits alone."""
+        rng = np.random.default_rng(8)
+        ys = rng.integers(0, 40, 50).astype(float)
+        lam = rng.uniform(0.5, 30.0, 50)
+        got = dists.predictive_summary(dists.PredictiveBatch(dists.POISSON, (lam,)), ys)
+        assert_allclose(got.pmf, stats.poisson.pmf(ys, lam), rtol=1e-12,
+                        atol=dists.TAIL_TOL)
+        assert_allclose(got.cdf, stats.poisson.cdf(ys, lam), rtol=1e-12)
+        r, p = rng.uniform(3.0, 30.0, 50), rng.uniform(0.4, 0.8, 50)
+        got = dists.predictive_summary(dists.PredictiveBatch(dists.NEG_BINOMIAL, (r, p)), ys)
+        assert_allclose(got.pmf, stats.nbinom.pmf(ys, r, p), rtol=1e-12,
+                        atol=dists.TAIL_TOL)
+        assert_allclose(got.cdf, stats.nbinom.cdf(ys, r, p), rtol=1e-12)
+        mu, sigma2 = rng.normal(10.0, 5.0, (3, 50)), rng.uniform(0.5, 4.0, (3, 50))
+        ys = rng.normal(10.0, 5.0, 50)
+        batch = dists.PredictiveBatch(dists.GAUSSIAN, (mu, sigma2))
+        got = dists.predictive_summary(batch, ys)
+        sd = np.sqrt(sigma2)
+        assert_allclose(got.pmf, np.mean(stats.norm.pdf(ys, mu, sd), axis=0), rtol=1e-12)
+        assert_allclose(got.cdf, np.mean(stats.norm.cdf(ys, mu, sd), axis=0), rtol=1e-12)
+        for i in range(len(batch)):
+            one = dists.predictive_summary(
+                dists.PredictiveBatch(dists.GAUSSIAN, (mu[:, i:i + 1], sigma2[:, i:i + 1])),
+                ys[i:i + 1])
+            assert (one.pmf[0], one.cdf[0]) == (got.pmf[i], got.cdf[i])
+
+    def test_without_labels_reads_nothing_at_them(self):
+        for batch in (dists.poisson(2.0), dists.gaussian(0.0, 1.0)):
+            got = dists.predictive_summary(batch)
+            assert got.crps is None and got.pmf is None and got.cdf is None
 
     def test_rejects_bad_rows(self):
         with pytest.raises(DomainError, match="gamma"):
@@ -419,26 +476,20 @@ class TestBatchEngine:
 class TestSample:
     def test_deterministic_per_seed(self):
         d = dists.double_poisson(5.0, 0.8)
-        a = dists.dist_sample(d, np.random.default_rng(42), 100)
-        b = dists.dist_sample(d, np.random.default_rng(42), 100)
+        a = draws(d, np.random.default_rng(42), 100)
+        b = draws(d, np.random.default_rng(42), 100)
         assert np.array_equal(a, b)
 
     def test_empirical_moments_track_exact_series(self):
         d = dists.double_poisson(6.0, 0.5)
-        draws = dists.dist_sample(d, np.random.default_rng(1), 200_000)
-        mean, var = dists.dist_moments(d, mode=dists.EXACT_SERIES)
-        assert abs(draws.mean() - mean) < 0.05
-        assert abs(draws.var() - var) < 0.25
-
-    def test_gaussian_sampling(self):
-        d = dists.gaussian(2.0, 9.0)
-        draws = dists.dist_sample(d, np.random.default_rng(5), 100_000)
-        assert abs(draws.mean() - 2.0) < 0.05
-        assert abs(draws.std() - 3.0) < 0.05
+        got = draws(d, np.random.default_rng(1), 200_000)
+        mean, var = d.moments(dists.EXACT_SERIES)
+        assert abs(got.mean() - mean[0]) < 0.05
+        assert abs(got.var() - var[0]) < 0.25
 
 
 class TestOneRowBatches:
-    def test_constructors_return_one_row_batches(self):
+    def test_constructors_return_single_row_batches(self):
         for dist, kind in ((dists.double_poisson(2.0, 0.5), dists.DOUBLE_POISSON),
                            (dists.poisson(2.0), dists.POISSON),
                            (dists.neg_binomial(2.0, 0.5), dists.NEG_BINOMIAL),
@@ -452,18 +503,6 @@ class TestOneRowBatches:
         assert mix.shape == (2, 1)
         assert_allclose(mix.params[0][:, 0], [2.0, 4.0])
         assert_allclose(mix.params[1][:, 0], [0.5, 3.0])
-
-    @pytest.mark.parametrize("view", [
-        dists.pmf_vector, dists.dist_moments, dists.dist_mode,
-        lambda d: dists.dist_pmf(d, 1), lambda d: dists.dist_cdf(d, 1.0),
-        lambda d: dists.dist_quantile(d, 0.5),
-        lambda d: dists.dist_sample(d, np.random.default_rng(0), 3),
-        lambda d: metrics.crps(d, 1),
-    ])
-    def test_views_take_one_row(self, view):
-        two_rows = dists.PredictiveBatch(dists.POISSON, ([1.0, 2.0],))
-        with pytest.raises(ShapeError):
-            view(two_rows)
 
 
 class TestMixtureVariance:
@@ -530,10 +569,6 @@ class TestValidation:
             with pytest.raises(DomainError, match=message):
                 make()
 
-    def test_gaussian_has_no_pmf_vector(self):
-        with pytest.raises(DomainError):
-            dists.pmf_vector(dists.gaussian(0.0, 1.0))
-
 
 class TestNumpyKernels:
     """log h and the Double Poisson log weights against mpmath."""
@@ -586,7 +621,7 @@ class TestNumpyKernels:
             with mp.workdps(40):
                 want = np.array([float(mp_log_weight(mp, mu, g, int(y))) for y in ys])
             if g == 1.0:
-                got = np.log([dists.dist_pmf(dists.poisson(mu), y) for y in ys])
+                got = np.log(at_labels(dists.poisson(mu), ys).pmf)
             else:
                 got = dists.dp_log_weight(mu, g, ys)
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-13, (mu, g)

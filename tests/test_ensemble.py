@@ -44,10 +44,10 @@ class TestMixtureMoments:
     def test_matches_mixture_pmf_moments(self):
         a = dists.poisson(3.0)
         b = dists.double_poisson(7.0, 2.0)
-        moments = [dists.dist_moments(d, mode=dists.EXACT_SERIES) for d in (a, b)]
-        dec = ensemble.decompose_variance([m for m, _ in moments], [v for _, v in moments])
+        moments = [d.moments(dists.EXACT_SERIES) for d in (a, b)]
+        dec = ensemble.decompose_variance([m[0] for m, _ in moments], [v[0] for _, v in moments])
         mean, var = dec.mean, dec.total
-        mix_pmfs = [dists.pmf_vector(d) for d in (a, b)]
+        mix_pmfs = [pmf[0] for d in (a, b) for _, pmf in dists._pmf_blocks(d)]
         size = max(p.size for p in mix_pmfs)
         p = sum(np.pad(q, (0, size - q.size)) for q in mix_pmfs) / 2.0
         ys = np.arange(size)
@@ -130,7 +130,7 @@ class TestMemberDistributions:
         w, spec = const_member(np.log(m), np.log(alpha), family="neg_binomial")
         d = member_distribution(w, spec, np.array([[0.7]]))
         assert d.kind == dists.NEG_BINOMIAL
-        mean, var = dists.dist_moments(d)
+        mean, var = d.moments()
         assert_allclose(mean, m, rtol=1e-12)
         assert_allclose(var, m * (1.0 + alpha * m), rtol=1e-12)
 
@@ -138,7 +138,7 @@ class TestMemberDistributions:
         w, spec = const_member(np.log(3.0), np.log(0.5))
         d = member_distribution(w, spec, np.array([[0.0]]))
         assert d.kind == dists.DOUBLE_POISSON
-        assert_allclose(dists.dist_moments(d), (3.0, 6.0), rtol=1e-12)
+        assert_allclose(np.concatenate(d.moments()), (3.0, 6.0), rtol=1e-12)
         w, spec = const_member(np.log(4.0), family="poisson")
         d = member_distribution(w, spec, np.array([[0.0]]))
         assert d.kind == dists.POISSON
@@ -146,7 +146,7 @@ class TestMemberDistributions:
     def test_gaussian_heads(self):
         w, spec = const_member(np.log(2.0), np.log(9.0), family="gaussian")
         d = member_distribution(w, spec, np.array([[0.0]]))
-        assert_allclose(dists.dist_moments(d), (2.0, 9.0), rtol=1e-12)
+        assert_allclose(np.concatenate(d.moments()), (2.0, 9.0), rtol=1e-12)
 
     def test_heads_out_of_the_domain_are_numeric_overflow(self):
         """Heads whose parameters leave the family's domain raise
@@ -164,14 +164,8 @@ class TestMixturePredict:
         assert mix.shape == (2, 1)
         comp = [dists.double_poisson(2.0, 1.0), dists.double_poisson(4.0, 2.0)]
         for y in (0, 2, 6):
-            expected = 0.5 * sum(dists.dist_pmf(c, y) for c in comp)
-            assert_allclose(dists.dist_pmf(mix, y), expected, rtol=1e-12)
-
-    def test_rejects_multiple_rows(self):
-        """The single-distribution views take one row of a batch only."""
-        batch = ensemble.member_heads(dp_ensemble(), np.zeros((2, 1))).batch()
-        with pytest.raises(ShapeError):
-            dists.dist_pmf(batch, 0)
+            expected = 0.5 * sum(dists.predictive_summary(c, [y]).pmf[0] for c in comp)
+            assert_allclose(dists.predictive_summary(mix, [y]).pmf[0], expected, rtol=1e-12)
 
 
 class TestMemberMoments:
@@ -191,8 +185,7 @@ class TestMemberMoments:
         _, v_efron = heads.moments(dists.EFRON_APPROX)
         _, v_exact = heads.moments(dists.EXACT_SERIES)
         d = dists.double_poisson(1.0, 5.0)
-        assert_allclose(v_exact[0, 0], dists.dist_moments(d, mode=dists.EXACT_SERIES)[1],
-                        rtol=1e-10)
+        assert_allclose(v_exact[0, 0], d.moments(dists.EXACT_SERIES)[1][0], rtol=1e-10)
         assert abs(v_efron[0, 0] - v_exact[0, 0]) > 1e-3
 
     def test_double_poisson_variance_from_heads_in_log_space(self):
@@ -225,7 +218,7 @@ class TestPredictTable:
         assert set(table) == {"mean", "aleatoric", "epistemic", "q025", "q975"}
         assert_allclose(table["mean"], [3.0, 3.0], rtol=1e-12)
         mix = ensemble.member_heads(ens, X[:1]).batch()
-        assert dists.dist_cdf(mix, table["q975"][0]) >= 0.975
+        assert dists.predictive_summary(mix, table["q975"][:1]).cdf[0] >= 0.975
         assert table["q025"][0] <= table["mean"][0] <= table["q975"][0]
 
 

@@ -15,6 +15,7 @@ from scipy.stats import norm
 from ddpnkit import distributions as dists
 from ddpnkit import metrics
 from ddpnkit.errors import DomainError, ShapeError
+from test_distributions import draws, pmf_of
 
 
 def crps_integral_discrete(pmf, y, extra=200):
@@ -37,52 +38,61 @@ def crps_integral_continuous(cdf_vec, y, lo, hi, n=200_001):
     return below + above
 
 
+def crps(dist, y) -> float:
+    """CRPS of a one-row batch at one label, read off predictive_summary."""
+    return float(dists.predictive_summary(dist, [y]).crps[0])
+
+
+def crps_of_cdf(cdf, y) -> float:
+    """CRPS of one CDF vector at one count label, through crps_from_cdf."""
+    return float(dists.crps_from_cdf(np.asarray(cdf)[None], dists.count_labels([y]))[0])
+
+
 class TestDiscreteCrps:
     def test_point_mass_gives_absolute_error(self):
         for k in (0, 3, 7):
             pmf = np.zeros(10)
             pmf[k] = 1.0
             for y in (0, 2, 9):
-                assert_allclose(metrics.crps_from_pmf(pmf, y), abs(k - y), atol=1e-12)
+                assert_allclose(crps_of_cdf(np.cumsum(pmf), y), abs(k - y), atol=1e-12)
 
     def test_label_beyond_support(self):
-        pmf = np.array([0.0, 0.0, 1.0])
-        assert_allclose(metrics.crps_from_pmf(pmf, 7), 5.0, atol=1e-12)
+        assert_allclose(crps_of_cdf([0.0, 0.0, 1.0], 7), 5.0, atol=1e-12)
 
     def test_matches_untruncated_integral(self):
         rng = np.random.default_rng(0)
         for _ in range(15):
             d = dists.double_poisson(float(rng.uniform(0.5, 20.0)),
                                      float(rng.uniform(0.2, 4.0)))
-            pmf = dists.pmf_vector(d)
+            pmf = pmf_of(d)
             y = int(rng.integers(0, 30))
-            assert_allclose(metrics.crps_from_pmf(pmf, y),
+            assert_allclose(crps_of_cdf(np.cumsum(pmf), y),
                             crps_integral_discrete(pmf, y), rtol=1e-9, atol=1e-10)
 
     def test_matches_monte_carlo_kernel_identity(self):
         d = dists.double_poisson(6.0, 0.7)
         y = 9
-        draws = dists.dist_sample(d, np.random.default_rng(3), 400_000)
-        a, b = draws[:200_000], draws[200_000:]
+        samples = draws(d, np.random.default_rng(3), 400_000)
+        a, b = samples[:200_000], samples[200_000:]
         mc = np.abs(a - y).mean() - 0.5 * np.abs(a - b).mean()
-        exact = metrics.crps_from_pmf(dists.pmf_vector(d), y)
+        exact = crps_of_cdf(np.cumsum(pmf_of(d)), y)
         assert abs(mc - exact) < 0.02
 
     def test_dispatch_on_distribution(self):
         d = dists.poisson(3.0)
-        direct = metrics.crps_from_pmf(dists.pmf_vector(d), 4)
-        assert_allclose(metrics.crps(d, 4.0), direct, rtol=1e-12)
+        direct = crps_of_cdf(np.cumsum(pmf_of(d)), 4)
+        assert_allclose(crps(d, 4.0), direct, rtol=1e-12)
         with pytest.raises(DomainError):
-            metrics.crps(d, 3.5)
+            crps(d, 3.5)
         with pytest.raises(DomainError):
-            metrics.crps_from_pmf(dists.pmf_vector(d), -1)
+            crps_of_cdf(np.cumsum(pmf_of(d)), -1)
 
     @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, 2.5])
     @pytest.mark.parametrize("score", [
-        lambda y: metrics.crps(dists.poisson(2.0), y),
-        lambda y: metrics.crps_from_pmf(dists.pmf_vector(dists.poisson(2.0)), y),
+        lambda y: crps(dists.poisson(2.0), y),
+        lambda y: crps_of_cdf(np.cumsum(pmf_of(dists.poisson(2.0))), y),
         lambda y: metrics.evaluate(dists.PredictiveBatch(dists.POISSON, ([2.0, 3.0],)), [1, y]),
-    ], ids=["crps", "crps_from_pmf", "evaluate"])
+    ], ids=["crps", "crps_from_cdf", "evaluate"])
     def test_rejects_labels_that_are_not_counts(self, score, label):
         with pytest.raises(DomainError, match="nonnegative integer"):
             score(label)
@@ -90,13 +100,13 @@ class TestDiscreteCrps:
     def test_huge_label_is_scored_as_a_float(self):
         """Every CDF value past the support is 1, so a huge label scores about itself."""
         d = dists.poisson(2.0)
-        assert_allclose(metrics.crps(d, 1e300), 1e300, rtol=1e-15)
-        assert_allclose(metrics.crps_from_pmf(dists.pmf_vector(d), 1e300), 1e300, rtol=1e-15)
+        assert_allclose(crps(d, 1e300), 1e300, rtol=1e-15)
+        assert_allclose(crps_of_cdf(np.cumsum(pmf_of(d)), 1e300), 1e300, rtol=1e-15)
 
     def test_sharper_correct_prediction_scores_better(self):
         y = 12
-        tight = metrics.crps(dists.double_poisson(12.0, 4.0), y)
-        loose = metrics.crps(dists.double_poisson(12.0, 0.25), y)
+        tight = crps(dists.double_poisson(12.0, 4.0), y)
+        loose = crps(dists.double_poisson(12.0, 0.25), y)
         assert tight < loose
 
 
@@ -113,14 +123,14 @@ class TestGaussianCrps:
             s = math.sqrt(s2)
             ref = crps_integral_continuous(
                 lambda z: norm.cdf(z, mu, s), y, mu - 12 * s, mu + 12 * s)
-            assert_allclose(metrics.crps(dists.gaussian(mu, s2), y), ref, rtol=1e-7, atol=1e-9)
+            assert_allclose(crps(dists.gaussian(mu, s2), y), ref, rtol=1e-7, atol=1e-9)
 
     def test_zero_width_limit_behaves_like_absolute_error(self):
-        assert_allclose(metrics.crps(dists.gaussian(2.0, 1e-12), 5.0), 3.0, atol=1e-5)
+        assert_allclose(crps(dists.gaussian(2.0, 1e-12), 5.0), 3.0, atol=1e-5)
 
     def test_dispatch(self):
         d = dists.gaussian(1.0, 2.0)
-        assert_allclose(metrics.crps(d, 0.3),
+        assert_allclose(crps(d, 0.3),
                         gaussian_crps_closed_form(1.0, 2.0, 0.3), rtol=1e-14)
 
 
@@ -133,14 +143,14 @@ class TestGaussianMixtureCrps:
         def cdf_vec(z):
             return 0.5 * (norm.cdf(z, 0.0, 1.0) + norm.cdf(z, 5.0, 2.0))
 
-        sampled = np.array([dists.dist_cdf(mix, z) for z in (-1.0, 2.0, 6.5)])
+        sampled = np.array([dists.predictive_summary(mix, [z]).cdf[0] for z in (-1.0, 2.0, 6.5)])
         assert_allclose(sampled, cdf_vec(np.array([-1.0, 2.0, 6.5])), rtol=1e-12)
         ref = crps_integral_continuous(cdf_vec, y, -15.0, 30.0)
-        assert_allclose(metrics.crps(mix, y), ref, rtol=1e-6, atol=1e-8)
+        assert_allclose(crps(mix, y), ref, rtol=1e-6, atol=1e-8)
 
     def test_single_component_reduces_to_gaussian(self):
         mix = dists.mixture([dists.gaussian(1.5, 2.5)])
-        assert_allclose(metrics.crps(mix, 0.0),
+        assert_allclose(crps(mix, 0.0),
                         gaussian_crps_closed_form(1.5, 2.5, 0.0), rtol=1e-12)
 
 
@@ -148,33 +158,32 @@ class TestMae:
     def test_mode_based_with_tie_break(self):
         # Poisson(2) has tied modes at 1 and 2 and must report 1
         preds = dists.PredictiveBatch(dists.POISSON, ([2.0, 6.0],))
-        got = metrics.mae(preds, [1.0, 8.0])
-        mode6 = float(np.argmax(dists.pmf_vector(dists.poisson(6.0))))
+        got = metrics.evaluate(preds, [1.0, 8.0]).mae
+        mode6 = float(np.argmax(pmf_of(dists.poisson(6.0))))
         assert_allclose(got, (0.0 + abs(8.0 - mode6)) / 2)
 
     def test_gaussian_uses_unrounded_mean(self):
-        assert_allclose(metrics.mae(dists.gaussian(2.4, 1.0), [2.0]), 0.4, rtol=1e-12)
+        assert_allclose(metrics.evaluate(dists.gaussian(2.4, 1.0), [2.0]).mae, 0.4, rtol=1e-12)
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
-            metrics.mae(dists.poisson(1.0), [1.0, 2.0])
+            metrics.evaluate(dists.poisson(1.0), [1.0, 2.0])
         with pytest.raises(ShapeError):
-            metrics.mae(dists.PredictiveBatch(dists.POISSON, (np.ones((1, 0)),)), [])
+            metrics.evaluate(dists.PredictiveBatch(dists.POISSON, (np.ones((1, 0)),)), [])
 
 
 class TestLabelBoundary:
-    """mae, crps and evaluate check every label before scoring: Gaussian rows
-    take any finite label, the discrete families count labels."""
+    """predictive_summary and evaluate check every label before scoring:
+    Gaussian rows take any finite label, the discrete families count labels."""
 
     GAUSS_ROWS = dists.PredictiveBatch(dists.GAUSSIAN, ([0.0, 1.0], [1.0, 2.0]))
 
     @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("score", [
-        lambda y: metrics.crps(dists.gaussian(0.0, 1.0), y),
-        lambda y: metrics.crps(dists.mixture([dists.gaussian(0.0, 1.0),
-                                              dists.gaussian(3.0, 2.0)]), y),
+        lambda y: crps(dists.gaussian(0.0, 1.0), y),
+        lambda y: crps(dists.mixture([dists.gaussian(0.0, 1.0), dists.gaussian(3.0, 2.0)]), y),
         lambda y: metrics.evaluate(TestLabelBoundary.GAUSS_ROWS, [1.0, y]),
-        lambda y: metrics.mae(TestLabelBoundary.GAUSS_ROWS, [y, 1.0]),
+        lambda y: metrics.evaluate(TestLabelBoundary.GAUSS_ROWS, [y, 1.0]).mae,
     ], ids=["crps", "crps_mixture", "evaluate", "mae"])
     def test_gaussian_rejects_non_finite_labels(self, score, label):
         with pytest.raises(DomainError, match="finite"):
@@ -183,15 +192,14 @@ class TestLabelBoundary:
     @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, -1.0, 2.5])
     def test_discrete_mae_rejects_labels_that_are_not_counts(self, label):
         with pytest.raises(DomainError, match="nonnegative integer"):
-            metrics.mae(dists.poisson(2.0), [label])
+            metrics.evaluate(dists.poisson(2.0), [label])
         with pytest.raises(DomainError, match="nonnegative integer"):
-            metrics.mae(dists.PredictiveBatch(dists.POISSON, ([2.0, 3.0],)), [1.0, label])
+            metrics.evaluate(dists.PredictiveBatch(dists.POISSON, ([2.0, 3.0],)), [1.0, label])
 
     def test_gaussian_scores_negative_and_fractional_labels(self):
         y = -1.25
-        assert_allclose(metrics.crps(dists.gaussian(0.5, 2.0), y),
+        assert_allclose(crps(dists.gaussian(0.5, 2.0), y),
                         gaussian_crps_closed_form(0.5, 2.0, y), rtol=1e-12)
-        assert metrics.mae(self.GAUSS_ROWS, [-1.0, 2.5]) == 1.25
         rec = metrics.evaluate(self.GAUSS_ROWS, [-1.0, 2.5])
         assert rec.mae == 1.25 and np.all(np.isfinite(rec.crps_values))
 
@@ -301,10 +309,11 @@ class TestEvaluate:
             rows = [dists.PredictiveBatch(preds.kind, [p[:, i:i + 1] for p in preds.params])
                     for i in range(len(preds))]
             rec = metrics.evaluate(preds, ys)
-            assert_allclose(rec.mae, metrics.mae(preds, ys), rtol=1e-13)
+            modes = [dists.predictive_summary(d).modes[0] for d in rows]
+            assert_allclose(rec.mae, np.mean(np.abs(np.subtract(ys, modes))), rtol=1e-13)
             assert_allclose(rec.crps_mean,
-                            np.mean([metrics.crps(d, y) for d, y in zip(rows, ys)]), rtol=1e-13)
-            own_vars = [dists.dist_moments(d)[1] for d in rows]
+                            np.mean([crps(d, y) for d, y in zip(rows, ys)]), rtol=1e-13)
+            own_vars = [d.moments()[1][0] for d in rows]
             assert_allclose(rec.median_precision, metrics.median_precision(own_vars),
                             rtol=1e-13)
             assert set(rec.summary()) == {"mae", "crps_mean", "median_precision"}

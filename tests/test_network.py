@@ -714,11 +714,13 @@ class TestCheckpoint:
         ("unknown", "unexpected tensor extra"),
         ("gap", "unexpected tensor hidden2.W"),
         ("negative", "bad tensor line"),
+        ("huge", "tensor extra expected shape"),
     ])
     def test_malformed_tensor_set_rejected(self, tmp_path, case, match):
         """A tensor given twice, a tensor no layer uses, a hidden layer after
-        a missing one (which would load a deeper network as a shallower one)
-        and a negative dimension are format errors, not a silent load."""
+        a missing one (which would load a deeper network as a shallower one),
+        a negative dimension and one too large to allocate are format errors,
+        not a silent load or a crash."""
         cfg = network.MLPConfig(input_dim=2, hidden_widths=(4, 4, 4), head_count=2, seed=1)
         lines = network.render_checkpoint(network.init_mlp(cfg), {"family": "poisson"}
                                           ).splitlines()
@@ -732,8 +734,10 @@ class TestCheckpoint:
             lines += ["tensor extra 1 2", "1.0 2.0"]
         elif case == "gap":
             del lines[at("hidden1.W"):at("hidden2.W")]
-        else:
+        elif case == "negative":
             lines += ["tensor extra 2 0 -1"]
+        else:
+            lines += ["tensor extra 1 99999999999999999999", "1.0"]
         path = tmp_path / f"{case}.ckpt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(network.CheckpointFormatError, match=match):
