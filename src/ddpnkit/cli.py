@@ -378,12 +378,19 @@ def cmd_train(opts: dict) -> tuple[dict, str]:
     return files, manifest_path
 
 
+def _test_rows(opts: dict) -> tuple:
+    """Inputs and labels of <prefix>_test.csv; DomainError if it is missing or empty."""
+    path = f"{opts['data']}_test.csv"
+    if os.path.exists(path):
+        xs, ys = datagen.read_dataset_csv(path)
+        if ys.size:
+            return xs, ys
+    raise DomainError(f"no test rows found under prefix {opts['data']}")
+
+
 def cmd_eval(opts: dict) -> tuple[dict, str]:
     weights, spec = ensemble.load_member(opts["ckpt"])
-    ds, split = datagen.read_split_csvs(opts["data"])
-    test_x, test_y = ds.xs[split.test], ds.ys[split.test]
-    if test_y.size == 0:
-        raise DomainError(f"no test rows found under prefix {opts['data']}")
+    test_x, test_y = _test_rows(opts)
     model = ensemble.Ensemble(((weights, spec),))
     summary = metrics.evaluate(ensemble.member_heads(model, test_x).batch(), test_y).summary()
     return {_report_path(opts, "metrics.json"): _json(summary)}, json.dumps(summary)
@@ -391,10 +398,7 @@ def cmd_eval(opts: dict) -> tuple[dict, str]:
 
 def cmd_ensemble_eval(opts: dict) -> tuple[dict, str]:
     ens = ensemble.load_ensemble(opts["manifest"])
-    ds, split = datagen.read_split_csvs(opts["data"])
-    test_x, test_y = ds.xs[split.test], ds.ys[split.test]
-    if test_y.size == 0:
-        raise DomainError(f"no test rows found under prefix {opts['data']}")
+    test_x, test_y = _test_rows(opts)
     mode = opts["moments_mode"]
     heads = ensemble.member_heads(ens, test_x)
     record = metrics.evaluate(heads.batch(), test_y, variances=heads.scores(mode),
@@ -411,10 +415,7 @@ def cmd_ensemble_eval(opts: dict) -> tuple[dict, str]:
 
 def cmd_ood(opts: dict) -> tuple[dict, str]:
     ens = ensemble.load_ensemble(opts["manifest"])
-    ds, split = datagen.read_split_csvs(opts["data"])
-    id_x = ds.xs[split.test]
-    if id_x.shape[0] == 0:
-        raise DomainError(f"no test rows found under prefix {opts['data']}")
+    id_x, _ = _test_rows(opts)
     if opts["ood_data"] is not None:
         ood_x, _ = datagen.read_dataset_csv(opts["ood_data"])
     else:

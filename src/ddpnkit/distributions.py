@@ -36,12 +36,12 @@ constructors (double_poisson, poisson, ...) return one-member, one-row
 batches, and mixture stacks such batches along the member axis.
 predictive_summary builds the member log weights in blocks of rows of one
 width (the widest support among a row's members) and at most BLOCK_CELLS
-cells, normalizes each member once, averages over members, and reads modes,
-quantiles, CRPS and p(y), F(y) at the labels off one PMF and CDF matrix per
-block. It is the one reader of predictive distributions: a single
-distribution is a one-row batch. Every row is summed at its own width,
-exactly as it would be alone, so its results do not depend on the rows
-batched with it.
+cells, exponentiates each weight once, normalizes each member by its sum,
+averages over members, and reads modes, quantiles, CRPS and p(y), F(y) at
+the labels off one PMF and CDF matrix per block. It is the one reader of
+predictive distributions: a single distribution is a one-row batch. Each
+row is summed at its own width and over members in member order, so a row
+of any family and member count scores the same bits alone as in a batch.
 """
 
 from __future__ import annotations
@@ -210,6 +210,15 @@ def mixture(members) -> PredictiveBatch:
                            tuple(np.concatenate(p) for p in zip(*(m.params for m in members))))
 
 
+def _member_mean(x):
+    """Mean over axis 0 (the members), summed in member order as np.mean sums
+    two or more columns; np.mean sums one column pairwise from 8 values on."""
+    total = x[0] + 0.0  # a new array, and -0.0 sums to 0.0 as in np.mean
+    for member in x[1:]:
+        total += member
+    return total / len(x)
+
+
 @dataclass(frozen=True)
 class UncertaintyDecomposition:
     """A uniform mixture's mean and its variance, total = aleatoric + epistemic."""
@@ -227,17 +236,17 @@ def decompose_variance(means, variances) -> UncertaintyDecomposition:
     one value per column. aleatoric is the average member variance;
     epistemic the population variance of the member means, taken about
     their average so that it never cancels or goes negative (inf where the
-    means overflowed); total is their sum.
-    """
+    means overflowed); total is their sum. A column, or a 1-D input, gives
+    the bits it gives in a batch."""
     means = np.asarray(means, dtype=float)
     variances = np.asarray(variances, dtype=float)
     if means.shape != variances.shape or means.shape[0] == 0:
         raise ShapeError("means and variances must be equal-length and nonempty")
-    aleatoric = np.mean(variances, axis=0)
-    center = np.mean(means, axis=0)
+    aleatoric = _member_mean(variances)
+    center = _member_mean(means)
     finite = np.isfinite(center)
     with np.errstate(over="ignore"):
-        epistemic = np.mean((means - np.where(finite, center, 0.0)) ** 2, axis=0)
+        epistemic = _member_mean((means - np.where(finite, center, 0.0)) ** 2)
     epistemic = np.where(finite, epistemic, np.inf)
     parts = center, aleatoric + epistemic, aleatoric, epistemic
     if means.ndim == 1:
@@ -363,20 +372,6 @@ def _log_weights(kind: str, params, ys: np.ndarray) -> np.ndarray:
 
     r, p = params
     return gammaln(ys + r) - gammaln(r) - gammaln(ys + 1.0) + r * np.log(p) + ys * np.log1p(-p)
-
-
-def _log_sums(log_w: np.ndarray) -> np.ndarray:
-    """log(sum(exp(log_w[i]))) per row.
-
-    The largest terms are taken out of the sum and added back through
-    log1p, which keeps the result accurate when one term dominates.
-    """
-    top = np.max(log_w, axis=1, keepdims=True)
-    at_top = log_w == top
-    e = np.exp(log_w - top)
-    e[at_top] = 0.0
-    count = np.sum(at_top, axis=1)
-    return np.log1p(np.sum(e, axis=1) / count) + np.log(count) + top[:, 0]
 
 
 def _tail_bound(kind: str, params, n: int) -> np.ndarray:
@@ -514,8 +509,10 @@ def _pmf_blocks(batch: PredictiveBatch):
             rows = same[start:start + step]
             log_w = _log_weights(batch.kind, [p[:, rows, None] for p in batch.params], ys)
             log_w[ys >= support[:, rows, None]] = -np.inf
-            log_c = _log_sums(log_w.reshape(-1, ys.size)).reshape(members, rows.size)
-            pmf = np.mean(np.exp(log_w - log_c[..., None]), axis=0)
+            log_w -= np.max(log_w, axis=2, keepdims=True)
+            w = np.exp(log_w, out=log_w)
+            w /= np.sum(w, axis=2, keepdims=True)
+            pmf = _member_mean(w)
             if not np.all(np.isfinite(pmf)):
                 raise NumericOverflow(f"non-finite PMF values for kind {batch.kind}")
             yield rows, pmf
@@ -648,7 +645,7 @@ def _gaussian_cdf(x, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     """CDF at x of uniform Gaussian mixtures, the members along axis 0."""
     from scipy.special import ndtr
 
-    return np.mean(ndtr((x - mu) / sd), axis=0)
+    return _member_mean(ndtr((x - mu) / sd))
 
 
 def _gauss_abs_moment(delta: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -668,26 +665,28 @@ def gaussian_crps(mu: np.ndarray, sigma2: np.ndarray, ys: np.ndarray) -> np.ndar
     """
     if mu.shape[0] == 1:
         return _gauss_abs_moment(ys - mu[0], sigma2[0]) - np.sqrt(sigma2[0] / math.pi)
-    to_label = np.mean(_gauss_abs_moment(ys - mu, sigma2), axis=0)
-    cross = np.mean(_gauss_abs_moment(mu[:, None] - mu[None], sigma2[:, None] + sigma2[None]),
-                    axis=(0, 1))
-    return to_label - 0.5 * cross
+    to_label = _member_mean(_gauss_abs_moment(ys - mu, sigma2))
+    pairs = _gauss_abs_moment(mu[:, None] - mu[None], sigma2[:, None] + sigma2[None])
+    return to_label - 0.5 * _member_mean(pairs.reshape(-1, mu.shape[1]))  # M*M members
 
 
 def _gaussian_quantile(mu: np.ndarray, sigma2: np.ndarray, q: float) -> np.ndarray:
+    """q-quantile of uniform Gaussian mixtures, one per column: ndtri for one
+    member, else the mixture CDF bisected from 10 sd past the members until a
+    halving moves no bracket, at most 200 times; later halvings would repeat it."""
     from scipy.special import ndtri
 
     sd = np.sqrt(sigma2)
     if mu.shape[0] == 1:
         return mu[0] + sd[0] * ndtri(q)
     # mixture: bisect the averaged CDF, all rows at once
-    lo = np.min(mu - 10.0 * sd, axis=0)
-    hi = np.max(mu + 10.0 * sd, axis=0)
+    lo, hi = np.min(mu - 10.0 * sd, axis=0), np.max(mu + 10.0 * sd, axis=0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         below = _gaussian_cdf(mid, mu, sd) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        if np.all(np.where(below, lo, hi) == mid):
+            break  # no bracket moves, so every later halving repeats this one
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -724,11 +723,11 @@ def predictive_summary(
         for j, q in enumerate(levels):
             quantiles[j] = _gaussian_quantile(mu, sigma2, q)
         if labels is None:
-            return PredictiveSummary(np.mean(mu, axis=0), quantiles)
+            return PredictiveSummary(_member_mean(mu), quantiles)
         sd = np.sqrt(sigma2)
-        return PredictiveSummary(np.mean(mu, axis=0), quantiles,
+        return PredictiveSummary(_member_mean(mu), quantiles,
                                  gaussian_crps(mu, sigma2, labels),
-                                 np.mean(_normal_density((labels - mu) / sd) / sd, axis=0),
+                                 _member_mean(_normal_density((labels - mu) / sd) / sd),
                                  _gaussian_cdf(labels, mu, sd))
     modes = np.empty(n)
     crps = pmf_y = cdf_y = None

@@ -260,35 +260,35 @@ def backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec)
     ys = np.asarray(ys, dtype=float)
     _check_labels(ys)
     size = sum(arr.size for arr in _trainable(weights))
-    return _backward(weights, X, ys, spec, MLPGradients(*_flat_views(np.empty(size), weights)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _backward(weights, X, ys, spec, MLPGradients(*_flat_views(np.empty(size), weights)))
 
 
 def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec,
               out: MLPGradients):
-    """backward without the label check, writing the gradients into out,
-    whose arrays match the shapes of the weights'; train checks its labels
-    once and passes views of its flat gradient vector as out."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        acts = []
-        heads = _forward(weights, X, acts)
-        if ys.size != heads.shape[0]:
-            raise ShapeError(f"batch has {heads.shape[0]} inputs but {ys.size} labels")
-        values, dheads = head_nll(spec, ys, heads)
-        mean_loss = float(np.mean(values))
-        if not math.isfinite(mean_loss):
-            raise NumericDivergence("non-finite batch loss")
-        dheads /= float(ys.size)
-        np.matmul(dheads.T, acts[-1], out=out.head_w)
-        dheads.sum(axis=0, out=out.head_b)
-        delta = dheads
-        next_w = weights.head_w
-        for i in range(len(weights.hidden) - 1, -1, -1):
-            delta = delta @ next_w
-            delta *= acts[i + 1] > 0.0
-            grad_w, grad_b = out.hidden[i]
-            np.matmul(delta.T, acts[i], out=grad_w)
-            delta.sum(axis=0, out=grad_b)
-            next_w = weights.hidden[i][0]
+    """backward without the label check or the error state, writing the
+    gradients into out, whose arrays match the shapes of the weights'; train
+    sets both once and passes views of its flat gradient vector as out."""
+    acts = []
+    heads = _forward(weights, X, acts)
+    if ys.size != heads.shape[0]:
+        raise ShapeError(f"batch has {heads.shape[0]} inputs but {ys.size} labels")
+    values, dheads = head_nll(spec, ys, heads)
+    mean_loss = float(np.mean(values))
+    if not math.isfinite(mean_loss):
+        raise NumericDivergence("non-finite batch loss")
+    dheads /= float(ys.size)
+    np.matmul(dheads.T, acts[-1], out=out.head_w)
+    dheads.sum(axis=0, out=out.head_b)
+    delta = dheads
+    next_w = weights.head_w
+    for i in range(len(weights.hidden) - 1, -1, -1):
+        delta = delta @ next_w
+        delta *= acts[i + 1] > 0.0
+        grad_w, grad_b = out.hidden[i]
+        np.matmul(delta.T, acts[i], out=grad_w)
+        delta.sum(axis=0, out=grad_b)
+        next_w = weights.hidden[i][0]
     return out, mean_loss
 
 
@@ -310,7 +310,6 @@ def _flat_views(flat: np.ndarray, like) -> tuple:
     return hidden, views[-2], views[-1]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _adamw_update(p, g, m, v, lr, weight_decay, bias1, bias2):
     """One AdamW step in place on flat vectors; g is used up as the scratch.
 
@@ -325,7 +324,7 @@ def _adamw_update(p, g, m, v, lr, weight_decay, bias1, bias2):
     in this order, so the result is the same to the bit as that arithmetic
     on each weight array separately: 11 passes over 4 vectors. A step that
     overflows (a huge lr or weight_decay) leaves weights that are not finite,
-    which the next loss reports as NumericDivergence.
+    which the next loss reports as NumericDivergence (train ignores the warning).
     """
     s = math.sqrt((1.0 - ADAM_BETA2) / bias2)
     m *= ADAM_BETA1
@@ -399,36 +398,36 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     )
     best_val = math.inf
 
-    for epoch in range(config.epochs):
-        lr = cosine_lr(epoch, config.epochs, config.lr)
-        order = shuffle_rng.permutation(split.train.size)
-        epoch_loss = 0.0
-        for start in range(0, order.size, config.batch_size):
-            rows = order[start : start + config.batch_size]
-            try:
-                _, loss_value = _backward(weights, train_x[rows], train_y[rows], config.loss,
-                                          grads)
-            except NumericDivergence:
-                report.wall_time = time.perf_counter() - t0
-                report.final_weights = weights
-                raise NumericDivergence(
-                    f"training diverged at epoch {epoch + 1}, batch {start // config.batch_size}",
-                    report=report,
-                ) from None
-            epoch_loss += loss_value * rows.size
-            step += 1
-            bias1 = 1.0 - ADAM_BETA1**step
-            bias2 = 1.0 - ADAM_BETA2**step
-            _adamw_update(params, grad, m_state, v_state, lr, config.weight_decay, bias1, bias2)
-        report.train_loss.append(epoch_loss / split.train.size)
-        val_loss = batch_loss(weights, val_x, val_y, val_spec)
-        report.val_loss.append(val_loss)
-        if math.isfinite(val_loss) and val_loss < best_val:
-            best_val = val_loss
-            np.copyto(best_params, params)
-            report.best_epoch = epoch + 1
-        if epoch_hook is not None:
-            epoch_hook(epoch + 1, weights)
+    caller = np.geterr()  # for the hook; a step's overflow is read off its loss
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            lr = cosine_lr(epoch, config.epochs, config.lr)
+            order = shuffle_rng.permutation(split.train.size)
+            epoch_loss = 0.0
+            for start in range(0, order.size, config.batch_size):
+                rows = order[start : start + config.batch_size]
+                try:
+                    _, loss_value = _backward(weights, train_x[rows], train_y[rows],
+                                              config.loss, grads)
+                except NumericDivergence:
+                    report.wall_time = time.perf_counter() - t0
+                    report.final_weights = weights
+                    at = f"epoch {epoch + 1}, batch {start // config.batch_size}"
+                    raise NumericDivergence(f"training diverged at {at}", report=report) from None
+                epoch_loss += loss_value * rows.size
+                step += 1
+                _adamw_update(params, grad, m_state, v_state, lr, config.weight_decay,
+                              1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step)
+            report.train_loss.append(epoch_loss / split.train.size)
+            val_loss = batch_loss(weights, val_x, val_y, val_spec)
+            report.val_loss.append(val_loss)
+            if math.isfinite(val_loss) and val_loss < best_val:
+                best_val = val_loss
+                np.copyto(best_params, params)
+                report.best_epoch = epoch + 1
+            if epoch_hook is not None:
+                with np.errstate(**caller):  # the hook runs in the caller's state
+                    epoch_hook(epoch + 1, weights)
 
     report.wall_time = time.perf_counter() - t0
     report.final_weights = weights

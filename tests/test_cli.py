@@ -392,6 +392,43 @@ class TestOod:
         assert "i/o error" in capsys.readouterr().err
 
 
+class TestScoringInputs:
+    @staticmethod
+    def scoring_argvs(workspace):
+        """eval, ensemble-eval and ood of the workspace models, less --data and --out."""
+        return (["eval", "--ckpt", workspace["root"] / "ckpt" / "m_member0.ckpt"],
+                ["ensemble-eval", "--manifest", workspace["manifest"]],
+                ["ood", "--manifest", workspace["manifest"], "--n-repeats", 2,
+                 "--alpha-points", 11])
+
+    def test_only_the_test_csv_is_read(self, workspace, tmp_path):
+        """eval, ensemble-eval and ood score a prefix holding only
+        <prefix>_test.csv, and write what they write for the full prefix."""
+        prefix = tmp_path / "only"
+        shutil.copy(f"{workspace['prefix']}_test.csv", f"{prefix}_test.csv")
+        for argv in self.scoring_argvs(workspace):
+            for data, out in ((prefix, "only_out"), (workspace["prefix"], "full_out")):
+                assert run(argv + ["--data", data, "--tag", argv[0], "--out", tmp_path / out]) == 0
+        names = sorted(os.listdir(tmp_path / "full_out" / "reports"))
+        assert names == sorted(os.listdir(tmp_path / "only_out" / "reports"))
+        assert len(names) == 4
+        for name in names:
+            assert ((tmp_path / "only_out" / "reports" / name).read_bytes()
+                    == (tmp_path / "full_out" / "reports" / name).read_bytes())
+
+    @pytest.mark.parametrize("test_csv", [None, "x,y\n"])
+    def test_missing_or_empty_test_csv_exits_2(self, workspace, tmp_path, capsys, test_csv):
+        prefix = tmp_path / "d"
+        for split in ("train", "val"):
+            shutil.copy(f"{workspace['prefix']}_{split}.csv", f"{prefix}_{split}.csv")
+        if test_csv is not None:
+            (tmp_path / "d_test.csv").write_text(test_csv)
+        for argv in self.scoring_argvs(workspace):
+            assert run(argv + ["--data", prefix, "--out", tmp_path / "out"]) == 2
+            assert f"no test rows found under prefix {prefix}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestMomentsGrid:
     def test_grid_csv(self, tmp_path):
         assert run(["moments-grid", "--mu-min", 1, "--mu-max", 10,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import special, stats
 
 from ddpnkit import distributions as dists
 from ddpnkit import metrics
@@ -300,6 +300,34 @@ class TestQuantile:
         z = dists.predictive_summary(mix, levels=(0.5,)).quantiles[0, 0]
         assert_allclose(dists.predictive_summary(mix, [z]).cdf[0], 0.5, atol=1e-9)
 
+    @pytest.mark.parametrize("members", [1, 2, 5, 8])
+    def test_bisection_stops_at_its_fixed_point(self, monkeypatch, members):
+        """Gaussian quantiles equal those of 200 halvings bit for bit, from
+        far fewer CDF evaluations; one member reads ndtri, and the rows
+        include mixtures of equal members."""
+        rng = np.random.default_rng(members)
+        mu, sigma2 = random_params(dists.GAUSSIAN, members, 60, rng)
+        mu[:, :10], sigma2[:, :10] = mu[0, :10], sigma2[0, :10]
+        sd = np.sqrt(sigma2)
+        calls = []
+        cdf = dists._gaussian_cdf
+        monkeypatch.setattr(dists, "_gaussian_cdf", lambda *a: calls.append(1) or cdf(*a))
+        levels = (1e-6, 0.025, 0.5, 0.975)
+        got = dists.predictive_summary(dists.PredictiveBatch(dists.GAUSSIAN, (mu, sigma2)),
+                                       levels=levels).quantiles
+        for q, row in zip(levels, got):
+            if members == 1:
+                want = mu[0] + sd[0] * special.ndtri(q)
+            else:
+                lo, hi = np.min(mu - 10.0 * sd, axis=0), np.max(mu + 10.0 * sd, axis=0)
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    below = cdf(mid, mu, sd) < q
+                    lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+                want = 0.5 * (lo + hi)
+            assert np.array_equal(row, want)
+        assert (not calls) if members == 1 else len(calls) <= 70 * len(levels)
+
 
 def _xlogx(y):
     return np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0)), 0.0)
@@ -351,6 +379,8 @@ def random_params(kind, members, n, rng):
         return (rng.uniform(0.5, 30.0, (members, n)), rng.uniform(0.3, 4.0, (members, n)))
     if kind == dists.POISSON:
         return (rng.uniform(0.5, 30.0, (members, n)),)
+    if kind == dists.GAUSSIAN:
+        return (rng.normal(10.0, 5.0, (members, n)), rng.uniform(0.5, 4.0, (members, n)))
     return (rng.uniform(3.0, 30.0, (members, n)), rng.uniform(0.4, 0.8, (members, n)))
 
 
@@ -391,6 +421,17 @@ class TestBatchEngine:
     def test_matches_oracle(self, kind, members):
         rng = np.random.default_rng(members)
         self.check(kind, random_params(kind, members, 40, rng), rng)
+
+    @pytest.mark.parametrize("kind", [dists.DOUBLE_POISSON, dists.POISSON, dists.NEG_BINOMIAL,
+                                      dists.GAUSSIAN])
+    @pytest.mark.parametrize("members", [1, 3, 5, 8, 10])
+    def test_rows_score_as_alone_at_any_member_count(self, kind, members):
+        """Modes, quantiles, CRPS, p(y) and F(y) of every family; at 8 or
+        more members np.mean would sum a lone row in another order."""
+        rng = np.random.default_rng(10 * members)
+        batch = dists.PredictiveBatch(kind, random_params(kind, members, 100, rng))
+        ys = rng.integers(0, 40, len(batch)).astype(float)
+        self.check_rows_alone(batch, ys, dists.predictive_summary(batch, ys, self.LEVELS))
 
     def test_narrow_rows_beside_wide_rows(self):
         """mu = 0.5 and mu = 500 rows go to blocks of their own widths."""
@@ -508,6 +549,23 @@ class TestOneRowBatches:
 class TestMixtureVariance:
     """The mixture variance is summed about the mixture mean, so it survives
     member means that dwarf the member variances."""
+
+    @pytest.mark.parametrize("members", [1, 3, 5, 8, 10])
+    def test_columns_decompose_as_alone(self, members):
+        """A column, as a one-column array or as 1-D floats, gives the bits
+        it gives in a batch."""
+        rng = np.random.default_rng(members)
+        means = np.exp(rng.uniform(-3.0, 8.0, (members, 200)))
+        variances = np.exp(rng.uniform(-3.0, 8.0, (members, 200)))
+        batch = dists.decompose_variance(means, variances)
+        fields = ("mean", "total", "aleatoric", "epistemic")
+        for i in range(200):
+            column = dists.decompose_variance(means[:, i:i + 1], variances[:, i:i + 1])
+            floats = dists.decompose_variance(means[:, i].tolist(), variances[:, i].tolist())
+            for name in fields:
+                assert getattr(column, name)[0] == getattr(batch, name)[i]
+                assert type(getattr(floats, name)) is float
+                assert getattr(floats, name) == getattr(batch, name)[i]
 
     def test_close_large_means(self):
         dec = dists.decompose_variance([1e8, 1e8 + 1.0], [1e-3, 1e-3])

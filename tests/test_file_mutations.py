@@ -93,9 +93,15 @@ class TestMutatedFiles:
         for name, valid in files["csv"].items():
             mutated = data.draw(mutations(valid)) if name == part else valid
             (files["root"] / "data" / f"mutated_{name}.csv").write_bytes(mutated)
-        check(lambda: datagen.read_split_csvs(prefix), datagen.DatasetFormatError,
-              ["eval", "--ckpt", files["root"] / "ckpt" / "m_member0.ckpt",
-               "--data", prefix, "--out", files["root"]])
+        if part == "test":  # the one file a scoring command reads
+            check(lambda: datagen.read_dataset_csv(f"{prefix}_test.csv"),
+                  datagen.DatasetFormatError,
+                  ["eval", "--ckpt", files["root"] / "ckpt" / "m_member0.ckpt",
+                   "--data", prefix, "--out", files["root"]])
+        else:
+            check(lambda: datagen.read_split_csvs(prefix), datagen.DatasetFormatError,
+                  ["train", "--data", prefix, "--epochs", 1, "--hidden", "4",
+                   "--tag", "t", "--out", files["root"]])
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
