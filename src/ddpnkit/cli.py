@@ -338,7 +338,7 @@ def cmd_train(opts: dict) -> tuple[dict, str]:
     for name in ("members", "jobs"):
         if opts[name] < 1:
             raise UsageError(f"--{name} must be at least 1, got {opts[name]}")
-    ds, split = datagen.read_split_csvs(opts["data"])
+    ds, split = datagen._read_splits(opts["data"], ("train", "val"))  # never the test file
     payloads = [
         (m, ds, split, _member_config(opts, m)) for m in range(opts["members"])
     ]

@@ -285,20 +285,21 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_split_csvs(prefix) -> tuple[SyntheticDataset, SplitIndices]:
-    """Rebuild a dataset and contiguous split from the three suffixed CSVs."""
+    """Rebuild a dataset and contiguous split from the three suffixed CSVs; a
+    missing test file leaves the test split empty."""
+    test = os.path.exists(f"{prefix}_test.csv")
+    return _read_splits(prefix, ("train", "val", "test") if test else ("train", "val"))
+
+
+def _read_splits(prefix, names) -> tuple[SyntheticDataset, SplitIndices]:
+    """The dataset and contiguous split of the named parts' CSVs alone, named
+    in train, val, test order; DomainError for a missing file."""
     parts = []
-    counts = []
-    for name in ("train", "val", "test"):
+    for name in names:
         path = f"{prefix}_{name}.csv"
-        if os.path.exists(path):
-            xs, ys = read_dataset_csv(path)
-            parts.append((xs, ys))
-            counts.append(ys.size)
-        elif name == "test":
-            counts.append(0)
-        else:
+        if not os.path.exists(path):
             raise DomainError(f"missing dataset file {path}")
-    xs = np.concatenate([p[0] for p in parts])
-    ys = np.concatenate([p[1] for p in parts])
+        parts.append(read_dataset_csv(path))
+    xs, ys = (np.concatenate(arrays) for arrays in zip(*parts))
     ds = SyntheticDataset(xs, ys, os.path.basename(str(prefix)), -1)
-    return ds, split_indices(ds.n, counts=tuple(counts))
+    return ds, split_indices(ds.n, counts=tuple(part_ys.size for _, part_ys in parts))

@@ -20,14 +20,16 @@ binomial (gammaln) and Gaussian (ndtr, ndtri) paths import scipy.special.
 
 One engine, _series, sums every infinite series: the PMF supports, the
 normalizer, the exact-series moments and the moment grid of the moments
-module. Each cell's support 0..N-1 grows as N = n0 * 2^k, summing only the
-new block into running sums, until a proven bound on the neglected tail of
-sum(s*y^2) is below TAIL_TOL of the sum (times min(1, gamma) for the Double
-Poisson). The bound uses rho >= s(y+1)/s(y) for y >= N-1: (mu/N)^gamma *
+module. A PredictiveBatch runs it once at most, and its PMF supports, its
+exact moments and dp_normalizer read that one result. Each cell's support
+0..N-1 grows as N = n0 * 2^k, summing only the new block into running
+sums, until a proven bound on the neglected tail of sum(s*y^2) is below
+TAIL_TOL of the sum (times min(1, gamma) for the Double Poisson). The
+bound uses rho >= s(y+1)/s(y) for y >= N-1: (mu/N)^gamma *
 exp(max(0, gamma-1)/(2(N-1))) for the Double Poisson (lam/N for a Poisson)
-and max(1, (N+r-1)/N) * (1-p) for the negative binomial. A cell that cannot
-converge within MAX_TERMS terms is refused before any summing, and one
-unconverged at the cap raises NumericOverflow: no support is cut short
+and max(1, (N+r-1)/N) * (1-p) for the negative binomial. A cell that
+cannot converge within MAX_TERMS terms is refused before any summing, and
+one unconverged at the cap raises NumericOverflow: no support is cut short
 silently.
 
 Every predictive distribution is a PredictiveBatch: n rows, each a uniform
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,9 +114,9 @@ def _valid(kind: str, params: tuple) -> None:
 class PredictiveBatch:
     """n predictive distributions, each a uniform mixture of M members of one kind.
 
-    ``params`` holds one (M, n) array per parameter of the kind, in the
-    order of _FIELDS: (mu, gamma), (lam,), (r, p) or (mu, sigma2). M = 1 is
-    one plain distribution per row. 1-D arrays are read as M = 1.
+    ``params`` holds one (M, n) read-only copy per parameter of the kind, in
+    the order of _FIELDS: (mu, gamma), (lam,), (r, p) or (mu, sigma2). M = 1
+    is one plain distribution per row. 1-D arrays are read as M = 1.
     """
 
     kind: str
@@ -122,7 +125,7 @@ class PredictiveBatch:
     def __post_init__(self):
         if self.kind not in _FIELDS:
             raise DomainError(f"unknown distribution kind {self.kind!r}")
-        params = tuple(np.atleast_2d(np.asarray(p, dtype=float)) for p in self.params)
+        params = tuple(np.array(p, dtype=float, ndmin=2) for p in self.params)
         names = _FIELDS[self.kind]
         if len(params) != len(names):
             raise ShapeError(f"kind {self.kind!r} takes {len(names)} parameter arrays")
@@ -131,6 +134,8 @@ class PredictiveBatch:
         if params[0].shape[0] == 0:
             raise ShapeError("a batch needs at least one member")
         _valid(self.kind, params)
+        for p in params:  # _summed is kept, so the parameters must not change under it
+            p.flags.writeable = False
         object.__setattr__(self, "params", params)
 
     @property
@@ -140,6 +145,15 @@ class PredictiveBatch:
 
     def __len__(self) -> int:
         return self.shape[1]
+
+    @cached_property
+    def _summed(self) -> tuple:
+        """The batch's one _series pass: (sums, shift, support), member-major."""
+        def label(i: int) -> str:
+            values = ", ".join(f"{name}={float(p.flat[i])!r}"
+                               for name, p in zip(_FIELDS[self.kind], self.params))
+            return f"series of {self.kind}({values})"
+        return _series(self.kind, [p.ravel() for p in self.params], label, PMF_N0)
 
     def member_moments(self, mode: str = EFRON_APPROX) -> tuple:
         """Member means and variances, both (M, n).
@@ -153,8 +167,7 @@ class PredictiveBatch:
             mu, gamma = self.params
             mean, var = mu, mu / gamma
             if mode == EXACT_SERIES:
-                sums, _, _ = _series(self.kind, *_cells(self), PMF_N0)
-                mc, vc = dp_moment_corrections(*sums, gamma.ravel())
+                mc, vc = dp_moment_corrections(*self._summed[0], gamma.ravel())
                 mean, var = mean + mc.reshape(mu.shape), var + vc.reshape(mu.shape)
             return mean, var
         if self.kind == POISSON:
@@ -169,15 +182,6 @@ class PredictiveBatch:
         """Mixture mean and variance per row, both (n,)."""
         dec = decompose_variance(*self.member_moments(mode))
         return dec.mean, dec.total
-
-
-def _cells(batch: PredictiveBatch) -> tuple:
-    """The batch's member x row cells as flat parameter arrays, and a namer of cell i."""
-    def label(i: int) -> str:
-        values = ", ".join(f"{name}={float(p.flat[i])!r}"
-                           for name, p in zip(_FIELDS[batch.kind], batch.params))
-        return f"series of {batch.kind}({values})"
-    return [p.ravel() for p in batch.params], label
 
 
 def double_poisson(mu: float, gamma: float) -> PredictiveBatch:
@@ -495,7 +499,7 @@ def _pmf_blocks(batch: PredictiveBatch):
     cells unless a single row needs more.
     """
     members, n = batch.shape
-    support = _series(batch.kind, *_cells(batch), PMF_N0)[2].reshape(members, n)
+    support = batch._summed[2].reshape(members, n)
     width = support.max(axis=0)
     # rows grouped by width with a sort (np.unique would load numpy.ma)
     order = np.argsort(width, kind="stable")
@@ -543,8 +547,7 @@ def dp_normalizer(mu: float, gamma: float) -> float:
     that costs the fit is open; see "the exact Double Poisson likelihood at
     low counts" in ROADMAP.md.
     """
-    batch = double_poisson(mu, gamma)
-    (s0, *_), shift, _ = _series(DOUBLE_POISSON, *_cells(batch), PMF_N0)
+    (s0, *_), shift, _ = double_poisson(mu, gamma)._summed
     with np.errstate(over="ignore"):
         c = float(np.exp(0.5 * math.log(gamma) + shift[0] + math.log(s0[0])))
     if not math.isfinite(c):

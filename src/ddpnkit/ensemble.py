@@ -29,7 +29,8 @@ distributions; it is re-exported here.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,15 +65,19 @@ class Ensemble:
 class MemberHeads:
     """Head outputs of every member at one set of input rows.
 
-    values is (M, n, heads), in log space, with overflow left as inf. Every
-    prediction at those rows is read from it, so a caller that needs several
-    (ensemble-eval needs the distributions, the scores and the table) runs
-    each member's network once, and sums each mode's moments once.
+    values is (M, n, heads), in log space, with overflow left as inf, held as
+    a read-only copy. Every prediction at those rows is read from it, so a
+    caller that needs several (ensemble-eval needs the distributions, the
+    scores and the table) runs each member's network once and builds one
+    batch, which is kept.
     """
 
     family: str
     values: np.ndarray
-    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # the batch is kept, so the values must not change under it
+        object.__setattr__(self, "values", np.array(self.values, dtype=float))
+        self.values.flags.writeable = False
 
     def batch(self) -> dists.PredictiveBatch:
         """The predictive distributions: row i is the uniform mixture of the M
@@ -84,6 +89,10 @@ class MemberHeads:
         underflow out of the family's parameter domain (an inf or zero mean,
         say, or a negative binomial p of 0).
         """
+        return self._batch
+
+    @cached_property
+    def _batch(self) -> dists.PredictiveBatch:
         with np.errstate(all="ignore"):
             mean = np.exp(self.values[..., 0])
             if self.family == "poisson":
@@ -104,18 +113,11 @@ class MemberHeads:
         mode "efron_approx" reads moments straight off the heads, in log space
         where it takes two heads, and tolerates extreme values (variances may
         overflow to inf far from the training data); "exact_series" evaluates
-        the Double Poisson series. Any other mode is a DomainError. The
-        arrays are kept per mode, shared by later calls and read-only.
+        the Double Poisson series, read from the batch's one engine pass. Any
+        other mode is a DomainError.
         """
         if mode not in (dists.EFRON_APPROX, dists.EXACT_SERIES):
             raise DomainError(f"unknown moments mode {mode!r}")
-        if mode not in self._moments:
-            means, variances = self._member_moments(mode)
-            means.flags.writeable = variances.flags.writeable = False
-            self._moments[mode] = means, variances
-        return self._moments[mode]
-
-    def _member_moments(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
         if self.family == "double_poisson" and mode == dists.EXACT_SERIES:
             return self.batch().member_moments(mode)
         log_m = self.values[..., 0]

@@ -491,8 +491,8 @@ def load_checkpoint(path):
     a tensor given twice, or a tensor that is not part of that chain (an
     unknown name, or a hidden layer after a missing one).
 
-    Each tensor row is parsed straight into its row of a preallocated array,
-    so no nested lists of Python floats are held.
+    Each tensor block is one call of numpy's text reader, which, unlike
+    float(), takes no digit separators (1_0) and no non-ASCII digits.
     """
     try:
         with open(path) as fh:
@@ -527,27 +527,20 @@ def load_checkpoint(path):
         block = lines[i + 1:i + 1 + n_rows]
         if len(block) != n_rows:
             raise CheckpointFormatError(f"{path}: tensor {name} is cut short")
-        # each row is parsed into its slot of the tensor; a row of the wrong
-        # length is reported once the block has parsed, so a value that is
-        # not a number anywhere in it is reported first
-        try:  # a dimension too large to allocate is malformed, not a crash
-            arr = np.empty((n_rows, shape[-1]))
-        except (ValueError, MemoryError) as exc:
-            raise CheckpointFormatError(f"{path}: tensor {name} expected shape {shape}") from exc
-        ragged = False
-        for r, line in enumerate(block):
-            try:
-                row = [float(v) for v in line.split()]
-            except ValueError as exc:
-                raise CheckpointFormatError(f"{path}: tensor {name} holds a value that is "
-                                            "not a number") from exc
-            if len(row) == shape[-1]:
-                arr[r] = row
-            else:
-                ragged = True
-        if ragged:
-            raise CheckpointFormatError(f"{path}: tensor {name} expected shape {shape}")
-        tensors[name] = arr.reshape(shape)
+        text = " ".join(block).strip()
+        try:  # loadtxt skips blank rows, and warns when every row is blank
+            arr = np.loadtxt(block, ndmin=2, comments=None) if text else np.empty((n_rows, 0))
+            if arr.shape[0] != n_rows:
+                raise ValueError(f"{arr.shape[0]} rows that are not blank")
+            tensors[name] = arr.reshape(shape)  # fails on a wrong width or a too large dimension
+        except ValueError as exc:
+            what = f"expected shape {shape}"
+            if text:  # unequal rows fail too; read as one row, only a non-number does
+                try:
+                    np.loadtxt([text], comments=None)
+                except ValueError:
+                    what = "holds a value that is not a number"
+            raise CheckpointFormatError(f"{path}: tensor {name} {what}") from exc
         if not np.all(np.isfinite(tensors[name])):
             raise CheckpointFormatError(f"{path}: tensor {name} holds a value that is not "
                                         "finite")

@@ -193,6 +193,39 @@ class TestTrain:
     def test_missing_data_prefix(self, tmp_path):
         assert run(["train", "--data", tmp_path / "ghost", "--out", tmp_path]) == 2
 
+    @staticmethod
+    def copied_prefix(workspace, tmp_path):
+        """A copy of the workspace's three split CSVs under a new prefix."""
+        prefix = tmp_path / "data" / "copy"
+        prefix.parent.mkdir()
+        for part in ("train", "val", "test"):
+            shutil.copy(f"{workspace['prefix']}_{part}.csv", f"{prefix}_{part}.csv")
+        return prefix
+
+    def test_never_opens_the_test_file(self, workspace, tmp_path):
+        """A test CSV that does not parse changes nothing: the run writes the
+        checkpoints it writes with no test file at all."""
+        prefix = self.copied_prefix(workspace, tmp_path)
+        with open(f"{prefix}_test.csv", "a") as fh:
+            fh.write("0.5,oops\n")
+        argv = ["train", "--data", prefix, "--epochs", 1, "--hidden", "4", "--out"]
+        assert run(argv + [tmp_path / "bad"]) == 0
+        os.remove(f"{prefix}_test.csv")
+        assert run(argv + [tmp_path / "gone"]) == 0
+        written = sorted(p.name for p in (tmp_path / "gone" / "ckpt").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "bad" / "ckpt").iterdir())
+        for name in written:
+            assert ((tmp_path / "bad" / "ckpt" / name).read_bytes()
+                    == (tmp_path / "gone" / "ckpt" / name).read_bytes())
+
+    @pytest.mark.parametrize("part", ["train", "val"])
+    def test_missing_train_or_val_file(self, workspace, tmp_path, capsys, part):
+        prefix = self.copied_prefix(workspace, tmp_path)
+        os.remove(f"{prefix}_{part}.csv")
+        assert run(["train", "--data", prefix, "--epochs", 1, "--hidden", "4",
+                    "--out", tmp_path]) == 2
+        assert f"missing dataset file {prefix}_{part}.csv" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--members", "--jobs"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_members_and_jobs_must_be_positive(self, workspace, tmp_path, capsys, flag, value):
@@ -300,9 +333,9 @@ class TestEnsembleEval:
         assert rows == [6] * members + [30] * members
 
     def test_exact_series_moments_summed_once(self, workspace, tmp_path, monkeypatch):
-        """With --moments-mode exact_series the series engine runs twice: once
-        to size the PMF supports and once for the member moments, which the
-        scores and the table share."""
+        """With --moments-mode exact_series the series engine runs once: the
+        PMF supports, the scores and the table read one pass over the
+        member cells."""
         calls = []
         series = distributions._series
 
@@ -314,7 +347,7 @@ class TestEnsembleEval:
         assert run(["ensemble-eval", "--manifest", workspace["manifest"],
                     "--data", workspace["prefix"], "--moments-mode", "exact_series",
                     "--out", tmp_path]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_directory_in_the_way_changes_no_output(self, workspace, tmp_path, capsys):
         """An output path that is an existing directory is refused before any

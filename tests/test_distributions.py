@@ -225,6 +225,23 @@ class TestMoments:
             series = np.concatenate(d.moments(dists.EXACT_SERIES))
             assert_allclose(series, (bf_mean, bf_var), rtol=1e-9, atol=1e-9)
 
+    def test_engine_runs_once_per_batch(self, monkeypatch):
+        """The PMF supports and the exact moments of a batch read one _series
+        pass over its member cells, and give the bits of a fresh batch."""
+        rng = np.random.default_rng(3)
+        params = (rng.uniform(0.5, 30.0, (3, 40)), rng.uniform(0.3, 4.0, (3, 40)))
+        fresh = dists.PredictiveBatch(dists.DOUBLE_POISSON, params)
+        want = fresh.member_moments(dists.EXACT_SERIES)
+        calls = []
+        series = dists._series
+        monkeypatch.setattr(dists, "_series", lambda *args: calls.append(args[0]) or series(*args))
+        batch = dists.PredictiveBatch(dists.DOUBLE_POISSON, params)
+        dists.predictive_summary(batch, np.arange(40.0), (0.1, 0.9))
+        batch.moments(dists.EXACT_SERIES)
+        got = batch.member_moments(dists.EXACT_SERIES)
+        assert calls == [dists.DOUBLE_POISSON]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
     def test_neg_binomial_closed_forms(self):
         mean, var = dists.neg_binomial(4.0, 0.25).moments()
         assert_allclose(mean, stats.nbinom.mean(4.0, 0.25), rtol=1e-12)
@@ -443,7 +460,7 @@ class TestBatchEngine:
                               np.arange(0, 20, 2))
         assert np.array_equal(np.concatenate([rows for rows, pmf in blocks if pmf.shape[1] > 64]),
                               np.arange(1, 20, 2))
-        support = dists._series(batch.kind, *dists._cells(batch), dists.PMF_N0)[2]
+        support = batch._summed[2]
         width = support.reshape(batch.shape).max(axis=0)
         for rows, pmf in blocks:  # every block has one width, its rows' own
             assert np.all(width[rows] == pmf.shape[1])
@@ -462,7 +479,7 @@ class TestBatchEngine:
             p = rng.uniform(0.3, 0.9, shape)
             params = (mean * p / (1.0 - p), p)
         batch = dists.PredictiveBatch(kind, params)
-        support = dists._series(kind, *dists._cells(batch), dists.PMF_N0)[2]
+        support = batch._summed[2]
         width = support.reshape(shape).max(axis=0)
         assert width.min() == 32 and width.max() == 4096
         ys = np.rint(mean[0] * rng.uniform(0.5, 1.5, shape[1]))
@@ -538,6 +555,18 @@ class TestOneRowBatches:
             assert isinstance(dist, dists.PredictiveBatch)
             assert dist.kind == kind
             assert dist.shape == (1, 1)
+
+    def test_parameters_are_read_only_copies(self):
+        """A batch keeps its one engine result, so it holds read-only copies of
+        its parameters: a later write to the caller's array changes nothing."""
+        mu = np.array([[2.0, 40.0]])
+        batch = dists.PredictiveBatch(dists.POISSON, (mu,))
+        before = dists.predictive_summary(batch, [2.0, 40.0])
+        mu *= 100.0
+        after = dists.predictive_summary(batch, [2.0, 40.0])
+        assert before.pmf.tobytes() == after.pmf.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            batch.params[0][0, 0] = 1.0
 
     def test_mixture_stacks_members(self):
         mix = dists.mixture([dists.double_poisson(2.0, 0.5), dists.double_poisson(4.0, 3.0)])

@@ -188,6 +188,26 @@ class TestMemberMoments:
         assert_allclose(v_exact[0, 0], d.moments(dists.EXACT_SERIES)[1][0], rtol=1e-10)
         assert abs(v_efron[0, 0] - v_exact[0, 0]) > 1e-3
 
+    def test_exact_moments_are_the_batch_moments(self):
+        """The exact member moments are read from the one kept batch, bit for
+        bit, and the values are a read-only copy, so that batch cannot fall
+        out of step with them."""
+        ens = ensemble.Ensemble((const_member(np.log(1.5), np.log(3.0)),
+                                 const_member(np.log(7.0), np.log(0.4))))
+        heads = ensemble.member_heads(ens, np.linspace(-1.0, 1.0, 4)[:, None])
+        got = heads.moments(dists.EXACT_SERIES)
+        want = heads.batch().member_moments(dists.EXACT_SERIES)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert heads.batch() is heads.batch()
+        with pytest.raises(ValueError, match="read-only"):
+            heads.values[0, 0, 0] = 1.0
+        values = np.zeros((1, 2, 2))
+        direct = ensemble.MemberHeads("double_poisson", values)
+        modes = dists.predictive_summary(direct.batch()).modes
+        values[..., 0] = np.log(50.0)  # the caller's array, not the copy
+        assert np.array_equal(dists.predictive_summary(direct.batch()).modes, modes)
+        assert np.array_equal(direct.moments()[0], np.ones((1, 2)))
+
     def test_double_poisson_variance_from_heads_in_log_space(self):
         """exp(800) overflows both exp(log mu) and exp(log gamma); their ratio
         mu/gamma = exp(10) does not."""

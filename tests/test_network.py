@@ -671,6 +671,20 @@ class TestCheckpoint:
         with pytest.raises(network.CheckpointFormatError, match="not a number"):
             network.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "\uff11"])
+    def test_digit_separators_and_non_ascii_digits_rejected(self, tmp_path, value):
+        """Python's float() reads 1_0 as 10 and Arabic-Indic or fullwidth
+        digits as digits; numpy's text reader, which parses every tensor,
+        takes neither, so such a value is not a number."""
+        weights, _, _ = toy_problem()
+        lines = network.render_checkpoint(weights, {"family": "poisson"}).splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("tensor head.W")) + 1
+        lines[row] = " ".join([value] + lines[row].split()[1:])
+        path = tmp_path / "digits.ckpt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(network.CheckpointFormatError, match="not a number"):
+            network.load_checkpoint(path)
+
     @pytest.mark.parametrize("value", ["-inf", "nan", "1e999"])
     def test_non_finite_value_rejected(self, tmp_path, value):
         """A weight that is not finite would turn the forward pass into nan."""
