@@ -399,15 +399,14 @@ def cmd_eval(opts: dict) -> tuple[dict, str]:
 def cmd_ensemble_eval(opts: dict) -> tuple[dict, str]:
     ens = ensemble.load_ensemble(opts["manifest"])
     test_x, test_y = _test_rows(opts)
-    mode = opts["moments_mode"]
     heads = ensemble.member_heads(ens, test_x)
-    record = metrics.evaluate(heads.batch(), test_y, variances=heads.scores(mode),
+    dec = ensemble.decompose_variance(*heads.moments(opts["moments_mode"]))  # scores and table
+    record = metrics.evaluate(heads.batch(), test_y, variances=ensemble.total_scores(dec),
                               levels=ensemble.INTERVAL)
-    table = ensemble.predict_table(heads, mode, quantiles=record.quantiles)
-    names = ("mean", "aleatoric", "epistemic", "q025", "q975")
-    columns = [test_x[:, 0]] + [table[name] for name in names]
-    decomposition = datagen.csv_chunks(",".join(("x",) + names), [
-        map(repr, np.asarray(column, dtype=float).tolist()) for column in columns])
+    table = ensemble.predict_table(dec, record.quantiles)
+    decomposition = datagen.csv_chunks(",".join(("x", *table)), [
+        map(repr, np.asarray(column, dtype=float).tolist())
+        for column in (test_x[:, 0], *table.values())])
     summary = record.summary()
     return {_report_path(opts, "metrics.json"): _json(summary),
             _report_path(opts, "decomposition.csv"): decomposition}, json.dumps(summary)

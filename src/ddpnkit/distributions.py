@@ -30,7 +30,8 @@ exp(max(0, gamma-1)/(2(N-1))) for the Double Poisson (lam/N for a Poisson)
 and max(1, (N+r-1)/N) * (1-p) for the negative binomial. A cell that
 cannot converge within MAX_TERMS terms is refused before any summing, and
 one unconverged at the cap raises NumericOverflow: no support is cut short
-silently.
+silently. A Double Poisson term costs one multiply, one exp and one
+matmul read (see _series).
 
 Every predictive distribution is a PredictiveBatch: n rows, each a uniform
 mixture of M members of one family, with parameters shaped (M, n). The
@@ -401,8 +402,63 @@ def _tail_bound(kind: str, params, n: int) -> np.ndarray:
 
 
 def _run_bounds(values: np.ndarray) -> np.ndarray:
-    """Start of every run of equal nonnegative values, then len(values)."""
-    return np.flatnonzero(np.diff(values, prepend=-1.0, append=-1.0))
+    """Start of every run of equal values, then len(values)."""
+    edge = np.ones(values.size + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
+
+
+_EXP_FLOOR = -600.0  # exp is 20-200 times slower where it underflows
+
+
+def _block_sums(kind: str, part, ys, old, step: int):
+    """(t, edge, new) of cells sorted by m, of shifts old: t their four sums
+    over ys and edge their weight at ys[-1], at their new shifts new."""
+    dp = kind == DOUBLE_POISSON
+    m, g = part if dp else (part[0], np.ones_like(part[0]))
+    log_h = _log_h(ys) if dp else np.zeros_like(ys)
+    lead, c = log_h[0], np.rint(m)  # log h(lo)
+    h = np.exp(log_h, out=log_h)
+    t, edge, least = np.empty((m.size, 4)), np.empty(m.size), np.empty(m.size)
+    runs = _run_bounds(m) if dp else np.arange(m.size + 1)  # cells sharing a row of e
+    cols, at = np.stack((h, h, h, h * ys)), None  # h, h(y-at), h(y-at)^2, h*y
+    for r0 in range(0, runs.size - 1, step):  # step rows of e
+        r1 = min(r0 + step, runs.size - 1)
+        i0, i1, heads = runs[r0], runs[r1], runs[r0:r1, None]
+        e = buf = w = None  # the last block's arrays go before these are built
+        e = _bd0(ys, m[heads]) if dp else -_log_weights(kind, [p[heads] for p in part], ys)
+        rows = np.repeat(np.arange(r1 - r0), np.diff(runs[r0:r1 + 1]))
+        row_least = np.min(e, axis=1)
+        e -= row_least[:, None]
+        least[i0:i1] = row_least[rows]
+        with np.errstate(over="ignore"):  # e is convex or monotone: largest at an end
+            low = g[i0:i1] * np.maximum(e[:, 0], e[:, -1])[rows] > -_EXP_FLOOR
+        if i1 - i0 > r1 - r0:  # else e's rows become the weights
+            buf = np.empty((min(step, i1 - i0), ys.size))
+        for start in range(i0, i1, step):
+            end = min(start + step, i1)  # "clip" takes into buf without a copy
+            w = e if buf is None else np.take(e, rows[start - i0:end - i0], 0,
+                                              buf[:end - start], "clip")
+            with np.errstate(over="ignore"):
+                w *= -g[start:end, None]
+            floor = low[start - i0:end - i0, None]
+            if floor.any():
+                np.maximum(w, _EXP_FLOOR, out=w, where=floor)
+            w = np.exp(w, out=w)
+            edge[start:end] = w[:, -1]
+            crs = _run_bounds(c[start:end]) + start
+            for a, b in zip(crs[:-1], crs[1:]):
+                if c[a] != at:
+                    at, d = c[a], ys - c[a]
+                    np.multiply(h, d, out=cols[1])
+                    np.multiply(cols[1], d, out=cols[2])
+                t[a:b] = w[a - start:b - start] @ cols.T
+    with np.errstate(over="ignore"):
+        new = np.maximum(old, lead - g * least)
+        scale = np.exp(-g * least - np.where(new > -np.inf, new, 0.0))
+    t *= scale[:, None]
+    edge *= h[-1] * scale
+    return t, edge, new
 
 
 def _series(kind: str, params, label, n0: int):
@@ -412,14 +468,18 @@ def _series(kind: str, params, label, n0: int):
     errors. Returns (sums, shift, support): support[i] is the cell's final
     N, and sums[:, i] holds s0, s1, s2, sy = the sums of s, s*(y-m),
     s*(y-m)^2 and s*y about the cell's first parameter m, at scale
-    exp(-shift[i]). Cells are visited in order of m: a run of Double
-    Poisson cells with equal mu shares one row of bd0, and a run with equal
-    c = round(m) one matmul with the columns 1, y-c, (y-c)^2, y, whose sums
-    are then moved from c to m (|m - c| <= 1/2, so nothing cancels).
+    exp(-shift[i]). Cells go in order of m. A weight is h(y) exp(-g*e) times
+    exp(-g*least - shift) on its cell's sums: for the Double Poisson g =
+    gamma and e = bd0(y, mu) less its least value, one row for a run of
+    equal mu; else h = g = 1 and e = -log weight. log h(lo) - g*least bounds
+    the block's log weights (log h falls, bd0 is convex), by under 7 over
+    their max. An exponent below -600 is read as -600, < 1e-240 of any sum.
+    Cells of equal c = round(m) share one matmul with the columns h, h(y-c),
+    h(y-c)^2, h*y; the sums move from c to m at the end (|m - c| <= 1/2, so
+    nothing cancels).
     """
     if kind == POISSON:  # summed as DP(lam, 1), which it is
         kind, params = DOUBLE_POISSON, (params[0], np.ones_like(params[0]))
-    dp = kind == DOUBLE_POISSON
     with np.errstate(over="ignore"):
         mean = params[0] * (1.0 - params[1]) / params[1] if kind == NEG_BINOMIAL else params[0]
     hopeless = ~(mean < MAX_TERMS) | ~(_tail_bound(kind, params, MAX_TERMS) < np.inf)
@@ -438,43 +498,18 @@ def _series(kind: str, params, label, n0: int):
             raise NumericOverflow(f"{label(int(order[todo[0]]))} did not converge within "
                                   f"{MAX_TERMS} terms")
         ys = np.arange(lo, hi, dtype=float)
-        bound = _tail_bound(kind, [p[todo] for p in params], hi)
-        log_h = _log_h(ys) if dp else None
         step = max(1, BLOCK_CELLS // ys.size)
+        sweep = step * max(1, (BLOCK_CELLS >> 5) // step)  # few cells: small per-cell arrays
         left = []
-        for start in range(0, todo.size, step):
-            cells = todo[start:start + step]
+        for cells in np.split(todo, range(sweep, todo.size, sweep)):
             part = [p[cells] for p in params]
-            if dp:
-                # a run of cells of equal mu shares one row of bd0; log h
-                # decreases and bd0 is convex with its minimum 0 at y = mu, so
-                # log h(lo) less gamma times the row's least bd0 (at floor(mu)
-                # or ceil(mu) clipped into the block) bounds the block's log
-                # weights, by less than 7 over their max
-                runs = _run_bounds(part[0])
-                counts = np.diff(runs)
-                bd0 = _bd0(ys, part[0][runs[:-1], None])
-                least = np.repeat(np.min(bd0, axis=1), counts)
-                log_w = np.repeat(bd0, counts, axis=0)
-                with np.errstate(over="ignore"):
-                    peak = log_h[0] - part[1] * least
-                    log_w *= -part[1][:, None]
-                log_w += log_h
-            else:
-                log_w = _log_weights(kind, [p[:, None] for p in part], ys)
             old = shift[cells]
-            new = np.maximum(old, peak if dp else np.max(log_w, axis=1))
+            t, edge, new = _block_sums(kind, part, ys, old, step)
             top = np.where(new > -np.inf, new, 0.0)
-            log_w -= top[:, None]
-            w = np.exp(log_w, out=log_w)
             s = sums[cells] * np.exp(old - top)[:, None]
-            c = np.rint(part[0])
-            runs = _run_bounds(c)
-            for a, b in zip(runs[:-1], runs[1:]):
-                d = ys - c[a]
-                s[a:b] += w[a:b] @ np.column_stack((np.ones_like(ys), d, d * d, ys))
+            s += t
             sums[cells], shift[cells] = s, new
-            ok = w[:, -1] * bound[start:start + step] <= s[:, 0]
+            ok = edge * _tail_bound(kind, part, hi) <= s[:, 0]
             support[cells[ok]] = hi
             left.append(cells[~ok])
         todo = np.concatenate(left)

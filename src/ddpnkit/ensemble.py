@@ -134,13 +134,17 @@ class MemberHeads:
         return m, v
 
     def scores(self, mode: str = dists.EFRON_APPROX) -> np.ndarray:
-        """Total mixture variance per row, the OOD detection score.
+        """Total mixture variance per row, the OOD detection score (total_scores)."""
+        return total_scores(decompose_variance(*self.moments(mode)))
 
-        A row whose variance overflows, or is left undefined by overflowed
-        heads, scores +inf: it ranks as the most out-of-distribution.
-        """
-        total = decompose_variance(*self.moments(mode)).total
-        return np.where(np.isnan(total), np.inf, total)
+
+def total_scores(dec: UncertaintyDecomposition) -> np.ndarray:
+    """A decomposition's total variance as OOD scores.
+
+    A row whose variance overflows, or is left undefined by overflowed
+    heads, scores +inf: it ranks as the most out-of-distribution.
+    """
+    return np.where(np.isnan(dec.total), np.inf, dec.total)
 
 
 def member_heads(ens: Ensemble, X: np.ndarray) -> MemberHeads:
@@ -152,17 +156,13 @@ def member_heads(ens: Ensemble, X: np.ndarray) -> MemberHeads:
 INTERVAL = (0.025, 0.975)
 
 
-def predict_table(heads: MemberHeads, mode: str = dists.EFRON_APPROX, quantiles=None):
+def predict_table(dec: UncertaintyDecomposition, quantiles) -> dict:
     """Per-row decomposition and equal-tailed 95 percent mixture interval.
 
-    Returns a dict of arrays: mean, aleatoric, epistemic, q025, q975.
-    quantiles, shaped (2, n), supplies interval ends already read at the
-    INTERVAL levels (as metrics.evaluate does with levels=INTERVAL); by
-    default they are computed here.
+    Returns a dict of arrays: mean, aleatoric, epistemic, q025, q975, from
+    dec and from quantiles, the (2, n) interval ends read at the INTERVAL
+    levels (as metrics.evaluate does with levels=INTERVAL).
     """
-    dec = decompose_variance(*heads.moments(mode))
-    if quantiles is None:
-        quantiles = dists.predictive_summary(heads.batch(), levels=INTERVAL).quantiles
     return {
         "mean": dec.mean,
         "aleatoric": dec.aleatoric,

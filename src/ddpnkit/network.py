@@ -512,15 +512,12 @@ def load_checkpoint(path):
     tensors = {}
     while i < len(lines):
         parts = lines[i].split()
-        if len(parts) < 4 or parts[0] != "tensor" or parts[2] not in ("1", "2"):
+        # dimensions are ASCII digits: int() would also take "+", "_" and other scripts' digits
+        if (len(parts) < 4 or parts[0] != "tensor" or parts[2] not in ("1", "2")
+                or len(parts) != 3 + int(parts[2])
+                or not all(v.isascii() and v.isdigit() for v in parts[3:])):
             raise CheckpointFormatError(f"{path}: bad tensor line {lines[i]!r}")
-        name = parts[1]
-        try:
-            shape = tuple(int(v) for v in parts[3:])
-        except ValueError as exc:
-            raise CheckpointFormatError(f"{path}: bad tensor line {lines[i]!r}") from exc
-        if len(shape) != int(parts[2]) or min(shape) < 0:
-            raise CheckpointFormatError(f"{path}: bad tensor line {lines[i]!r}")
+        name, shape = parts[1], tuple(int(v) for v in parts[3:])
         if name in tensors:
             raise CheckpointFormatError(f"{path}: tensor {name} appears twice")
         n_rows = 1 if len(shape) == 1 else shape[0]

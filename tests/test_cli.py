@@ -349,6 +349,33 @@ class TestEnsembleEval:
                     "--out", tmp_path]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("mode", ["efron_approx", "exact_series"])
+    def test_member_moments_decomposed_once(self, workspace, tmp_path, monkeypatch, mode):
+        """The scores and the decomposition table read one decomposition of
+        the member moments, and the table holds its bits and the mixture
+        interval ends."""
+        calls = []
+        decompose = ensemble.decompose_variance
+
+        def counted(*args):
+            calls.append(len(args))
+            return decompose(*args)
+
+        monkeypatch.setattr(ensemble, "decompose_variance", counted)
+        assert run(["ensemble-eval", "--manifest", workspace["manifest"],
+                    "--data", workspace["prefix"], "--moments-mode", mode,
+                    "--out", tmp_path]) == 0
+        assert calls == [2]
+        test_x, _ = datagen.read_dataset_csv(f"{workspace['prefix']}_test.csv")
+        heads = ensemble.member_heads(ensemble.load_ensemble(workspace["manifest"]), test_x)
+        dec = decompose(*heads.moments(mode))
+        ends = distributions.predictive_summary(heads.batch(), levels=ensemble.INTERVAL).quantiles
+        rows = [",".join(map(repr, row)) for row in zip(
+            test_x[:, 0].tolist(), dec.mean.tolist(), dec.aleatoric.tolist(),
+            dec.epistemic.tolist(), *ends.tolist())]
+        csv = (tmp_path / "reports" / "ensemble_decomposition.csv").read_text().splitlines()
+        assert csv[1:] == rows
+
     def test_directory_in_the_way_changes_no_output(self, workspace, tmp_path, capsys):
         """An output path that is an existing directory is refused before any
         file is written: the run exits 4, the metrics written by an earlier

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special, stats
@@ -529,6 +529,92 @@ class TestBatchEngine:
             dists.PredictiveBatch(dists.DOUBLE_POISSON, ([[1.0, 2.0]], [[1.0, np.inf]]))
         with pytest.raises(DomainError):
             dists.predictive_summary(dists.PredictiveBatch(dists.POISSON, ([2.0],)), [1.5])
+
+
+def reference_series(kind: str, m: float, second: float, n0: int):
+    """(support, s0, s1, s2, sy, top) of one cell, DP(m, second) or
+    NB(m, second), from direct sums of dp_log_weight or the engine's negative
+    binomial log PMF (whose gammaln differences can be 1e-12 from scipy's
+    logpmf) over the whole support 0..N-1, each divided by exp(top), the
+    largest weight, at every N = n0 * 2^k; N is the first whose last weight
+    meets the stop rule w[N-1] * B(N) <= sum(w). None where the engine must
+    refuse the cell (no convergence within MAX_TERMS terms)."""
+    n = n0
+    while True:
+        bound = dists._tail_bound(kind, (np.array([m]), np.array([second])), n)
+        ys = np.arange(float(n))
+        if kind == dists.DOUBLE_POISSON:
+            log_w = dists.dp_log_weight(m, second, ys)
+        else:
+            log_w = dists._log_weights(kind, (m, second), ys)
+        w = np.exp(log_w - log_w.max())
+        if w[-1] * bound[0] <= w.sum():
+            d = ys - m
+            return n, w.sum(), np.sum(w * d), np.sum(w * d * d), np.sum(w * ys), log_w.max()
+        if n == dists.MAX_TERMS or m >= dists.MAX_TERMS:
+            return None
+        n = min(2 * n, dists.MAX_TERMS)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestSeriesEngine:
+    """_series against direct sums: batches mixing runs of cells of one first
+    parameter, split across blocks by a small BLOCK_CELLS, with cells of
+    their own."""
+
+    def check(self, kind, runs, block, n0):
+        """Supports equal the reference's; sums agree to 1e-12 at one scale.
+        A weight below e^-600 of its row's largest is summed as that: under
+        65536^3 e^-600 < 1e-240 of a sum's scale, where the reference has 0."""
+        m = np.array([m for m, seconds in runs for _ in seconds])
+        second = np.array([x for _, seconds in runs for x in seconds])
+        refs = [reference_series(kind, a, b, n0) for a, b in zip(m, second)]
+        keep = np.array([r is not None for r in refs])
+        assume(keep.any())
+        m, second = m[keep], second[keep]
+        want = np.array([r for r in refs if r is not None]).T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dists, "BLOCK_CELLS", block)
+            sums, shift, support = dists._series(kind, (m, second), str, n0)
+        assert np.array_equal(support, want[0])
+        s0 = sums[0]
+        # log of the summed weights, of size gamma * bd0 where it is large
+        assert_allclose(np.log(s0) + shift, np.log(want[1]) + want[5], rtol=1e-13, atol=1e-12)
+        assert_allclose(sums[2] / s0, want[3] / want[1], rtol=1e-12, atol=1e-240)
+        assert_allclose(sums[3] / s0, want[4] / want[1], rtol=1e-12, atol=1e-240)
+        spread = np.sqrt(want[3] / want[1])
+        assert np.all(np.abs(sums[1] / s0 - want[2] / want[1]) <= 1e-12 * (1.0 + spread) + 1e-240)
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs=st.lists(st.tuples(
+               st.one_of(log_uniform(1e-2, 2e4), st.integers(0, 2000).map(lambda k: k + 0.5)),
+               st.lists(log_uniform(1e-4, 1e8), min_size=1, max_size=12)),
+               min_size=1, max_size=6),
+           block=st.sampled_from([64, 256, 1000, dists.BLOCK_CELLS]),
+           n0=st.sampled_from([2, dists.PMF_N0, 100]))
+    @example(runs=[(1e4, [1e8, 1e-4, 50.0]), (0.01, [1e8, 1e-4] * 6), (2.5, [1.0])],
+             block=64, n0=dists.PMF_N0)
+    def test_blocks_match_direct_sums(self, runs, block, n0):
+        """Double Poisson: gamma up to 1e8 puts most weights of a block below
+        e^-600 of its largest, and mu = 1e4 from a small first support moves
+        the shift."""
+        self.check(dists.DOUBLE_POISSON, runs, block, n0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(runs=st.lists(st.tuples(
+               st.one_of(log_uniform(1e-2, 1e3), st.integers(0, 200).map(lambda k: k + 0.5)),
+               st.lists(st.floats(0.05, 0.95), min_size=1, max_size=6)),
+               min_size=1, max_size=4),
+           block=st.sampled_from([64, 1000, dists.BLOCK_CELLS]),
+           n0=st.sampled_from([2, dists.PMF_N0]))
+    @example(runs=[(0.01, [0.05, 0.95]), (500.0, [0.05, 0.5, 0.95])], block=64, n0=2)
+    def test_neg_binomial_blocks_match_direct_sums(self, runs, block, n0):
+        """Negative binomial (r, p), summed by the same kernel with h = 1 and
+        one row of log weights per cell, whatever its r."""
+        self.check(dists.NEG_BINOMIAL, runs, block, n0)
 
 
 class TestSample:

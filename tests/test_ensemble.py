@@ -234,7 +234,9 @@ class TestPredictTable:
     def test_columns_and_interval_coverage(self):
         ens = dp_ensemble()
         X = np.zeros((2, 1))
-        table = ensemble.predict_table(ensemble.member_heads(ens, X))
+        heads = ensemble.member_heads(ens, X)
+        ends = dists.predictive_summary(heads.batch(), levels=ensemble.INTERVAL).quantiles
+        table = ensemble.predict_table(ensemble.decompose_variance(*heads.moments()), ends)
         assert set(table) == {"mean", "aleatoric", "epistemic", "q025", "q975"}
         assert_allclose(table["mean"], [3.0, 3.0], rtol=1e-12)
         mix = ensemble.member_heads(ens, X[:1]).batch()

@@ -225,6 +225,17 @@ class TestGrid:
         assert grid_peak < 9.0e6, f"moments_grid traced peak {grid_peak / 1e6:.2f} MB"
         assert csv_peak < 8.0e6, f"render_grid_csv traced peak {csv_peak / 1e6:.2f} MB"
 
+    def test_default_grid_supports(self):
+        """The 200x200 grid's supports, from 100 terms doubled: 37 163 000
+        cell-terms, which the moments-grid timings are per."""
+        axis = moments.default_grid_axis(200)
+        support = moments.moments_grid(axis, axis).support
+        lengths, cells = np.unique(support, return_counts=True)
+        assert dict(zip(lengths.tolist(), cells.tolist())) == {
+            100: 27074, 200: 4416, 400: 2265, 800: 1803, 1600: 1453, 3200: 1145,
+            6400: 857, 12800: 585, 25600: 325, 51200: 77}
+        assert int(support.sum()) == 37_163_000
+
     def test_csv_bytes_match_csv_writer(self):
         values = np.array([[0.0, 1e-300, 5e-324], [1e300, 3.0, 2.5e-7]])
         grid = moments.MomentGrid(np.array([1e-300, 7.0]), np.array([2.0, 1e300, 0.1]),

@@ -685,6 +685,22 @@ class TestCheckpoint:
         with pytest.raises(network.CheckpointFormatError, match="not a number"):
             network.load_checkpoint(path)
 
+    @pytest.mark.parametrize("dim", ["\u0661\u0662\u0668", "12_8", "+128", "\uff11\uff12\uff18",
+                                     "\u0663", "128.0", "0x80"])
+    def test_dimension_must_be_ascii_digits(self, tmp_path, dim):
+        """int() reads Arabic-Indic and fullwidth digits, digit separators and
+        a sign; a dimension is ASCII digits only, else the line is refused
+        rather than loaded as a (128, 1) tensor."""
+        weights, _, _ = toy_problem()
+        lines = network.render_checkpoint(weights, {"family": "poisson"}).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("tensor hidden0.W "))
+        parts = lines[at].split()
+        lines[at] = " ".join(parts[:3] + [dim] + parts[4:])
+        path = tmp_path / "dims.ckpt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(network.CheckpointFormatError, match="bad tensor line"):
+            network.load_checkpoint(path)
+
     @pytest.mark.parametrize("value", ["-inf", "nan", "1e999"])
     def test_non_finite_value_rejected(self, tmp_path, value):
         """A weight that is not finite would turn the forward pass into nan."""
