@@ -244,11 +244,6 @@ def dataset_csv_chunks(xs: np.ndarray, ys: np.ndarray):
                               map(str, np.asarray(ys, dtype=np.int64).tolist())])
 
 
-def render_dataset_csv(xs: np.ndarray, ys: np.ndarray) -> str:
-    """The text of dataset_csv_chunks as one string."""
-    return "".join(dataset_csv_chunks(xs, ys))
-
-
 class DatasetFormatError(FileFormatError):
     """A dataset CSV does not follow the x,y layout."""
 
@@ -282,13 +277,6 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"{path}: not CSV text ({exc})") from exc
     return np.array(xs)[:, None], np.array(ys, dtype=np.int64)
-
-
-def read_split_csvs(prefix) -> tuple[SyntheticDataset, SplitIndices]:
-    """Rebuild a dataset and contiguous split from the three suffixed CSVs; a
-    missing test file leaves the test split empty."""
-    test = os.path.exists(f"{prefix}_test.csv")
-    return _read_splits(prefix, ("train", "val", "test") if test else ("train", "val"))
 
 
 def _read_splits(prefix, names) -> tuple[SyntheticDataset, SplitIndices]:

@@ -68,11 +68,6 @@ class MomentGrid:
     support: np.ndarray
 
 
-def default_grid_axis(n_points: int = 25) -> np.ndarray:
-    """Logarithmic axis from 0.01 to 100, shared by both grid dimensions."""
-    return np.logspace(np.log10(0.01), np.log10(100.0), n_points)
-
-
 def moments_grid(
     mu_values, var_values, n_terms: int = DEFAULT_N_TERMS
 ) -> MomentGrid:
@@ -114,8 +109,3 @@ def grid_csv_chunks(grid: MomentGrid):
         (t for t in mu_text for _ in var_text), itertools.cycle(var_text),
         *(itertools.chain.from_iterable(map(repr, row.tolist()) for row in eps)
           for eps in (grid.eps1, grid.eps2))])
-
-
-def render_grid_csv(grid: MomentGrid) -> str:
-    """The text of grid_csv_chunks as one string."""
-    return "".join(grid_csv_chunks(grid))

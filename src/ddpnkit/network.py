@@ -13,7 +13,7 @@ moments each live in one flat vector. The moments are kept undamped (running
 sums of g and g*g, without the (1 - beta) factors), so two scalars per step
 absorb both bias corrections and eps, and the spent gradient vector is the
 update's only scratch. train checks its train and val labels once, up front;
-the public backward and batch_loss check the labels they are given. Features
+batch_loss checks the labels it is given. Features
 are standardized with statistics of the training split; the standardizer is
 stored with the weights so checkpoints are self-contained. An empty
 hidden_widths tuple degrades the model to a log-linear GLM, which is handy
@@ -90,13 +90,6 @@ class MLPWeights:
     @property
     def head_count(self) -> int:
         return int(self.head_b.size)
-
-
-@dataclass
-class MLPGradients:
-    hidden: list
-    head_w: np.ndarray
-    head_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -250,25 +243,16 @@ def batch_loss(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpe
     return loss if math.isfinite(loss) else math.inf
 
 
-def backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec):
-    """Mean-over-batch gradients for every trainable array.
+def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec, out: tuple):
+    """Mean-over-batch gradients for every trainable array, written into out:
+    a (hidden, head_w, head_b) triple shaped as the weights' (see _flat_views).
 
-    Returns (grads, mean_loss), the gradients in a fresh MLPGradients. Raises
-    DomainError for labels that are not finite and nonnegative, and
-    NumericDivergence if the batch loss is not finite.
+    Returns (out, mean_loss). Raises ShapeError if ys and X differ in rows and
+    NumericDivergence if the batch loss is not finite. The labels are taken
+    as checked and the error state as set: train does both once, and passes
+    views of its flat gradient vector as out.
     """
-    ys = np.asarray(ys, dtype=float)
-    _check_labels(ys)
-    size = sum(arr.size for arr in _trainable(weights))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _backward(weights, X, ys, spec, MLPGradients(*_flat_views(np.empty(size), weights)))
-
-
-def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec,
-              out: MLPGradients):
-    """backward without the label check or the error state, writing the
-    gradients into out, whose arrays match the shapes of the weights'; train
-    sets both once and passes views of its flat gradient vector as out."""
+    out_hidden, out_head_w, out_head_b = out
     acts = []
     heads = _forward(weights, X, acts)
     if ys.size != heads.shape[0]:
@@ -278,14 +262,14 @@ def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec
     if not math.isfinite(mean_loss):
         raise NumericDivergence("non-finite batch loss")
     dheads /= float(ys.size)
-    np.matmul(dheads.T, acts[-1], out=out.head_w)
-    dheads.sum(axis=0, out=out.head_b)
+    np.matmul(dheads.T, acts[-1], out=out_head_w)
+    dheads.sum(axis=0, out=out_head_b)
     delta = dheads
     next_w = weights.head_w
     for i in range(len(weights.hidden) - 1, -1, -1):
         delta = delta @ next_w
         delta *= acts[i + 1] > 0.0
-        grad_w, grad_b = out.hidden[i]
+        grad_w, grad_b = out_hidden[i]
         np.matmul(delta.T, acts[i], out=grad_w)
         delta.sum(axis=0, out=grad_b)
         next_w = weights.hidden[i][0]
@@ -386,7 +370,7 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     params = np.concatenate([arr.ravel() for arr in _trainable(weights)])
     weights.hidden, weights.head_w, weights.head_b = _flat_views(params, weights)
     grad = np.zeros_like(params)
-    grads = MLPGradients(*_flat_views(grad, weights))
+    grads = _flat_views(grad, weights)
     m_state, v_state = np.zeros_like(params), np.zeros_like(params)
     best_params = np.empty_like(params)
     step = 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddpnkit.errors import DomainError, ShapeError
+from ddpnkit.errors import DomainError
 
 DEFAULT_ALPHAS = tuple(np.linspace(0.0, 1.0, 101))
 
@@ -108,9 +108,20 @@ def _linear_quantiles(sorted_scores: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _sweep(holdout_scores, alphas, id_side, ood_side) -> dict:
-    """sweep_operating_points on checked inputs, the ID and OOD scores given
-    as _side pairs. The thresholds are _linear_quantiles of the sorted
-    holdout at q = 1 - alpha, a nan threshold read as +inf."""
+    """Classify score > tau_alpha as OOD for every alpha in the grid.
+
+    tau_alpha is the (1 - alpha) empirical quantile of the holdout scores,
+    linearly interpolated: alpha = 0 gives the largest holdout score (nothing
+    flagged beyond the holdout range), alpha = 1 the smallest; a nan
+    threshold (a nan holdout score, or inf - inf) reads as +inf. All
+    thresholds come from one pass of _linear_quantiles over the sorted
+    holdout, and the flagged counts from binary searches in the ID and OOD
+    scores, given as _side pairs. Returns the operating points as columns: a
+    dict of arrays alpha, tau, fpr, tpr and precision, one entry per alpha
+    (precision is 1 where nothing is flagged). The inputs are taken as
+    checked: run_ood_eval refuses an empty holdout, ID or OOD set, and
+    OODProtocolConfig an alpha outside [0, 1].
+    """
     with np.errstate(invalid="ignore"):  # interpolating toward +inf scores gives inf - inf
         taus = _linear_quantiles(np.sort(holdout_scores), 1.0 - alphas)
     taus[np.isnan(taus)] = np.inf  # flags what nan did: nothing lies above it
@@ -120,28 +131,6 @@ def _sweep(holdout_scores, alphas, id_side, ood_side) -> dict:
     flagged = fp + tp
     return {"alpha": alphas, "tau": taus, "fpr": fp / n_id, "tpr": tp / n_ood,
             "precision": np.where(flagged > 0, tp / np.maximum(flagged, 1), 1.0)}
-
-
-def sweep_operating_points(holdout_scores, id_scores, ood_scores, alphas) -> dict:
-    """Classify score > tau_alpha as OOD for every alpha in the grid.
-
-    tau_alpha is the (1 - alpha) empirical quantile of the holdout scores,
-    linearly interpolated: alpha = 0 gives the largest holdout score (nothing
-    flagged beyond the holdout range), alpha = 1 the smallest; a nan holdout
-    score makes every threshold +inf. All thresholds come from one pass of
-    the linear rule over the sorted holdout, and the flagged counts from
-    binary searches in the sorted scores. Returns the operating points as
-    columns: a dict of arrays alpha, tau, fpr, tpr and precision, one entry
-    per alpha (precision is 1 where nothing is flagged).
-    """
-    holdout_scores = np.asarray(holdout_scores, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    if holdout_scores.size == 0 or np.size(id_scores) == 0 or np.size(ood_scores) == 0:
-        raise ShapeError("sweep_operating_points needs at least one holdout, ID and OOD score")
-    bad = alphas[~((alphas >= 0.0) & (alphas <= 1.0))]
-    if bad.size:
-        raise DomainError(f"alpha must lie in [0, 1], got {bad[0]}")
-    return _sweep(holdout_scores, alphas, _side(id_scores), _side(ood_scores))
 
 
 def curve_metrics_from_points(points) -> tuple[float, float, float]:

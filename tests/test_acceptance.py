@@ -154,7 +154,13 @@ def _network_gradient_gap(spec: LossSpec) -> float:
         ys = rng.uniform(0.0, 12.0, size=7)
     else:
         ys = rng.integers(0, 13, size=7).astype(float)
-    grads, _ = network.backward(weights, X, ys, spec)
+    # the gradients as train computes them: _backward in train's error state,
+    # written into views of one flat vector
+    hidden, head_w, head_b = network._flat_views(
+        np.empty(sum(arr.size for arr in _flat_arrays(weights))), weights)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        network._backward(weights, X, ys, spec, (hidden, head_w, head_b))
+    grads = [arr for pair in hidden for arr in pair] + [head_w, head_b]
     heads0 = network.forward_batch(weights, X)
     if spec.family == "double_poisson":
         scale0 = np.exp(heads0[:, 1]) ** (-spec.beta)
@@ -175,7 +181,7 @@ def _network_gradient_gap(spec: LossSpec) -> float:
 
     worst = 0.0
     step = 1e-6
-    for p_arr, g_arr in zip(_flat_arrays(weights), _flat_arrays(grads)):
+    for p_arr, g_arr in zip(_flat_arrays(weights), grads):
         flat_p = p_arr.reshape(-1)
         flat_g = np.asarray(g_arr, dtype=float).reshape(-1)
         for k in range(flat_p.size):

@@ -194,14 +194,14 @@ def write_split_csvs(ds, split, prefix):
     """The prefix_train/val/test.csv files that simulate writes."""
     for name, idx in (("train", split.train), ("val", split.val), ("test", split.test)):
         path = prefix.parent / f"{prefix.name}_{name}.csv"
-        path.write_text(datagen.render_dataset_csv(ds.xs[idx], ds.ys[idx]))
+        path.write_text("".join(datagen.dataset_csv_chunks(ds.xs[idx], ds.ys[idx])))
 
 
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         ds, _ = datagen.gen_misspec_poisson(50, seed=0)
         path = tmp_path / "data.csv"
-        path.write_text(datagen.render_dataset_csv(ds.xs, ds.ys))
+        path.write_text("".join(datagen.dataset_csv_chunks(ds.xs, ds.ys)))
         xs, ys = datagen.read_dataset_csv(path)
         assert np.array_equal(xs, ds.xs)
         assert np.array_equal(ys, ds.ys)
@@ -230,7 +230,7 @@ class TestCsv:
         ds, split = datagen.gen_beta_study(80, seed=1)
         prefix = tmp_path / "beta"
         write_split_csvs(ds, split, prefix)
-        ds2, split2 = datagen.read_split_csvs(prefix)
+        ds2, split2 = datagen._read_splits(prefix, ("train", "val", "test"))
         assert np.array_equal(ds2.xs, ds.xs)
         assert np.array_equal(ds2.ys, ds.ys)
         assert np.array_equal(split2.train, split.train)
@@ -241,13 +241,13 @@ class TestCsv:
         prefix = tmp_path / "d"
         write_split_csvs(ds, split, prefix)
         (tmp_path / "d_test.csv").unlink()
-        ds2, split2 = datagen.read_split_csvs(prefix)
+        ds2, split2 = datagen._read_splits(prefix, ("train", "val"))  # what train reads
         assert split2.test.size == 0
         assert ds2.n == split.train.size + split.val.size
 
     def test_missing_train_file_fatal(self, tmp_path):
         with pytest.raises(DomainError):
-            datagen.read_split_csvs(tmp_path / "nothing")
+            datagen._read_splits(tmp_path / "nothing", ("train", "val"))
 
 
 class TestDatasetValidation:

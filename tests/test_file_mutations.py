@@ -99,7 +99,8 @@ class TestMutatedFiles:
                   ["eval", "--ckpt", files["root"] / "ckpt" / "m_member0.ckpt",
                    "--data", prefix, "--out", files["root"]])
         else:
-            check(lambda: datagen.read_split_csvs(prefix), datagen.DatasetFormatError,
+            check(lambda: datagen._read_splits(prefix, ("train", "val")),  # what train reads
+                  datagen.DatasetFormatError,
                   ["train", "--data", prefix, "--epochs", 1, "--hidden", "4",
                    "--tag", "t", "--out", files["root"]])
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ddpnkit import distributions as dists
-from ddpnkit import moments
+from ddpnkit import cli, moments
 from ddpnkit.errors import DomainError, NumericOverflow
 
 # (mu0, var0) -> (eps1, eps2) of the converged series
@@ -61,7 +61,7 @@ class TestEpsilon:
             var0 = float(rng.uniform(0.3 * mu0, 4.0 * mu0))
             gamma0 = mu0 / var0
             ys = np.arange(2000)
-            logw = dists.dp_log_weight(mu0, gamma0, ys.astype(float))
+            logw = dists._dp_log_weight(mu0, gamma0, ys.astype(float))
             w = np.exp(logw - logw.max())
             s0 = w.sum()
             mean = float(np.sum(w * ys) / s0)
@@ -103,7 +103,7 @@ class TestEpsilon:
 def from_scratch(mu0: float, var0: float, n: int) -> tuple[float, float]:
     """eps1 and eps2 summed directly over the support 0..n-1."""
     ys = np.arange(n)
-    logw = dists.dp_log_weight(mu0, mu0 / var0, ys.astype(float))
+    logw = dists._dp_log_weight(mu0, mu0 / var0, ys.astype(float))
     w = np.exp(logw - logw.max())
     s0 = w.sum()
     mean = float(np.sum(w * ys) / s0)
@@ -197,7 +197,8 @@ class TestGrid:
         assert_allclose(grid.eps2[0, 1], e2, rtol=1e-12)
 
     def test_default_axis(self):
-        axis = moments.default_grid_axis()
+        args = cli.build_parser().parse_args(["moments-grid"])
+        axis = cli._log_axis(cli._merge_options("moments-grid", args), "mu")
         assert axis[0] == pytest.approx(0.01)
         assert axis[-1] == pytest.approx(100.0)
         assert axis.size == 25
@@ -205,7 +206,7 @@ class TestGrid:
 
     def test_csv_round_trip_text(self):
         grid = moments.moments_grid(np.array([1.0, 2.0]), np.array([0.5, 3.0]))
-        lines = moments.render_grid_csv(grid).strip().split("\n")
+        lines = "".join(moments.grid_csv_chunks(grid)).strip().split("\n")
         assert lines[0] == "mu0,var0,eps1,eps2"
         assert len(lines) == 1 + 4
         cells = lines[1].split(",")
@@ -218,17 +219,17 @@ class TestGrid:
         traced peaks of 7.6 MB and 6.3 MB, against 11.0 MB and 9.5 MB when
         bd0 was formed again for every cell at once for the peak bounds and
         the eps values were listed as whole-grid floats."""
-        axis = moments.default_grid_axis(200)
+        axis = np.logspace(-2.0, 2.0, 200)  # the CLI's default axis at 200 points
         grid, grid_peak = traced_peak(lambda: moments.moments_grid(axis, axis))
-        text, csv_peak = traced_peak(lambda: moments.render_grid_csv(grid))
+        text, csv_peak = traced_peak(lambda: "".join(moments.grid_csv_chunks(grid)))
         assert text.count("\n") == 1 + 200 * 200
         assert grid_peak < 9.0e6, f"moments_grid traced peak {grid_peak / 1e6:.2f} MB"
-        assert csv_peak < 8.0e6, f"render_grid_csv traced peak {csv_peak / 1e6:.2f} MB"
+        assert csv_peak < 8.0e6, f"grid CSV text traced peak {csv_peak / 1e6:.2f} MB"
 
     def test_default_grid_supports(self):
         """The 200x200 grid's supports, from 100 terms doubled: 37 163 000
         cell-terms, which the moments-grid timings are per."""
-        axis = moments.default_grid_axis(200)
+        axis = np.logspace(-2.0, 2.0, 200)  # the CLI's default axis at 200 points
         support = moments.moments_grid(axis, axis).support
         lengths, cells = np.unique(support, return_counts=True)
         assert dict(zip(lengths.tolist(), cells.tolist())) == {
@@ -248,4 +249,4 @@ class TestGrid:
             for j, var0 in enumerate(grid.var_values):
                 writer.writerow([repr(float(mu0)), repr(float(var0)),
                                  repr(float(grid.eps1[i, j])), repr(float(grid.eps2[i, j]))])
-        assert moments.render_grid_csv(grid) == ref.getvalue()
+        assert "".join(moments.grid_csv_chunks(grid)) == ref.getvalue()

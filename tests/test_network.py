@@ -7,6 +7,7 @@ trainable parameter of a small network, for each loss family.
 import copy
 import math
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def flat_params(weights):
         arrays.extend([W, b])
     arrays.extend([weights.head_w, weights.head_b])
     return arrays
+
+
+# the (hidden, head_w, head_b) gradient arrays that network._backward writes
+Grads = namedtuple("Grads", "hidden head_w head_b")
+
+
+def backward(weights, X, ys, spec):
+    """network._backward as train runs it, in train's error state, into views
+    of a fresh flat gradient vector: (Grads, mean loss)."""
+    flat = np.empty(sum(a.size for a in flat_params(weights)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return network._backward(weights, X, ys, spec, Grads(*network._flat_views(flat, weights)))
 
 
 class TestForward:
@@ -170,7 +183,7 @@ class TestBackward:
     ])
     def test_gradients_match_finite_differences(self, spec):
         weights, X, ys = toy_problem(head_count=spec.head_count)
-        grads, loss0 = network.backward(weights, X, ys, spec)
+        grads, loss0 = backward(weights, X, ys, spec)
         assert_allclose(loss0, network.batch_loss(weights, X, ys, spec), rtol=1e-13)
         heads0 = network.forward_batch(weights, X)
         if spec.family == "double_poisson":
@@ -196,13 +209,13 @@ class TestBackward:
     def test_label_count_mismatch(self):
         weights, X, ys = toy_problem()
         with pytest.raises(ShapeError):
-            network.backward(weights, X, ys[:-1], LossSpec("double_poisson"))
+            backward(weights, X, ys[:-1], LossSpec("double_poisson"))
 
     def test_overflowed_heads_divergence(self):
         weights, X, ys = toy_problem()
         weights.head_b = np.array([1000.0, 0.0])  # exp overflows to inf
         with pytest.raises(NumericDivergence):
-            network.backward(weights, X, ys, LossSpec("double_poisson"))
+            backward(weights, X, ys, LossSpec("double_poisson"))
         assert network.batch_loss(weights, X, ys, LossSpec("double_poisson")) == math.inf
 
     @pytest.mark.parametrize("head_b", [[-1000.0, 0.0], [0.0, -1000.0], [math.nan, 0.0]])
@@ -213,7 +226,7 @@ class TestBackward:
         ys[0] = 0.0
         weights.head_b = np.array(head_b)
         with pytest.raises(NumericDivergence, match="positive range"):
-            network.backward(weights, X, ys, LossSpec("double_poisson"))
+            backward(weights, X, ys, LossSpec("double_poisson"))
         assert network.batch_loss(weights, X, ys, LossSpec("double_poisson")) == math.inf
 
     @pytest.mark.parametrize("family, head_b", [
@@ -370,7 +383,7 @@ def _reference_backward(weights, X, ys, spec):
         grads_hidden.append([delta.T @ acts[i], delta.sum(axis=0)])
         delta = delta @ weights.hidden[i][0]
     grads_hidden.reverse()
-    return network.MLPGradients(grads_hidden, grad_head_w, grad_head_b)
+    return Grads(grads_hidden, grad_head_w, grad_head_b)
 
 
 def _reference_train(ds, split, config):
@@ -461,9 +474,9 @@ class TestFlatOptimizer:
     def test_backward_into_views_matches_fresh_arrays(self):
         weights, X, ys = toy_problem()
         spec = LossSpec("double_poisson", 0.5)
-        fresh, loss0 = network.backward(weights, X, ys, spec)
+        fresh, loss0 = backward(weights, X, ys, spec)
         flat = np.full(sum(a.size for a in flat_params(weights)), np.nan)
-        out = network.MLPGradients(*network._flat_views(flat, weights))
+        out = Grads(*network._flat_views(flat, weights))
         into, loss1 = network._backward(weights, X, ys, spec, out)
         assert into is out and loss1 == loss0
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in flat_params(fresh)]))
@@ -500,10 +513,6 @@ class TestFlatOptimizer:
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_double_poisson_labels_still_checked(self, bad):
-        weights, X, ys = toy_problem()
-        ys[3] = bad
-        with pytest.raises(DomainError, match="labels"):
-            network.backward(weights, X, ys, LossSpec("double_poisson"))
         ds, split = tiny_dataset()
         ds.ys = ds.ys.astype(float)
         ds.ys[split.train[5]] = bad

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ddpnkit import ensemble, metrics, network, ood
-from ddpnkit.errors import DomainError, ShapeError
+from ddpnkit.errors import DomainError
 from ddpnkit.losses import LossSpec
 
 
@@ -42,12 +42,18 @@ def fit_threshold(scores, alpha):
     return float(np.quantile(np.asarray(scores, dtype=float), 1.0 - alpha, method="linear"))
 
 
+def operating_points(holdout, id_scores, ood_scores, alphas):
+    """ood._sweep, the protocol's kernel, on the scores as given."""
+    return ood._sweep(np.asarray(holdout, dtype=float), np.asarray(alphas, dtype=float),
+                      ood._side(id_scores), ood._side(ood_scores))
+
+
 def sweep_taus(holdout, alphas):
-    return ood.sweep_operating_points(holdout, [0.0], [0.0], alphas)["tau"].tolist()
+    return operating_points(holdout, [0.0], [0.0], alphas)["tau"].tolist()
 
 
 class TestFitThreshold:
-    """The thresholds tau_alpha that sweep_operating_points fits on a holdout."""
+    """The thresholds tau_alpha that the sweep fits on a holdout."""
 
     def test_quantile_endpoints_and_interpolation(self):
         taus = sweep_taus([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.5])
@@ -60,15 +66,6 @@ class TestFitThreshold:
         taus = sweep_taus(scores, np.linspace(0.0, 1.0, 41))
         assert all(a >= b for a, b in zip(taus, taus[1:]))
 
-    def test_validation(self):
-        with pytest.raises(ShapeError, match="sweep_operating_points needs"):
-            ood.sweep_operating_points([], [1.0], [1.0], [0.5])
-        with pytest.raises(DomainError, match="alpha"):
-            ood.sweep_operating_points([1.0], [1.0], [1.0], [1.5])
-        for id_scores, ood_scores in (([], [1.0]), ([1.0], [])):
-            with pytest.raises(ShapeError, match="sweep_operating_points needs"):
-                ood.sweep_operating_points([1.0], id_scores, ood_scores, [0.5])
-
 
 class TestSweep:
     def test_matches_scalar_thresholds_and_counts(self):
@@ -80,7 +77,7 @@ class TestSweep:
             holdout = rng.gamma(2.0, 3.0, int(rng.integers(1, 120)))
             id_scores = np.round(rng.gamma(2.0, 3.0, 80), 1)
             ood_scores = np.concatenate([rng.gamma(3.0, 3.0, 60), holdout[:5]])
-            sweep = ood.sweep_operating_points(holdout, id_scores, ood_scores, alphas)
+            sweep = operating_points(holdout, id_scores, ood_scores, alphas)
             assert set(sweep) == {"alpha", "tau", "fpr", "tpr", "precision"}
             assert all(column.shape == alphas.shape for column in sweep.values())
             assert sweep["alpha"].tolist() == alphas.tolist()
@@ -94,7 +91,7 @@ class TestSweep:
 
     def test_hand_counted_operating_point(self):
         holdout = np.arange(1.0, 11.0)  # quantile(0.8) = 8.2
-        sweep = ood.sweep_operating_points(holdout, [5.0, 9.0], [8.5, 20.0], [0.2])
+        sweep = operating_points(holdout, [5.0, 9.0], [8.5, 20.0], [0.2])
         assert_allclose(sweep["tau"], [8.2], rtol=1e-12)
         assert sweep["fpr"].tolist() == [0.5]
         assert sweep["tpr"].tolist() == [1.0]
@@ -102,7 +99,7 @@ class TestSweep:
 
     def test_strict_inequality_at_threshold(self):
         # a score exactly at tau is not flagged
-        sweep = ood.sweep_operating_points([0.0, 10.0], [10.0], [10.0], [0.0])
+        sweep = operating_points([0.0, 10.0], [10.0], [10.0], [0.0])
         assert sweep["fpr"].tolist() == [0.0]
         assert sweep["tpr"].tolist() == [0.0]
         assert sweep["precision"].tolist() == [1.0]  # nothing flagged at all
@@ -110,8 +107,8 @@ class TestSweep:
     def test_infinite_holdout_scores_give_infinite_thresholds(self):
         """Interpolating toward a +inf score reaches +inf (numpy's quantile
         gives nan there), above which nothing is flagged."""
-        sweep = ood.sweep_operating_points([1.0, 2.0, np.inf, np.inf], [1.5, np.inf],
-                                           [np.inf, 3.0], [0.0, 0.4, 0.5, 1.0])
+        sweep = operating_points([1.0, 2.0, np.inf, np.inf], [1.5, np.inf],
+                                 [np.inf, 3.0], [0.0, 0.4, 0.5, 1.0])
         assert sweep["tau"].tolist() == [np.inf, np.inf, np.inf, 1.0]
         assert sweep["tpr"].tolist() == [0.0, 0.0, 0.0, 1.0]
 
@@ -128,7 +125,7 @@ class TestSweep:
         assert np.asarray(sweep_taus(holdout, alphas)).tobytes() == want.tobytes()
 
     def test_alpha_one_flags_everything_above_min(self):
-        sweep = ood.sweep_operating_points([2.0, 4.0], [3.0, 1.0], [5.0], [1.0])
+        sweep = operating_points([2.0, 4.0], [3.0, 1.0], [5.0], [1.0])
         assert sweep["tpr"].tolist() == [1.0]
         assert sweep["fpr"].tolist() == [0.5]  # only the 3.0 exceeds tau = 2.0
 
@@ -142,7 +139,7 @@ class TestCurveFromPoints:
             id_all = rng.normal(0.0, 1.0, 600)
             ood_scores = rng.normal(1.5, 1.0, 300)
             holdout, id_eval = id_all[:200], id_all[200:]
-            points = ood.sweep_operating_points(
+            points = operating_points(
                 holdout, id_eval, ood_scores, np.linspace(0.0, 1.0, 101))
             sweep_auroc, sweep_aupr, sweep_fpr80 = ood.curve_metrics_from_points(points)
             rank_auroc, rank_aupr, rank_fpr80 = metrics.ood_curve_metrics(
@@ -155,7 +152,7 @@ class TestCurveFromPoints:
         holdout = np.linspace(0.0, 1.0, 50)
         id_eval = np.linspace(0.0, 1.0, 50)
         ood_scores = np.linspace(5.0, 6.0, 50)
-        points = ood.sweep_operating_points(
+        points = operating_points(
             holdout, id_eval, ood_scores, np.linspace(0.0, 1.0, 101))
         auroc, aupr, fpr80 = ood.curve_metrics_from_points(points)
         assert auroc > 0.999
@@ -207,9 +204,13 @@ class TestRunProtocol:
         assert taus[0] != taus[1]
 
     def test_degenerate_holdout_rejected(self):
-        config = ood.OODProtocolConfig(holdout_fraction=0.2, n_repeats=1)
-        with pytest.raises(DomainError):
-            ood.run_ood_eval(ramp_scores(np.zeros((2, 1))), ramp_scores(np.ones((5, 1))), config)
+        """Of two ID scores, a holdout of 0.2 takes none and one of 0.8 takes
+        both, which leaves no ID score to evaluate."""
+        for fraction in (0.2, 0.8):
+            config = ood.OODProtocolConfig(holdout_fraction=fraction, n_repeats=1)
+            with pytest.raises(DomainError):
+                ood.run_ood_eval(ramp_scores(np.zeros((2, 1))), ramp_scores(np.ones((5, 1))),
+                                 config)
 
     def test_identical_populations_are_indistinguishable(self):
         rng = np.random.default_rng(6)
