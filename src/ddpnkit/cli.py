@@ -112,7 +112,7 @@ def _parse_floats(text: str) -> tuple:
     return values
 
 
-# the keys of datagen.PROCESSES, kept here so that --help loads no datagen
+# the simulate processes, a literal so that --help loads no datagen
 PROCESSES = ("sine-conflation", "misspec-poisson", "misspec-nb", "beta-study")
 
 # Option tables: name -> (parser, default, help). A default of REQUIRED marks
@@ -301,7 +301,9 @@ def _dataset_for(opts: dict):
         return datagen.gen_sine_conflation(opts["n_train"], opts["n_val"], opts["n_test"], seed)
     if process == "beta-study":
         return datagen.gen_beta_study(opts["n"], seed, opts["isolated_repeat"])
-    return datagen.PROCESSES[process](opts["n"], seed)
+    if process == "misspec-poisson":
+        return datagen.gen_misspec_poisson(opts["n"], seed)
+    return datagen.gen_misspec_nb(opts["n"], seed)
 
 
 def cmd_simulate(opts: dict) -> tuple[dict, str]:

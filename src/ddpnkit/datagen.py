@@ -15,8 +15,13 @@ Four processes at desk scale:
   that sit far from the bulk, for studying mean-fit speed under beta
   scaling of the loss.
 
+A SyntheticDataset checks its labels with losses.count_labels, the one
+count rule: an integer array is kept as it is, and any other label must be
+a nonnegative integer below 2^63, so none is cast to a different count.
+
 Datasets are exchanged as CSV with header "x,y"; floats are written with
-repr so a write/read round trip is bit-exact.
+repr so a write/read round trip is bit-exact. The reader takes ASCII cells
+only and no digit separators (1_0), which float() and int() would accept.
 
 The sine conflation and beta study samplers import distributions when they
 run, so the CSV reader and writer, all that the train command uses here,
@@ -34,6 +39,7 @@ from itertools import islice
 import numpy as np
 
 from ddpnkit.errors import DomainError, FileFormatError, ShapeError
+from ddpnkit.losses import count_labels
 
 CONFLATION_SUPPORT = 60
 CONFLATION_POWER = 5
@@ -63,14 +69,17 @@ class SyntheticDataset:
         if xs.shape[0] == 1 and np.asarray(self.ys).size != 1:
             xs = xs.T
         ys = np.asarray(self.ys)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", np.asarray(ys, dtype=np.int64))
         if xs.shape[0] != ys.size:
             raise ShapeError(f"{xs.shape[0]} inputs for {ys.size} labels")
         if not np.all(np.isfinite(xs)):
             raise DomainError("inputs must be finite")
-        if np.any(np.asarray(ys) < 0):
-            raise DomainError("labels must be nonnegative counts")
+        ys = count_labels(ys)
+        if ys.dtype.kind in "uf":  # a signed integer label is below 2^63 by its type
+            big = np.flatnonzero(ys >= 2**63)
+            if big.size:
+                raise DomainError(f"a count label must be below 2^63, got {ys[big[0]]}")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", np.asarray(ys, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -214,14 +223,6 @@ def gen_beta_study(n: int = 500, seed: int = 0, isolated_repeat: int = 1):
 
 # --- CSV I/O ------------------------------------------------------------------
 
-PROCESSES = {
-    "sine-conflation": gen_sine_conflation,
-    "misspec-poisson": gen_misspec_poisson,
-    "misspec-nb": gen_misspec_nb,
-    "beta-study": gen_beta_study,
-}
-
-
 def csv_chunks(header: str, columns):
     """CSV text in chunks: the header line, then one line per row of the text
     columns, 1024 rows to a chunk.
@@ -251,7 +252,8 @@ class DatasetFormatError(FileFormatError):
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read an x,y CSV of finite inputs and nonnegative integer labels.
 
-    Raises DatasetFormatError for a bad header or row, or a file that is not
+    Raises DatasetFormatError for a bad header or row (a cell holding a digit
+    separator or a non-ASCII character among them), or a file that is not
     CSV text.
     """
     xs, ys = [], []
@@ -265,6 +267,9 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 if len(row) != 2:
                     raise DatasetFormatError(f"{path}: malformed row {row}")
                 try:
+                    # float() and int() would read 1_0 and non-ASCII digits
+                    if not all(cell.isascii() and "_" not in cell for cell in row):
+                        raise ValueError("a digit separator or a non-ASCII character")
                     x, y = float(row[0]), int(row[1])
                 except ValueError as exc:
                     raise DatasetFormatError(f"{path}: cannot parse row {row} as a float "

@@ -56,6 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from ddpnkit.errors import DomainError, NumericOverflow, ShapeError
+from ddpnkit.losses import count_labels
 
 DOUBLE_POISSON = "double_poisson"
 POISSON = "poisson"
@@ -628,23 +629,12 @@ def crps_from_cdf(cdf: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return total + np.sum(np.where(upper, tail, 0.0), axis=1)
 
 
-def count_labels(ys) -> np.ndarray:
-    """Labels rounded to integer floats; DomainError for a label that is nan,
-    infinite, negative or more than 1e-9 from an integer."""
-    ys = np.asarray(ys, dtype=float)
-    labels = np.rint(np.where(np.isfinite(ys), ys, -1.0))
-    bad = np.flatnonzero((labels < 0) | (np.abs(ys - labels) > 1e-9))
-    if bad.size:
-        raise DomainError(f"a count label must be a nonnegative integer, got {ys[bad[0]]}")
-    return labels
-
-
 def check_labels(batch: PredictiveBatch, ys) -> np.ndarray:
     """Labels to score batch against, as floats: count_labels for the
     discrete families; Gaussian rows take any finite label. DomainError for
     a label that does not qualify."""
     if batch.kind != GAUSSIAN:
-        return count_labels(ys)
+        return np.asarray(count_labels(ys), dtype=float)
     ys = np.asarray(ys, dtype=float)
     bad = np.flatnonzero(~np.isfinite(ys))
     if bad.size:

@@ -16,14 +16,13 @@ it runs each member's network once, and the MemberHeads it returns gives
 the predictive distributions (batch), the member moments (moments) and the
 OOD scores (scores) at those rows. The mixture decomposition itself,
 decompose_variance and UncertaintyDecomposition, lives in distributions
-beside PredictiveBatch, which reads its moments from it; both names are
-re-exported here.
+beside PredictiveBatch, which reads its moments from it; the scores here
+are its totals.
 
 load_ensemble reads a manifest and the checkpoints it lists. The manifest
-format (MANIFEST_HEADER, render_manifest, load_manifest and
-ManifestFormatError) lives in network, beside the checkpoint format, so the
-train command writes a manifest without executing this module or
-distributions; it is re-exported here.
+format (network.render_manifest, load_manifest and ManifestFormatError)
+lives in network, beside the checkpoint format, so the train command
+writes a manifest without executing this module or distributions.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from ddpnkit.distributions import UncertaintyDecomposition, decompose_variance
 from ddpnkit.errors import DomainError, NumericOverflow
 from ddpnkit.losses import LossSpec
 from ddpnkit.network import CheckpointFormatError, forward_batch, load_checkpoint
-from ddpnkit.network import MANIFEST_HEADER, ManifestFormatError, load_manifest, render_manifest
+from ddpnkit.network import ManifestFormatError, load_manifest
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ heads: column 0 of the heads is log mu, column 1 log gamma (Double
 Poisson), log dispersion (negative binomial) or log variance (Gaussian).
 It exponentiates internally and returns the per-example values with their
 gradients with respect to the heads, the chain factors included.
+
+count_labels, the one rule for count labels, lives here because every
+command loads this module: datagen.SyntheticDataset and the scoring of
+the discrete families (distributions.check_labels) apply it. The loss
+formulas above take real-valued labels and check only that they are
+finite and nonnegative.
 """
 
 from __future__ import annotations
@@ -70,6 +76,23 @@ class AttenuationParts:
     a: float
     r: float
     phi: float
+
+
+def count_labels(ys) -> np.ndarray:
+    """Count labels: an integer array as it is, any other labels rounded to
+    integer floats. DomainError for a label that is negative, nan, infinite
+    or more than 1e-9 from an integer."""
+    ys = np.asarray(ys)
+    if ys.dtype.kind in "iu":
+        labels = ys
+        bad = np.flatnonzero(ys < 0)
+    else:
+        ys = np.asarray(ys, dtype=float)
+        labels = np.rint(np.where(np.isfinite(ys), ys, -1.0))
+        bad = np.flatnonzero((labels < 0) | (np.abs(ys - labels) > 1e-9))
+    if bad.size:
+        raise DomainError(f"a count label must be a nonnegative integer, got {ys[bad[0]]}")
+    return labels
 
 
 def _check_labels(y):

@@ -28,9 +28,8 @@ backprop, is not blocked.
 
 Checkpoints are text files; render_checkpoint and load_checkpoint are their
 format. The ensemble manifest, which lists a run's checkpoints, has its
-format here too (render_manifest and load_manifest; ensemble re-exports
-them), so the train command executes only cli, errors, losses, network and
-datagen.
+format here too (render_manifest and load_manifest), so the train
+command executes only cli, errors, losses, network and datagen.
 
 Everything is deterministic for a fixed seed.
 """
@@ -43,7 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ddpnkit.datagen import SplitIndices  # re-exported: train takes one
+from ddpnkit.datagen import SplitIndices
 from ddpnkit.errors import DomainError, FileFormatError, NumericDivergence, ShapeError
 from ddpnkit.losses import LossSpec, _check_labels, head_nll
 

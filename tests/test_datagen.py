@@ -183,13 +183,6 @@ class TestSplitIndices:
             datagen.split_indices(10, counts=(5, 3, 3))
 
 
-class TestProcessRegistry:
-    def test_known_names(self):
-        assert set(datagen.PROCESSES) == {
-            "sine-conflation", "misspec-poisson", "misspec-nb", "beta-study",
-        }
-
-
 def write_split_csvs(ds, split, prefix):
     """The prefix_train/val/test.csv files that simulate writes."""
     for name, idx in (("train", split.train), ("val", split.val), ("test", split.test)):
@@ -220,10 +213,13 @@ class TestCsv:
             datagen.read_dataset_csv(bad)
 
     def test_unparseable_cell(self, tmp_path):
+        """float() and int() would read 1_0 as 10 and Arabic-Indic or
+        fullwidth digits as their values; a dataset cell is plain ASCII."""
         bad = tmp_path / "bad.csv"
-        for body in ("1.0,2.5\n", "one,2\n"):
-            bad.write_text("x,y\n" + body)
-            with pytest.raises(datagen.DatasetFormatError):
+        for body in ("1.0,2.5\n", "one,2\n", "1_0,2\n", "1.0,2_0\n", "\u0663.5,3\n",
+                     "3.5,\u0663\n", "1.0,\uff12\n", "1.0\u2003,2\n"):
+            bad.write_text("x,y\n" + body, encoding="utf-8")
+            with pytest.raises(datagen.DatasetFormatError, match="cannot parse row"):
                 datagen.read_dataset_csv(bad)
 
     def test_split_files_round_trip(self, tmp_path):
@@ -254,6 +250,25 @@ class TestDatasetValidation:
     def test_rejects_negative_labels(self):
         with pytest.raises(DomainError):
             datagen.SyntheticDataset(np.ones((2, 1)), np.array([1, -1]), "p", 0)
+
+    @pytest.mark.parametrize("labels", [[2.7, 3.0], [np.nan, 1.0], [1e30, 1.0], [2.0**63, 1.0],
+                                        [-1.0, 1.0], [np.inf, 1.0],
+                                        np.array([2**63, 1], dtype=np.uint64)])
+    def test_rejects_labels_that_are_not_int64_counts(self, labels):
+        """A label that is not a nonnegative integer below 2^63 is refused,
+        not truncated (2.7 -> 2) or wrapped (nan, 1e30 -> -2^63)."""
+        with pytest.raises(DomainError, match="count label"):
+            datagen.SyntheticDataset(np.ones((2, 1)), labels, "p", 0)
+
+    def test_keeps_integer_labels_exactly(self):
+        """Integer labels are stored as they are, with no float round trip
+        (2^53 + 1 is not a float64); integer-valued floats become their
+        counts."""
+        big = np.array([2**53 + 1, 2**63 - 1, 0], dtype=np.int64)
+        ds = datagen.SyntheticDataset(np.ones((3, 1)), big, "p", 0)
+        assert ds.ys.dtype == np.int64 and ds.ys.tolist() == big.tolist()
+        ds = datagen.SyntheticDataset(np.ones((3, 1)), [3.0, 0.0, 2.0**62], "p", 0)
+        assert ds.ys.dtype == np.int64 and ds.ys.tolist() == [3, 0, 2**62]
 
     def test_rejects_non_finite_inputs(self):
         with pytest.raises(DomainError):

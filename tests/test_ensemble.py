@@ -258,8 +258,8 @@ class TestManifest:
     def test_round_trip(self, tmp_path):
         names = self._write_members(tmp_path)
         manifest = tmp_path / "ens.manifest"
-        manifest.write_text(ensemble.render_manifest(names, LossSpec("double_poisson", 0.5)))
-        paths, spec = ensemble.load_manifest(manifest)
+        manifest.write_text(network.render_manifest(names, LossSpec("double_poisson", 0.5)))
+        paths, spec = network.load_manifest(manifest)
         assert paths == names
         assert spec.family == "double_poisson"
         assert spec.beta == 0.5
@@ -271,20 +271,20 @@ class TestManifest:
     def test_missing_header(self, tmp_path):
         bad = tmp_path / "bad.manifest"
         bad.write_text("member0.ckpt\n")
-        with pytest.raises(ensemble.ManifestFormatError):
-            ensemble.load_manifest(bad)
+        with pytest.raises(network.ManifestFormatError):
+            network.load_manifest(bad)
 
     def test_unparseable_beta(self, tmp_path):
         bad = tmp_path / "beta.manifest"
-        bad.write_text(f"{ensemble.MANIFEST_HEADER}\nfamily=poisson\nbeta=half\nm0.ckpt\n")
-        with pytest.raises(ensemble.ManifestFormatError):
-            ensemble.load_manifest(bad)
+        bad.write_text(f"{network.MANIFEST_HEADER}\nfamily=poisson\nbeta=half\nm0.ckpt\n")
+        with pytest.raises(network.ManifestFormatError):
+            network.load_manifest(bad)
 
     def test_no_members_listed(self, tmp_path):
         bad = tmp_path / "empty.manifest"
-        bad.write_text(f"{ensemble.MANIFEST_HEADER}\nfamily=poisson\n")
-        with pytest.raises(ensemble.ManifestFormatError):
-            ensemble.load_manifest(bad)
+        bad.write_text(f"{network.MANIFEST_HEADER}\nfamily=poisson\n")
+        with pytest.raises(network.ManifestFormatError):
+            network.load_manifest(bad)
 
     # member names holding "=" (a tag-like "family=..." or "beta=..." too), but
     # no line break or NUL
@@ -299,14 +299,14 @@ class TestManifest:
            spec=st.sampled_from((LossSpec("double_poisson", 0.5), LossSpec("poisson"))))
     def test_reads_back_every_member_name(self, tmp_path, names, spec):
         manifest = tmp_path / "ens.manifest"
-        manifest.write_text(ensemble.render_manifest(names, spec))
-        assert ensemble.load_manifest(manifest) == (names, spec)
+        manifest.write_text(network.render_manifest(names, spec))
+        assert network.load_manifest(manifest) == (names, spec)
 
     def test_family_mismatch_between_member_and_manifest(self, tmp_path):
         names = self._write_members(tmp_path, family="poisson")
         manifest = tmp_path / "ens.manifest"
-        manifest.write_text(ensemble.render_manifest(names, LossSpec("double_poisson")))
-        with pytest.raises(ensemble.ManifestFormatError):
+        manifest.write_text(network.render_manifest(names, LossSpec("double_poisson")))
+        with pytest.raises(network.ManifestFormatError):
             ensemble.load_ensemble(manifest)
 
 

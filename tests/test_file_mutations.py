@@ -82,7 +82,7 @@ class TestMutatedFiles:
         path = files["root"] / "ckpt" / "mutated.manifest"
         path.write_bytes(data.draw(mutations(files["manifest"])))
         check(lambda: ensemble.load_ensemble(path),
-              (ensemble.ManifestFormatError, network.CheckpointFormatError, OSError),
+              (network.ManifestFormatError, network.CheckpointFormatError, OSError),
               ["ensemble-eval", "--manifest", path, "--data", files["prefix"],
                "--out", files["root"]])
 

@@ -15,6 +15,7 @@ from scipy.stats import norm
 from ddpnkit import distributions as dists
 from ddpnkit import metrics
 from ddpnkit.errors import DomainError, ShapeError
+from ddpnkit.losses import count_labels
 from test_distributions import draws, pmf_of
 
 
@@ -45,7 +46,7 @@ def crps(dist, y) -> float:
 
 def crps_of_cdf(cdf, y) -> float:
     """CRPS of one CDF vector at one count label, through crps_from_cdf."""
-    return float(dists.crps_from_cdf(np.asarray(cdf)[None], dists.count_labels([y]))[0])
+    return float(dists.crps_from_cdf(np.asarray(cdf)[None], count_labels([y]))[0])
 
 
 class TestDiscreteCrps:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ddpnkit import network
+from ddpnkit import datagen, network
 from ddpnkit.errors import DomainError, NumericDivergence, ShapeError
 from ddpnkit.losses import LossSpec, ddpn_grads, head_nll
 
@@ -263,7 +263,7 @@ def tiny_dataset(n=60, seed=0):
     ds = DS()
     ds.xs = xs[:, None]
     ds.ys = ys
-    split = network.SplitIndices(np.arange(48), np.arange(48, 60))
+    split = datagen.SplitIndices(np.arange(48), np.arange(48, 60))
     return ds, split
 
 
@@ -345,7 +345,7 @@ class TestTrain:
 
     def test_empty_split_rejected(self):
         ds, _ = tiny_dataset()
-        bad = network.SplitIndices(np.arange(0), np.arange(5))
+        bad = datagen.SplitIndices(np.arange(0), np.arange(5))
         config = network.TrainConfig(loss=LossSpec("poisson"), epochs=1)
         with pytest.raises(DomainError):
             network.train(ds, bad, config)
@@ -501,7 +501,7 @@ class TestFlatOptimizer:
 
     def test_bad_test_label_is_never_read(self):
         ds, _ = tiny_dataset()
-        split = network.SplitIndices(np.arange(40), np.arange(40, 50), np.arange(50, 60))
+        split = datagen.SplitIndices(np.arange(40), np.arange(40, 50), np.arange(50, 60))
         config = network.TrainConfig(loss=LossSpec("double_poisson"), epochs=2,
                                      hidden_widths=(4,), seed=0)
         clean, clean_report = network.train(ds, split, config)

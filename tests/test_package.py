@@ -1,4 +1,10 @@
-"""Package-wide structure: every public name serves the package."""
+"""Package-wide structure: every public name has a caller or a stated role,
+and no module imports a package name that it does not use.
+
+A reference counts only when it resolves to the module that defines the
+name: `dists.poisson(...)` in a module that imported distributions as dists
+is a call of distributions.poisson, while `rng.poisson(...)` is not.
+"""
 
 import ast
 from pathlib import Path
@@ -6,38 +12,140 @@ from pathlib import Path
 import ddpnkit
 
 SRC = Path(ddpnkit.__file__).parent
+ROOT = SRC.parent.parent
+STEMS = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
-# the sine-conflation process's ground-truth moments, an oracle for the tests
-ORACLES = {"datagen.sine_conflation_true_moments"}
+# Public names that no src/ module uses, with the role they serve and the
+# files that use them: the constructors and formulas the README names and
+# the tests check against their closed forms, and the tests' oracles.
+ROLES = {
+    "distributions.poisson": (
+        "constructor of a one-row Poisson batch", ("README.md", "tests/test_distributions.py")),
+    "distributions.neg_binomial": (
+        "constructor of a one-row negative binomial batch",
+        ("README.md", "tests/test_distributions.py")),
+    "distributions.gaussian": (
+        "constructor of a one-row Gaussian batch", ("README.md", "tests/test_distributions.py")),
+    "distributions.mixture": (
+        "constructor of a uniform mixture of one-row batches",
+        ("README.md", "tests/test_distributions.py")),
+    "losses.ddpn_nll": (
+        "the paper's Double Poisson loss in mu and gamma",
+        ("README.md", "tests/test_losses.py")),
+    "losses.ddpn_grads": (
+        "the paper's loss gradients in mu and gamma", ("README.md", "tests/test_losses.py")),
+    "losses.attenuation_decompose": (
+        "the paper's split of the loss into penalty and attenuated residual",
+        ("tests/test_losses.py", "tests/test_acceptance.py")),
+    "distributions.dp_normalizer": (
+        "the paper's normalizing constant c(mu, gamma)", ("tests/test_distributions.py",)),
+    "moments.mdf_epsilon": (
+        "the paper's moment deviation at one (mu0, var0) cell",
+        ("tests/test_moments.py", "tests/test_acceptance.py")),
+    "datagen.sine_conflation_true_moments": (
+        "test oracle: the sine-conflation process's true moments",
+        ("tests/test_datagen.py", "tests/test_acceptance.py")),
+    "metrics.ood_curve_metrics": (
+        "test oracle: AUROC, AUPR and FPR80 from scores, for the OOD sweep",
+        ("tests/test_metrics.py", "tests/test_ood.py")),
+}
 
 
-def _references(tree: ast.AST) -> set:
-    """Every name tree reads: plain names, attribute names and imported names."""
+def _bindings(tree: ast.Module, own: str | None) -> dict:
+    """Local name -> (module, attribute) for each package name the file
+    imports, with attribute None for a module; a top-level assignment to a
+    module's stem (cli binds its lazy modules so) names that module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ddpnkit":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (alias.name, None)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ddpnkit."):
+            module = node.module.split(".")[1]
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (module, alias.name)
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id in STEMS and name.id != own:
+                        bound[name.id] = (name.id, None)
+    return bound
+
+
+def _resolved(tree: ast.Module, own: str | None = None) -> set:
+    """(module, name) of every package name the file reads."""
+    bound = _bindings(tree, own)
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            module, attr = bound.get(node.id, (own, node.id))
+            if module is not None and attr is not None:
+                out.add((module, attr))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module, attr = bound.get(node.value.id, (None, ""))
+            if module is not None and attr is None:
+                out.add((module, node.attr))
     return out
 
 
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_names(tree: ast.Module) -> list:
+    """The top-level functions, classes and constants a module defines
+    without a leading underscore; cli's bindings of modules are not its own."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [name.id for target in node.targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and name.id not in STEMS]
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_name_has_a_caller():
-    """A public top-level function or class is used in its own module,
-    referenced from another module of the package, or exported in
-    ddpnkit.__all__; a checked twin of a kernel that only tests call fails."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = {module: _references(tree) for module, tree in trees.items()}
-    unused = []
-    for module, tree in trees.items():
-        elsewhere = set().union(*(names for other, names in used.items() if other != module))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name in used[module] | elsewhere or node.name in ddpnkit.__all__:
-                continue
-            if f"{module}.{node.name}" not in ORACLES:
-                unused.append(f"{module}.{node.name}")
-    assert not unused, f"public names without a caller: {unused}"
+    """A public top-level function, class or constant is read in its own
+    module or from another module that resolves it there, or ROLES names its
+    role; a checked twin of a kernel that only tests call fails."""
+    trees = _trees()
+    used = set().union(*(_resolved(tree, module) for module, tree in trees.items()))
+    unused = [f"{module}.{name}" for module, tree in trees.items()
+              for name in _public_names(tree)
+              if (module, name) not in used and f"{module}.{name}" not in ROLES]
+    assert not unused, f"public names without a caller or a role: {unused}"
+
+
+def test_roles_name_their_users():
+    """Each ROLES entry is a public name that no src/ module uses, and every
+    file it names reads it: a test resolves it to its module, and the README
+    names it in code."""
+    trees = _trees()
+    used = set().union(*(_resolved(tree, module) for module, tree in trees.items()))
+    for qualified, (role, users) in ROLES.items():
+        module, name = qualified.split(".")
+        assert role and users, qualified
+        assert name in _public_names(trees[module]), f"{qualified} is not a public name"
+        assert (module, name) not in used, f"{qualified} has a src/ caller; drop its role"
+        for user in users:
+            text = (ROOT / user).read_text()
+            if user.endswith(".py"):
+                assert (module, name) in _resolved(ast.parse(text)), f"{user} reads no {qualified}"
+            else:
+                assert f"`{name}" in text, f"{user} names no {qualified}"
+
+
+def test_no_module_imports_a_package_name_it_does_not_use():
+    """A name that a module imports from the package is read there; an import
+    kept only so that another module can reach the name through it fails."""
+    unread = []
+    for module, tree in _trees().items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ddpnkit"):
+                unread += [f"{module}.{alias.asname or alias.name}" for alias in node.names
+                           if (alias.asname or alias.name) not in read]
+    assert not unread, f"package names imported and never used: {unread}"
