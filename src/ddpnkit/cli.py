@@ -365,7 +365,7 @@ def cmd_train(opts: dict) -> tuple[dict, str]:
         files[path] = _rendered_on_write(network.render_checkpoint, weights, meta)
         report_payload.append({
             "member": member,
-            "seed": report.seed,
+            "seed": report.config.seed,
             "best_epoch": report.best_epoch,
             "train_loss": report.train_loss,
             "val_loss": report.val_loss,
@@ -394,7 +394,7 @@ def cmd_eval(opts: dict) -> tuple[dict, str]:
     weights, spec = ensemble.load_member(opts["ckpt"])
     test_x, test_y = _test_rows(opts)
     model = ensemble.Ensemble(((weights, spec),))
-    summary = metrics.evaluate(ensemble.member_heads(model, test_x).batch(), test_y).summary()
+    summary = metrics.evaluate(ensemble.member_heads(model, test_x).batch, test_y).summary()
     return {_report_path(opts, "metrics.json"): _json(summary)}, json.dumps(summary)
 
 
@@ -403,12 +403,12 @@ def cmd_ensemble_eval(opts: dict) -> tuple[dict, str]:
     test_x, test_y = _test_rows(opts)
     heads = ensemble.member_heads(ens, test_x)
     dec = ensemble.decompose_variance(*heads.moments(opts["moments_mode"]))  # scores and table
-    record = metrics.evaluate(heads.batch(), test_y, variances=ensemble.total_scores(dec),
+    record = metrics.evaluate(heads.batch, test_y, variances=ensemble.total_scores(dec),
                               levels=ensemble.INTERVAL)
-    table = ensemble.predict_table(dec, record.quantiles)
-    decomposition = datagen.csv_chunks(",".join(("x", *table)), [
+    decomposition = datagen.csv_chunks("x,mean,aleatoric,epistemic,q025,q975", [
         map(repr, np.asarray(column, dtype=float).tolist())
-        for column in (test_x[:, 0], *table.values())])
+        for column in (test_x[:, 0], dec.mean, dec.aleatoric, dec.epistemic,
+                       *record.quantiles)])
     summary = record.summary()
     return {_report_path(opts, "metrics.json"): _json(summary),
             _report_path(opts, "decomposition.csv"): decomposition}, json.dumps(summary)
@@ -426,15 +426,12 @@ def cmd_ood(opts: dict) -> tuple[dict, str]:
                              f"low < high, got {low} and {high}")
         rng = np.random.default_rng(opts["seed"])
         ood_x = rng.uniform(low, high, opts["ood_n"])[:, None]
-    config = ood.OODProtocolConfig(
-        holdout_fraction=opts["holdout"],
-        n_repeats=opts["n_repeats"],
-        alphas=tuple(np.linspace(0.0, 1.0, opts["alpha_points"])),
-        seed=opts["seed"],
-    )
     id_scores = ensemble.member_heads(ens, id_x).scores()
     ood_scores = ensemble.member_heads(ens, ood_x).scores()
-    payload = ood.run_ood_eval(id_scores, ood_scores, config).to_json_dict()
+    payload = ood.run_ood_eval(id_scores, ood_scores, holdout_fraction=opts["holdout"],
+                               n_repeats=opts["n_repeats"],
+                               alphas=np.linspace(0.0, 1.0, opts["alpha_points"]),
+                               seed=opts["seed"])
     return {_report_path(opts, "ood.json"): _json(payload)}, json.dumps(payload)
 
 

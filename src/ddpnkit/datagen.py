@@ -20,8 +20,11 @@ count rule: an integer array is kept as it is, and any other label must be
 a nonnegative integer below 2^63, so none is cast to a different count.
 
 Datasets are exchanged as CSV with header "x,y"; floats are written with
-repr so a write/read round trip is bit-exact. The reader takes ASCII cells
-only and no digit separators (1_0), which float() and int() would accept.
+repr so a write/read round trip is bit-exact. The reader takes a label of
+ASCII digits and an input that is a plain decimal as repr writes one: a
+leading "-" and the exponent's own sign are the only signs. float() and
+int() would also take spaces around a cell, a "+", digit separators (1_0)
+and non-ASCII digits.
 
 The sine conflation and beta study samplers import distributions when they
 run, so the CSV reader and writer, all that the train command uses here,
@@ -33,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -249,12 +253,15 @@ class DatasetFormatError(FileFormatError):
     """A dataset CSV does not follow the x,y layout."""
 
 
+_INPUT_CELL = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read an x,y CSV of finite inputs and nonnegative integer labels.
 
-    Raises DatasetFormatError for a bad header or row (a cell holding a digit
-    separator or a non-ASCII character among them), or a file that is not
-    CSV text.
+    Raises DatasetFormatError for a bad header or row (a label that is not
+    ASCII digits, or an input that is not a plain decimal, among them), or a
+    file that is not CSV text.
     """
     xs, ys = [], []
     try:
@@ -266,15 +273,13 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
             for row in reader:
                 if len(row) != 2:
                     raise DatasetFormatError(f"{path}: malformed row {row}")
-                try:
-                    # float() and int() would read 1_0 and non-ASCII digits
-                    if not all(cell.isascii() and "_" not in cell for cell in row):
-                        raise ValueError("a digit separator or a non-ASCII character")
-                    x, y = float(row[0]), int(row[1])
-                except ValueError as exc:
+                # float() and int() would read " 1.5", "+3", 1_0 and non-ASCII digits
+                if not (_INPUT_CELL.fullmatch(row[0])
+                        and row[1].isascii() and row[1].isdigit()):
                     raise DatasetFormatError(f"{path}: cannot parse row {row} as a float "
-                                             "input and an integer label") from exc
-                if not (math.isfinite(x) and 0 <= y < 2**63):
+                                             "input and an integer label")
+                x, y = float(row[0]), int(row[1])
+                if not (math.isfinite(x) and y < 2**63):
                     raise DatasetFormatError(f"{path}: row {row} needs a finite input and a "
                                              "nonnegative 64-bit label")
                 xs.append(x)

@@ -13,11 +13,18 @@ series evaluation is available behind a flag.
 
 member_heads(ens, X) is the one way to read an ensemble at a set of rows:
 it runs each member's network once, and the MemberHeads it returns gives
-the predictive distributions (batch), the member moments (moments) and the
-OOD scores (scores) at those rows. The mixture decomposition itself,
-decompose_variance and UncertaintyDecomposition, lives in distributions
-beside PredictiveBatch, which reads its moments from it; the scores here
-are its totals.
+the predictive distributions (heads.batch, built once and kept), the member
+moments (heads.moments(mode)) and the OOD scores (heads.scores(mode)) at
+those rows. The mixture decomposition itself, decompose_variance and
+UncertaintyDecomposition, lives in distributions beside PredictiveBatch,
+which reads its moments from it; the scores here are its totals. A caller
+lays the decomposition and the interval ends read at the INTERVAL levels
+out as it needs them, as ensemble-eval's table does:
+
+    dec = decompose_variance(*heads.moments())
+    ends = metrics.evaluate(heads.batch, ys, levels=INTERVAL).quantiles
+    {"mean": dec.mean, "aleatoric": dec.aleatoric,
+     "epistemic": dec.epistemic, "q025": ends[0], "q975": ends[1]}
 
 load_ensemble reads a manifest and the checkpoints it lists. The manifest
 format (network.render_manifest, load_manifest and ManifestFormatError)
@@ -78,20 +85,18 @@ class MemberHeads:
         object.__setattr__(self, "values", np.array(self.values, dtype=float))
         self.values.flags.writeable = False
 
-    def batch(self) -> dists.PredictiveBatch:
-        """The predictive distributions: row i is the uniform mixture of the M
-        member distributions, with parameters (M, n). Heads are (log mean, log
-        second parameter): the inverse dispersion gamma for the Double
-        Poisson, the dispersion alpha of the negative binomial (r = 1/alpha,
-        p = 1/(1 + alpha*mean)), and the variance for the Gaussian. Raises
-        NumericOverflow naming the first row where a member's heads over- or
-        underflow out of the family's parameter domain (an inf or zero mean,
-        say, or a negative binomial p of 0).
-        """
-        return self._batch
-
     @cached_property
-    def _batch(self) -> dists.PredictiveBatch:
+    def batch(self) -> dists.PredictiveBatch:
+        """The predictive distributions, built on first read and kept: row i
+        is the uniform mixture of the M member distributions, with parameters
+        (M, n). Heads are (log mean, log second parameter): the inverse
+        dispersion gamma for the Double Poisson, the dispersion alpha of the
+        negative binomial (r = 1/alpha, p = 1/(1 + alpha*mean)), and the
+        variance for the Gaussian. Raises NumericOverflow naming the first row
+        where a member's heads over- or underflow out of the family's
+        parameter domain (an inf or zero mean, say, or a negative binomial p
+        of 0).
+        """
         with np.errstate(all="ignore"):
             mean = np.exp(self.values[..., 0])
             if self.family == "poisson":
@@ -118,7 +123,7 @@ class MemberHeads:
         if mode not in (dists.EFRON_APPROX, dists.EXACT_SERIES):
             raise DomainError(f"unknown moments mode {mode!r}")
         if self.family == "double_poisson" and mode == dists.EXACT_SERIES:
-            return self.batch().member_moments(mode)
+            return self.batch.member_moments(mode)
         log_m = self.values[..., 0]
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf heads give nan
             m = np.exp(log_m)
@@ -152,23 +157,7 @@ def member_heads(ens: Ensemble, X: np.ndarray) -> MemberHeads:
         return MemberHeads(ens.family, np.stack([forward_batch(w, X) for w, _ in ens.members]))
 
 
-INTERVAL = (0.025, 0.975)
-
-
-def predict_table(dec: UncertaintyDecomposition, quantiles) -> dict:
-    """Per-row decomposition and equal-tailed 95 percent mixture interval.
-
-    Returns a dict of arrays: mean, aleatoric, epistemic, q025, q975, from
-    dec and from quantiles, the (2, n) interval ends read at the INTERVAL
-    levels (as metrics.evaluate does with levels=INTERVAL).
-    """
-    return {
-        "mean": dec.mean,
-        "aleatoric": dec.aleatoric,
-        "epistemic": dec.epistemic,
-        "q025": quantiles[0],
-        "q975": quantiles[1],
-    }
+INTERVAL = (0.025, 0.975)  # levels of the equal-tailed 95 percent mixture interval
 
 
 def load_member(path, fallback: LossSpec | None = None) -> tuple:

@@ -19,12 +19,14 @@ stored with the weights so checkpoints are self-contained. An empty
 hidden_widths tuple degrades the model to a log-linear GLM, which is handy
 for sanity checks.
 
-Inference (forward_batch) runs the hidden layers over row blocks of
-INFER_BLOCK rows once a batch holds two blocks, and the head over all rows
-at once, so its working set does not grow with one full-batch activation
-array per layer and its outputs are bit for bit the unblocked pass's.
-Training's forward pass, which keeps every layer's activations for
-backprop, is not blocked.
+forward_batch(weights, X) is the one forward pass. For inference it runs
+the hidden layers over row blocks of INFER_BLOCK rows once a batch holds
+two blocks, and the head over all rows at once, so its working set does not
+grow with one full-batch activation array per layer and its outputs are
+bit for bit the unblocked pass's. Training calls forward_batch(weights, X,
+acts) with a list that receives every layer's activations for backprop;
+that pass is not blocked. init_mlp(input_dim, hidden_widths, head_count,
+seed, gamma_bias_init) draws the starting weights.
 
 Checkpoints are text files; render_checkpoint and load_checkpoint are their
 format. The ensemble manifest, which lists a run's checkpoints, has its
@@ -52,23 +54,6 @@ ADAM_EPS = 1e-8
 
 CKPT_HEADER = "ddpnkit-ckpt v1"
 INFER_BLOCK = 128  # rows per hidden-layer block of an inference pass
-
-
-@dataclass(frozen=True)
-class MLPConfig:
-    input_dim: int
-    hidden_widths: tuple = (128, 128, 128, 64)
-    head_count: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.input_dim < 1:
-            raise DomainError(f"input_dim must be positive, got {self.input_dim}")
-        if self.head_count not in (1, 2):
-            raise DomainError(f"head_count must be 1 or 2, got {self.head_count}")
-        if any(w < 1 for w in self.hidden_widths):
-            raise DomainError(f"hidden widths must be positive, got {self.hidden_widths}")
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
 
 
 @dataclass
@@ -122,11 +107,9 @@ class TrainReport:
     train_loss: list
     val_loss: list
     best_epoch: int
-    seed: int
     wall_time: float
     config: TrainConfig
     final_weights: MLPWeights | None = None
-    best_weights: MLPWeights | None = None
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -134,17 +117,26 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def init_mlp(config: MLPConfig, gamma_bias_init: float = 0.0) -> MLPWeights:
+def init_mlp(input_dim: int, hidden_widths, head_count: int, seed: int,
+             gamma_bias_init: float = 0.0) -> MLPWeights:
     """Fan-in scaled uniform initialization, U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
     The second head's bias is set to gamma_bias_init so the network starts
     from a chosen dispersion level (initial predicted log gamma equals
-    gamma_bias_init at the origin of standardized feature space).
+    gamma_bias_init at the origin of standardized feature space). Raises
+    DomainError for an input_dim or hidden width below 1, or a head_count
+    other than 1 or 2.
     """
-    rng = np.random.default_rng(config.seed)
+    if input_dim < 1:
+        raise DomainError(f"input_dim must be positive, got {input_dim}")
+    if head_count not in (1, 2):
+        raise DomainError(f"head_count must be 1 or 2, got {head_count}")
+    if any(w < 1 for w in hidden_widths):
+        raise DomainError(f"hidden widths must be positive, got {hidden_widths}")
+    rng = np.random.default_rng(seed)
     hidden = []
-    fan_in = config.input_dim
-    for width in config.hidden_widths:
+    fan_in = input_dim
+    for width in hidden_widths:
         bound = 1.0 / math.sqrt(fan_in)
         hidden.append([
             rng.uniform(-bound, bound, size=(width, fan_in)),
@@ -152,16 +144,16 @@ def init_mlp(config: MLPConfig, gamma_bias_init: float = 0.0) -> MLPWeights:
         ])
         fan_in = width
     bound = 1.0 / math.sqrt(fan_in)
-    head_w = rng.uniform(-bound, bound, size=(config.head_count, fan_in))
-    head_b = rng.uniform(-bound, bound, size=config.head_count)
-    if config.head_count == 2:
+    head_w = rng.uniform(-bound, bound, size=(head_count, fan_in))
+    head_b = rng.uniform(-bound, bound, size=head_count)
+    if head_count == 2:
         head_b[1] = gamma_bias_init
     return MLPWeights(
         hidden=hidden,
         head_w=head_w,
         head_b=head_b,
-        x_mean=np.zeros(config.input_dim),
-        x_std=np.ones(config.input_dim),
+        x_mean=np.zeros(input_dim),
+        x_std=np.ones(input_dim),
     )
 
 
@@ -183,15 +175,18 @@ def _hidden_pass(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -
     return a
 
 
-def _forward(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -> np.ndarray:
-    """The one forward pass: head outputs, shape (n, head_count), in log space.
+def forward_batch(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """The one forward pass: head outputs, shape (n, head_count), still in log
+    space.
 
     acts is as in _hidden_pass; a pass with acts is not blocked. Without
     acts, 2 * INFER_BLOCK rows or more go through the hidden layers in blocks
-    of INFER_BLOCK rows, the last block taking the remainder. The head runs
-    over all rows at once: on OpenBLAS a hidden product gives the same bits
-    in any row block of 32 rows or more, but a product with 2 to 8 output
-    columns, such as the head's, does not.
+    of INFER_BLOCK rows, the last block taking the remainder, so the working
+    set is one block's activations plus the (n, last width) output of the
+    last hidden layer. The head runs over all rows at once: on OpenBLAS a
+    hidden product gives the same bits in any row block of 32 rows or more,
+    but a product with 2 to 8 output columns, such as the head's, does not.
+    So the result is the same to the bit as one pass over all rows.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != weights.x_mean.size:
@@ -208,18 +203,6 @@ def _forward(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -> np
     heads = a @ weights.head_w.T
     heads += weights.head_b
     return heads
-
-
-def forward_batch(weights: MLPWeights, X: np.ndarray) -> np.ndarray:
-    """Head outputs, shape (n, head_count), still in log space.
-
-    From 2 * INFER_BLOCK rows on, the hidden layers run over row blocks of
-    INFER_BLOCK rows and the head over all rows at once, so the working set
-    is one block's activations plus the (n, last width) output of the last
-    hidden layer; the result is the same to the bit as one pass over all
-    rows.
-    """
-    return _forward(weights, X)
 
 
 def batch_loss(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec) -> float:
@@ -253,7 +236,7 @@ def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec
     """
     out_hidden, out_head_w, out_head_b = out
     acts = []
-    heads = _forward(weights, X, acts)
+    heads = forward_batch(weights, X, acts)
     if ys.size != heads.shape[0]:
         raise ShapeError(f"batch has {heads.shape[0]} inputs but {ys.size} labels")
     values, dheads = head_nll(spec, ys, heads)
@@ -349,13 +332,8 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     _check_labels(train_y)
     _check_labels(val_y)
 
-    model_cfg = MLPConfig(
-        input_dim=xs.shape[1],
-        hidden_widths=config.hidden_widths,
-        head_count=config.loss.head_count,
-        seed=config.seed,
-    )
-    weights = init_mlp(model_cfg, gamma_bias_init=config.gamma_bias_init)
+    weights = init_mlp(xs.shape[1], config.hidden_widths, config.loss.head_count, config.seed,
+                       config.gamma_bias_init)
     std = train_x.std(axis=0)
     std[std < 1e-12] = 1.0
     weights.x_mean = train_x.mean(axis=0)
@@ -376,8 +354,7 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     shuffle_rng = np.random.default_rng(config.seed + 1)
 
     report = TrainReport(
-        train_loss=[], val_loss=[], best_epoch=0, seed=config.seed,
-        wall_time=0.0, config=config,
+        train_loss=[], val_loss=[], best_epoch=0, wall_time=0.0, config=config,
     )
     best_val = math.inf
 
@@ -417,10 +394,8 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     if report.best_epoch == 0:
         raise NumericDivergence(f"no epoch of {config.epochs} reached a finite validation loss",
                                 report=report)
-    best_weights = MLPWeights(*_flat_views(best_params, weights), x_mean=weights.x_mean.copy(),
-                              x_std=weights.x_std.copy())
-    report.best_weights = best_weights
-    return best_weights, report
+    return MLPWeights(*_flat_views(best_params, weights), x_mean=weights.x_mean.copy(),
+                      x_std=weights.x_std.copy()), report
 
 
 # --- checkpoint I/O -----------------------------------------------------------

@@ -8,7 +8,10 @@ the detection threshold tau_alpha at the (1 - alpha) empirical quantile of
 the holdout. Remaining ID inputs and the OOD inputs are then classified as
 OOD whenever their score exceeds tau_alpha. Sweeping alpha over a grid
 traces ROC and precision/recall curves, and the whole procedure is
-repeated with fresh holdout resamples to report mean and spread.
+repeated with fresh holdout resamples to report mean and spread:
+run_ood_eval(id_scores, ood_scores, holdout_fraction=0.2, n_repeats=10,
+alphas=np.linspace(0, 1, 101), seed=0) returns the report as the dict
+that the ood command writes.
 
 Ranking by raw variance induces the same ROC up to the quantile grid
 resolution; the sweep is implemented literally and its AUROC is checked
@@ -23,55 +26,9 @@ loads, is never imported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ddpnkit.errors import DomainError
-
-DEFAULT_ALPHAS = tuple(np.linspace(0.0, 1.0, 101))
-
-
-@dataclass(frozen=True)
-class OODProtocolConfig:
-    holdout_fraction: float = 0.2
-    n_repeats: int = 10
-    alphas: tuple = DEFAULT_ALPHAS
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.holdout_fraction < 1.0):
-            raise DomainError(
-                f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}"
-            )
-        if self.n_repeats < 1:
-            raise DomainError(f"n_repeats must be positive, got {self.n_repeats}")
-        alphas = tuple(float(a) for a in self.alphas)
-        if len(alphas) < 2 or any(not 0.0 <= a <= 1.0 for a in alphas):
-            raise DomainError("alphas must hold at least two values in [0, 1]")
-        object.__setattr__(self, "alphas", alphas)
-
-
-@dataclass(frozen=True)
-class OODReport:
-    """(mean, std) over n_repeats holdout resamples of each curve metric.
-
-    A repeat's sweep is reduced to its (AUROC, AUPR, FPR80) as soon as it
-    is made, so the protocol holds one sweep's columns at a time.
-    """
-
-    auroc: tuple
-    aupr: tuple
-    fpr80: tuple
-    n_repeats: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "auroc": {"mean": self.auroc[0], "std": self.auroc[1]},
-            "aupr": {"mean": self.aupr[0], "std": self.aupr[1]},
-            "fpr80": {"mean": self.fpr80[0], "std": self.fpr80[1]},
-            "n_repeats": self.n_repeats,
-        }
 
 
 def _side(scores) -> tuple[np.ndarray, int]:
@@ -119,8 +76,8 @@ def _sweep(holdout_scores, alphas, id_side, ood_side) -> dict:
     scores, given as _side pairs. Returns the operating points as columns: a
     dict of arrays alpha, tau, fpr, tpr and precision, one entry per alpha
     (precision is 1 where nothing is flagged). The inputs are taken as
-    checked: run_ood_eval refuses an empty holdout, ID or OOD set, and
-    OODProtocolConfig an alpha outside [0, 1].
+    checked: run_ood_eval refuses an empty holdout, ID or OOD set and an
+    alpha outside [0, 1].
     """
     with np.errstate(invalid="ignore"):  # interpolating toward +inf scores gives inf - inf
         taus = _linear_quantiles(np.sort(holdout_scores), 1.0 - alphas)
@@ -157,33 +114,43 @@ def curve_metrics_from_points(points) -> tuple[float, float, float]:
     return auroc, aupr, fpr80
 
 
-def run_ood_eval(id_scores, ood_scores,
-                 config: OODProtocolConfig = OODProtocolConfig()) -> OODReport:
+def run_ood_eval(id_scores, ood_scores, *, holdout_fraction: float, n_repeats: int, alphas,
+                 seed: int) -> dict:
     """Full protocol over the ID and OOD scores: threshold on a holdout,
     sweep, repeat, aggregate.
 
-    Each repeat redraws the ID holdout with a derived seed; the OOD scores
-    are sorted once. Reported statistics are (mean, std) over repeats.
+    Each repeat redraws the ID holdout with the seed seed + repeat; the OOD
+    scores are sorted once. A repeat's sweep is reduced to its (AUROC, AUPR,
+    FPR80) as soon as it is made, so the protocol holds one sweep's columns
+    at a time. Returns {"auroc", "aupr", "fpr80": {"mean", "std"} over the
+    repeats, "n_repeats"}. Raises DomainError for a holdout_fraction outside
+    (0, 1), fewer than one repeat, fewer than two alphas or one outside
+    [0, 1], no OOD scores, or a holdout that leaves no ID point either side.
     """
+    if not (0.0 < holdout_fraction < 1.0):
+        raise DomainError(f"holdout_fraction must lie in (0, 1), got {holdout_fraction}")
+    if n_repeats < 1:
+        raise DomainError(f"n_repeats must be positive, got {n_repeats}")
+    alphas = np.array([float(a) for a in alphas])
+    if alphas.size < 2 or any(not 0.0 <= a <= 1.0 for a in alphas):
+        raise DomainError("alphas must hold at least two values in [0, 1]")
     id_all = np.asarray(id_scores, dtype=float)
     if np.size(ood_scores) == 0:
         raise DomainError("OOD input set must be nonempty")
-    n_hold = int(round(config.holdout_fraction * id_all.size))
+    n_hold = int(round(holdout_fraction * id_all.size))
     if n_hold < 1 or n_hold >= id_all.size:
         raise DomainError(
             f"holdout of {n_hold} from {id_all.size} ID points leaves no evaluation set"
         )
-    alphas, ood_side = np.asarray(config.alphas), _side(ood_scores)
+    ood_side = _side(ood_scores)
     per_repeat = []
-    for rep in range(config.n_repeats):
-        rng = np.random.default_rng(config.seed + rep)
+    for rep in range(n_repeats):
+        rng = np.random.default_rng(seed + rep)
         perm = rng.permutation(id_all.size)
         points = _sweep(id_all[perm[:n_hold]], alphas, _side(id_all[perm[n_hold:]]), ood_side)
         per_repeat.append(curve_metrics_from_points(points))
     per = np.array(per_repeat)
-    return OODReport(
-        auroc=(float(per[:, 0].mean()), float(per[:, 0].std())),
-        aupr=(float(per[:, 1].mean()), float(per[:, 1].std())),
-        fpr80=(float(per[:, 2].mean()), float(per[:, 2].std())),
-        n_repeats=config.n_repeats,
-    )
+    payload = {name: {"mean": float(per[:, i].mean()), "std": float(per[:, i].std())}
+               for i, name in enumerate(("auroc", "aupr", "fpr80"))}
+    payload["n_repeats"] = n_repeats
+    return payload

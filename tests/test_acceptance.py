@@ -146,9 +146,7 @@ def _flat_arrays(obj) -> list:
 
 def _network_gradient_gap(spec: LossSpec) -> float:
     rng = np.random.default_rng(7)
-    cfg = network.MLPConfig(input_dim=2, hidden_widths=(5, 4),
-                            head_count=spec.head_count, seed=3)
-    weights = network.init_mlp(cfg, gamma_bias_init=0.2)
+    weights = network.init_mlp(2, (5, 4), spec.head_count, 3, gamma_bias_init=0.2)
     X = rng.uniform(-1.0, 2.0, size=(7, 2))
     if spec.family == "gaussian":
         ys = rng.uniform(0.0, 12.0, size=7)
@@ -297,7 +295,7 @@ def _single_model_crps(ds, split, spec: LossSpec, seed: int) -> float:
     cfg = network.TrainConfig(loss=spec, epochs=60, batch_size=64, lr=1e-3,
                               weight_decay=1e-5, seed=seed, hidden_widths=(64, 64))
     weights, _ = network.train(ds, split, cfg)
-    preds = ensemble.member_heads(ensemble.Ensemble(((weights, spec),)), ds.xs[split.test]).batch()
+    preds = ensemble.member_heads(ensemble.Ensemble(((weights, spec),)), ds.xs[split.test]).batch
     return metrics.evaluate(preds, ds.ys[split.test]).crps_mean
 
 
@@ -353,7 +351,7 @@ def test_criterion_06_ensemble_crps_and_aleatoric_ordering(capsys, sine_ensemble
     heads = {family: ensemble.member_heads(built[family], xs_test) for family in _SINE_FAMILIES}
     crps_by_family = {}
     for family in _SINE_FAMILIES:
-        crps_by_family[family] = metrics.evaluate(heads[family].batch(), ys_test,
+        crps_by_family[family] = metrics.evaluate(heads[family].batch, ys_test,
                                                   variances=heads[family].scores()).crps_mean
     wins = (crps_by_family["double_poisson"] < crps_by_family["poisson"]
             and crps_by_family["double_poisson"] < crps_by_family["neg_binomial"])
@@ -518,15 +516,16 @@ def test_criterion_10_ood_detection_and_sweep_agreement(capsys, sine_ensembles):
                                                  200)[:, None]
     id_all = ensemble.member_heads(ens, xs_test).scores()
     ood_all = ensemble.member_heads(ens, ood_xs).scores()
-    config = ood.OODProtocolConfig()
-    report = ood.run_ood_eval(id_all, ood_all, config)
-    sweep_auroc = report.auroc[0]
+    config = {"holdout_fraction": 0.2, "n_repeats": 10, "alphas": np.linspace(0.0, 1.0, 101),
+              "seed": 0}
+    report = ood.run_ood_eval(id_all, ood_all, **config)
+    sweep_auroc = report["auroc"]["mean"]
 
     # rank route, replicating each repeat's holdout split
-    n_hold = int(round(config.holdout_fraction * id_all.size))
+    n_hold = int(round(config["holdout_fraction"] * id_all.size))
     rank_values = []
-    for rep in range(config.n_repeats):
-        perm = np.random.default_rng(config.seed + rep).permutation(id_all.size)
+    for rep in range(config["n_repeats"]):
+        perm = np.random.default_rng(config["seed"] + rep).permutation(id_all.size)
         scores = metrics.OODScores(id_all[perm[n_hold:]], ood_all)
         rank_values.append(metrics.ood_curve_metrics(scores)[0])
     rank_auroc = float(np.mean(rank_values))
@@ -534,7 +533,7 @@ def test_criterion_10_ood_detection_and_sweep_agreement(capsys, sine_ensembles):
     ok = sweep_auroc >= 0.8 and gap <= 0.01
     _report(capsys, 10, ok,
             f"threshold-sweep auroc {sweep_auroc:.4f} >= 0.8 "
-            f"({config.n_repeats} repeats); rank auroc {rank_auroc:.4f}; "
+            f"({config['n_repeats']} repeats); rank auroc {rank_auroc:.4f}; "
             f"gap {gap:.4f} <= 0.01")
 
 

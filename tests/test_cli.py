@@ -272,7 +272,7 @@ class TestEval:
     def test_bad_family_tag_is_io_error(self, workspace, tmp_path, meta):
         """A family or beta tag that names no loss, or a family whose head
         count differs from the checkpoint's (two heads here), exits 4."""
-        w = network.init_mlp(network.MLPConfig(input_dim=1, hidden_widths=(), head_count=2))
+        w = network.init_mlp(1, (), 2, 0)
         ckpt = tmp_path / "tagged.ckpt"
         ckpt.write_text(network.render_checkpoint(w, meta))
         assert run(["eval", "--ckpt", ckpt, "--data", workspace["prefix"],
@@ -281,7 +281,7 @@ class TestEval:
     def test_support_cap_hit_is_numeric_error(self, workspace, tmp_path, capsys):
         """A model predicting DP(1e5, 1) everywhere needs more PMF support than
         the 65536-term cap; the run fails with exit 3 instead of truncating."""
-        w = network.init_mlp(network.MLPConfig(input_dim=1, hidden_widths=(), head_count=2))
+        w = network.init_mlp(1, (), 2, 0)
         w.head_w[:] = 0.0
         w.head_b[:] = (np.log(1e5), 0.0)
         ckpt = tmp_path / "wide.ckpt"
@@ -380,7 +380,7 @@ class TestEnsembleEval:
         test_x, _ = datagen.read_dataset_csv(f"{workspace['prefix']}_test.csv")
         heads = ensemble.member_heads(ensemble.load_ensemble(workspace["manifest"]), test_x)
         dec = decompose(*heads.moments(mode))
-        ends = distributions.predictive_summary(heads.batch(), levels=ensemble.INTERVAL).quantiles
+        ends = distributions.predictive_summary(heads.batch, levels=ensemble.INTERVAL).quantiles
         rows = [",".join(map(repr, row)) for row in zip(
             test_x[:, 0].tolist(), dec.mean.tolist(), dec.aleatoric.tolist(),
             dec.epistemic.tolist(), *ends.tolist())]
@@ -461,6 +461,28 @@ class TestOod:
                     "--data", workspace["prefix"], "--ood-data", ood_csv,
                     "--out", tmp_path]) == 4
         assert "i/o error" in capsys.readouterr().err
+
+
+class TestDatasetCells:
+    @pytest.mark.parametrize("row", [" 1.5,3", "1.5 ,3", "+1.5,3", "1.5, 3", "1.5,+3",
+                                     "1.5,3 ", "1.5,-0", "inf,3", "nan,3", ".5,3", "1.5,0x3"])
+    def test_padded_or_signed_cell_is_format_error(self, workspace, tmp_path, capsys, row):
+        """A label is ASCII digits and an input a plain decimal as repr writes
+        it; float() and int() would take the spaces and signs of these rows.
+        train --data and ood --ood-data both exit 4 and write nothing."""
+        prefix = tmp_path / "d"
+        for split in ("train", "val"):
+            shutil.copy(f"{workspace['prefix']}_{split}.csv", f"{prefix}_{split}.csv")
+        with open(f"{prefix}_train.csv", "a") as fh:
+            fh.write(row + "\n")
+        ood_csv = tmp_path / "ood.csv"
+        ood_csv.write_text(f"x,y\n12.0,0\n{row}\n")
+        for argv in (["train", "--data", prefix, "--epochs", 1, "--hidden", "4"],
+                     ["ood", "--manifest", workspace["manifest"], "--data", workspace["prefix"],
+                      "--ood-data", ood_csv, "--n-repeats", 2, "--alpha-points", 11]):
+            assert run(argv + ["--out", tmp_path / "out"]) == 4
+            assert "cannot parse row" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestScoringInputs:

@@ -222,6 +222,15 @@ class TestCsv:
             with pytest.raises(datagen.DatasetFormatError, match="cannot parse row"):
                 datagen.read_dataset_csv(bad)
 
+    def test_plain_decimals_load(self, tmp_path):
+        """The leading minus and the exponent's own sign are the signs a cell
+        may hold; leading zeros in a label are digits."""
+        path = tmp_path / "plain.csv"
+        path.write_text("x,y\n-1.5e-05,0003\n2,1\n1E+3,0\n1e300,7\n-0.0,0\n")
+        xs, ys = datagen.read_dataset_csv(path)
+        assert xs[:, 0].tolist() == [-1.5e-05, 2.0, 1000.0, 1e300, -0.0]
+        assert ys.tolist() == [3, 1, 0, 7, 0]
+
     def test_split_files_round_trip(self, tmp_path):
         ds, split = datagen.gen_beta_study(80, seed=1)
         prefix = tmp_path / "beta"

@@ -18,8 +18,7 @@ from ddpnkit.losses import LossSpec
 
 def const_member(log_mu, log_second=None, family="double_poisson", beta=0.0):
     spec = LossSpec(family, beta)
-    cfg = network.MLPConfig(input_dim=1, hidden_widths=(), head_count=spec.head_count, seed=0)
-    w = network.init_mlp(cfg)
+    w = network.init_mlp(1, (), spec.head_count, 0)
     w.head_w[:] = 0.0
     w.head_b[0] = log_mu
     if spec.head_count == 2:
@@ -117,7 +116,7 @@ class TestDecomposition:
 
 def member_distribution(w, spec, x):
     """The predictive distribution of a one-member ensemble at one input row."""
-    batch = ensemble.member_heads(ensemble.Ensemble(((w, spec),)), x).batch()
+    batch = ensemble.member_heads(ensemble.Ensemble(((w, spec),)), x).batch
     assert batch.shape == (1, 1)
     return batch
 
@@ -154,13 +153,13 @@ class TestMemberDistributions:
         overflows, so the negative binomial p = 1/(1 + alpha*mean) is 0."""
         ens = ensemble.Ensemble((const_member(400.0, 400.0, family="neg_binomial"),))
         with pytest.raises(NumericOverflow, match=r"p must lie in \(0, 1\), got 0.0 at row 0"):
-            ensemble.member_heads(ens, np.zeros((2, 1))).batch()
+            ensemble.member_heads(ens, np.zeros((2, 1))).batch
 
 
 class TestMixturePredict:
     def test_pmf_is_member_average(self):
         ens = dp_ensemble()
-        mix = ensemble.member_heads(ens, np.array([0.2])).batch()
+        mix = ensemble.member_heads(ens, np.array([0.2])).batch
         assert mix.shape == (2, 1)
         comp = [dists.double_poisson(2.0, 1.0), dists.double_poisson(4.0, 2.0)]
         for y in (0, 2, 6):
@@ -196,16 +195,16 @@ class TestMemberMoments:
                                  const_member(np.log(7.0), np.log(0.4))))
         heads = ensemble.member_heads(ens, np.linspace(-1.0, 1.0, 4)[:, None])
         got = heads.moments(dists.EXACT_SERIES)
-        want = heads.batch().member_moments(dists.EXACT_SERIES)
+        want = heads.batch.member_moments(dists.EXACT_SERIES)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-        assert heads.batch() is heads.batch()
+        assert heads.batch is heads.batch
         with pytest.raises(ValueError, match="read-only"):
             heads.values[0, 0, 0] = 1.0
         values = np.zeros((1, 2, 2))
         direct = ensemble.MemberHeads("double_poisson", values)
-        modes = dists.predictive_summary(direct.batch()).modes
+        modes = dists.predictive_summary(direct.batch).modes
         values[..., 0] = np.log(50.0)  # the caller's array, not the copy
-        assert np.array_equal(dists.predictive_summary(direct.batch()).modes, modes)
+        assert np.array_equal(dists.predictive_summary(direct.batch).modes, modes)
         assert np.array_equal(direct.moments()[0], np.ones((1, 2)))
 
     def test_double_poisson_variance_from_heads_in_log_space(self):
@@ -235,11 +234,12 @@ class TestPredictTable:
         ens = dp_ensemble()
         X = np.zeros((2, 1))
         heads = ensemble.member_heads(ens, X)
-        ends = dists.predictive_summary(heads.batch(), levels=ensemble.INTERVAL).quantiles
-        table = ensemble.predict_table(ensemble.decompose_variance(*heads.moments()), ends)
-        assert set(table) == {"mean", "aleatoric", "epistemic", "q025", "q975"}
+        ends = dists.predictive_summary(heads.batch, levels=ensemble.INTERVAL).quantiles
+        dec = ensemble.decompose_variance(*heads.moments())
+        table = {"mean": dec.mean, "aleatoric": dec.aleatoric, "epistemic": dec.epistemic,
+                 "q025": ends[0], "q975": ends[1]}
         assert_allclose(table["mean"], [3.0, 3.0], rtol=1e-12)
-        mix = ensemble.member_heads(ens, X[:1]).batch()
+        mix = ensemble.member_heads(ens, X[:1]).batch
         assert dists.predictive_summary(mix, table["q975"][:1]).cdf[0] >= 0.975
         assert table["q025"][0] <= table["mean"][0] <= table["q975"][0]
 

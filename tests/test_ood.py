@@ -11,12 +11,17 @@ from ddpnkit.errors import DomainError
 from ddpnkit.losses import LossSpec
 
 
+def protocol(**overrides) -> dict:
+    """run_ood_eval's keywords at the ood command's defaults, with overrides."""
+    return {"holdout_fraction": 0.2, "n_repeats": 10, "alphas": np.linspace(0.0, 1.0, 101),
+            "seed": 0, **overrides}
+
+
 def variance_ramp_member(log_mu=np.log(5.0), gamma_slope=-1.0, seed=0):
     """GLM member whose predictive variance grows with x: variance =
     mu * exp(-gamma_slope * x) for standardized x."""
     spec = LossSpec("double_poisson")
-    cfg = network.MLPConfig(input_dim=1, hidden_widths=(), head_count=2, seed=seed)
-    w = network.init_mlp(cfg)
+    w = network.init_mlp(1, (), 2, seed)
     w.head_w[:] = 0.0
     w.head_w[1, 0] = gamma_slope
     w.head_b[0] = log_mu
@@ -165,31 +170,29 @@ class TestRunProtocol:
         rng = np.random.default_rng(2)
         id_scores = ramp_scores(rng.uniform(0.0, 1.0, 300)[:, None])
         ood_scores = ramp_scores(rng.uniform(3.0, 4.0, 150)[:, None])
-        config = ood.OODProtocolConfig(n_repeats=4, seed=7)
-        report = ood.run_ood_eval(id_scores, ood_scores, config)
+        report = ood.run_ood_eval(id_scores, ood_scores, **protocol(n_repeats=4, seed=7))
         # score ranking is perfect; the sweep concedes a sliver of ROC area
         # because no threshold can sit above the holdout maximum
         rank_auroc, _, _ = metrics.ood_curve_metrics(metrics.OODScores(
             id_scores=id_scores, ood_scores=ood_scores))
         assert rank_auroc == 1.0
-        assert report.auroc[0] > 0.95
-        assert report.n_repeats == 4
-        assert report.auroc[1] >= 0.0
+        assert report["auroc"]["mean"] > 0.95
+        assert report["n_repeats"] == 4
+        assert report["auroc"]["std"] >= 0.0
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
         id_scores = ramp_scores(rng.uniform(0.0, 1.5, 100)[:, None])
         ood_scores = ramp_scores(rng.uniform(1.0, 3.0, 60)[:, None])
-        config = ood.OODProtocolConfig(n_repeats=3, seed=11)
-        a = ood.run_ood_eval(id_scores, ood_scores, config)
-        b = ood.run_ood_eval(id_scores, ood_scores, config)
+        config = protocol(n_repeats=3, seed=11)
+        a = ood.run_ood_eval(id_scores, ood_scores, **config)
+        b = ood.run_ood_eval(id_scores, ood_scores, **config)
         assert a == b
 
     def test_holdout_resamples_move_the_thresholds(self, monkeypatch):
         rng = np.random.default_rng(4)
         id_scores = ramp_scores(rng.uniform(0.0, 2.0, 120)[:, None])
         ood_scores = ramp_scores(rng.uniform(1.5, 3.5, 60)[:, None])
-        config = ood.OODProtocolConfig(n_repeats=2, seed=0)
         taus = []
         sweep = ood._sweep
 
@@ -199,7 +202,7 @@ class TestRunProtocol:
             return points
 
         monkeypatch.setattr(ood, "_sweep", recording)
-        ood.run_ood_eval(id_scores, ood_scores, config)
+        ood.run_ood_eval(id_scores, ood_scores, **protocol(n_repeats=2))
         assert len(taus) == 2
         assert taus[0] != taus[1]
 
@@ -207,39 +210,40 @@ class TestRunProtocol:
         """Of two ID scores, a holdout of 0.2 takes none and one of 0.8 takes
         both, which leaves no ID score to evaluate."""
         for fraction in (0.2, 0.8):
-            config = ood.OODProtocolConfig(holdout_fraction=fraction, n_repeats=1)
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="leaves no evaluation set"):
                 ood.run_ood_eval(ramp_scores(np.zeros((2, 1))), ramp_scores(np.ones((5, 1))),
-                                 config)
+                                 **protocol(holdout_fraction=fraction, n_repeats=1))
 
     def test_identical_populations_are_indistinguishable(self):
         rng = np.random.default_rng(6)
         id_scores = ramp_scores(rng.uniform(0.0, 2.0, 400)[:, None])
         ood_scores = ramp_scores(rng.uniform(0.0, 2.0, 200)[:, None])
-        report = ood.run_ood_eval(id_scores, ood_scores,
-                                  ood.OODProtocolConfig(n_repeats=5, seed=1))
-        assert abs(report.auroc[0] - 0.5) < 0.1
+        report = ood.run_ood_eval(id_scores, ood_scores, **protocol(n_repeats=5, seed=1))
+        assert abs(report["auroc"]["mean"] - 0.5) < 0.1
 
     def test_single_repeat_has_zero_std(self):
         rng = np.random.default_rng(8)
         id_scores = ramp_scores(rng.uniform(0.0, 1.0, 100)[:, None])
         ood_scores = ramp_scores(rng.uniform(2.0, 3.0, 50)[:, None])
-        report = ood.run_ood_eval(id_scores, ood_scores, ood.OODProtocolConfig(n_repeats=1))
-        assert report.auroc[1] == 0.0
-        assert report.aupr[1] == 0.0
-        assert report.fpr80[1] == 0.0
+        report = ood.run_ood_eval(id_scores, ood_scores, **protocol(n_repeats=1))
+        assert report["auroc"]["std"] == 0.0
+        assert report["aupr"]["std"] == 0.0
+        assert report["fpr80"]["std"] == 0.0
 
     def test_empty_ood_set_rejected(self):
         with pytest.raises(DomainError):
-            ood.run_ood_eval(ramp_scores(np.zeros((50, 1))), ramp_scores(np.zeros((0, 1))))
+            ood.run_ood_eval(ramp_scores(np.zeros((50, 1))), ramp_scores(np.zeros((0, 1))),
+                             **protocol())
 
     def test_json_payload_shape(self):
-        report = ood.OODReport(auroc=(0.9, 0.01), aupr=(0.8, 0.02),
-                               fpr80=(0.1, 0.0), n_repeats=3)
-        payload = report.to_json_dict()
-        assert payload["auroc"] == {"mean": 0.9, "std": 0.01}
+        rng = np.random.default_rng(9)
+        payload = ood.run_ood_eval(rng.uniform(0.0, 1.0, 40), rng.uniform(0.5, 2.0, 20),
+                                   **protocol(n_repeats=3))
+        assert list(payload) == ["auroc", "aupr", "fpr80", "n_repeats"]
+        for name in ("auroc", "aupr", "fpr80"):
+            assert list(payload[name]) == ["mean", "std"]
+            assert all(type(v) is float for v in payload[name].values())
         assert payload["n_repeats"] == 3
-        assert set(payload) == {"auroc", "aupr", "fpr80", "n_repeats"}
 
 
 class TestFootprint:
@@ -252,30 +256,29 @@ class TestFootprint:
         activations and one object per operating point were held."""
         spec = LossSpec("double_poisson")
         ens = ensemble.Ensemble(tuple(
-            (network.init_mlp(network.MLPConfig(input_dim=1, seed=s)), spec)
+            (network.init_mlp(1, (128, 128, 128, 64), 2, s), spec)
             for s in range(5)))
         rng = np.random.default_rng(0)
         id_xs = rng.uniform(0.0, 10.0, 500)[:, None]
         ood_xs = rng.uniform(4.0 * np.pi, 6.0 * np.pi, 1000)[:, None]
-        config = ood.OODProtocolConfig(n_repeats=20, alphas=np.linspace(0.0, 1.0, 1001))
+        config = protocol(n_repeats=20, alphas=np.linspace(0.0, 1.0, 1001))
         tracemalloc.start()
         try:
             report = ood.run_ood_eval(ensemble.member_heads(ens, id_xs).scores(),
-                                      ensemble.member_heads(ens, ood_xs).scores(), config)
+                                      ensemble.member_heads(ens, ood_xs).scores(), **config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.n_repeats == 20
+        assert report["n_repeats"] == 20
         assert peak < 1.5e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestConfigValidation:
     def test_bounds(self):
-        with pytest.raises(DomainError):
-            ood.OODProtocolConfig(holdout_fraction=0.0)
-        with pytest.raises(DomainError):
-            ood.OODProtocolConfig(n_repeats=0)
-        with pytest.raises(DomainError):
-            ood.OODProtocolConfig(alphas=(0.5,))
-        with pytest.raises(DomainError):
-            ood.OODProtocolConfig(alphas=(0.0, 1.5))
+        scores = np.linspace(0.0, 1.0, 20)
+        for bad, message in (({"holdout_fraction": 0.0}, "holdout_fraction must lie in"),
+                             ({"n_repeats": 0}, "n_repeats must be positive"),
+                             ({"alphas": (0.5,)}, "alphas must hold at least two"),
+                             ({"alphas": (0.0, 1.5)}, "alphas must hold at least two")):
+            with pytest.raises(DomainError, match=message):
+                ood.run_ood_eval(scores, scores, **protocol(**bad))

@@ -1,5 +1,6 @@
 """Package-wide structure: every public name has a caller or a stated role,
-and no module imports a package name that it does not use.
+no top-level function only hands its parameters on to another, and no
+module imports a package name that it does not use.
 
 A reference counts only when it resolves to the module that defines the
 name: `dists.poisson(...)` in a module that imported distributions as dists
@@ -135,6 +136,54 @@ def test_roles_name_their_users():
                 assert (module, name) in _resolved(ast.parse(text)), f"{user} reads no {qualified}"
             else:
                 assert f"`{name}" in text, f"{user} names no {qualified}"
+
+
+def _forwarded_to(node: ast.FunctionDef, bound: dict, own: str, local: set) -> str | None:
+    """The package function that node's whole body, after the docstring,
+    returns a call of with node's parameters in order, or None. local holds
+    the names of own's top-level functions."""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return None
+    call, target = body[0].value, None
+    func = getattr(call, "func", None)
+    if isinstance(func, ast.Name) and func.id in bound:
+        target = bound[func.id]
+    elif isinstance(func, ast.Name) and func.id in local:
+        target = (own, func.id)
+    elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        module, attr = bound.get(func.value.id, (None, ""))
+        target = (module, func.attr) if attr is None else None
+    if target is None or target[1] is None:
+        return None
+    params = [a.arg for a in node.args.posonlyargs + node.args.args]
+    params += [node.args.vararg.arg] if node.args.vararg else []
+    params += [a.arg for a in node.args.kwonlyargs]
+    params += [node.args.kwarg.arg] if node.args.kwarg else []
+    passed = [a.value if isinstance(a, ast.Starred) else a for a in call.args]
+    passed += [k.value for k in call.keywords
+               if k.arg is None or k.arg == getattr(k.value, "id", None)]
+    if (len(passed) != len(call.args) + len(call.keywords)
+            or [getattr(a, "id", None) for a in passed] != params):
+        return None
+    return ".".join(target)
+
+
+def test_no_function_only_forwards_its_parameters():
+    """A top-level function whose body, after its docstring, is only `return
+    f(<its parameters, in order>)` for a package function f is a second name
+    for f, and fails unless ROLES names its role."""
+    twins = []
+    for module, tree in _trees().items():
+        bound = _bindings(tree, module)
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        local = {node.name for node in functions}
+        for node in functions:
+            if f"{module}.{node.name}" not in ROLES:
+                target = _forwarded_to(node, bound, module, local)
+                if target is not None:
+                    twins.append(f"{module}.{node.name} -> {target}")
+    assert not twins, f"functions that only forward their parameters: {twins}"
 
 
 def test_no_module_imports_a_package_name_it_does_not_use():
