@@ -393,8 +393,9 @@ def _test_rows(opts: dict) -> tuple:
 def cmd_eval(opts: dict) -> tuple[dict, str]:
     weights, spec = ensemble.load_member(opts["ckpt"])
     test_x, test_y = _test_rows(opts)
-    model = ensemble.Ensemble(((weights, spec),))
-    summary = metrics.evaluate(ensemble.member_heads(model, test_x).batch, test_y).summary()
+    heads = ensemble.member_heads(ensemble.Ensemble(((weights, spec),)), test_x)
+    # the variances as ensemble-eval reads them, in log space off the heads
+    summary = metrics.evaluate(heads.batch, test_y, variances=heads.scores()).summary()
     return {_report_path(opts, "metrics.json"): _json(summary)}, json.dumps(summary)
 
 

@@ -90,11 +90,12 @@ class SyntheticDataset:
         return int(self.ys.size)
 
 
-def split_indices(n: int, counts=None, fractions=(0.8, 0.1, 0.1)) -> SplitIndices:
-    """Contiguous train/val/test blocks; rows are i.i.d. so order carries no signal."""
+def split_indices(n: int, counts=None) -> SplitIndices:
+    """Contiguous train/val/test blocks, 80/10/10 unless counts gives their
+    sizes; rows are i.i.d. so order carries no signal."""
     if counts is None:
-        n_train = int(round(fractions[0] * n))
-        n_val = int(round(fractions[1] * n))
+        n_train = int(round(0.8 * n))
+        n_val = int(round(0.1 * n))
         counts = (n_train, n_val, n - n_train - n_val)
     if sum(counts) != n or any(c < 0 for c in counts):
         raise DomainError(f"split counts {counts} do not partition {n} rows")
@@ -163,25 +164,21 @@ def gen_sine_conflation(
 # --- misspecification processes ----------------------------------------------
 
 
-def gen_misspec_poisson(n: int = 2000, seed: int = 0, x_low: float = 0.5, x_high: float = 5.0):
-    """y ~ Poisson(exp(x/2)); a Poisson head is correctly specified here."""
+def gen_misspec_poisson(n: int = 2000, seed: int = 0):
+    """y ~ Poisson(exp(x/2)) on x ~ U(0.5, 5); a Poisson head is correctly
+    specified here."""
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(x_low, x_high, n)
+    xs = rng.uniform(0.5, 5.0, n)
     ys = rng.poisson(np.exp(xs / 2.0))
     ds = SyntheticDataset(xs[:, None], ys, "misspec_poisson", seed)
     return ds, split_indices(n)
 
 
-def gen_misspec_nb(n: int = 2000, seed: int = 0, x_low: float = 0.5, x_high: float = 5.0):
-    """y ~ NegBinomial(r = x^2, p = 1/2) via its gamma-Poisson composition.
-
-    Mean x^2 and variance 2 x^2. Rows with x = 0 are redrawn since r must
-    stay positive.
-    """
+def gen_misspec_nb(n: int = 2000, seed: int = 0):
+    """y ~ NegBinomial(r = x^2, p = 1/2) on x ~ U(0.5, 5), via its
+    gamma-Poisson composition: mean x^2 and variance 2 x^2."""
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(x_low, x_high, n)
-    while np.any(xs == 0.0):
-        xs[xs == 0.0] = rng.uniform(x_low, x_high, int(np.sum(xs == 0.0)))
+    xs = rng.uniform(0.5, 5.0, n)
     lam = rng.gamma(shape=xs**2, scale=1.0)  # scale (1-p)/p = 1 at p = 1/2
     ys = rng.poisson(lam)
     ds = SyntheticDataset(xs[:, None], ys, "misspec_nb", seed)

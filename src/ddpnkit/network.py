@@ -1,10 +1,12 @@
 """Small fully connected networks trained from scratch with numpy.
 
-The regression model is an MLP with ReLU hidden layers and one affine head
-per predicted parameter. Heads live in log space (log mu, and log gamma /
-log dispersion / log variance depending on the family). losses.head_nll
-takes the heads as they are and returns the loss with its gradients with
-respect to them, so backpropagation starts from the heads for every family.
+The regression model is an MLP with ReLU hidden layers and an affine head,
+one output per predicted parameter. MLPWeights.layers holds every layer's
+[W, b] pair, the hidden layers first and the head last. Heads live in log
+space (log mu, and log gamma / log dispersion / log variance depending on
+the family). losses.head_nll takes the heads as they are and returns the
+loss with its gradients with respect to them, so backpropagation starts
+from the heads for every family.
 
 Training uses mini-batch AdamW with decoupled weight decay, a cosine decay
 of the learning rate over epochs, and keeps the weights from the epoch with
@@ -58,22 +60,20 @@ INFER_BLOCK = 128  # rows per hidden-layer block of an inference pass
 
 @dataclass
 class MLPWeights:
-    """Hidden layer parameters, head parameters and the input standardizer.
+    """Layer parameters and the input standardizer.
 
-    hidden holds [W, b] pairs with W of shape (out, in). head_w has shape
-    (head_count, last_width); row 0 is the log-mu head, row 1 (if present)
-    the log-dispersion head.
+    layers holds [W, b] pairs with W of shape (out, in): the ReLU hidden
+    layers, then the affine head, whose row 0 is the log-mu head and row 1
+    (if present) the log-dispersion head.
     """
 
-    hidden: list
-    head_w: np.ndarray
-    head_b: np.ndarray
+    layers: list
     x_mean: np.ndarray
     x_std: np.ndarray
 
     @property
     def head_count(self) -> int:
-        return int(self.head_b.size)
+        return int(self.layers[-1][1].size)
 
 
 @dataclass(frozen=True)
@@ -134,27 +134,18 @@ def init_mlp(input_dim: int, hidden_widths, head_count: int, seed: int,
     if any(w < 1 for w in hidden_widths):
         raise DomainError(f"hidden widths must be positive, got {hidden_widths}")
     rng = np.random.default_rng(seed)
-    hidden = []
+    layers = []
     fan_in = input_dim
-    for width in hidden_widths:
+    for width in (*hidden_widths, head_count):
         bound = 1.0 / math.sqrt(fan_in)
-        hidden.append([
+        layers.append([
             rng.uniform(-bound, bound, size=(width, fan_in)),
             rng.uniform(-bound, bound, size=width),
         ])
         fan_in = width
-    bound = 1.0 / math.sqrt(fan_in)
-    head_w = rng.uniform(-bound, bound, size=(head_count, fan_in))
-    head_b = rng.uniform(-bound, bound, size=head_count)
     if head_count == 2:
-        head_b[1] = gamma_bias_init
-    return MLPWeights(
-        hidden=hidden,
-        head_w=head_w,
-        head_b=head_b,
-        x_mean=np.zeros(input_dim),
-        x_std=np.ones(input_dim),
-    )
+        layers[-1][1][1] = gamma_bias_init
+    return MLPWeights(layers, x_mean=np.zeros(input_dim), x_std=np.ones(input_dim))
 
 
 def _hidden_pass(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -> np.ndarray:
@@ -164,7 +155,7 @@ def _hidden_pass(weights: MLPWeights, X: np.ndarray, acts: list | None = None) -
     acts[0] the standardized input and acts[-1] the last hidden layer's
     output."""
     a = (X - weights.x_mean) / weights.x_std
-    for W, b in weights.hidden:
+    for W, b in weights.layers[:-1]:
         if acts is not None:
             acts.append(a)
         a = a @ W.T
@@ -192,16 +183,16 @@ def forward_batch(weights: MLPWeights, X: np.ndarray, acts: list | None = None) 
     if X.shape[1] != weights.x_mean.size:
         raise ShapeError(f"expected {weights.x_mean.size} features, got {X.shape[1]}")
     n = X.shape[0]
+    head_w, head_b = weights.layers[-1]
     if acts is not None or n < 2 * INFER_BLOCK:
         a = _hidden_pass(weights, X, acts)
     else:
-        width = weights.hidden[-1][1].size if weights.hidden else X.shape[1]
-        a = np.empty((n, width))
+        a = np.empty((n, head_w.shape[1]))
         edges = [*range(0, n - INFER_BLOCK + 1, INFER_BLOCK), n]
         for start, stop in zip(edges[:-1], edges[1:]):
             a[start:stop] = _hidden_pass(weights, X[start:stop])
-    heads = a @ weights.head_w.T
-    heads += weights.head_b
+    heads = a @ head_w.T
+    heads += head_b
     return heads
 
 
@@ -225,55 +216,43 @@ def batch_loss(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpe
     return loss if math.isfinite(loss) else math.inf
 
 
-def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec, out: tuple):
-    """Mean-over-batch gradients for every trainable array, written into out:
-    a (hidden, head_w, head_b) triple shaped as the weights' (see _flat_views).
+def _backward(weights: MLPWeights, X: np.ndarray, ys: np.ndarray, spec: LossSpec,
+              out: list) -> float:
+    """Mean-over-batch gradients of every layer's [W, b], written into out, a
+    list of pairs shaped as weights.layers (see _flat_views).
 
-    Returns (out, mean_loss). Raises ShapeError if ys and X differ in rows and
+    Returns the mean loss. Raises ShapeError if ys and X differ in rows and
     NumericDivergence if the batch loss is not finite. The labels are taken
     as checked and the error state as set: train does both once, and passes
     views of its flat gradient vector as out.
     """
-    out_hidden, out_head_w, out_head_b = out
     acts = []
     heads = forward_batch(weights, X, acts)
     if ys.size != heads.shape[0]:
         raise ShapeError(f"batch has {heads.shape[0]} inputs but {ys.size} labels")
-    values, dheads = head_nll(spec, ys, heads)
+    values, delta = head_nll(spec, ys, heads)  # delta: the gradient at layer i's affine output
     mean_loss = float(np.mean(values))
     if not math.isfinite(mean_loss):
         raise NumericDivergence("non-finite batch loss")
-    dheads /= float(ys.size)
-    np.matmul(dheads.T, acts[-1], out=out_head_w)
-    dheads.sum(axis=0, out=out_head_b)
-    delta = dheads
-    next_w = weights.head_w
-    for i in range(len(weights.hidden) - 1, -1, -1):
-        delta = delta @ next_w
-        delta *= acts[i + 1] > 0.0
-        grad_w, grad_b = out_hidden[i]
+    delta /= float(ys.size)
+    for i in reversed(range(len(out))):
+        grad_w, grad_b = out[i]
         np.matmul(delta.T, acts[i], out=grad_w)
         delta.sum(axis=0, out=grad_b)
-        next_w = weights.hidden[i][0]
-    return out, mean_loss
+        if i:  # the input needs no gradient
+            delta = delta @ weights.layers[i][0]
+            delta *= acts[i] > 0.0
+    return mean_loss
 
 
-def _trainable(obj) -> list:
-    arrays = []
-    for W, b in obj.hidden:
-        arrays.extend([W, b])
-    arrays.extend([obj.head_w, obj.head_b])
-    return arrays
-
-
-def _flat_views(flat: np.ndarray, like) -> tuple:
-    """(hidden, head_w, head_b) shaped as like's arrays, as views of flat."""
+def _flat_views(flat: np.ndarray, layers: list) -> list:
+    """[W, b] pairs shaped as those of layers, as views of flat."""
     views, start = [], 0
-    for arr in _trainable(like):
-        views.append(flat[start:start + arr.size].reshape(arr.shape))
-        start += arr.size
-    hidden = [views[i:i + 2] for i in range(0, len(views) - 2, 2)]
-    return hidden, views[-2], views[-1]
+    for W, b in layers:
+        stop = start + W.size
+        views.append([flat[start:stop].reshape(W.shape), flat[stop:stop + b.size]])
+        start = stop + b.size
+    return views
 
 
 def _adamw_update(p, g, m, v, lr, weight_decay, bias1, bias2):
@@ -344,10 +323,10 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     # vector, so the update is a few whole-vector ufunc calls; the weights and
     # gradients handed to _backward are views of them, and the best weights
     # are a snapshot of the parameter vector
-    params = np.concatenate([arr.ravel() for arr in _trainable(weights)])
-    weights.hidden, weights.head_w, weights.head_b = _flat_views(params, weights)
+    params = np.concatenate([arr.ravel() for pair in weights.layers for arr in pair])
+    weights.layers = _flat_views(params, weights.layers)
     grad = np.zeros_like(params)
-    grads = _flat_views(grad, weights)
+    grads = _flat_views(grad, weights.layers)
     m_state, v_state = np.zeros_like(params), np.zeros_like(params)
     best_params = np.empty_like(params)
     step = 0
@@ -367,8 +346,8 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
             for start in range(0, order.size, config.batch_size):
                 rows = order[start : start + config.batch_size]
                 try:
-                    _, loss_value = _backward(weights, train_x[rows], train_y[rows],
-                                              config.loss, grads)
+                    loss_value = _backward(weights, train_x[rows], train_y[rows], config.loss,
+                                           grads)
                 except NumericDivergence:
                     report.wall_time = time.perf_counter() - t0
                     report.final_weights = weights
@@ -394,7 +373,7 @@ def train(dataset, split: SplitIndices, config: TrainConfig, epoch_hook=None):
     if report.best_epoch == 0:
         raise NumericDivergence(f"no epoch of {config.epochs} reached a finite validation loss",
                                 report=report)
-    return MLPWeights(*_flat_views(best_params, weights), x_mean=weights.x_mean.copy(),
+    return MLPWeights(_flat_views(best_params, weights.layers), x_mean=weights.x_mean.copy(),
                       x_std=weights.x_std.copy()), report
 
 
@@ -417,14 +396,12 @@ def _checkpoint_lines(weights: MLPWeights, meta: dict):
     yield CKPT_HEADER + "\n"
     for key, value in meta.items():
         yield f"{key}={value}\n"
-    named = [("x_mean", weights.x_mean), ("x_std", weights.x_std)]
-    for i, (W, b) in enumerate(weights.hidden):
-        named.append((f"hidden{i}.W", W))
-        named.append((f"hidden{i}.b", b))
-    named.append(("head.W", weights.head_w))
-    named.append(("head.b", weights.head_b))
-    for name, arr in named:
-        yield from _tensor_lines(name, arr)
+    yield from _tensor_lines("x_mean", weights.x_mean)
+    yield from _tensor_lines("x_std", weights.x_std)
+    for i, (W, b) in enumerate(weights.layers):
+        layer = "head" if i == len(weights.layers) - 1 else f"hidden{i}"
+        yield from _tensor_lines(f"{layer}.W", W)
+        yield from _tensor_lines(f"{layer}.b", b)
 
 
 def render_checkpoint(weights: MLPWeights, meta: dict) -> str:
@@ -523,7 +500,7 @@ def load_checkpoint(path):
     if tensors:  # a name outside the chain: unknown, or a layer past a missing one
         raise CheckpointFormatError(f"{path}: unexpected tensor {next(iter(tensors))} in a "
                                     f"network of {n_hidden} hidden layers")
-    return MLPWeights(layers[:-1], *layers[-1], x_mean, x_std), meta
+    return MLPWeights(layers, x_mean, x_std), meta
 
 
 def train_meta(config: TrainConfig, input_dim: int) -> dict:

@@ -136,14 +136,6 @@ def _head_gradient_gap(spec: LossSpec, rng: np.random.Generator) -> float:
     return worst
 
 
-def _flat_arrays(obj) -> list:
-    arrays = []
-    for W, b in obj.hidden:
-        arrays.extend([W, b])
-    arrays.extend([obj.head_w, obj.head_b])
-    return arrays
-
-
 def _network_gradient_gap(spec: LossSpec) -> float:
     rng = np.random.default_rng(7)
     weights = network.init_mlp(2, (5, 4), spec.head_count, 3, gamma_bias_init=0.2)
@@ -154,11 +146,11 @@ def _network_gradient_gap(spec: LossSpec) -> float:
         ys = rng.integers(0, 13, size=7).astype(float)
     # the gradients as train computes them: _backward in train's error state,
     # written into views of one flat vector
-    hidden, head_w, head_b = network._flat_views(
-        np.empty(sum(arr.size for arr in _flat_arrays(weights))), weights)
+    params = [arr for pair in weights.layers for arr in pair]
+    grad_layers = network._flat_views(np.empty(sum(arr.size for arr in params)), weights.layers)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        network._backward(weights, X, ys, spec, (hidden, head_w, head_b))
-    grads = [arr for pair in hidden for arr in pair] + [head_w, head_b]
+        network._backward(weights, X, ys, spec, grad_layers)
+    grads = [arr for pair in grad_layers for arr in pair]
     heads0 = network.forward_batch(weights, X)
     if spec.family == "double_poisson":
         scale0 = np.exp(heads0[:, 1]) ** (-spec.beta)
@@ -179,7 +171,7 @@ def _network_gradient_gap(spec: LossSpec) -> float:
 
     worst = 0.0
     step = 1e-6
-    for p_arr, g_arr in zip(_flat_arrays(weights), grads):
+    for p_arr, g_arr in zip(params, grads):
         flat_p = p_arr.reshape(-1)
         flat_g = np.asarray(g_arr, dtype=float).reshape(-1)
         for k in range(flat_p.size):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import ddpnkit
 from ddpnkit import cli, datagen, distributions, ensemble, errors, moments, network
+from ddpnkit.losses import LossSpec
 from test_acceptance import _run_pipeline
 
 
@@ -282,8 +283,8 @@ class TestEval:
         """A model predicting DP(1e5, 1) everywhere needs more PMF support than
         the 65536-term cap; the run fails with exit 3 instead of truncating."""
         w = network.init_mlp(1, (), 2, 0)
-        w.head_w[:] = 0.0
-        w.head_b[:] = (np.log(1e5), 0.0)
+        w.layers[-1][0][:] = 0.0
+        w.layers[-1][1][:] = (np.log(1e5), 0.0)
         ckpt = tmp_path / "wide.ckpt"
         ckpt.write_text(network.render_checkpoint(
             w, {"family": "double_poisson", "beta": "0.0", "input_dim": "1"}))
@@ -305,6 +306,35 @@ class TestEval:
             assert run(argv + ["--data", prefix, "--out", tmp_path / "out"]) == 3
             assert "at row 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("member", ["trained_dp", "nb_tiny_alpha"])
+    def test_matches_one_member_ensemble_eval(self, workspace, tmp_path, member):
+        """eval of a checkpoint writes the metrics JSON of ensemble-eval over a
+        one-member manifest of it, byte for byte: both read the variances off
+        the heads in log space. At log alpha = -22 the negative binomial's
+        (r, p) parameters lose (1 - p)'s digits, and a variance read back from
+        them is off by about 4e-8 relative."""
+        if member == "trained_dp":  # member 1's median precision moved in the last bit
+            ckpt = workspace["root"] / "ckpt" / "m_member1.ckpt"
+            spec = LossSpec("double_poisson")
+        else:
+            w = network.init_mlp(1, (), 2, 0)
+            w.layers[-1][0][:] = 0.0
+            w.layers[-1][1][:] = (np.log(5.0), -22.0)
+            ckpt = tmp_path / "nb.ckpt"
+            ckpt.write_text(network.render_checkpoint(
+                w, {"family": "neg_binomial", "beta": "0.0", "input_dim": "1"}))
+            spec = LossSpec("neg_binomial")
+        manifest = tmp_path / "one.manifest"
+        manifest.write_text(network.render_manifest([ckpt], spec))
+        assert run(["eval", "--ckpt", ckpt, "--data", workspace["prefix"],
+                    "--tag", "single", "--out", tmp_path]) == 0
+        assert run(["ensemble-eval", "--manifest", manifest, "--data", workspace["prefix"],
+                    "--tag", "mixture", "--out", tmp_path]) == 0
+        reports = tmp_path / "reports"
+        assert ((reports / "single_metrics.json").read_bytes()
+                == (reports / "mixture_metrics.json").read_bytes())
 
 
 class TestEnsembleEval:

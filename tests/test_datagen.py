@@ -108,10 +108,6 @@ class TestMisspecPoisson:
         assert np.all(ds.xs >= 0.5) and np.all(ds.xs <= 5.0)
         assert split.train.size == 400
 
-    def test_custom_range(self):
-        ds, _ = datagen.gen_misspec_poisson(200, seed=0, x_low=2.0, x_high=3.0)
-        assert np.all(ds.xs >= 2.0) and np.all(ds.xs <= 3.0)
-
 
 class TestMisspecNb:
     def test_conditional_moments_are_overdispersed(self):

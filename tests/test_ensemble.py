@@ -19,10 +19,11 @@ from ddpnkit.losses import LossSpec
 def const_member(log_mu, log_second=None, family="double_poisson", beta=0.0):
     spec = LossSpec(family, beta)
     w = network.init_mlp(1, (), spec.head_count, 0)
-    w.head_w[:] = 0.0
-    w.head_b[0] = log_mu
+    head_w, head_b = w.layers[-1]
+    head_w[:] = 0.0
+    head_b[0] = log_mu
     if spec.head_count == 2:
-        w.head_b[1] = log_second
+        head_b[1] = log_second
     return w, spec
 
 

@@ -7,7 +7,6 @@ trainable parameter of a small network, for each loss family.
 import copy
 import math
 import tracemalloc
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -30,24 +29,18 @@ def toy_problem(head_count=2, seed=0, n=7, d=2):
     return weights, X, ys
 
 
-def flat_params(weights):
-    arrays = []
-    for W, b in weights.hidden:
-        arrays.extend([W, b])
-    arrays.extend([weights.head_w, weights.head_b])
-    return arrays
-
-
-# the (hidden, head_w, head_b) gradient arrays that network._backward writes
-Grads = namedtuple("Grads", "hidden head_w head_b")
+def flat_params(layers):
+    """The arrays of a list of [W, b] pairs, in order."""
+    return [arr for pair in layers for arr in pair]
 
 
 def backward(weights, X, ys, spec):
     """network._backward as train runs it, in train's error state, into views
-    of a fresh flat gradient vector: (Grads, mean loss)."""
-    flat = np.empty(sum(a.size for a in flat_params(weights)))
+    of a fresh flat gradient vector: (gradient [W, b] pairs, mean loss)."""
+    flat = np.empty(sum(a.size for a in flat_params(weights.layers)))
+    grads = network._flat_views(flat, weights.layers)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return network._backward(weights, X, ys, spec, Grads(*network._flat_views(flat, weights)))
+        return grads, network._backward(weights, X, ys, spec, grads)
 
 
 class TestForward:
@@ -59,7 +52,7 @@ class TestForward:
         w.x_std = np.array([4.0])
         out = network.forward_batch(w, np.array([[2.0]]))[0]
         assert out[1] == 5.0
-        assert out[0] == w.head_b[0]
+        assert out[0] == w.layers[-1][1][0]
 
     def test_single_head_output(self):
         w = network.init_mlp(2, (4,), 1, 0)
@@ -70,9 +63,10 @@ class TestForward:
         weights, X, _ = toy_problem()
         z = (X - weights.x_mean) / weights.x_std
         h = z
-        for W, b in weights.hidden:
+        for W, b in weights.layers[:-1]:
             h = np.maximum(h @ W.T + b, 0.0)
-        expected = h @ weights.head_w.T + weights.head_b
+        head_w, head_b = weights.layers[-1]
+        expected = h @ head_w.T + head_b
         assert_allclose(network.forward_batch(weights, X), expected, rtol=1e-14)
 
     def test_single_row_consistency(self):
@@ -105,9 +99,10 @@ class TestBlockedInference:
         weights = benchmark_network()
         X = np.random.default_rng(n).uniform(-2.0, 20.0, (n, 1))
         a = (X - weights.x_mean) / weights.x_std
-        for W, b in weights.hidden:
+        for W, b in weights.layers[:-1]:
             a = np.maximum(a @ W.T + b, 0.0)
-        want = a @ weights.head_w.T + weights.head_b
+        head_w, head_b = weights.layers[-1]
+        want = a @ head_w.T + head_b
         got = network.forward_batch(weights, X)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -132,17 +127,34 @@ class TestInit:
     def test_deterministic_and_seed_sensitive(self):
         a = network.init_mlp(2, (8, 4), 2, 11)
         b = network.init_mlp(2, (8, 4), 2, 11)
-        assert all(np.array_equal(x, y) for x, y in zip(flat_params(a), flat_params(b)))
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(flat_params(a.layers), flat_params(b.layers)))
         c = network.init_mlp(2, (8, 4), 2, 12)
-        assert not np.array_equal(a.hidden[0][0], c.hidden[0][0])
+        assert not np.array_equal(a.layers[0][0], c.layers[0][0])
 
     def test_fan_in_bounds(self):
         w = network.init_mlp(4, (16,), 2, 0)
-        assert np.max(np.abs(w.hidden[0][0])) <= 1.0 / math.sqrt(4)
-        assert np.max(np.abs(w.head_w)) <= 1.0 / math.sqrt(16)
+        assert np.max(np.abs(w.layers[0][0])) <= 1.0 / math.sqrt(4)
+        assert np.max(np.abs(w.layers[-1][0])) <= 1.0 / math.sqrt(16)
 
     def test_gamma_bias_stored_exactly(self):
-        assert network.init_mlp(1, (4,), 2, 0, gamma_bias_init=-2.5).head_b[1] == -2.5
+        assert network.init_mlp(1, (4,), 2, 0, gamma_bias_init=-2.5).layers[-1][1][1] == -2.5
+
+    def test_draw_order(self):
+        """One generator draws W, then b, of each layer in turn, the head
+        last, each from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); the dispersion
+        bias is then set to gamma_bias_init."""
+        w = network.init_mlp(2, (3, 4), 2, 9, gamma_bias_init=-1.25)
+        rng = np.random.default_rng(9)
+        want = []
+        for fan_in, width in ((2, 3), (3, 4), (4, 2)):
+            bound = 1.0 / math.sqrt(fan_in)
+            want += [rng.uniform(-bound, bound, size=(width, fan_in)),
+                     rng.uniform(-bound, bound, size=width)]
+        want[-1][1] = -1.25
+        got = flat_params(w.layers)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_config_validation(self):
         with pytest.raises(DomainError, match="input_dim must be positive, got 0"):
@@ -189,7 +201,7 @@ class TestBackward:
         else:
             scale0 = np.ones(ys.size)
         h = 1e-6
-        for p_arr, g_arr in zip(flat_params(weights), flat_params(grads)):
+        for p_arr, g_arr in zip(flat_params(weights.layers), flat_params(grads)):
             flat_p = p_arr.reshape(-1)
             flat_g = np.asarray(g_arr).reshape(-1)
             for k in range(flat_p.size):
@@ -209,7 +221,7 @@ class TestBackward:
 
     def test_overflowed_heads_divergence(self):
         weights, X, ys = toy_problem()
-        weights.head_b = np.array([1000.0, 0.0])  # exp overflows to inf
+        weights.layers[-1][1] = np.array([1000.0, 0.0])  # exp overflows to inf
         with pytest.raises(NumericDivergence):
             backward(weights, X, ys, LossSpec("double_poisson"))
         assert network.batch_loss(weights, X, ys, LossSpec("double_poisson")) == math.inf
@@ -220,7 +232,7 @@ class TestBackward:
         zero label in the batch the loss itself would be nan, not inf."""
         weights, X, ys = toy_problem()
         ys[0] = 0.0
-        weights.head_b = np.array(head_b)
+        weights.layers[-1][1] = np.array(head_b)
         with pytest.raises(NumericDivergence, match="positive range"):
             backward(weights, X, ys, LossSpec("double_poisson"))
         assert network.batch_loss(weights, X, ys, LossSpec("double_poisson")) == math.inf
@@ -233,7 +245,7 @@ class TestBackward:
         dispersion of exp(-800) = 0 makes the negative binomial's nan, and
         inf / inf the Gaussian's); the batch loss reads inf either way."""
         weights, X, ys = toy_problem(head_count=len(head_b))
-        weights.head_b = np.array(head_b)
+        weights.layers[-1][1] = np.array(head_b)
         assert network.batch_loss(weights, X, ys, LossSpec(family)) == math.inf
 
 
@@ -272,7 +284,8 @@ class TestTrain:
         w2, r2 = network.train(ds, split, config)
         assert r1.train_loss == r2.train_loss
         assert r1.val_loss == r2.val_loss
-        assert all(np.array_equal(a, b) for a, b in zip(flat_params(w1), flat_params(w2)))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(flat_params(w1.layers), flat_params(w2.layers)))
 
     def test_best_epoch_minimizes_validation_loss(self):
         ds, split = tiny_dataset()
@@ -370,16 +383,14 @@ def _reference_backward(weights, X, ys, spec):
     else:
         _, dheads = head_nll(spec, ys, heads)
     dheads = dheads / float(ys.size)
-    grad_head_w = dheads.T @ acts[-1]
-    grad_head_b = dheads.sum(axis=0)
-    delta = dheads @ weights.head_w
-    grads_hidden = []
-    for i in range(len(weights.hidden) - 1, -1, -1):
+    grads = [[dheads.T @ acts[-1], dheads.sum(axis=0)]]
+    delta = dheads @ weights.layers[-1][0]
+    for i in range(len(weights.layers) - 2, -1, -1):
         delta = delta * (acts[i + 1] > 0.0)
-        grads_hidden.append([delta.T @ acts[i], delta.sum(axis=0)])
-        delta = delta @ weights.hidden[i][0]
-    grads_hidden.reverse()
-    return Grads(grads_hidden, grad_head_w, grad_head_b)
+        grads.append([delta.T @ acts[i], delta.sum(axis=0)])
+        delta = delta @ weights.layers[i][0]
+    grads.reverse()
+    return grads
 
 
 def _reference_train(ds, split, config):
@@ -394,7 +405,7 @@ def _reference_train(ds, split, config):
     std[std < 1e-12] = 1.0
     weights.x_mean = train_x.mean(axis=0)
     weights.x_std = std
-    params = flat_params(weights)
+    params = flat_params(weights.layers)
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     step = 0
@@ -452,7 +463,8 @@ class TestFlatOptimizer:
         ref_best, ref_final = _reference_train(ds, split, config)
         best, report = network.train(ds, split, config)
         for ours, ref in ((best, ref_best), (report.final_weights, ref_final)):
-            assert all(np.array_equal(a, b) for a, b in zip(flat_params(ours), flat_params(ref)))
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(flat_params(ours.layers), flat_params(ref.layers)))
             assert network.render_checkpoint(ours, {}) == network.render_checkpoint(ref, {})
 
     def test_best_and_final_weights_share_no_memory(self):
@@ -461,7 +473,7 @@ class TestFlatOptimizer:
                                      hidden_widths=(6, 4), seed=0)
         best, report = network.train(ds, split, config)
         final = report.final_weights
-        for a, b in zip(flat_params(best), flat_params(final)):
+        for a, b in zip(flat_params(best.layers), flat_params(final.layers)):
             assert not np.shares_memory(a, b)
         assert not np.shares_memory(best.x_mean, final.x_mean)
 
@@ -469,10 +481,10 @@ class TestFlatOptimizer:
         weights, X, ys = toy_problem()
         spec = LossSpec("double_poisson", 0.5)
         fresh, loss0 = backward(weights, X, ys, spec)
-        flat = np.full(sum(a.size for a in flat_params(weights)), np.nan)
-        out = Grads(*network._flat_views(flat, weights))
-        into, loss1 = network._backward(weights, X, ys, spec, out)
-        assert into is out and loss1 == loss0
+        flat = np.full(sum(a.size for a in flat_params(weights.layers)), np.nan)
+        out = network._flat_views(flat, weights.layers)
+        loss1 = network._backward(weights, X, ys, spec, out)
+        assert loss1 == loss0
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in flat_params(fresh)]))
         reference = _reference_backward(weights, X, ys, spec)
         assert all(np.array_equal(a, b)
@@ -503,7 +515,8 @@ class TestFlatOptimizer:
         ds.ys[split.test] = [math.nan, math.inf, -1.0] + [-2.5] * 7
         best, report = network.train(ds, split, config)
         assert report.val_loss == clean_report.val_loss
-        assert all(np.array_equal(a, b) for a, b in zip(flat_params(best), flat_params(clean)))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(flat_params(best.layers), flat_params(clean.layers)))
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_double_poisson_labels_still_checked(self, bad):
@@ -591,10 +604,8 @@ class TestCheckpoint:
         assert meta2 == meta
         assert np.array_equal(loaded.x_mean, weights.x_mean)
         assert np.array_equal(loaded.x_std, weights.x_std)
-        assert np.array_equal(loaded.head_w, weights.head_w)
-        assert np.array_equal(loaded.head_b, weights.head_b)
-        assert len(loaded.hidden) == len(weights.hidden)
-        for (W1, b1), (W2, b2) in zip(loaded.hidden, weights.hidden):
+        assert len(loaded.layers) == len(weights.layers)
+        for (W1, b1), (W2, b2) in zip(loaded.layers, weights.layers):
             assert np.array_equal(W1, W2)
             assert np.array_equal(b1, b2)
 
@@ -603,8 +614,8 @@ class TestCheckpoint:
         bit, at signed zeros, subnormals and extreme magnitudes."""
         weights = network.init_mlp(3, (5, 4), 2, 7)
         special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0, -7.0]
-        for i, arr in enumerate([weights.hidden[0][0], weights.hidden[1][1],
-                                 weights.head_w, weights.head_b]):
+        for i, arr in enumerate([weights.layers[0][0], weights.layers[1][1],
+                                 *weights.layers[-1]]):
             flat = arr.reshape(-1)
             flat[:len(special)] = np.roll(special, i)[:flat.size]
         weights.x_mean[:] = [-0.0, 5e-324, 1e300]
@@ -617,9 +628,9 @@ class TestCheckpoint:
                 " ".join(repr(float(v)) for v in row) for row in rows]
 
         named = [("x_mean", weights.x_mean), ("x_std", weights.x_std)]
-        for i, (W, b) in enumerate(weights.hidden):
+        for i, (W, b) in enumerate(weights.layers[:-1]):
             named += [(f"hidden{i}.W", W), (f"hidden{i}.b", b)]
-        named += [("head.W", weights.head_w), ("head.b", weights.head_b)]
+        named += [("head.W", weights.layers[-1][0]), ("head.b", weights.layers[-1][1])]
         want = [network.CKPT_HEADER, "family=double_poisson"]
         for name, arr in named:
             want += per_element(name, arr)
@@ -632,8 +643,8 @@ class TestCheckpoint:
         path = tmp_path / "glm.ckpt"
         path.write_text(network.render_checkpoint(weights, {"family": "gaussian"}))
         loaded, _ = network.load_checkpoint(path)
-        assert loaded.hidden == []
-        assert np.array_equal(loaded.head_w, weights.head_w)
+        assert len(loaded.layers) == 1
+        assert np.array_equal(loaded.layers[0][0], weights.layers[0][0])
 
     def test_render_is_versioned_text(self):
         weights, _, _ = toy_problem()

@@ -22,10 +22,11 @@ def variance_ramp_member(log_mu=np.log(5.0), gamma_slope=-1.0, seed=0):
     mu * exp(-gamma_slope * x) for standardized x."""
     spec = LossSpec("double_poisson")
     w = network.init_mlp(1, (), 2, seed)
-    w.head_w[:] = 0.0
-    w.head_w[1, 0] = gamma_slope
-    w.head_b[0] = log_mu
-    w.head_b[1] = 0.0
+    head_w, head_b = w.layers[-1]
+    head_w[:] = 0.0
+    head_w[1, 0] = gamma_slope
+    head_b[0] = log_mu
+    head_b[1] = 0.0
     return w, spec
 
 

@@ -138,15 +138,10 @@ def test_roles_name_their_users():
                 assert f"`{name}" in text, f"{user} names no {qualified}"
 
 
-def _forwarded_to(node: ast.FunctionDef, bound: dict, own: str, local: set) -> str | None:
-    """The package function that node's whole body, after the docstring,
-    returns a call of with node's parameters in order, or None. local holds
-    the names of own's top-level functions."""
-    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
-    if len(body) != 1 or not isinstance(body[0], ast.Return):
-        return None
-    call, target = body[0].value, None
-    func = getattr(call, "func", None)
+def _call_target(func, bound: dict, own: str, local: set) -> tuple | None:
+    """(module, name) of the package function that a call of func calls, or
+    None. local holds the names of own's top-level functions."""
+    target = None
     if isinstance(func, ast.Name) and func.id in bound:
         target = bound[func.id]
     elif isinstance(func, ast.Name) and func.id in local:
@@ -154,7 +149,18 @@ def _forwarded_to(node: ast.FunctionDef, bound: dict, own: str, local: set) -> s
     elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
         module, attr = bound.get(func.value.id, (None, ""))
         target = (module, func.attr) if attr is None else None
-    if target is None or target[1] is None:
+    return None if target is None or target[1] is None else target
+
+
+def _forwarded_to(node: ast.FunctionDef, bound: dict, own: str, local: set) -> str | None:
+    """The package function that node's whole body, after the docstring,
+    returns a call of with node's parameters in order, or None."""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return None
+    call = body[0].value
+    target = _call_target(getattr(call, "func", None), bound, own, local)
+    if target is None:
         return None
     params = [a.arg for a in node.args.posonlyargs + node.args.args]
     params += [node.args.vararg.arg] if node.args.vararg else []
@@ -198,3 +204,46 @@ def test_no_module_imports_a_package_name_it_does_not_use():
                 unread += [f"{module}.{alias.asname or alias.name}" for alias in node.names
                            if (alias.asname or alias.name) not in read]
     assert not unread, f"package names imported and never used: {unread}"
+
+
+# Functions whose defaulted parameters are set from outside src/: the console
+# script calls main(), and the tests pass it argv.
+ENTRY_POINTS = ("cli.main",)
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """A defaulted parameter of a top-level function is set, by keyword or
+    by position, by some call in src/; a knob that nothing turns fails,
+    unless ROLES or ENTRY_POINTS names the function."""
+    trees = _trees()
+    set_by_calls = {}  # (module, name) -> parameter positions and names some call sets
+    for module, tree in trees.items():
+        bound = _bindings(tree, module)
+        local = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            target = _call_target(call.func, bound, module, local)
+            if target is None:
+                continue
+            passed = set_by_calls.setdefault(target, set())
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                passed.add("*")
+            passed.update(range(len(call.args)))
+            passed.update(k.arg for k in call.keywords)
+    unset = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            qualified = f"{module}.{node.name}" if isinstance(node, ast.FunctionDef) else None
+            if qualified is None or qualified in ROLES or qualified in ENTRY_POINTS:
+                continue
+            passed = set_by_calls.get((module, node.name), set())
+            positional = node.args.posonlyargs + node.args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(node.args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(node.args.kwonlyargs,
+                                                         node.args.kw_defaults) if d is not None]
+            unset += [f"{qualified}({name}=)" for i, name in defaulted
+                      if "*" not in passed and i not in passed and name not in passed]
+    assert not unset, f"defaulted parameters that no src/ call sets: {unset}"
