@@ -390,29 +390,32 @@ def _test_rows(opts: dict) -> tuple:
     raise DomainError(f"no test rows found under prefix {opts['data']}")
 
 
-def cmd_eval(opts: dict) -> tuple[dict, str]:
-    weights, spec = ensemble.load_member(opts["ckpt"])
+def _scored(opts: dict, ens, mode: str) -> tuple[dict, str]:
+    """The reports of ens on <prefix>_test.csv, its member moments read in
+    mode: the metrics JSON and the decomposition table, from one
+    decomposition of the heads' moments."""
     test_x, test_y = _test_rows(opts)
-    heads = ensemble.member_heads(ensemble.Ensemble(((weights, spec),)), test_x)
-    # the variances as ensemble-eval reads them, in log space off the heads
-    summary = metrics.evaluate(heads.batch, test_y, variances=heads.scores()).summary()
-    return {_report_path(opts, "metrics.json"): _json(summary)}, json.dumps(summary)
+    heads = ensemble.member_heads(ens, test_x)
+    dec = ensemble.decompose_variance(*heads.moments(mode))  # metrics and table
+    summary, ends = metrics.evaluate(heads.batch, test_y, ensemble.total_scores(dec),
+                                     ensemble.INTERVAL)
+    decomposition = datagen.csv_chunks("x,mean,aleatoric,epistemic,q025,q975", [
+        map(repr, np.asarray(column, dtype=float).tolist())
+        for column in (test_x[:, 0], dec.mean, dec.aleatoric, dec.epistemic, *ends)])
+    return {_report_path(opts, "metrics.json"): _json(summary),
+            _report_path(opts, "decomposition.csv"): decomposition}, json.dumps(summary)
+
+
+def cmd_eval(opts: dict) -> tuple[dict, str]:
+    """A one-member ensemble-eval in efron_approx mode that writes only its metrics."""
+    files, printed = _scored(opts, ensemble.Ensemble((ensemble.load_member(opts["ckpt"]),)),
+                             ensemble.EFRON_APPROX)
+    path = _report_path(opts, "metrics.json")
+    return {path: files[path]}, printed
 
 
 def cmd_ensemble_eval(opts: dict) -> tuple[dict, str]:
-    ens = ensemble.load_ensemble(opts["manifest"])
-    test_x, test_y = _test_rows(opts)
-    heads = ensemble.member_heads(ens, test_x)
-    dec = ensemble.decompose_variance(*heads.moments(opts["moments_mode"]))  # scores and table
-    record = metrics.evaluate(heads.batch, test_y, variances=ensemble.total_scores(dec),
-                              levels=ensemble.INTERVAL)
-    decomposition = datagen.csv_chunks("x,mean,aleatoric,epistemic,q025,q975", [
-        map(repr, np.asarray(column, dtype=float).tolist())
-        for column in (test_x[:, 0], dec.mean, dec.aleatoric, dec.epistemic,
-                       *record.quantiles)])
-    summary = record.summary()
-    return {_report_path(opts, "metrics.json"): _json(summary),
-            _report_path(opts, "decomposition.csv"): decomposition}, json.dumps(summary)
+    return _scored(opts, ensemble.load_ensemble(opts["manifest"]), opts["moments_mode"])
 
 
 def cmd_ood(opts: dict) -> tuple[dict, str]:

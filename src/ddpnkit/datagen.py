@@ -61,17 +61,16 @@ class SplitIndices:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    """Feature matrix (n, d), nonnegative integer labels, generator name and seed."""
+    """Feature matrix (n, d), nonnegative integer labels and generator name."""
 
     xs: np.ndarray
     ys: np.ndarray
     process: str
-    seed: int
 
     def __post_init__(self):
-        xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
-        if xs.shape[0] == 1 and np.asarray(self.ys).size != 1:
-            xs = xs.T
+        xs = np.asarray(self.xs, dtype=float)
+        if xs.ndim != 2:
+            raise ShapeError(f"inputs must be an (n, d) matrix, got shape {xs.shape}")
         ys = np.asarray(self.ys)
         if xs.shape[0] != ys.size:
             raise ShapeError(f"{xs.shape[0]} inputs for {ys.size} labels")
@@ -157,7 +156,7 @@ def gen_sine_conflation(
     while np.any(y0 > CONFLATION_SHIFT):
         bad = y0 > CONFLATION_SHIFT
         y0[bad] = _sample_conflation(rng, 10.0 * np.sin(xs[bad]) + 10.0)
-    ds = SyntheticDataset(xs[:, None], CONFLATION_SHIFT - y0, "sine_conflation", seed)
+    ds = SyntheticDataset(xs[:, None], CONFLATION_SHIFT - y0, "sine_conflation")
     return ds, split_indices(n, counts=(n_train, n_val, n_test))
 
 
@@ -170,7 +169,7 @@ def gen_misspec_poisson(n: int = 2000, seed: int = 0):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.5, 5.0, n)
     ys = rng.poisson(np.exp(xs / 2.0))
-    ds = SyntheticDataset(xs[:, None], ys, "misspec_poisson", seed)
+    ds = SyntheticDataset(xs[:, None], ys, "misspec_poisson")
     return ds, split_indices(n)
 
 
@@ -181,7 +180,7 @@ def gen_misspec_nb(n: int = 2000, seed: int = 0):
     xs = rng.uniform(0.5, 5.0, n)
     lam = rng.gamma(shape=xs**2, scale=1.0)  # scale (1-p)/p = 1 at p = 1/2
     ys = rng.poisson(lam)
-    ds = SyntheticDataset(xs[:, None], ys, "misspec_nb", seed)
+    ds = SyntheticDataset(xs[:, None], ys, "misspec_nb")
     return ds, split_indices(n)
 
 
@@ -211,15 +210,14 @@ def gen_beta_study(n: int = 500, seed: int = 0, isolated_repeat: int = 1):
     mu, gamma = np.array([beta_study_params(x) for x in xs.tolist()]).reshape(n, 2).T
     # one uniform draw per row, inverted through that row's CDF
     ys = _inverse_cdf(PredictiveBatch(DOUBLE_POISSON, (mu, gamma)), rng.random(n))
-    n_train = int(round(0.8 * n))
-    n_val = int(round(0.1 * n))
+    split = split_indices(n)
+    n_train = split.train.size
     iso_x = np.repeat([p[0] for p in ISOLATED_POINTS], isolated_repeat)
     iso_y = np.repeat([p[1] for p in ISOLATED_POINTS], isolated_repeat)
     all_x = np.concatenate([xs[:n_train], iso_x, xs[n_train:]])
     all_y = np.concatenate([ys[:n_train], iso_y, ys[n_train:]])
-    ds = SyntheticDataset(all_x[:, None], all_y, "beta_study", seed)
-    counts = (n_train + iso_x.size, n_val, n - n_train - n_val)
-    return ds, split_indices(ds.n, counts=counts)
+    ds = SyntheticDataset(all_x[:, None], all_y, "beta_study")
+    return ds, split_indices(ds.n, counts=(n_train + iso_x.size, split.val.size, split.test.size))
 
 
 # --- CSV I/O ------------------------------------------------------------------
@@ -296,5 +294,5 @@ def _read_splits(prefix, names) -> tuple[SyntheticDataset, SplitIndices]:
             raise DomainError(f"missing dataset file {path}")
         parts.append(read_dataset_csv(path))
     xs, ys = (np.concatenate(arrays) for arrays in zip(*parts))
-    ds = SyntheticDataset(xs, ys, os.path.basename(str(prefix)), -1)
+    ds = SyntheticDataset(xs, ys, os.path.basename(str(prefix)))
     return ds, split_indices(ds.n, counts=tuple(part_ys.size for _, part_ys in parts))

@@ -21,17 +21,17 @@ binomial (gammaln) and Gaussian (ndtr, ndtri) paths import scipy.special.
 One engine, _series, sums every infinite series: the PMF supports, the
 normalizer, the exact-series moments and the moment grid of the moments
 module. A PredictiveBatch runs it once at most, and its PMF supports, its
-exact moments and dp_normalizer read that one result. Each cell's support
-0..N-1 grows as N = n0 * 2^k, summing only the new block into running
-sums, until a proven bound on the neglected tail of sum(s*y^2) is below
-TAIL_TOL of the sum (times min(1, gamma) for the Double Poisson). The
-bound uses rho >= s(y+1)/s(y) for y >= N-1: (mu/N)^gamma *
-exp(max(0, gamma-1)/(2(N-1))) for the Double Poisson (lam/N for a Poisson)
-and max(1, (N+r-1)/N) * (1-p) for the negative binomial. A cell that
-cannot converge within MAX_TERMS terms is refused before any summing, and
-one unconverged at the cap raises NumericOverflow: no support is cut short
-silently. A Double Poisson term costs one multiply, one exp and one
-matmul read (see _series).
+exact moment corrections (dp_corrections) and dp_normalizer read that one
+result. Each cell's support 0..N-1 grows as N = n0 * 2^k, summing only the
+new block into running sums, until a proven bound on the neglected tail of
+sum(s*y^2) is below TAIL_TOL of the sum (times min(1, gamma) for the
+Double Poisson). The bound uses rho >= s(y+1)/s(y) for y >= N-1:
+(mu/N)^gamma * exp(max(0, gamma-1)/(2(N-1))) for the Double Poisson (lam/N
+for a Poisson) and max(1, (N+r-1)/N) * (1-p) for the negative binomial. A
+cell that cannot converge within MAX_TERMS terms is refused before any
+summing, and one unconverged at the cap raises NumericOverflow: no support
+is cut short silently. A Double Poisson term costs one multiply, one exp
+and one matmul read (see _series).
 
 Every predictive distribution is a PredictiveBatch: n rows, each a uniform
 mixture of M members of one family, with parameters shaped (M, n). The
@@ -45,6 +45,9 @@ the labels off one PMF and CDF matrix per block. It is the one reader of
 predictive distributions: a single distribution is a one-row batch. Each
 row is summed at its own width and over members in member order, so a row
 of any family and member count scores the same bits alone as in a batch.
+Member means and variances are not read here but off the network heads,
+by ensemble.MemberHeads.moments alone; a batch adds only what needs its
+series, the exact Double Poisson corrections to them.
 """
 
 from __future__ import annotations
@@ -70,9 +73,6 @@ _FIELDS = {
     NEG_BINOMIAL: ("r", "p"),
     GAUSSIAN: ("mu", "sigma2"),
 }
-
-EFRON_APPROX = "efron_approx"
-EXACT_SERIES = "exact_series"
 
 # largest block of cells x terms summed, or members x rows x support built, at once
 BLOCK_CELLS = 1 << 17
@@ -157,33 +157,14 @@ class PredictiveBatch:
             return f"series of {self.kind}({values})"
         return _series(self.kind, [p.ravel() for p in self.params], label, PMF_N0)
 
-    def member_moments(self, mode: str = EFRON_APPROX) -> tuple:
-        """Member means and variances, both (M, n).
-
-        mode "exact_series" adds the Double Poisson correction series to the
-        Efron approximations (mu, mu/gamma); other kinds have closed forms.
-        """
-        if mode not in (EFRON_APPROX, EXACT_SERIES):
-            raise DomainError(f"unknown moments mode {mode!r}")
-        if self.kind == DOUBLE_POISSON:
-            mu, gamma = self.params
-            mean, var = mu, mu / gamma
-            if mode == EXACT_SERIES:
-                mc, vc = dp_moment_corrections(*self._summed[0], gamma.ravel())
-                mean, var = mean + mc.reshape(mu.shape), var + vc.reshape(mu.shape)
-            return mean, var
-        if self.kind == POISSON:
-            return self.params[0], self.params[0]
-        if self.kind == NEG_BINOMIAL:
-            r, p = self.params
-            mean = r * (1.0 - p) / p
-            return mean, mean / p
-        return self.params
-
-    def moments(self, mode: str = EFRON_APPROX) -> tuple:
-        """Mixture mean and variance per row, both (n,)."""
-        dec = decompose_variance(*self.member_moments(mode))
-        return dec.mean, dec.total
+    def dp_corrections(self) -> tuple:
+        """The exact Double Poisson moments less their Efron approximations
+        (mu, mu/gamma), each (M, n), read off the batch's one series pass
+        (dp_moment_corrections). DomainError for another kind."""
+        if self.kind != DOUBLE_POISSON:
+            raise DomainError(f"{self.kind} has no Double Poisson moment corrections")
+        corrections = dp_moment_corrections(*self._summed[0], self.params[1].ravel())
+        return tuple(c.reshape(self.shape) for c in corrections)
 
 
 def double_poisson(mu: float, gamma: float) -> PredictiveBatch:

@@ -14,15 +14,14 @@ series evaluation is available behind a flag.
 member_heads(ens, X) is the one way to read an ensemble at a set of rows:
 it runs each member's network once, and the MemberHeads it returns gives
 the predictive distributions (heads.batch, built once and kept), the member
-moments (heads.moments(mode)) and the OOD scores (heads.scores(mode)) at
-those rows. The mixture decomposition itself, decompose_variance and
-UncertaintyDecomposition, lives in distributions beside PredictiveBatch,
-which reads its moments from it; the scores here are its totals. A caller
-lays the decomposition and the interval ends read at the INTERVAL levels
-out as it needs them, as ensemble-eval's table does:
+moments (heads.moments(mode), the one place they are written) and the OOD
+scores (heads.scores()) at those rows. The mixture decomposition itself,
+decompose_variance and UncertaintyDecomposition, lives in distributions;
+the scores here are its totals. eval and ensemble-eval read one
+decomposition for their metrics and for ensemble-eval's table:
 
-    dec = decompose_variance(*heads.moments())
-    ends = metrics.evaluate(heads.batch, ys, levels=INTERVAL).quantiles
+    dec = decompose_variance(*heads.moments(mode))
+    summary, ends = metrics.evaluate(heads.batch, ys, total_scores(dec), INTERVAL)
     {"mean": dec.mean, "aleatoric": dec.aleatoric,
      "epistemic": dec.epistemic, "q025": ends[0], "q975": ends[1]}
 
@@ -46,6 +45,10 @@ from ddpnkit.errors import DomainError, NumericOverflow
 from ddpnkit.losses import LossSpec
 from ddpnkit.network import CheckpointFormatError, forward_batch, load_checkpoint
 from ddpnkit.network import ManifestFormatError, load_manifest
+
+# the modes of MemberHeads.moments
+EFRON_APPROX = "efron_approx"
+EXACT_SERIES = "exact_series"
 
 
 @dataclass(frozen=True)
@@ -111,19 +114,19 @@ class MemberHeads:
             raise NumericOverflow(f"member heads over- or underflow out of the "
                                   f"{self.family} parameter domain: {exc}") from exc
 
-    def moments(self, mode: str = dists.EFRON_APPROX) -> tuple[np.ndarray, np.ndarray]:
-        """Member means and variances, both shaped (M, n).
+    def moments(self, mode: str = EFRON_APPROX) -> tuple[np.ndarray, np.ndarray]:
+        """Member means and variances, both shaped (M, n): the one place
+        where a family's member moments are written.
 
-        mode "efron_approx" reads moments straight off the heads, in log space
-        where it takes two heads, and tolerates extreme values (variances may
-        overflow to inf far from the training data); "exact_series" evaluates
-        the Double Poisson series, read from the batch's one engine pass. Any
+        They are read off the heads, in log space where they take two heads,
+        and tolerate extreme values (variances may overflow to inf far from
+        the training data). Mode "exact_series" adds to the Double Poisson's
+        Efron moments its exact corrections (PredictiveBatch.dp_corrections),
+        read from the batch's one engine pass; "efron_approx" does not. Any
         other mode is a DomainError.
         """
-        if mode not in (dists.EFRON_APPROX, dists.EXACT_SERIES):
+        if mode not in (EFRON_APPROX, EXACT_SERIES):
             raise DomainError(f"unknown moments mode {mode!r}")
-        if self.family == "double_poisson" and mode == dists.EXACT_SERIES:
-            return self.batch.member_moments(mode)
         log_m = self.values[..., 0]
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf heads give nan
             m = np.exp(log_m)
@@ -135,11 +138,14 @@ class MemberHeads:
                 v = m + np.exp(self.values[..., 1] + 2.0 * log_m)
             else:
                 v = np.exp(self.values[..., 1])
+        if self.family == "double_poisson" and mode == EXACT_SERIES:
+            mean_corr, var_corr = self.batch.dp_corrections()
+            m, v = m + mean_corr, v + var_corr
         return m, v
 
-    def scores(self, mode: str = dists.EFRON_APPROX) -> np.ndarray:
+    def scores(self) -> np.ndarray:
         """Total mixture variance per row, the OOD detection score (total_scores)."""
-        return total_scores(decompose_variance(*self.moments(mode)))
+        return total_scores(decompose_variance(*self.moments()))
 
 
 def total_scores(dec: UncertaintyDecomposition) -> np.ndarray:

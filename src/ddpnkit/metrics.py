@@ -10,14 +10,16 @@ score; for a discrete predictive CDF F and a count label y
 with the upper sum truncated once its terms fall below 1e-12. Gaussian
 families use the closed form, and Gaussian mixtures the kernel identity
 CRPS = E|X - y| - E|X - X'|/2. Median precision summarizes how tightly a
-model concentrates, the median of 1/variance over the evaluation set.
+model concentrates, the median of 1/variance over the evaluation set; the
+caller passes those variances, as ensemble.MemberHeads reads them.
 
 Modes, CRPS and interval quantiles all come from one pass of the batched
 engine, distributions.predictive_summary, over every row of a
-PredictiveBatch; evaluate scores them, and a single distribution is a
-one-row batch. Labels are checked first (distributions.check_labels): the
-discrete families take nonnegative integer labels and Gaussian rows finite
-ones, and any other label raises DomainError.
+PredictiveBatch; evaluate scores them into the metrics dict that the
+reports write, and a single distribution is a one-row batch. Labels are
+checked first (distributions.check_labels): the discrete families take
+nonnegative integer labels and Gaussian rows finite ones, and any other
+label raises DomainError.
 
 OOD detection quality is scored on AUROC (rank statistic with tie
 correction), AUPR with the OOD points as positives, and FPR80, the false
@@ -109,61 +111,23 @@ def ood_curve_metrics(scores: OODScores) -> tuple[float, float, float]:
     return auroc, aupr, fpr80
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """Per-example metric pieces plus their aggregates.
+def evaluate(predictions: dists.PredictiveBatch, ys, variances, levels=()) -> tuple:
+    """Score predictive distributions against labels: (metrics, quantiles).
 
-    quantiles holds one row per level requested from evaluate, (levels, n).
-    """
-
-    modes: np.ndarray
-    crps_values: np.ndarray
-    variances: np.ndarray
-    mae: float
-    crps_mean: float
-    median_precision: float
-    quantiles: np.ndarray = None
-
-    def summary(self) -> dict:
-        return {
-            "mae": self.mae,
-            "crps_mean": self.crps_mean,
-            "median_precision": self.median_precision,
-        }
-
-
-def evaluate(
-    predictions: dists.PredictiveBatch,
-    ys,
-    variances=None,
-    levels=(),
-) -> EvalRecord:
-    """Score predictive distributions against labels.
-
-    All pieces come from one pass of the batched engine over the rows of
-    ``predictions``, which also reads the quantiles at ``levels`` (e.g.
-    interval ends) into the record. variances defaults to each row's own
-    (Efron approximate) mixture variance; ensembles pass their mixture
-    variance explicitly.
+    metrics is the dict the reports write: mae, crps_mean and
+    median_precision, the last of the one predictive variance per row given
+    in variances (ensembles pass their mixture variance). quantiles holds
+    one row per level in levels, (levels, n). All are read off one pass of
+    the batched engine over the rows of predictions.
     """
     ys = np.asarray(ys, dtype=float)
-    if len(predictions) != ys.size:
-        raise ShapeError(f"{len(predictions)} predictions for {ys.size} labels")
+    variances = np.asarray(variances, dtype=float)
+    if not len(predictions) == ys.size == variances.size:
+        raise ShapeError(f"{len(predictions)} predictions for {ys.size} labels and "
+                         f"{variances.size} variances")
     if ys.size == 0:
         raise ShapeError("evaluate needs at least one example")
     summary = dists.predictive_summary(predictions, ys, levels)
-    if variances is None:
-        variances = predictions.moments()[1]
-    else:
-        variances = np.asarray(variances, dtype=float)
-        if variances.size != ys.size:
-            raise ShapeError("variances must match the number of examples")
-    return EvalRecord(
-        modes=summary.modes,
-        crps_values=summary.crps,
-        variances=variances,
-        mae=float(np.mean(np.abs(ys - summary.modes))),
-        crps_mean=float(np.mean(summary.crps)),
-        median_precision=median_precision(variances),
-        quantiles=summary.quantiles,
-    )
+    return {"mae": float(np.mean(np.abs(ys - summary.modes))),
+            "crps_mean": float(np.mean(summary.crps)),
+            "median_precision": median_precision(variances)}, summary.quantiles

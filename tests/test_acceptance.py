@@ -287,8 +287,8 @@ def _single_model_crps(ds, split, spec: LossSpec, seed: int) -> float:
     cfg = network.TrainConfig(loss=spec, epochs=60, batch_size=64, lr=1e-3,
                               weight_decay=1e-5, seed=seed, hidden_widths=(64, 64))
     weights, _ = network.train(ds, split, cfg)
-    preds = ensemble.member_heads(ensemble.Ensemble(((weights, spec),)), ds.xs[split.test]).batch
-    return metrics.evaluate(preds, ds.ys[split.test]).crps_mean
+    heads = ensemble.member_heads(ensemble.Ensemble(((weights, spec),)), ds.xs[split.test])
+    return metrics.evaluate(heads.batch, ds.ys[split.test], heads.scores())[0]["crps_mean"]
 
 
 def test_criterion_05_misspecification_recovery(capsys):
@@ -344,7 +344,7 @@ def test_criterion_06_ensemble_crps_and_aleatoric_ordering(capsys, sine_ensemble
     crps_by_family = {}
     for family in _SINE_FAMILIES:
         crps_by_family[family] = metrics.evaluate(heads[family].batch, ys_test,
-                                                  variances=heads[family].scores()).crps_mean
+                                                  heads[family].scores())[0]["crps_mean"]
     wins = (crps_by_family["double_poisson"] < crps_by_family["poisson"]
             and crps_by_family["double_poisson"] < crps_by_family["neg_binomial"])
     # under-dispersed high-count region: true mean >= 25

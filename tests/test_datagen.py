@@ -254,7 +254,7 @@ class TestCsv:
 class TestDatasetValidation:
     def test_rejects_negative_labels(self):
         with pytest.raises(DomainError):
-            datagen.SyntheticDataset(np.ones((2, 1)), np.array([1, -1]), "p", 0)
+            datagen.SyntheticDataset(np.ones((2, 1)), np.array([1, -1]), "p")
 
     @pytest.mark.parametrize("labels", [[2.7, 3.0], [np.nan, 1.0], [1e30, 1.0], [2.0**63, 1.0],
                                         [-1.0, 1.0], [np.inf, 1.0],
@@ -263,22 +263,29 @@ class TestDatasetValidation:
         """A label that is not a nonnegative integer below 2^63 is refused,
         not truncated (2.7 -> 2) or wrapped (nan, 1e30 -> -2^63)."""
         with pytest.raises(DomainError, match="count label"):
-            datagen.SyntheticDataset(np.ones((2, 1)), labels, "p", 0)
+            datagen.SyntheticDataset(np.ones((2, 1)), labels, "p")
 
     def test_keeps_integer_labels_exactly(self):
         """Integer labels are stored as they are, with no float round trip
         (2^53 + 1 is not a float64); integer-valued floats become their
         counts."""
         big = np.array([2**53 + 1, 2**63 - 1, 0], dtype=np.int64)
-        ds = datagen.SyntheticDataset(np.ones((3, 1)), big, "p", 0)
+        ds = datagen.SyntheticDataset(np.ones((3, 1)), big, "p")
         assert ds.ys.dtype == np.int64 and ds.ys.tolist() == big.tolist()
-        ds = datagen.SyntheticDataset(np.ones((3, 1)), [3.0, 0.0, 2.0**62], "p", 0)
+        ds = datagen.SyntheticDataset(np.ones((3, 1)), [3.0, 0.0, 2.0**62], "p")
         assert ds.ys.dtype == np.int64 and ds.ys.tolist() == [3, 0, 2**62]
 
     def test_rejects_non_finite_inputs(self):
         with pytest.raises(DomainError):
-            datagen.SyntheticDataset(np.array([[np.inf]]), np.array([1]), "p", 0)
+            datagen.SyntheticDataset(np.array([[np.inf]]), np.array([1]), "p")
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ShapeError):
-            datagen.SyntheticDataset(np.ones((3, 1)), np.array([1, 2]), "p", 0)
+            datagen.SyntheticDataset(np.ones((3, 1)), np.array([1, 2]), "p")
+
+    @pytest.mark.parametrize("xs", [np.ones(3), np.ones((1, 3, 1)), 1.0])
+    def test_rejects_inputs_that_are_not_a_matrix(self, xs):
+        """Inputs must be (n, d): a vector is refused, not read as one row or
+        one column."""
+        with pytest.raises(ShapeError, match=r"\(n, d\) matrix"):
+            datagen.SyntheticDataset(xs, np.array([1, 2, 3]), "p")

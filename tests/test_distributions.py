@@ -15,8 +15,9 @@ from numpy.testing import assert_allclose
 from scipy import special, stats
 
 from ddpnkit import distributions as dists
-from ddpnkit import metrics
+from ddpnkit import ensemble, metrics
 from ddpnkit.errors import DomainError, NumericOverflow
+from test_ensemble import const_moments
 
 # (mu, gamma) -> c(mu, gamma) from the high-precision oracle
 NORMALIZER_ORACLE = {
@@ -91,6 +92,14 @@ class TestNormalizer:
             dists.dp_normalizer(-1.0, 1.0)
         with pytest.raises(DomainError):
             dists.dp_normalizer(1.0, 0.0)
+
+
+def exact_moments(batch):
+    """Exact mean and variance of a one-row Double Poisson batch: its Efron
+    approximations (mu, mu/gamma) plus the corrections of its series."""
+    (mu,), (gamma,) = batch.params
+    mean_corr, var_corr = batch.dp_corrections()
+    return float(mu[0] + mean_corr[0, 0]), float(mu[0] / gamma[0] + var_corr[0, 0])
 
 
 def pmf_of(dist):
@@ -193,22 +202,20 @@ class TestCdf:
 
 class TestMoments:
     def test_efron_approximation_reads_parameters(self):
-        mean, var = dists.double_poisson(6.0, 3.0).moments()
-        assert (mean[0], var[0]) == (6.0, 2.0)
+        """Heads (log mu, log gamma) give the Efron moments (mu, mu/gamma) in log space."""
+        assert const_moments(2.0, 0.5) == (math.exp(2.0), math.exp(1.5))
 
     def test_exact_series_frozen_values(self):
         for (mu, gamma), (mean, var) in SERIES_MOMENTS_ORACLE.items():
-            d = dists.double_poisson(mu, gamma)
-            got = np.concatenate(d.moments(dists.EXACT_SERIES))
+            got = exact_moments(dists.double_poisson(mu, gamma))
             assert_allclose(got, (mean, var), rtol=1e-10)
 
     @pytest.mark.parametrize("mu, gamma", [(1e4, 1.0), (3e4, 50.0)])
     def test_exact_series_match_mpmath_at_large_means(self, mu, gamma):
         """Log weights of rounding 1e-16 * y*log(y) would leave the variance
         off by about 1e-12 relative here."""
-        got = dists.double_poisson(mu, gamma).member_moments(dists.EXACT_SERIES)
-        assert_allclose([float(g[0, 0]) for g in got], mp_moments(mu, gamma),
-                        rtol=1e-14, atol=0.0)
+        got = exact_moments(dists.double_poisson(mu, gamma))
+        assert_allclose(got, mp_moments(mu, gamma), rtol=1e-14, atol=0.0)
 
     def test_series_identities_match_brute_force(self):
         """The correction-series mean and variance equal the moments of the
@@ -222,41 +229,45 @@ class TestMoments:
             ys = np.arange(p.size)
             bf_mean = float(np.sum(p * ys))
             bf_var = float(np.sum(p * (ys - bf_mean) ** 2))
-            series = np.concatenate(d.moments(dists.EXACT_SERIES))
-            assert_allclose(series, (bf_mean, bf_var), rtol=1e-9, atol=1e-9)
+            assert_allclose(exact_moments(d), (bf_mean, bf_var), rtol=1e-9, atol=1e-9)
 
     def test_engine_runs_once_per_batch(self, monkeypatch):
-        """The PMF supports and the exact moments of a batch read one _series
-        pass over its member cells, and give the bits of a fresh batch."""
+        """The PMF supports and the exact moment corrections of a batch read
+        one _series pass over its member cells, and give the bits of a fresh
+        batch."""
         rng = np.random.default_rng(3)
         params = (rng.uniform(0.5, 30.0, (3, 40)), rng.uniform(0.3, 4.0, (3, 40)))
         fresh = dists.PredictiveBatch(dists.DOUBLE_POISSON, params)
-        want = fresh.member_moments(dists.EXACT_SERIES)
+        want = fresh.dp_corrections()
         calls = []
         series = dists._series
         monkeypatch.setattr(dists, "_series", lambda *args: calls.append(args[0]) or series(*args))
         batch = dists.PredictiveBatch(dists.DOUBLE_POISSON, params)
         dists.predictive_summary(batch, np.arange(40.0), (0.1, 0.9))
-        batch.moments(dists.EXACT_SERIES)
-        got = batch.member_moments(dists.EXACT_SERIES)
+        batch.dp_corrections()
+        got = batch.dp_corrections()
         assert calls == [dists.DOUBLE_POISSON]
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert all(g.shape == (3, 40) and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_neg_binomial_closed_forms(self):
-        mean, var = dists.neg_binomial(4.0, 0.25).moments()
+        """Heads log mean 12 and log alpha 1/4 are NB(r = 4, p = 1/4)."""
+        mean, var = const_moments(np.log(12.0), np.log(0.25), family="neg_binomial")
         assert_allclose(mean, stats.nbinom.mean(4.0, 0.25), rtol=1e-12)
         assert_allclose(var, stats.nbinom.var(4.0, 0.25), rtol=1e-12)
-        assert var[0] > mean[0]  # this family cannot be under-dispersed
+        assert var > mean  # this family cannot be under-dispersed
 
     def test_mixture_matches_its_pmf_moments(self):
-        a = dists.poisson(3.0)
-        b = dists.poisson(9.0)
-        mix = dists.mixture([a, b])
-        p = pmf_of(mix)
+        heads = ensemble.MemberHeads(dists.POISSON, np.log([[[3.0]], [[9.0]]]))
+        p = pmf_of(heads.batch)
         ys = np.arange(p.size)
         bf_mean = float(np.sum(p * ys))
         bf_var = float(np.sum(p * (ys - bf_mean) ** 2))
-        assert_allclose(np.concatenate(mix.moments()), (bf_mean, bf_var), rtol=1e-9)
+        dec = dists.decompose_variance(*heads.moments())
+        assert_allclose(np.concatenate((dec.mean, dec.total)), (bf_mean, bf_var), rtol=1e-9)
+
+    def test_corrections_are_double_poisson_only(self):
+        with pytest.raises(DomainError, match="no Double Poisson moment corrections"):
+            dists.poisson(2.0).dp_corrections()
 
 
 class TestMode:
@@ -376,7 +387,14 @@ def oracle_summary(kind, params, ys):
     modes, quantiles, crps = np.zeros(n), np.zeros((2, n)), np.zeros(n)
     pmf, cdf_y = np.zeros(n), np.zeros(n)
     for i in range(n):
-        mean, var = dists.PredictiveBatch(kind, [p[:, i:i + 1] for p in params]).member_moments()
+        a, b = params[0][:, i], second[:, i]
+        if kind == dists.DOUBLE_POISSON:
+            mean, var = a, a / b
+        elif kind == dists.POISSON:
+            mean, var = a, a
+        else:  # negative binomial (r, p)
+            mean = a * (1.0 - b) / b
+            var = mean / b
         size = int(np.max(mean + 30.0 * np.sqrt(var + 1.0) + 64.0))
         mix = np.mean([oracle_pmf(kind, params[0][m, i], second[m, i], size)
                        for m in range(members)], axis=0)
@@ -627,9 +645,9 @@ class TestSample:
     def test_empirical_moments_track_exact_series(self):
         d = dists.double_poisson(6.0, 0.5)
         got = draws(d, np.random.default_rng(1), 200_000)
-        mean, var = d.moments(dists.EXACT_SERIES)
-        assert abs(got.mean() - mean[0]) < 0.05
-        assert abs(got.var() - var[0]) < 0.25
+        mean, var = exact_moments(d)
+        assert abs(got.mean() - mean) < 0.05
+        assert abs(got.var() - var) < 0.25
 
 
 class TestOneRowBatches:
@@ -688,16 +706,16 @@ class TestMixtureVariance:
         assert_allclose(dec.total, 1e-3 + 0.25, rtol=1e-13)
 
     def test_equal_members_with_tiny_variance(self):
-        member = dists.double_poisson(3000.0, 3e9)
-        mean, var = dists.mixture([member, member]).moments()
-        assert mean[0] == 3000.0
-        assert_allclose(var[0], 3000.0 / 3e9, rtol=1e-15)
+        dec = dists.decompose_variance([3000.0, 3000.0], [3000.0 / 3e9] * 2)
+        assert dec.mean == 3000.0
+        assert_allclose(dec.total, 3000.0 / 3e9, rtol=1e-15)
 
     def test_evaluate_on_close_large_gaussian_means(self):
         batch = dists.PredictiveBatch(dists.GAUSSIAN, ([[1e8], [1e8 + 1.0]], [[1e-3], [1e-3]]))
-        rec = metrics.evaluate(batch, [1e8])
-        assert_allclose(rec.variances, [0.251], rtol=1e-13)
-        assert_allclose(rec.median_precision, 1.0 / 0.251, rtol=1e-13)
+        total = dists.decompose_variance(*batch.params).total
+        summary, _ = metrics.evaluate(batch, [1e8], total)
+        assert_allclose(total, [0.251], rtol=1e-13)
+        assert_allclose(summary["median_precision"], 1.0 / 0.251, rtol=1e-13)
 
 
 class TestValidation:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from ddpnkit import distributions as dists
 from ddpnkit import ensemble, network
@@ -25,6 +26,14 @@ def const_member(log_mu, log_second=None, family="double_poisson", beta=0.0):
     if spec.head_count == 2:
         head_b[1] = log_second
     return w, spec
+
+
+def const_moments(log_mu, log_second=None, family="double_poisson",
+                  mode=ensemble.EFRON_APPROX):
+    """(mean, variance) that MemberHeads.moments reads off a const_member's heads."""
+    ens = ensemble.Ensemble((const_member(log_mu, log_second, family=family),))
+    means, variances = ensemble.member_heads(ens, np.zeros((1, 1))).moments(mode)
+    return float(means[0, 0]), float(variances[0, 0])
 
 
 def dp_ensemble():
@@ -44,8 +53,9 @@ class TestMixtureMoments:
     def test_matches_mixture_pmf_moments(self):
         a = dists.poisson(3.0)
         b = dists.double_poisson(7.0, 2.0)
-        moments = [d.moments(dists.EXACT_SERIES) for d in (a, b)]
-        dec = ensemble.decompose_variance([m[0] for m, _ in moments], [v[0] for _, v in moments])
+        moments = [const_moments(np.log(3.0), family="poisson"),
+                   const_moments(np.log(7.0), np.log(2.0), mode=ensemble.EXACT_SERIES)]
+        dec = ensemble.decompose_variance(*zip(*moments))
         mean, var = dec.mean, dec.total
         mix_pmfs = [pmf[0] for d in (a, b) for _, pmf in dists._pmf_blocks(d)]
         size = max(p.size for p in mix_pmfs)
@@ -69,13 +79,16 @@ class TestMixtureMoments:
             ensemble.decompose_variance([1.0], [1.0, 2.0])
 
     def test_agrees_with_decomposition_bit_for_bit(self):
-        """A batch's mixture moments are the decomposition's mean and total."""
+        """The heads' scores are the decomposition's total of their moments,
+        and its mean is the members' average, bit for bit."""
         rng = np.random.default_rng(2)
         means = rng.uniform(1.0, 1e8, (5, 60))
         variances = rng.uniform(1e-6, 10.0, (5, 60))
-        mean, var = dists.PredictiveBatch(dists.GAUSSIAN, (means, variances)).moments()
-        assert np.array_equal(var, ensemble.decompose_variance(means, variances).total)
-        assert np.array_equal(mean, means.mean(axis=0))
+        heads = ensemble.MemberHeads("gaussian", np.log(np.stack((means, variances), axis=2)))
+        member_means, member_vars = heads.moments()
+        dec = ensemble.decompose_variance(member_means, member_vars)
+        assert np.array_equal(heads.scores(), dec.total)
+        assert np.array_equal(dec.mean, member_means.mean(axis=0))
 
 
 class TestDecomposition:
@@ -130,15 +143,15 @@ class TestMemberDistributions:
         w, spec = const_member(np.log(m), np.log(alpha), family="neg_binomial")
         d = member_distribution(w, spec, np.array([[0.7]]))
         assert d.kind == dists.NEG_BINOMIAL
-        mean, var = d.moments()
-        assert_allclose(mean, m, rtol=1e-12)
-        assert_allclose(var, m * (1.0 + alpha * m), rtol=1e-12)
+        r, p = (float(q[0, 0]) for q in d.params)
+        assert_allclose(stats.nbinom.mean(r, p), m, rtol=1e-12)
+        assert_allclose(stats.nbinom.var(r, p), m * (1.0 + alpha * m), rtol=1e-12)
 
     def test_double_poisson_and_poisson_heads(self):
         w, spec = const_member(np.log(3.0), np.log(0.5))
         d = member_distribution(w, spec, np.array([[0.0]]))
         assert d.kind == dists.DOUBLE_POISSON
-        assert_allclose(np.concatenate(d.moments()), (3.0, 6.0), rtol=1e-12)
+        assert_allclose(np.concatenate(d.params)[:, 0], (3.0, 0.5), rtol=1e-12)
         w, spec = const_member(np.log(4.0), family="poisson")
         d = member_distribution(w, spec, np.array([[0.0]]))
         assert d.kind == dists.POISSON
@@ -146,7 +159,7 @@ class TestMemberDistributions:
     def test_gaussian_heads(self):
         w, spec = const_member(np.log(2.0), np.log(9.0), family="gaussian")
         d = member_distribution(w, spec, np.array([[0.0]]))
-        assert_allclose(np.concatenate(d.moments()), (2.0, 9.0), rtol=1e-12)
+        assert_allclose(np.concatenate(d.params)[:, 0], (2.0, 9.0), rtol=1e-12)
 
     def test_heads_out_of_the_domain_are_numeric_overflow(self):
         """Heads whose parameters leave the family's domain raise
@@ -182,21 +195,21 @@ class TestMemberMoments:
         ens = ensemble.Ensemble(((w, spec),))
         X = np.zeros((1, 1))
         heads = ensemble.member_heads(ens, X)
-        _, v_efron = heads.moments(dists.EFRON_APPROX)
-        _, v_exact = heads.moments(dists.EXACT_SERIES)
-        d = dists.double_poisson(1.0, 5.0)
-        assert_allclose(v_exact[0, 0], d.moments(dists.EXACT_SERIES)[1][0], rtol=1e-10)
+        _, v_efron = heads.moments(ensemble.EFRON_APPROX)
+        _, v_exact = heads.moments(ensemble.EXACT_SERIES)
+        var_corr = dists.double_poisson(1.0, 5.0).dp_corrections()[1][0, 0]
+        assert_allclose(v_exact[0, 0], 1.0 / 5.0 + var_corr, rtol=1e-10)
         assert abs(v_efron[0, 0] - v_exact[0, 0]) > 1e-3
 
     def test_exact_moments_are_the_batch_moments(self):
-        """The exact member moments are read from the one kept batch, bit for
-        bit, and the values are a read-only copy, so that batch cannot fall
-        out of step with them."""
+        """The exact member moments are the heads' Efron moments plus the
+        corrections of the one kept batch, bit for bit, and the values are a
+        read-only copy, so that batch cannot fall out of step with them."""
         ens = ensemble.Ensemble((const_member(np.log(1.5), np.log(3.0)),
                                  const_member(np.log(7.0), np.log(0.4))))
         heads = ensemble.member_heads(ens, np.linspace(-1.0, 1.0, 4)[:, None])
-        got = heads.moments(dists.EXACT_SERIES)
-        want = heads.batch.member_moments(dists.EXACT_SERIES)
+        got = heads.moments(ensemble.EXACT_SERIES)
+        want = [e + c for e, c in zip(heads.moments(), heads.batch.dp_corrections())]
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
         assert heads.batch is heads.batch
         with pytest.raises(ValueError, match="read-only"):
@@ -215,6 +228,16 @@ class TestMemberMoments:
         means, variances = ensemble.member_heads(ens, np.zeros((1, 1))).moments()
         assert means[0, 0] == np.inf
         assert_allclose(variances[0, 0], np.exp(10.0), rtol=1e-14)
+
+    @pytest.mark.parametrize("log_alpha", [-15.0, -22.0])
+    def test_neg_binomial_variance_at_tiny_dispersion(self, log_alpha):
+        """m(1 + alpha*m) from the heads in log space. Read back from the
+        batch's (r, p) = (1/alpha, 1/(1 + alpha*m)), the variance was off by
+        1.6e-11 relative at log alpha = -15 and by 4.4e-8 at -22."""
+        m = 5.0
+        mean, var = const_moments(np.log(m), log_alpha, family="neg_binomial")
+        assert_allclose(mean, m, rtol=1e-15)
+        assert_allclose(var, m * (1.0 + np.exp(log_alpha) * m), rtol=1e-15)
 
     def test_overflowed_rows_score_inf(self):
         """A variance that overflows, or that inf - inf heads leave undefined,

@@ -19,6 +19,11 @@ from ddpnkit.losses import count_labels
 from test_distributions import draws, pmf_of
 
 
+def mae(preds, ys):
+    """evaluate's mean absolute error, given any variances."""
+    return metrics.evaluate(preds, ys, np.ones(len(ys)))[0]["mae"]
+
+
 def crps_integral_discrete(pmf, y, extra=200):
     """Direct sum of (F(k) - 1{k >= y})^2 over unit intervals, no tolerance."""
     cdf = np.cumsum(pmf)
@@ -92,7 +97,7 @@ class TestDiscreteCrps:
     @pytest.mark.parametrize("score", [
         lambda y: crps(dists.poisson(2.0), y),
         lambda y: crps_of_cdf(np.cumsum(pmf_of(dists.poisson(2.0))), y),
-        lambda y: metrics.evaluate(dists.PredictiveBatch(dists.POISSON, ([2.0, 3.0],)), [1, y]),
+        lambda y: mae(dists.PredictiveBatch(dists.POISSON, ([2.0, 3.0],)), [1, y]),
     ], ids=["crps", "crps_from_cdf", "evaluate"])
     def test_rejects_labels_that_are_not_counts(self, score, label):
         with pytest.raises(DomainError, match="nonnegative integer"):
@@ -159,18 +164,18 @@ class TestMae:
     def test_mode_based_with_tie_break(self):
         # Poisson(2) has tied modes at 1 and 2 and must report 1
         preds = dists.PredictiveBatch(dists.POISSON, ([2.0, 6.0],))
-        got = metrics.evaluate(preds, [1.0, 8.0]).mae
+        got = mae(preds, [1.0, 8.0])
         mode6 = float(np.argmax(pmf_of(dists.poisson(6.0))))
         assert_allclose(got, (0.0 + abs(8.0 - mode6)) / 2)
 
     def test_gaussian_uses_unrounded_mean(self):
-        assert_allclose(metrics.evaluate(dists.gaussian(2.4, 1.0), [2.0]).mae, 0.4, rtol=1e-12)
+        assert_allclose(mae(dists.gaussian(2.4, 1.0), [2.0]), 0.4, rtol=1e-12)
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
-            metrics.evaluate(dists.poisson(1.0), [1.0, 2.0])
+            mae(dists.poisson(1.0), [1.0, 2.0])
         with pytest.raises(ShapeError):
-            metrics.evaluate(dists.PredictiveBatch(dists.POISSON, (np.ones((1, 0)),)), [])
+            mae(dists.PredictiveBatch(dists.POISSON, (np.ones((1, 0)),)), [])
 
 
 class TestLabelBoundary:
@@ -183,8 +188,8 @@ class TestLabelBoundary:
     @pytest.mark.parametrize("score", [
         lambda y: crps(dists.gaussian(0.0, 1.0), y),
         lambda y: crps(dists.mixture([dists.gaussian(0.0, 1.0), dists.gaussian(3.0, 2.0)]), y),
-        lambda y: metrics.evaluate(TestLabelBoundary.GAUSS_ROWS, [1.0, y]),
-        lambda y: metrics.evaluate(TestLabelBoundary.GAUSS_ROWS, [y, 1.0]).mae,
+        lambda y: metrics.evaluate(TestLabelBoundary.GAUSS_ROWS, [1.0, y], [1.0, 2.0]),
+        lambda y: mae(TestLabelBoundary.GAUSS_ROWS, [y, 1.0]),
     ], ids=["crps", "crps_mixture", "evaluate", "mae"])
     def test_gaussian_rejects_non_finite_labels(self, score, label):
         with pytest.raises(DomainError, match="finite"):
@@ -193,16 +198,16 @@ class TestLabelBoundary:
     @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, -1.0, 2.5])
     def test_discrete_mae_rejects_labels_that_are_not_counts(self, label):
         with pytest.raises(DomainError, match="nonnegative integer"):
-            metrics.evaluate(dists.poisson(2.0), [label])
+            mae(dists.poisson(2.0), [label])
         with pytest.raises(DomainError, match="nonnegative integer"):
-            metrics.evaluate(dists.PredictiveBatch(dists.POISSON, ([2.0, 3.0],)), [1.0, label])
+            mae(dists.PredictiveBatch(dists.POISSON, ([2.0, 3.0],)), [1.0, label])
 
     def test_gaussian_scores_negative_and_fractional_labels(self):
         y = -1.25
         assert_allclose(crps(dists.gaussian(0.5, 2.0), y),
                         gaussian_crps_closed_form(0.5, 2.0, y), rtol=1e-12)
-        rec = metrics.evaluate(self.GAUSS_ROWS, [-1.0, 2.5])
-        assert rec.mae == 1.25 and np.all(np.isfinite(rec.crps_values))
+        summary, _ = metrics.evaluate(self.GAUSS_ROWS, [-1.0, 2.5], [1.0, 2.0])
+        assert summary["mae"] == 1.25 and np.isfinite(summary["crps_mean"])
 
 
 class TestMedianPrecision:
@@ -299,7 +304,8 @@ class TestDetectionCurves:
 
 class TestEvaluate:
     def test_aggregates_are_consistent(self):
-        """Each batch agrees with its rows scored one at a time."""
+        """Each batch agrees with its rows scored one at a time, and returns
+        the quantiles at the levels asked for."""
         cases = [
             (dists.PredictiveBatch(dists.POISSON, ([2.0, 7.0, 0.5],)), [1, 6, 0]),
             (dists.PredictiveBatch(dists.DOUBLE_POISSON, ([5.0, 3.0], [2.0, 0.5])), [5, 1]),
@@ -309,25 +315,26 @@ class TestEvaluate:
         for preds, ys in cases:
             rows = [dists.PredictiveBatch(preds.kind, [p[:, i:i + 1] for p in preds.params])
                     for i in range(len(preds))]
-            rec = metrics.evaluate(preds, ys)
+            variances = np.linspace(1.0, 3.0, len(preds))
+            summary, quantiles = metrics.evaluate(preds, ys, variances, levels=(0.1, 0.9))
             modes = [dists.predictive_summary(d).modes[0] for d in rows]
-            assert_allclose(rec.mae, np.mean(np.abs(np.subtract(ys, modes))), rtol=1e-13)
-            assert_allclose(rec.crps_mean,
+            assert_allclose(summary["mae"], np.mean(np.abs(np.subtract(ys, modes))), rtol=1e-13)
+            assert_allclose(summary["crps_mean"],
                             np.mean([crps(d, y) for d, y in zip(rows, ys)]), rtol=1e-13)
-            own_vars = [d.moments()[1][0] for d in rows]
-            assert_allclose(rec.median_precision, metrics.median_precision(own_vars),
-                            rtol=1e-13)
-            assert set(rec.summary()) == {"mae", "crps_mean", "median_precision"}
+            assert summary["median_precision"] == metrics.median_precision(variances)
+            assert list(summary) == ["mae", "crps_mean", "median_precision"]
+            want = dists.predictive_summary(preds, levels=(0.1, 0.9)).quantiles
+            assert quantiles.tobytes() == want.tobytes()
 
     def test_explicit_variances_override(self):
         preds = dists.PredictiveBatch(dists.POISSON, ([2.0, 4.0],))
-        rec = metrics.evaluate(preds, [2, 4], variances=[1.0, 4.0])
-        assert rec.median_precision == metrics.median_precision([1.0, 4.0])
+        summary, _ = metrics.evaluate(preds, [2, 4], variances=[1.0, 4.0])
+        assert summary["median_precision"] == metrics.median_precision([1.0, 4.0])
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
-            metrics.evaluate(dists.poisson(1.0), [1, 2])
+            metrics.evaluate(dists.poisson(1.0), [1, 2], [1.0, 1.0])
         with pytest.raises(ShapeError):
-            metrics.evaluate(dists.PredictiveBatch(dists.POISSON, (np.ones((1, 0)),)), [])
+            metrics.evaluate(dists.PredictiveBatch(dists.POISSON, (np.ones((1, 0)),)), [], [])
         with pytest.raises(ShapeError):
             metrics.evaluate(dists.poisson(1.0), [1], variances=[1.0, 2.0])

@@ -170,19 +170,19 @@ class TestOneEngine:
     @settings(max_examples=25, deadline=None)
     @given(members=st.integers(1, 5), rows=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
     def test_batch_moments_match_grid(self, members, rows, seed):
-        """The exact-series member moments of a random Double Poisson batch
-        deviate from (mu, mu/gamma) by mdf_epsilon's eps1 and eps2: the batch
-        and the grid read one engine."""
+        """The exact-series moment corrections of a random Double Poisson
+        batch, its deviations from (mu, mu/gamma), are mdf_epsilon's eps1 and
+        eps2: the batch and the grid read one engine."""
         rng = np.random.default_rng(seed)
         mu, gamma = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (2, members, rows)))
         batch = dists.PredictiveBatch(dists.DOUBLE_POISSON, (mu, gamma))
-        mean, var = batch.member_moments(dists.EXACT_SERIES)
+        mean_corr, var_corr = batch.dp_corrections()
         for m, i in np.ndindex(mu.shape):
             mu0, var0 = float(mu[m, i]), float(mu[m, i] / gamma[m, i])
             want = moments.mdf_epsilon(mu0, var0)
             atol = 1e-13 * (1.0 + mu0 + var0)
-            assert_allclose(abs(mean[m, i] - mu0), want[0], rtol=1e-12, atol=atol)
-            assert_allclose(abs(var[m, i] - var0), want[1], rtol=1e-12, atol=atol)
+            assert_allclose(abs(mean_corr[m, i]), want[0], rtol=1e-12, atol=atol)
+            assert_allclose(abs(var_corr[m, i]), want[1], rtol=1e-12, atol=atol)
 
 
 class TestGrid:
